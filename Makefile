@@ -5,7 +5,7 @@ CACHE ?= testdata/campaign.gob
 DAYS ?= 130
 SEED ?= 42
 
-.PHONY: all build test vet race lint-docs verify bench bench-engine bench-serve campaign report plots csv clean
+.PHONY: all build test vet race fuzz lint-docs verify bench bench-engine bench-serve campaign report plots csv clean
 
 all: build vet test
 
@@ -20,6 +20,23 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Native fuzzing: run each fuzz target for FUZZTIME. Plain `go test ./...`
+# already replays every seed corpus under testdata/fuzz/; a crasher found
+# here lands there as a new seed.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	./internal/framelog:FuzzLog \
+	./internal/telemetry:FuzzParseTraceparent \
+	./internal/dist:FuzzDecodeRun \
+	./internal/modelstore:FuzzObjectDecode \
+	./internal/traceio:FuzzReader
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t#*:} ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}"; \
+	done
 
 # Documentation lint: every package has a godoc comment, intra-repo
 # markdown links resolve, and docs/OBSERVABILITY.md covers every

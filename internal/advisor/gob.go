@@ -3,18 +3,14 @@ package advisor
 import (
 	"bytes"
 	"encoding/gob"
-	"io"
 	"sort"
+
+	"dragonvar/internal/framelog"
 )
 
-// Pin advisorWire's process-global gob id at init so serialized advisor
-// bytes don't depend on encode order within the process (gob wire ids
-// come from a global counter; see internal/dataset/gob_init.go).
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(advisorWire{}); err != nil {
-		panic("advisor: gob warm-up: " + err.Error())
-	}
-}
+// Pin advisorWire's gob id at init so serialized advisor bytes
+// don't depend on encode order within the process (see framelog.PinGob).
+func init() { framelog.PinGob(advisorWire{}) }
 
 // advisorWire is the gob wire form of a trained advisor: the learned blame
 // list (sorted, so equal advisors encode to equal bytes) and the first

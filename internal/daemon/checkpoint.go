@@ -2,35 +2,21 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
+
+	"dragonvar/internal/framelog"
 )
 
-// Pin the checkpoint wire types' process-global gob ids before any
-// runtime gob activity, so record bytes don't depend on whether this
-// process decoded a WAL (resume) or started fresh. See
-// internal/dataset/gob_init.go for the full rationale.
-func init() {
-	enc := gob.NewEncoder(io.Discard)
-	for _, v := range []any{checkpointHeader{}, progress{}} {
-		if err := enc.Encode(v); err != nil {
-			panic("daemon: gob warm-up: " + err.Error())
-		}
-	}
-}
+// Pin the checkpoint wire types' gob ids (see framelog.PinGob), so record
+// bytes don't depend on whether this process resumed or started fresh.
+func init() { framelog.PinGob(checkpointHeader{}, progress{}) }
 
-// The daemon checkpoint is an append-only file of CRC32C-framed gob
-// records — the same framing as the dataset stream WAL and the dist
-// checkpoint, kept local because the formats version independently. The
-// first frame is a header binding the file to a config identity digest;
-// every frame after it is one progress record, and the last valid record
-// wins. A torn tail (the bytes a crash left behind mid-append) is healed
-// on open by atomically rewriting the valid prefix.
+// The daemon checkpoint is a framelog file. The first frame is a header
+// binding the file to a config identity digest; every frame after it is
+// one progress record, and the last valid record wins. A torn tail (the
+// bytes a crash left behind mid-append) is healed on open; a damaged
+// header is refused.
 
 const checkpointVersion = 1
 
@@ -94,50 +80,9 @@ type checkpointHeader struct {
 	Digest  string // StreamMeta-style config identity digest
 }
 
-var ckCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-func ckAppendFrame(buf *bytes.Buffer, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return err
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(payload.Len()))
-	buf.Write(hdr[:n])
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), ckCRCTable))
-	buf.Write(crc[:])
-	buf.Write(payload.Bytes())
-	return nil
-}
-
-// ckParseFrames splits raw into whole valid frames and reports how many
-// bytes of prefix they cover; anything past that is a torn tail.
-func ckParseFrames(raw []byte) (frames [][]byte, valid int) {
-	for {
-		rest := raw[valid:]
-		ln, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)) < uint64(n)+4+ln {
-			return frames, valid
-		}
-		payload := rest[n+4 : uint64(n+4)+ln]
-		want := binary.LittleEndian.Uint32(rest[n : n+4])
-		if crc32.Checksum(payload, ckCRCTable) != want {
-			return frames, valid
-		}
-		frames = append(frames, payload)
-		valid += n + 4 + int(ln)
-	}
-}
-
-func ckDecode(payload []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
-}
-
 // checkpoint is the open checkpoint file, positioned for appends.
 type checkpoint struct {
-	path string
-	f    *os.File
+	log *framelog.Log
 }
 
 // openCheckpoint opens (or creates) the checkpoint at path, validates its
@@ -146,26 +91,24 @@ type checkpoint struct {
 func openCheckpoint(path, digest string) (*checkpoint, progress, error) {
 	var last progress
 	raw, err := os.ReadFile(path)
+	onDisk := raw // nil when there is no file yet
 	switch {
 	case os.IsNotExist(err):
 		var buf bytes.Buffer
-		if err := ckAppendFrame(&buf, checkpointHeader{Version: checkpointVersion, Digest: digest}); err != nil {
+		if err := framelog.Encode(&buf, checkpointHeader{Version: checkpointVersion, Digest: digest}); err != nil {
 			return nil, last, fmt.Errorf("daemon: checkpoint header: %w", err)
-		}
-		if err := writeFileAtomic(path, buf.Bytes()); err != nil {
-			return nil, last, err
 		}
 		raw = buf.Bytes()
 	case err != nil:
 		return nil, last, fmt.Errorf("daemon: checkpoint read: %w", err)
 	}
 
-	frames, valid := ckParseFrames(raw)
+	frames, valid := framelog.Parse(raw)
 	if len(frames) == 0 {
 		return nil, last, fmt.Errorf("daemon: checkpoint %s: no valid header frame", path)
 	}
 	var hdr checkpointHeader
-	if err := ckDecode(frames[0], &hdr); err != nil {
+	if err := framelog.Decode(frames[0], &hdr); err != nil {
 		return nil, last, fmt.Errorf("daemon: checkpoint header: %w", err)
 	}
 	if hdr.Version != checkpointVersion {
@@ -176,73 +119,34 @@ func openCheckpoint(path, digest string) (*checkpoint, progress, error) {
 	}
 	for _, fr := range frames[1:] {
 		var p progress
-		if err := ckDecode(fr, &p); err != nil {
+		if err := framelog.Decode(fr, &p); err != nil {
 			return nil, last, fmt.Errorf("daemon: checkpoint record: %w", err)
 		}
 		last = p
 	}
-	if valid < len(raw) {
-		// Torn tail from a crash mid-append: heal by rewriting the valid
-		// prefix so the file is clean before we append to it.
-		if err := writeFileAtomic(path, raw[:valid]); err != nil {
-			return nil, last, err
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Create a fresh file, or cut a torn tail from a crash mid-append back
+	// to the valid prefix, before anything is appended.
+	log, err := framelog.Heal(path, onDisk, raw[:valid])
 	if err != nil {
-		return nil, last, fmt.Errorf("daemon: checkpoint open: %w", err)
+		return nil, last, fmt.Errorf("daemon: checkpoint: %w", err)
 	}
-	return &checkpoint{path: path, f: f}, last, nil
+	return &checkpoint{log: log}, last, nil
 }
 
 // append durably records one progress frame. The fsync is the commit
 // point: once append returns, a resume sees this record (or a later one).
 func (c *checkpoint) append(p progress) error {
-	var buf bytes.Buffer
-	if err := ckAppendFrame(&buf, p); err != nil {
-		return fmt.Errorf("daemon: checkpoint encode: %w", err)
-	}
-	if _, err := c.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("daemon: checkpoint append: %w", err)
-	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("daemon: checkpoint sync: %w", err)
+	if err := c.log.Append(p); err != nil {
+		return fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	return nil
 }
 
 func (c *checkpoint) Close() error {
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	err := c.f.Close()
-	c.f = nil
+	err := c.log.Close()
+	c.log = nil
 	return err
-}
-
-// writeFileAtomic writes data to path via a same-directory temp file,
-// fsync, and rename, so readers only ever see complete contents.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
-	if err != nil {
-		return fmt.Errorf("daemon: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("daemon: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("daemon: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("daemon: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("daemon: %w", err)
-	}
-	return nil
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -32,6 +33,7 @@ import (
 	"dragonvar/internal/core"
 	"dragonvar/internal/counters"
 	"dragonvar/internal/dataset"
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/modelstore"
 	"dragonvar/internal/monitor"
 	"dragonvar/internal/nn"
@@ -600,11 +602,15 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 // writePublishLog re-renders published.json from the checkpointed
 // publish history. Atomic and byte-deterministic (no timestamps).
 func (d *Daemon) writePublishLog() error {
-	data, err := json.MarshalIndent(d.p.Published, "", "  ")
+	err := framelog.AtomicWrite(filepath.Join(d.cfg.StateDir, "published.json"), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(d.p.Published)
+	})
 	if err != nil {
 		return fmt.Errorf("daemon: publish log: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(d.cfg.StateDir, "published.json"), append(data, '\n'))
+	return nil
 }
 
 // liveMAPE scores the serving forecaster on the windows of one freshly

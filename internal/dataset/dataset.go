@@ -11,11 +11,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"dragonvar/internal/counters"
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/linalg"
 	"dragonvar/internal/mpi"
 	"dragonvar/internal/rng"
@@ -615,31 +615,18 @@ func (c *Campaign) TotalRuns() int {
 	return n
 }
 
-// Save writes the campaign to a gob file atomically: the encoding goes to a
-// temp file in the target directory which is renamed into place only after
-// a successful write, so an interrupt (or a full disk) can never leave a
-// truncated campaign.gob behind for the next Load to choke on.
+// Save writes the campaign to a gob file atomically (framelog.AtomicWrite),
+// so an interrupt (or a full disk) can never leave a truncated
+// campaign.gob behind for the next Load to choke on.
 func (c *Campaign) Save(path string) error {
 	start := time.Now()
 	defer telemetry.H(telemetry.MCacheSaveSecs, telemetry.SecondsBuckets).ObserveSince(start)
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	cw := &countingWriter{}
+	err := framelog.AtomicWrite(path, func(w io.Writer) error {
+		cw.w = w
+		return gob.NewEncoder(cw).Encode(c)
+	})
 	if err != nil {
-		return fmt.Errorf("dataset: save: %w", err)
-	}
-	tmp := f.Name()
-	cw := &countingWriter{w: f}
-	if err := gob.NewEncoder(cw).Encode(c); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: encode: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: save: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("dataset: save: %w", err)
 	}
 	telemetry.C(telemetry.MCacheWriteBytes).Add(cw.n)

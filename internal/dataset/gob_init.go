@@ -1,23 +1,7 @@
 package dataset
 
-import (
-	"encoding/gob"
-	"io"
-)
+import "dragonvar/internal/framelog"
 
-// gob assigns wire type ids from a process-global counter in first-use
-// order, and every encoder embeds those ids in its output. Durable
-// artifacts (the stream WAL, sealed segments, campaign caches) must be
-// byte-identical across processes regardless of what other gob work a
-// process did first — a resumed daemon decodes the WAL before it encodes
-// anything, a fresh one doesn't. Encoding each wire type once at init
-// pins its id (and the ids of every nested type) before any runtime gob
-// activity can shift them.
-func init() {
-	enc := gob.NewEncoder(io.Discard)
-	for _, v := range []any{streamHeader{}, &Run{}, Segment{}, &Campaign{}} {
-		if err := enc.Encode(v); err != nil {
-			panic("dataset: gob warm-up: " + err.Error())
-		}
-	}
-}
+// Pin the durable wire types' gob ids — stream WAL, sealed segments,
+// campaign caches — before any runtime gob activity (see framelog.PinGob).
+func init() { framelog.PinGob(streamHeader{}, &Run{}, Segment{}, &Campaign{}) }

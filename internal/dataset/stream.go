@@ -2,7 +2,7 @@ package dataset
 
 // Streaming ingest: the daemon-mode alternative to one-shot campaign gob
 // caches. Runs arrive one at a time (in deterministic campaign order) and
-// are journaled to a CRC32C-framed write-ahead log; once a bounded window
+// are journaled to a framelog write-ahead log; once a bounded window
 // fills, its runs are sealed into an individually-validated segment file
 // and the WAL is compacted down to the still-open window. Segments are a
 // pure function of the run sequence and the window parameters, so a
@@ -12,23 +12,22 @@ package dataset
 // On-disk layout under the stream directory:
 //
 //	wal.gob               header frame + one frame per open-window run
-//	segments/seg-%06d.gob one CRC-framed gob frame per sealed window
+//	segments/seg-%06d.gob one framelog frame per sealed window
 //
 // A segment whose checksum or encoding no longer verifies is quarantined
-// by renaming it to <name>.corrupt (mirroring modelstore) so a damaged
-// file can never be silently folded into a training set.
+// (framelog.Quarantine) so a damaged file can never be silently folded
+// into a training set.
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/telemetry"
 )
 
@@ -125,62 +124,10 @@ type StreamWriter struct {
 	meta   StreamMeta
 	digest string
 
-	wal     *os.File
+	wal     *framelog.Log
 	nextSeg int    // index of the next segment to seal
 	total   int64  // global count of runs ingested (sealed + open)
 	open    []*Run // the open window, in arrival order
-}
-
-// crcTable is the Castagnoli polynomial, matching internal/dist's
-// checkpoint framing (hardware-accelerated on amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendFrame encodes v as gob and appends a length-prefixed, CRC32C-
-// guarded frame to buf: uvarint payload length, 4-byte little-endian
-// checksum, payload.
-func appendFrame(buf *bytes.Buffer, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return fmt.Errorf("dataset: stream frame encode: %w", err)
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(payload.Len()))
-	buf.Write(hdr[:n])
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), crcTable))
-	buf.Write(crc[:])
-	buf.Write(payload.Bytes())
-	return nil
-}
-
-// parseFrames splits raw into validated frame payloads. A damaged or
-// truncated tail (torn final write from a kill) terminates the scan;
-// valid is the byte length of the intact prefix.
-func parseFrames(raw []byte) (frames [][]byte, valid int) {
-	off := 0
-	for off < len(raw) {
-		length, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return frames, off
-		}
-		start := off + n + 4
-		end := start + int(length)
-		if end > len(raw) || start > len(raw) {
-			return frames, off
-		}
-		want := binary.LittleEndian.Uint32(raw[off+n : start])
-		payload := raw[start:end]
-		if crc32.Checksum(payload, crcTable) != want {
-			return frames, off
-		}
-		frames = append(frames, payload)
-		off = end
-	}
-	return frames, off
-}
-
-func decodeFrame(payload []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
 // OpenStream opens (or creates) the stream directory for writing. An
@@ -206,12 +153,12 @@ func OpenStream(dir string, meta StreamMeta) (*StreamWriter, error) {
 	case err != nil:
 		return nil, fmt.Errorf("dataset: stream: %w", err)
 	default:
-		frames, _ := parseFrames(raw)
+		frames, _ := framelog.Parse(raw)
 		if len(frames) == 0 {
 			return nil, fmt.Errorf("dataset: stream %s: WAL has no intact header", walPath)
 		}
 		var hdr streamHeader
-		if err := decodeFrame(frames[0], &hdr); err != nil {
+		if err := framelog.Decode(frames[0], &hdr); err != nil {
 			return nil, fmt.Errorf("dataset: stream %s: header: %w", walPath, err)
 		}
 		if hdr.Version != streamVersion {
@@ -224,7 +171,7 @@ func OpenStream(dir string, meta StreamMeta) (*StreamWriter, error) {
 		w.total = hdr.FirstRun
 		for _, fr := range frames[1:] {
 			var run Run
-			if err := decodeFrame(fr, &run); err != nil {
+			if err := framelog.Decode(fr, &run); err != nil {
 				return nil, fmt.Errorf("dataset: stream %s: run frame: %w", walPath, err)
 			}
 			w.open = append(w.open, &run)
@@ -281,38 +228,19 @@ func (w *StreamWriter) rewriteWAL(runs []*Run) error {
 		FirstSeg: w.nextSeg,
 		FirstRun: w.total - int64(len(runs)),
 	}
-	if err := appendFrame(&buf, hdr); err != nil {
-		return err
+	if err := framelog.Encode(&buf, hdr); err != nil {
+		return fmt.Errorf("dataset: stream: %w", err)
 	}
 	for _, r := range runs {
-		if err := appendFrame(&buf, r); err != nil {
-			return err
+		if err := framelog.Encode(&buf, r); err != nil {
+			return fmt.Errorf("dataset: stream: %w", err)
 		}
 	}
-	f, err := os.CreateTemp(w.dir, "wal.gob.tmp-*")
+	wal, err := framelog.Heal(w.walPath(), nil, buf.Bytes())
 	if err != nil {
 		return fmt.Errorf("dataset: stream: %w", err)
 	}
-	tmp := f.Name()
-	if _, err := f.Write(buf.Bytes()); err == nil {
-		err = f.Sync()
-	} else {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: stream: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: stream: %w", err)
-	}
-	if err := os.Rename(tmp, w.walPath()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: stream: %w", err)
-	}
-	w.wal, err = os.OpenFile(w.walPath(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("dataset: stream: %w", err)
-	}
+	w.wal = wal
 	return nil
 }
 
@@ -339,14 +267,7 @@ func (w *StreamWriter) Append(run *Run) ([]*Segment, error) {
 		}
 		sealed = append(sealed, seg)
 	}
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, run); err != nil {
-		return sealed, err
-	}
-	if _, err := w.wal.Write(buf.Bytes()); err != nil {
-		return sealed, fmt.Errorf("dataset: stream append: %w", err)
-	}
-	if err := w.wal.Sync(); err != nil {
+	if err := w.wal.Append(run); err != nil {
 		return sealed, fmt.Errorf("dataset: stream append: %w", err)
 	}
 	w.open = append(w.open, run)
@@ -370,45 +291,37 @@ func (w *StreamWriter) Seal() (*Segment, error) {
 	return w.sealOpen()
 }
 
-// sealOpen writes the open window as the next segment, then compacts the
-// WAL down to the (now empty) window. Segment first, compaction second:
-// a kill between the two leaves a WAL that re-seals the identical
-// segment on reopen.
+// sealOpen seals the open window, then compacts the WAL down to the (now
+// empty) window. Segment first, compaction second: a kill between the two
+// leaves a WAL that re-seals the identical segment on reopen.
 func (w *StreamWriter) sealOpen() (*Segment, error) {
-	seg := &Segment{
-		Index:    w.nextSeg,
-		FirstRun: w.total - int64(len(w.open)),
-		Digest:   w.digest,
-		Runs:     w.open,
-	}
-	if err := w.writeSegment(seg); err != nil {
+	seg, err := w.seal()
+	if err != nil {
 		return nil, err
 	}
-	w.nextSeg++
-	w.open = nil
 	if err := w.rewriteWAL(nil); err != nil {
 		return nil, err
 	}
-	telemetry.C(telemetry.MSegmentsSealed).Add(1)
 	return seg, nil
 }
 
 // recoverSeals replays the open window after a reopen and seals every
-// complete window it contains, mirroring Append's boundary logic.
+// complete window it contains, mirroring Append's boundary logic. The
+// caller compacts the WAL once at the end of recovery.
 func (w *StreamWriter) recoverSeals() error {
 	runs := w.open
 	w.open = nil
 	w.total -= int64(len(runs))
 	for _, run := range runs {
 		if w.spanExceeded(run) {
-			if _, err := w.sealReplay(); err != nil {
+			if _, err := w.seal(); err != nil {
 				return err
 			}
 		}
 		w.open = append(w.open, run)
 		w.total++
 		if w.meta.WindowRuns > 0 && len(w.open) >= w.meta.WindowRuns {
-			if _, err := w.sealReplay(); err != nil {
+			if _, err := w.seal(); err != nil {
 				return err
 			}
 		}
@@ -416,55 +329,32 @@ func (w *StreamWriter) recoverSeals() error {
 	return nil
 }
 
-// sealReplay is sealOpen without the WAL compaction (the caller rewrites
-// the WAL once at the end of recovery).
-func (w *StreamWriter) sealReplay() (*Segment, error) {
+// seal writes the open window as the next segment and empties it.
+// Overwriting an existing segment file is fine: segment content is
+// deterministic, so a re-seal writes identical bytes.
+func (w *StreamWriter) seal() (*Segment, error) {
 	seg := &Segment{
 		Index:    w.nextSeg,
 		FirstRun: w.total - int64(len(w.open)),
 		Digest:   w.digest,
 		Runs:     w.open,
 	}
-	if err := w.writeSegment(seg); err != nil {
-		return nil, err
+	var buf bytes.Buffer
+	if err := framelog.Encode(&buf, seg); err != nil {
+		return nil, fmt.Errorf("dataset: segment: %w", err)
 	}
+	err := framelog.AtomicWrite(w.segPath(seg.Index), func(dst io.Writer) error {
+		_, err := dst.Write(buf.Bytes())
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dataset: segment: %w", err)
+	}
+	telemetry.C(telemetry.MSegmentWriteBytes).Add(int64(buf.Len()))
 	w.nextSeg++
 	w.open = nil
 	telemetry.C(telemetry.MSegmentsSealed).Add(1)
 	return seg, nil
-}
-
-// writeSegment persists seg atomically (temp + rename). Overwriting an
-// existing file is fine: segment content is deterministic, so a re-seal
-// writes identical bytes.
-func (w *StreamWriter) writeSegment(seg *Segment) error {
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, seg); err != nil {
-		return err
-	}
-	dir := filepath.Join(w.dir, "segments")
-	f, err := os.CreateTemp(dir, "seg.tmp-*")
-	if err != nil {
-		return fmt.Errorf("dataset: segment: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(buf.Bytes()); err == nil {
-		err = f.Sync()
-	} else {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: segment: %w", err)
-	}
-	if err := os.Rename(tmp, w.segPath(seg.Index)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: segment: %w", err)
-	}
-	telemetry.C(telemetry.MSegmentWriteBytes).Add(int64(buf.Len()))
-	return nil
 }
 
 // Segment loads sealed segment i, verifying its checksum, decoding, and
@@ -476,13 +366,13 @@ func (w *StreamWriter) Segment(i int) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: segment: %w", err)
 	}
-	frames, _ := parseFrames(raw)
+	frames, _ := framelog.Parse(raw)
 	if len(frames) != 1 {
-		return nil, w.quarantine(path, fmt.Errorf("checksum failed (%d intact frames, want 1)", len(frames)))
+		return nil, quarantine(path, fmt.Errorf("checksum failed (%d intact frames, want 1)", len(frames)))
 	}
 	var seg Segment
-	if err := decodeFrame(frames[0], &seg); err != nil {
-		return nil, w.quarantine(path, err)
+	if err := framelog.Decode(frames[0], &seg); err != nil {
+		return nil, quarantine(path, err)
 	}
 	if seg.Digest != w.digest {
 		return nil, fmt.Errorf("dataset: segment %s belongs to stream %s, want %s", path, seg.Digest[:12], w.digest[:12])
@@ -493,9 +383,8 @@ func (w *StreamWriter) Segment(i int) (*Segment, error) {
 	return &seg, nil
 }
 
-func (w *StreamWriter) quarantine(path string, cause error) error {
-	err := os.Rename(path, path+".corrupt")
-	return &CorruptSegmentError{Path: path, Quarantined: err == nil, Err: cause}
+func quarantine(path string, cause error) error {
+	return &CorruptSegmentError{Path: path, Quarantined: framelog.Quarantine(path), Err: cause}
 }
 
 // assemble reconstructs a Campaign from segments 0..SealedSegments-1,

@@ -2,15 +2,12 @@ package dist
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 
 	"dragonvar/internal/cluster"
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/telemetry"
 )
 
@@ -20,17 +17,12 @@ import (
 // it died instead of re-running finished units — and, because unit results
 // are deterministic, resumes byte-identically.
 //
-// Layout: a header frame identifying the campaign (plan digest + unit
-// count), then one frame per completed unit outcome. Each frame is
-//
-//	uvarint payload length | crc32c(payload) | payload (self-contained gob)
-//
-// Appends are fsynced; a crash can only truncate or corrupt the tail, and
-// the loader tolerates exactly that: it replays frames until the first
-// damaged one, discards the rest, and the next Open heals the file by
-// atomically rewriting the valid prefix (temp + rename, the modelstore
-// pattern). A header mismatch — different campaign — is a hard error, not
-// a silent restart.
+// Layout: a framelog file — a header frame identifying the campaign (plan
+// digest + unit count), then one frame per completed unit outcome. A crash
+// can only truncate or corrupt the tail; the loader replays frames until
+// the first damaged one, discards the rest, and heals the file to the
+// valid prefix. A damaged header is treated as a fresh file; a header
+// mismatch — different campaign — is a hard error, not a silent restart.
 
 // checkpointHeader is the first frame of every checkpoint file.
 type checkpointHeader struct {
@@ -49,13 +41,11 @@ type checkpointRecord struct {
 	RunGob  []byte
 }
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // checkpoint is an append-only outcome journal. Not safe for concurrent
 // use; the coordinator serializes access under its own lock.
 type checkpoint struct {
 	path string
-	f    *os.File
+	log  *framelog.Log
 	recs *telemetry.Counter
 }
 
@@ -78,14 +68,14 @@ func openCheckpoint(path, planDigest string, numUnits int) (*checkpoint, map[int
 
 	var valid []byte // longest cleanly-framed prefix
 	if len(raw) > 0 {
-		frames, prefix := parseFrames(raw)
-		valid = prefix
+		frames, n := framelog.Parse(raw)
+		valid = raw[:n]
 		if len(frames) == 0 {
 			// header itself was damaged; treat as a fresh file
 			valid = nil
 		} else {
 			var hdr checkpointHeader
-			if err := gob.NewDecoder(bytes.NewReader(frames[0])).Decode(&hdr); err != nil {
+			if err := framelog.Decode(frames[0], &hdr); err != nil {
 				valid = nil
 			} else if hdr != want {
 				return nil, nil, fmt.Errorf("dist: checkpoint %s belongs to a different campaign (digest %.12s…, %d units; want %.12s…, %d units)",
@@ -93,7 +83,7 @@ func openCheckpoint(path, planDigest string, numUnits int) (*checkpoint, map[int
 			} else {
 				for _, frame := range frames[1:] {
 					var rec checkpointRecord
-					if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&rec); err != nil {
+					if err := framelog.Decode(frame, &rec); err != nil {
 						break // damaged record: drop it and everything after
 					}
 					out, err := rec.outcome()
@@ -114,43 +104,20 @@ func openCheckpoint(path, planDigest string, numUnits int) (*checkpoint, map[int
 
 	if valid == nil {
 		var buf bytes.Buffer
-		if err := appendFrame(&buf, want); err != nil {
-			return nil, nil, err
+		if err := framelog.Encode(&buf, want); err != nil {
+			return nil, nil, fmt.Errorf("dist: encode checkpoint header: %w", err)
 		}
 		valid = buf.Bytes()
 		replay = map[int]map[int]cluster.UnitOutcome{}
 	}
 
-	// heal: rewrite the valid prefix atomically, then reopen for append.
-	// (Unconditional rewrite keeps the logic one path; checkpoints are
-	// small — one frame per completed unit.)
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
+	log, err := framelog.Heal(path, raw, valid)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: heal checkpoint %s: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(valid); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return nil, nil, fmt.Errorf("dist: heal checkpoint %s: %w", path, err)
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: open checkpoint %s: %w", path, err)
 	}
 	return &checkpoint{
 		path: path,
-		f:    f,
+		log:  log,
 		recs: telemetry.Active().Counter(telemetry.MDistCheckpointRecs),
 	}, replay, nil
 }
@@ -178,71 +145,22 @@ func (cp *checkpoint) append(round, unit int, out cluster.UnitOutcome) error {
 		}
 		rec.RunGob = blob
 	}
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, rec); err != nil {
-		return err
-	}
-	if _, err := cp.f.Write(buf.Bytes()); err != nil {
+	if err := cp.log.Append(rec); err != nil {
 		return fmt.Errorf("dist: append checkpoint: %w", err)
-	}
-	if err := cp.f.Sync(); err != nil {
-		return fmt.Errorf("dist: sync checkpoint: %w", err)
 	}
 	cp.recs.Add(1)
 	return nil
 }
 
 // close closes the journal, keeping the file for a future resume.
-func (cp *checkpoint) close() error { return cp.f.Close() }
+func (cp *checkpoint) close() error { return cp.log.Close() }
 
 // remove closes and deletes the journal — called when the campaign
 // completes and the spill file has served its purpose.
 func (cp *checkpoint) remove() error {
-	cp.f.Close()
+	cp.log.Close()
 	if err := os.Remove(cp.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
 	return nil
-}
-
-// appendFrame gob-encodes v as a self-contained payload and writes the
-// framed form (uvarint length, crc32c, payload) to buf.
-func appendFrame(buf *bytes.Buffer, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return fmt.Errorf("dist: encode checkpoint frame: %w", err)
-	}
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(payload.Len()))
-	buf.Write(lenb[:n])
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(payload.Bytes(), crcTable))
-	buf.Write(crcb[:])
-	buf.Write(payload.Bytes())
-	return nil
-}
-
-// parseFrames splits raw into whole, checksum-valid frames, returning the
-// payloads and the byte prefix they occupy. A truncated or corrupt tail
-// simply ends the parse — that is the crash case the format exists for.
-func parseFrames(raw []byte) (frames [][]byte, prefix []byte) {
-	off := 0
-	for off < len(raw) {
-		plen, n := binary.Uvarint(raw[off:])
-		if n <= 0 || plen > uint64(len(raw)-off-n) || len(raw)-off-n < 4 {
-			break
-		}
-		body := raw[off+n:]
-		if uint64(len(body)-4) < plen {
-			break
-		}
-		crc := binary.LittleEndian.Uint32(body[:4])
-		payload := body[4 : 4+plen]
-		if crc32.Checksum(payload, crcTable) != crc {
-			break
-		}
-		frames = append(frames, payload)
-		off += n + 4 + int(plen)
-	}
-	return frames, raw[:off]
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -161,12 +160,6 @@ type Coordinator struct {
 // releases the listener if Run is never reached.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	// encoding/gob assigns stream type ids in process-global registration
-	// order, so a campaign saved by a coordinator — whose process gob-encodes
-	// checkpoint frames and run blobs first — would differ byte-wise from a
-	// serially saved one despite identical content. Encoding a throwaway
-	// Campaign here pins the ids so the two cache files stay cmp-identical.
-	gob.NewEncoder(io.Discard).Encode(&dataset.Campaign{})
 	spec, err := SpecFromCluster(cfg.Cluster)
 	if err != nil {
 		return nil, err

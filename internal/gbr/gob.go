@@ -4,19 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/tree"
 )
 
-// Pin modelWire's process-global gob id at init so serialized ensemble
-// bytes don't depend on encode order within the process (gob wire ids
-// come from a global counter; see internal/dataset/gob_init.go).
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(modelWire{}); err != nil {
-		panic("gbr: gob warm-up: " + err.Error())
-	}
-}
+// Pin modelWire's gob id at init so serialized ensemble bytes
+// don't depend on encode order within the process (see framelog.PinGob).
+func init() { framelog.PinGob(modelWire{}) }
 
 // modelWire is the gob wire form of a fitted ensemble. Trees serialize
 // through their own GobEncode, so the round trip preserves every split

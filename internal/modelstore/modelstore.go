@@ -46,19 +46,16 @@ import (
 	"time"
 
 	"dragonvar/internal/advisor"
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/gbr"
 	"dragonvar/internal/nn"
 )
 
-// Pin the envelope's process-global gob id at init so object bytes — and
-// therefore content ids — don't depend on what other gob work a process
-// did first. See internal/dataset/gob_init.go for the full rationale; the
-// model payloads inside envelopes pin their own wire types the same way.
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(envelope{}); err != nil {
-		panic("modelstore: gob warm-up: " + err.Error())
-	}
-}
+// Pin the envelope's gob id at init so object bytes — and therefore
+// content ids — don't depend on what other gob work a process did first
+// (see framelog.PinGob); the model payloads inside envelopes pin their own
+// wire types the same way.
+func init() { framelog.PinGob(envelope{}) }
 
 // Format is the envelope schema version. Bump it when the envelope layout
 // changes; Get refuses envelopes from a different format with a clear
@@ -183,33 +180,17 @@ func validName(name string) bool {
 	return true
 }
 
-// writeAtomic writes data to path via a temp file + rename in the target
-// directory, so a crash or full disk never leaves a truncated object or
-// ref behind.
+// writeAtomic writes data to path (creating its directory) via
+// framelog.AtomicWrite, so a crash or full disk never leaves a truncated
+// object or ref behind.
 func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
+	return framelog.AtomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // objectPath maps an id to its object file.
@@ -387,15 +368,9 @@ func (s *Store) get(name, wantKind string) (*envelope, error) {
 	}
 	sum := sha256.Sum256(blob)
 	if got := hex.EncodeToString(sum[:]); got != id {
-		cerr := &CorruptObjectError{ID: id, GotHash: got}
 		// move the damaged file out of the address space so a later Put of
-		// the true artifact lands on a clean path; keep the bytes for
-		// forensics rather than deleting evidence
-		op := s.objectPath(id)
-		if err := os.Rename(op, op+".corrupt"); err == nil {
-			cerr.Quarantined = true
-		}
-		return nil, cerr
+		// the true artifact lands on a clean path
+		return nil, &CorruptObjectError{ID: id, GotHash: got, Quarantined: framelog.Quarantine(s.objectPath(id))}
 	}
 	var env envelope
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {

@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
+
+	"dragonvar/internal/framelog"
 )
 
-// Pin forecasterWire's process-global gob id at init so serialized model
-// bytes don't depend on encode order within the process (gob wire ids
-// come from a global counter; see internal/dataset/gob_init.go).
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(forecasterWire{}); err != nil {
-		panic("nn: gob warm-up: " + err.Error())
-	}
-}
+// Pin forecasterWire's gob id at init so serialized model bytes
+// don't depend on encode order within the process (see framelog.PinGob).
+func init() { framelog.PinGob(forecasterWire{}) }
 
 // forecasterWire is the gob wire form of a trained forecaster: the
 // hyperparameters that fix the parameter layout, the flat parameter
@@ -59,10 +55,12 @@ func (f *Forecaster) GobDecode(b []byte) error {
 	}
 	cfg := w.Cfg.withDefaults()
 	d, p := cfg.EmbedDim, cfg.HiddenDim
-	want := w.H*d + d + w.M*d + d*d + d*d + d + d*p + p + p + 1
-	if w.M <= 0 || w.H <= 0 {
-		return fmt.Errorf("nn: corrupt wire form: window %d×%d", w.M, w.H)
+	// A valid layout has every dimension at most the parameter count;
+	// checking that first keeps the layout arithmetic from overflowing.
+	if n := len(w.Params); w.M <= 0 || w.H <= 0 || w.M > n || w.H > n || d > n || p > n {
+		return fmt.Errorf("nn: corrupt wire form: window %d×%d, dims d=%d p=%d for %d parameters", w.M, w.H, d, p, n)
 	}
+	want := w.H*d + d + w.M*d + d*d + d*d + d + d*p + p + p + 1
 	if len(w.Params) != want {
 		return fmt.Errorf("nn: corrupt wire form: %d parameters, layout needs %d (m=%d h=%d d=%d p=%d)",
 			len(w.Params), want, w.M, w.H, d, p)

@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
+
+	"dragonvar/internal/framelog"
 )
 
-// Pin regressorWire's process-global gob id at init so serialized tree
-// bytes don't depend on encode order within the process (gob wire ids
-// come from a global counter; see internal/dataset/gob_init.go).
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(regressorWire{}); err != nil {
-		panic("tree: gob warm-up: " + err.Error())
-	}
-}
+// Pin regressorWire's gob id at init so serialized tree bytes
+// don't depend on encode order within the process (see framelog.PinGob).
+func init() { framelog.PinGob(regressorWire{}) }
 
 // regressorWire is the gob wire form of a Regressor. The struct-of-arrays
 // layout mirrors the node array exactly (column i describes node i), so a
