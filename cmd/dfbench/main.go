@@ -20,7 +20,6 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -345,12 +344,15 @@ func timeCampaign(cfg cluster.Config, workers int) (*dataset.Campaign, float64, 
 	return camp, time.Since(start).Seconds(), nil
 }
 
+// campaignHash hashes the campaign's JSON encoding. Unlike gob, whose wire
+// type ids depend on what the process encoded first, JSON bytes depend only
+// on the campaign's content, so ledger rows compare across processes.
 func campaignHash(camp *dataset.Campaign) [32]byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(camp); err != nil {
+	blob, err := json.Marshal(camp)
+	if err != nil {
 		fatal(err)
 	}
-	return sha256.Sum256(buf.Bytes())
+	return sha256.Sum256(blob)
 }
 
 func fatal(err error) {

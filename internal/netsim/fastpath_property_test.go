@@ -8,11 +8,10 @@ import (
 	"dragonvar/internal/topology"
 )
 
-// The round loop has three code paths for distributing flows over links:
-// the generic bulk splitter, the fused inverse-cost relaxation, and the
-// iteration-0 precomputed-split CSR walk. They are performance tiers, not
-// semantic variants — these tests pin them byte-identical under randomized
-// flow, background-load, and fault sequences.
+// The round loop's fast-path contracts: warm rounds and warm candidate
+// lookups allocate nothing, and a shared path cache changes no routing
+// decision. randFlows is the randomized flow generator these tests and the
+// round-loop golden (golden_test.go) share.
 
 func randFlows(s *rng.Stream, d *topology.Dragonfly, n int) []Flow {
 	flows := make([]Flow, 0, n)
@@ -35,92 +34,6 @@ func randFlows(s *rng.Stream, d *topology.Dragonfly, n int) []Flow {
 		flows = append(flows, f)
 	}
 	return flows
-}
-
-// TestFusedRoundMatchesGenericRound drives two identically seeded networks
-// through the same randomized campaign — only one of them is allowed the
-// fused inverse-cost fast path — and requires bit-identical results and
-// counter boards at every step.
-func TestFusedRoundMatchesGenericRound(t *testing.T) {
-	// adaptive is the one built-in policy whose netsim wiring enables the
-	// fused path (feedback carries a live GroupStall hook, which opts out)
-	for _, pol := range []string{"adaptive"} {
-		t.Run(pol, func(t *testing.T) {
-			d, err := topology.New(topology.Small())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultConfig()
-			cfg.Routing = pol
-			fast := New(d, cfg, rng.New(7))
-			slow := New(d, cfg, rng.New(7))
-			slow.invCost = false // force the generic bulk splitter
-			if !fast.invCost {
-				t.Fatalf("policy %q should enable the inverse-cost fast path", pol)
-			}
-
-			s := rng.New(1234)
-			var bg []ScaledLoad
-			for iter := 0; iter < 30; iter++ {
-				flows := randFlows(s, d, 32+s.Intn(64))
-
-				// a third of the rounds run under randomized link faults,
-				// exercising the dead-link path (fast path self-disables)
-				switch s.Intn(3) {
-				case 0:
-					deadA := topology.LinkID(s.Intn(len(fast.linkCap)))
-					deadB := topology.LinkID(s.Intn(len(fast.linkCap)))
-					factor := func(l topology.LinkID) float64 {
-						if l == deadA || l == deadB {
-							return 0
-						}
-						return 1
-					}
-					fast.SetLinkHealth(factor)
-					slow.SetLinkHealth(factor)
-				default:
-					fast.SetLinkHealth(nil)
-					slow.SetLinkHealth(nil)
-				}
-
-				// half the rounds add scaled background load, which forces
-				// the relaxation off the iteration-0 CSR walk
-				bg = bg[:0]
-				if s.Intn(2) == 0 {
-					bgFlows := randFlows(s, d, 16)
-					ls := fast.BuildLoadSet(bgFlows)
-					bg = append(bg, ScaledLoad{Set: ls, Scale: 0.5 + s.Float64()})
-				}
-
-				dur := 0.5 + s.Float64()
-				r1 := fast.RunRoundRouted(flows, fast.Resolve(flows), bg, dur)
-				r2 := slow.RunRoundRouted(flows, slow.Resolve(flows), bg, dur)
-
-				if r1.MaxLinkUtilization != r2.MaxLinkUtilization ||
-					r1.MeanLinkUtilization != r2.MeanLinkUtilization {
-					t.Fatalf("iter %d: utilization diverged: fast (%v, %v) vs generic (%v, %v)",
-						iter, r1.MaxLinkUtilization, r1.MeanLinkUtilization,
-						r2.MaxLinkUtilization, r2.MeanLinkUtilization)
-				}
-				for i := range r1.Slowdown {
-					if r1.Slowdown[i] != r2.Slowdown[i] {
-						t.Fatalf("iter %d: slowdown[%d] diverged: %v vs %v",
-							iter, i, r1.Slowdown[i], r2.Slowdown[i])
-					}
-				}
-				b1, b2 := fast.Board.Data, slow.Board.Data
-				if len(b1) != len(b2) {
-					t.Fatalf("board sizes differ")
-				}
-				for i := range b1 {
-					if b1[i] != b2[i] {
-						t.Fatalf("iter %d: counter board diverged at %d: %v vs %v",
-							iter, i, b1[i], b2[i])
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestRoundLoopAllocFree pins the steady-state allocation count of the hot

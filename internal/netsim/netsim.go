@@ -189,23 +189,12 @@ type Network struct {
 	ejPD   []float64 // … ejection packet pressure
 
 	// routing policy: candidate generation and split weighting are
-	// delegated to one routing.Policy per network (SetPolicy switches)
-	policy routing.Policy
-	// splitSlice is the policy's allocation-free arena split (nil when the
-	// policy doesn't implement routing.SliceSplitter); staticSplit records
-	// that the split is load-independent (routing.StaticWeights), letting
-	// Resolve precompute the weights once per run
-	splitSlice  routing.SliceSplitter
-	splitBulk   routing.BulkSplitter
+	// delegated to one routing.Policy per network (SetPolicy switches);
+	// staticSplit records that the split is load-independent
+	// (routing.StaticWeights), letting Resolve precompute the weights once
+	// per run
+	policy      routing.Policy
 	staticSplit bool
-	// invCost records that the policy's split is the plain inverse-path-
-	// cost rule (routing.InverseCostSplitter) with bias invBias, letting
-	// the round loop fuse the split arithmetic with the share scatter
-	invCost bool
-	invBias float64
-	// loadOf adapts prevLoad for the generic policy LoadFunc view; built
-	// once (prevLoad is never reallocated)
-	loadOf routing.LoadFunc
 	// fb is the deterministic stall-feedback tracker feeding the
 	// "feedback" policy; nil for every other policy
 	fb *monitor.StallFeedback
@@ -228,7 +217,6 @@ type Network struct {
 	// (ReuseSlowdowns) instead of allocating per round.
 	reuseSlow   bool
 	slowScratch []float64
-	flitScratch []float64 // per-flow Flits, gathered for the CSR walk
 
 	// telemetry handles, captured at construction; nil (no-op) when the
 	// process runs without telemetry. Observation-only: nothing in the
@@ -288,7 +276,6 @@ func New(d *topology.Dragonfly, cfg Config, s *rng.Stream) *Network {
 		}
 	}
 	copy(n.linkCap, n.baseCap)
-	n.loadOf = func(l topology.LinkID) float64 { return n.prevLoad[l] }
 	if err := n.SetPolicy(cfg.PolicyName()); err != nil {
 		// configs are validated where they enter the system (cluster.New,
 		// the CLIs); by this point an unknown name is a programming error
@@ -320,16 +307,7 @@ func (n *Network) SetPolicy(name string) error {
 		return fmt.Errorf("netsim: %w", err)
 	}
 	n.policy = pol
-	n.splitSlice, _ = pol.(routing.SliceSplitter)
-	n.splitBulk, _ = pol.(routing.BulkSplitter)
 	n.staticSplit = routing.StaticWeights(pol)
-	n.invCost = false
-	if ic, ok := pol.(routing.InverseCostSplitter); ok {
-		if b, ok := ic.InverseCostBias(); ok {
-			n.invCost = true
-			n.invBias = b
-		}
-	}
 	if name != "feedback" {
 		n.fb = nil
 	}
@@ -521,17 +499,13 @@ func (n *Network) touchRouter(r topology.RouterID) {
 // of flows. An application's router-pair list does not change across time
 // steps, so callers resolve once per run and reuse.
 //
-// Alongside the per-flow path slices (views into the path cache), the
-// candidate set is flattened into one arena — links/pathEnd/hops/minimal,
-// flow- then path-major — so the round loop walks dense slices instead of
-// chasing [][]Path pointers, and the split weights live in one flat buffer
-// (weights). Load-independent policies (routing.StaticWeights) have their
-// weights computed once at resolve time; everything else is recomputed per
-// relaxation iteration with identical arithmetic to the historical
-// per-path code.
+// The candidate sets are flattened into one arena — links/pathEnd/hops/
+// minimal, flow- then path-major — so the round loop walks dense slices
+// instead of chasing [][]Path pointers, and the split weights live in one
+// flat buffer (weights). Load-independent policies (routing.StaticWeights)
+// have their weights computed once at resolve time; everything else is
+// recomputed per relaxation iteration by one policy split call.
 type RoutedFlows struct {
-	paths [][]routing.Path
-
 	// flat candidate arena: path p of the RoutedFlows spans
 	// links[pathEnd[p-1]:pathEnd[p]]; the paths of flow i span
 	// pathEnd[flowEnd[i-1]:flowEnd[i]].
@@ -549,29 +523,6 @@ type RoutedFlows struct {
 	static bool
 	policy string
 
-	// zeroW, for inverse-cost policies, is the split the policy produces
-	// over an unloaded fabric — exactly what relaxation iteration 0
-	// computes on a round with no background and no faults, so such
-	// rounds skip the iteration-0 cost gathering entirely. Σ(1 + 0.0)
-	// over a path's hops is exactly float64(hop count), so the values
-	// are bit-identical to the live computation.
-	zeroW []float64
-
-	// zeroLink/zeroEnd/zeroFlow/zeroCW regroup the iteration-0 scatter by
-	// link (CSR): link zeroLink[k] receives the contributions
-	// zeroFlow/zeroCW[zeroEnd[k-1]:zeroEnd[k]], each Flits[flow]·weight,
-	// in exactly the order the flow-major scatter would have added them —
-	// per-link addition order is what fixes the floating-point result, so
-	// the regrouped walk is bit-identical while touching memory
-	// sequentially. Flows with Src == Dst are excluded at build time;
-	// zero-Flits flows contribute an exact +0.0, matching the scatter's
-	// share != 0 skip (the sums are non-negative, so adding +0.0 is the
-	// identity).
-	zeroLink []topology.LinkID
-	zeroEnd  []int32
-	zeroFlow []int32
-	zeroCW   []float64
-
 	// fgLinks caches the first-touch-ordered, deduplicated link list of
 	// the active (Src≠Dst, Flits>0) flows — the per-round "mark foreground
 	// links active" walk — revalidated against fgMask because Flits gating
@@ -585,10 +536,10 @@ type RoutedFlows struct {
 // arena layout. healthy selects ResolveHealthy's partition check.
 func (n *Network) buildRouted(flows []Flow, healthy bool) (*RoutedFlows, error) {
 	r := &RoutedFlows{
-		paths:   make([][]routing.Path, len(flows)),
 		flowEnd: make([]int32, len(flows)),
 		policy:  n.policy.Name(),
 	}
+	resolved := make([][]routing.Path, len(flows))
 	nPaths := 0
 	nLinks := 0
 	for i, f := range flows {
@@ -596,7 +547,7 @@ func (n *Network) buildRouted(flows []Flow, healthy bool) (*RoutedFlows, error) 
 		if healthy && len(paths) == 0 && f.Src != f.Dst {
 			return nil, fmt.Errorf("netsim: flow %d (router %d → %d): %w", i, f.Src, f.Dst, routing.ErrPartitioned)
 		}
-		r.paths[i] = paths
+		resolved[i] = paths
 		nPaths += len(paths)
 		for _, p := range paths {
 			nLinks += len(p.Links)
@@ -608,7 +559,7 @@ func (n *Network) buildRouted(flows []Flow, healthy bool) (*RoutedFlows, error) 
 	r.hops = make([]float64, 0, nPaths)
 	r.minimal = make([]bool, 0, nPaths)
 	r.weights = make([]float64, nPaths)
-	for _, paths := range r.paths {
+	for _, paths := range resolved {
 		for _, p := range paths {
 			r.links = append(r.links, p.Links...)
 			r.pathEnd = append(r.pathEnd, int32(len(r.links)))
@@ -617,102 +568,16 @@ func (n *Network) buildRouted(flows []Flow, healthy bool) (*RoutedFlows, error) 
 		}
 	}
 	if n.staticSplit {
-		// load-independent split: compute the weights once, here; the
-		// round loop never recomputes them (static policies never read
-		// the load view, so passing nil is safe)
-		ps := int32(0)
-		for i, paths := range r.paths {
-			pe := r.flowEnd[i]
-			n.policy.SplitWeights(n.eng, paths, nil, r.weights[ps:pe])
-			ps = pe
+		// load-independent split: compute every flow's weights once, here;
+		// the round loop never recomputes them
+		all := make([]bool, len(flows))
+		for i := range all {
+			all[i] = true
 		}
+		n.policy.SplitWeights(n.eng, r.links, r.pathEnd, r.flowEnd, r.minimal, all, n.prevLoad, r.weights)
 		r.static = true
 	}
-	if n.invCost && !r.static {
-		r.zeroW = make([]float64, nPaths)
-		bias := n.invBias
-		ps := int32(0)
-		for i := range r.paths {
-			pe := r.flowEnd[i]
-			var total float64
-			for j := ps; j < pe; j++ {
-				cost := r.hops[j] // Σ over hops of (1 + 0.0), exactly
-				if !r.minimal[j] && bias != 1 {
-					cost *= bias
-				}
-				w := 1 / (cost + 1e-9)
-				r.zeroW[j] = w
-				total += w
-			}
-			if total > 0 {
-				inv := 1 / total
-				for j := ps; j < pe; j++ {
-					r.zeroW[j] *= inv
-				}
-			}
-			ps = pe
-		}
-		r.buildZeroCSR(flows, len(n.linkLoad))
-	}
 	return r, nil
-}
-
-// buildZeroCSR regroups the zero-load iteration-0 scatter by link (see the
-// zeroLink field docs). numLinks sizes the counting scratch.
-func (r *RoutedFlows) buildZeroCSR(flows []Flow, numLinks int) {
-	cnt := make([]int32, numLinks)
-	total := 0
-	ps, ls := int32(0), int32(0)
-	for i := range flows {
-		pe := r.flowEnd[i]
-		le := ls
-		if pe > ps {
-			le = r.pathEnd[pe-1]
-		}
-		if flows[i].Src != flows[i].Dst {
-			for _, l := range r.links[ls:le] {
-				if cnt[l] == 0 {
-					r.zeroLink = append(r.zeroLink, l)
-				}
-				cnt[l]++
-				total++
-			}
-		}
-		ps, ls = pe, le
-	}
-	r.zeroEnd = make([]int32, len(r.zeroLink))
-	off := make([]int32, numLinks)
-	cum := int32(0)
-	for k, l := range r.zeroLink {
-		off[l] = cum
-		cum += cnt[l]
-		r.zeroEnd[k] = cum
-	}
-	r.zeroFlow = make([]int32, total)
-	r.zeroCW = make([]float64, total)
-	ps, ls = 0, 0
-	for i := range flows {
-		pe := r.flowEnd[i]
-		le := ls
-		if pe > ps {
-			le = r.pathEnd[pe-1]
-		}
-		if flows[i].Src != flows[i].Dst {
-			start := ls
-			for j := ps; j < pe; j++ {
-				end := r.pathEnd[j]
-				w := r.zeroW[j]
-				for _, l := range r.links[start:end] {
-					p := off[l]
-					r.zeroFlow[p] = int32(i)
-					r.zeroCW[p] = w
-					off[l] = p + 1
-				}
-				start = end
-			}
-		}
-		ps, ls = pe, le
-	}
 }
 
 // Resolve computes (and caches) the candidate paths for each flow.
@@ -832,36 +697,7 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 	}
 	n.activeRouters = n.activeRouters[:0]
 
-	// fold in the background footprints: link loads, endpoint loads, and
-	// the endpoint flit-arrival counters
-	anyBG := false
-	for _, bg := range background {
-		if bg.Set == nil || bg.Scale <= 0 {
-			continue
-		}
-		anyBG = true
-		s := bg.Scale
-		for i, id := range bg.Set.LinkIDs {
-			if n.linkCap[id] <= 0 {
-				// the link is dead; its static background footprint was
-				// routed before the fault and simply does not flow
-				continue
-			}
-			n.bgLoad[id] += bg.Set.LinkFlits[i] * s
-			n.touchLink(id)
-		}
-		for i, r := range bg.Set.RouterIDs {
-			n.injFlits[r] += bg.Set.InjFlits[i] * s
-			n.ejFlits[r] += bg.Set.EjFlits[i] * s
-			n.injPkts[r] += bg.Set.InjPkts[i] * s
-			n.ejPkts[r] += bg.Set.EjPkts[i] * s
-			n.touchRouter(r)
-			rc := n.Board.At(r)
-			rc[counters.PTFlitVC0] += bg.Set.ArriveVC0[i] * s
-			rc[counters.PTFlitVC4] += bg.Set.ArriveVC4[i] * s
-			rc[counters.PTFlitTot] += (bg.Set.ArriveVC0[i] + bg.Set.ArriveVC4[i]) * s
-		}
-	}
+	anyBG := n.foldBackground(background)
 	// mark the foreground's links active up front so resets stay complete
 	// (via the RoutedFlows' cached dedup of the per-flow link walk)
 	n.refreshForeground(routed, flows)
@@ -878,206 +714,7 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		n.prevLoad[l] = n.bgLoad[l] / n.linkCap[l] * invDur
 	}
 
-	rounds := n.cfg.RelaxationRounds
-	if rounds < 1 {
-		rounds = 1
-	}
-	// static weights cannot react to load, so every relaxation iteration
-	// reproduces the same link loads — one pass is bit-identical to many.
-	// routed.static only counts when the flows were resolved (and their
-	// weights precomputed) under the policy that's still active.
-	static := routed.static && routed.policy == n.policy.Name()
-	if static {
-		rounds = 1
-	}
-	useBulk := n.splitBulk != nil
-	useSlice := n.splitSlice != nil
-	// the fused path runs the inverse-cost split inline — the cost gather,
-	// normalization, and share scatter become one walk over the candidate
-	// arena, with identical arithmetic to SplitWeightsBulk plus the apply
-	// loop below; faulted fabrics take the generic path (dead-link
-	// skipping keeps that loop honest, and fault epochs are rare)
-	useFused := !static && n.invCost && !n.anyDead
-	// on a round with no background the iteration-0 load view is all
-	// zeros, so the resolve-time zero-load split substitutes for the
-	// whole first cost gather (only when the flows were resolved under
-	// the policy that's still active — the bias must match)
-	zeroFirst := useFused && !anyBG && routed.zeroW != nil && routed.policy == n.policy.Name()
-	if zeroFirst {
-		// gather Flits densely for the CSR walk, and guard the one case
-		// where adding a share is not the same as skipping it: a negative
-		// Flits value (never produced by the workload models)
-		if cap(n.flitScratch) < len(flows) {
-			n.flitScratch = make([]float64, len(flows))
-		}
-		fl := n.flitScratch[:len(flows)]
-		for i := range flows {
-			v := flows[i].Flits
-			if v < 0 {
-				zeroFirst = false
-				break
-			}
-			fl[i] = v
-		}
-	}
-	linkLoad, bgLoad, prevLoad, linkCap := n.linkLoad, n.bgLoad, n.prevLoad, n.linkCap
-	arenaLinks, arenaPathEnd, arenaWeights := routed.links, routed.pathEnd, routed.weights
-	flowEnd, minimal, fgMask := routed.flowEnd, routed.minimal, routed.fgMask
-	for it := 0; it < rounds; it++ {
-		if anyBG {
-			for _, l := range n.activeLinks {
-				linkLoad[l] = bgLoad[l]
-			}
-		} else {
-			// no background: every bgLoad entry is zero, skip the read
-			for _, l := range n.activeLinks {
-				linkLoad[l] = 0
-			}
-		}
-		switch {
-		case zeroFirst && it == 0:
-			// walk the precomputed per-link CSR chains: each link's loads
-			// accumulate in the exact order the flow-major scatter used
-			if rounds == 1 {
-				// a later iteration won't overwrite them, so the slowdown
-				// loop needs the zero-load weights in the arena
-				copy(arenaWeights, routed.zeroW)
-			}
-			fl := n.flitScratch
-			zf, zcw, ze := routed.zeroFlow, routed.zeroCW, routed.zeroEnd
-			start := int32(0)
-			for li, l := range routed.zeroLink {
-				end := ze[li]
-				v := linkLoad[l]
-				for k := start; k < end; k++ {
-					v += fl[zf[k]] * zcw[k]
-				}
-				linkLoad[l] = v
-				start = end
-			}
-		case useFused:
-			bias := n.invBias
-			pathStart, linkStart := int32(0), int32(0)
-			for i := range flows {
-				ps, ls := pathStart, linkStart
-				pe := flowEnd[i]
-				pathStart = pe
-				if pe > ps {
-					linkStart = arenaPathEnd[pe-1]
-				}
-				if !fgMask[i] || pe == ps {
-					continue
-				}
-				f := &flows[i]
-				// pass 1: unnormalized inverse-cost weights
-				var total float64
-				start := ls
-				for j := ps; j < pe; j++ {
-					end := arenaPathEnd[j]
-					cost := 0.0
-					for k := start; k < end; k++ {
-						cost += 1 + prevLoad[arenaLinks[k]]
-					}
-					if !minimal[j] && bias != 1 {
-						cost *= bias
-					}
-					w := 1 / (cost + 1e-9)
-					arenaWeights[j] = w
-					total += w
-					start = end
-				}
-				// pass 2: normalize and scatter the shares (inv stays 1
-				// when total ≤ 0, matching the bulk splitter's no-op —
-				// multiplying by exactly 1.0 is the float identity)
-				inv := 1.0
-				if total > 0 {
-					inv = 1 / total
-				}
-				start = ls
-				for j := ps; j < pe; j++ {
-					end := arenaPathEnd[j]
-					w := arenaWeights[j] * inv
-					arenaWeights[j] = w
-					share := f.Flits * w
-					if share != 0 {
-						for k := start; k < end; k++ {
-							linkLoad[arenaLinks[k]] += share
-						}
-					}
-					start = end
-				}
-			}
-		default:
-			if !static && useBulk {
-				// one bulk call computes every active flow's split — the
-				// policy's load-aware weighting; for the adaptive policy
-				// with neutral bias this reproduces the historical
-				// inverse-cost split bit for bit
-				n.splitBulk.SplitWeightsBulk(n.eng, arenaLinks, arenaPathEnd, flowEnd, minimal, fgMask, prevLoad, arenaWeights)
-			}
-			pathStart, linkStart := int32(0), int32(0)
-			for i := range flows {
-				f := &flows[i]
-				ps, ls := pathStart, linkStart
-				pe := flowEnd[i]
-				pathStart = pe
-				if pe > ps {
-					linkStart = arenaPathEnd[pe-1]
-				}
-				if f.Src == f.Dst || f.Flits <= 0 {
-					continue
-				}
-				weights := arenaWeights[ps:pe]
-				if !static && !useBulk {
-					if useSlice {
-						n.splitSlice.SplitWeightsSlice(n.eng, arenaLinks, ls, arenaPathEnd[ps:pe], minimal[ps:pe], prevLoad, weights)
-					} else {
-						n.policy.SplitWeights(n.eng, routed.paths[i], n.loadOf, weights)
-					}
-				}
-				start := ls
-				if n.anyDead {
-					for j, w := range weights {
-						end := arenaPathEnd[ps+int32(j)]
-						share := f.Flits * w
-						if share != 0 {
-							for _, l := range arenaLinks[start:end] {
-								if linkCap[l] <= 0 {
-									continue // dead link carries nothing
-								}
-								linkLoad[l] += share
-							}
-						}
-						start = end
-					}
-				} else {
-					// healthy fabric: the dead-link check is hoisted out
-					// of the innermost loop
-					for j, w := range weights {
-						end := arenaPathEnd[ps+int32(j)]
-						share := f.Flits * w
-						if share != 0 {
-							for _, l := range arenaLinks[start:end] {
-								linkLoad[l] += share
-							}
-						}
-						start = end
-					}
-				}
-			}
-		}
-		if it < rounds-1 {
-			// feed utilizations back for the next iteration; the final
-			// iteration's update is fused into the settling pass below
-			for _, l := range n.activeLinks {
-				if linkCap[l] <= 0 {
-					prevLoad[l] = deadUtil
-					continue
-				}
-				prevLoad[l] = linkLoad[l] / linkCap[l] * invDur
-			}
-		}
-	}
+	n.relax(flows, routed, anyBG, invDur)
 
 	// Final settle: one pass over the active links computes the round's
 	// utilizations, the max/mean summary, and the per-link queueing-delay
@@ -1092,6 +729,7 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 	} else {
 		res.Slowdown = make([]float64, len(flows))
 	}
+	linkLoad, linkCap := n.linkLoad, n.linkCap
 	util := n.prevLoad // final per-link utilization
 	qd := n.qdLink
 	var utilSum float64
@@ -1142,11 +780,137 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		n.fb.Commit()
 	}
 
-	// Per-flow slowdowns: transit queueing along the flow's weighted paths
-	// plus endpoint queueing at its source and destination. queueDelay is
-	// a pure function, so every active link's delay — and every active
-	// router's four endpoint delays — is computed once into the memos and
-	// summed in exactly the order the per-hop recomputation used.
+	n.slowdowns(flows, routed, duration, res.Slowdown)
+	return res
+}
+
+// foldBackground adds the background footprints to this round's link
+// loads, endpoint loads, and endpoint flit-arrival counters, and reports
+// whether any footprint was applied.
+func (n *Network) foldBackground(background []ScaledLoad) bool {
+	anyBG := false
+	for _, bg := range background {
+		if bg.Set == nil || bg.Scale <= 0 {
+			continue
+		}
+		anyBG = true
+		s := bg.Scale
+		for i, id := range bg.Set.LinkIDs {
+			if n.linkCap[id] <= 0 {
+				// the link is dead; its static background footprint was
+				// routed before the fault and simply does not flow
+				continue
+			}
+			n.bgLoad[id] += bg.Set.LinkFlits[i] * s
+			n.touchLink(id)
+		}
+		for i, r := range bg.Set.RouterIDs {
+			n.injFlits[r] += bg.Set.InjFlits[i] * s
+			n.ejFlits[r] += bg.Set.EjFlits[i] * s
+			n.injPkts[r] += bg.Set.InjPkts[i] * s
+			n.ejPkts[r] += bg.Set.EjPkts[i] * s
+			n.touchRouter(r)
+			rc := n.Board.At(r)
+			rc[counters.PTFlitVC0] += bg.Set.ArriveVC0[i] * s
+			rc[counters.PTFlitVC4] += bg.Set.ArriveVC4[i] * s
+			rc[counters.PTFlitTot] += (bg.Set.ArriveVC0[i] + bg.Set.ArriveVC4[i]) * s
+		}
+	}
+	return anyBG
+}
+
+// relax distributes the foreground flows over their candidate paths: each
+// relaxation iteration splits every active flow under the previous
+// iteration's utilizations (starting from the background alone), then
+// scatters the shares onto the links. On return linkLoad holds the final
+// iteration's loads; the caller settles the utilizations.
+func (n *Network) relax(flows []Flow, routed *RoutedFlows, anyBG bool, invDur float64) {
+	rounds := n.cfg.RelaxationRounds
+	if rounds < 1 {
+		rounds = 1
+	}
+	// static weights cannot react to load, so every relaxation iteration
+	// reproduces the same link loads — one pass is bit-identical to many.
+	// routed.static only counts when the flows were resolved (and their
+	// weights precomputed) under the policy that's still active.
+	static := routed.static && routed.policy == n.policy.Name()
+	if static {
+		rounds = 1
+	}
+	linkLoad, bgLoad, prevLoad, linkCap := n.linkLoad, n.bgLoad, n.prevLoad, n.linkCap
+	arenaLinks, arenaPathEnd, arenaWeights := routed.links, routed.pathEnd, routed.weights
+	flowEnd := routed.flowEnd
+	for it := 0; it < rounds; it++ {
+		if anyBG {
+			for _, l := range n.activeLinks {
+				linkLoad[l] = bgLoad[l]
+			}
+		} else {
+			// no background: every bgLoad entry is zero, skip the read
+			for _, l := range n.activeLinks {
+				linkLoad[l] = 0
+			}
+		}
+		if !static {
+			// one call computes every active flow's split under the
+			// previous iteration's utilizations
+			n.policy.SplitWeights(n.eng, arenaLinks, arenaPathEnd, flowEnd, routed.minimal, routed.fgMask, prevLoad, arenaWeights)
+		}
+		// scatter each active flow's shares onto its paths' links
+		pathStart, linkStart := int32(0), int32(0)
+		for i := range flows {
+			f := &flows[i]
+			ps, ls := pathStart, linkStart
+			pe := flowEnd[i]
+			pathStart = pe
+			if pe > ps {
+				linkStart = arenaPathEnd[pe-1]
+			}
+			if f.Src == f.Dst || f.Flits <= 0 {
+				continue
+			}
+			start := ls
+			for j := ps; j < pe; j++ {
+				end := arenaPathEnd[j]
+				share := f.Flits * arenaWeights[j]
+				if share != 0 {
+					if n.anyDead {
+						for _, l := range arenaLinks[start:end] {
+							if linkCap[l] > 0 { // a dead link carries nothing
+								linkLoad[l] += share
+							}
+						}
+					} else {
+						for _, l := range arenaLinks[start:end] {
+							linkLoad[l] += share
+						}
+					}
+				}
+				start = end
+			}
+		}
+		if it < rounds-1 {
+			// feed utilizations back for the next iteration; the final
+			// iteration's update is fused into RunRoundRouted's settling pass
+			for _, l := range n.activeLinks {
+				if linkCap[l] <= 0 {
+					prevLoad[l] = deadUtil
+					continue
+				}
+				prevLoad[l] = linkLoad[l] / linkCap[l] * invDur
+			}
+		}
+	}
+}
+
+// slowdowns writes each flow's slowdown into dst: transit queueing along
+// the flow's weighted paths plus endpoint queueing at its source and
+// destination. queueDelay is a pure function, so every active link's delay
+// (memoized in qdLink by the settle pass) and every active router's four
+// endpoint delays are computed once and summed in exactly the order the
+// per-hop recomputation used. The transit delay also echoes into the
+// counters of the flow's endpoint routers.
+func (n *Network) slowdowns(flows []Flow, routed *RoutedFlows, duration float64, dst []float64) {
 	injCap := n.cfg.InjectionBandwidth * duration
 	pktCap := n.cfg.PacketRate * duration
 	for _, r := range n.activeRouters {
@@ -1155,7 +919,9 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		n.injPD[r] = queueDelay(n.injPkts[r] / pktCap)
 		n.ejPD[r] = queueDelay(n.ejPkts[r] / pktCap)
 	}
-	hops := routed.hops
+	qd := n.qdLink
+	arenaLinks, arenaPathEnd, arenaWeights := routed.links, routed.pathEnd, routed.weights
+	flowEnd, hops := routed.flowEnd, routed.hops
 	pathStart, linkStart := int32(0), int32(0)
 	for i := range flows {
 		f := &flows[i]
@@ -1166,7 +932,7 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 			linkStart = arenaPathEnd[pe-1]
 		}
 		if f.Src == f.Dst || f.Flits <= 0 {
-			res.Slowdown[i] = 1
+			dst[i] = 1
 			continue
 		}
 		var transit float64
@@ -1188,7 +954,7 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		}
 		endFlit := n.injFD[f.Src] + n.ejFD[f.Dst]
 		endPkt := n.injPD[f.Src] + n.ejPD[f.Dst]
-		res.Slowdown[i] = 1 + 0.8*transit + 0.5*endFlit + 0.5*endPkt
+		dst[i] = 1 + 0.8*transit + 0.5*endFlit + 0.5*endPkt
 
 		// Backpressure echo: credit exhaustion on congested downstream
 		// links propagates stalls back to the tiles of the routers the
@@ -1209,7 +975,6 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 			dst[counters.RTRB2xUsg] += twoX
 		}
 	}
-	return res
 }
 
 // accumulateTransitCounters writes the RT_* counters for this round: each

@@ -22,9 +22,16 @@ type Policy interface {
 	// stream is dedicated to the pair (split from the network's seed by
 	// pair label), so the same pair always yields the same candidates.
 	Candidates(e *Engine, a, b topology.RouterID, s *rng.Stream) []Path
-	// SplitWeights fills dst (len(paths)) with the share of the flow's
-	// traffic assigned to each candidate, normalized to sum to 1.
-	SplitWeights(e *Engine, paths []Path, load LoadFunc, dst []float64)
+	// SplitWeights computes every active flow's split over the flat
+	// candidate arena the simulator builds per resolved flow list: path j
+	// spans links[pathEnd[j-1]:pathEnd[j]] (from 0 for j == 0), flow i's
+	// paths are pathEnd[flowEnd[i-1]:flowEnd[i]], and minimal[j] mirrors
+	// Path.Minimal. load is the congestion view indexed by LinkID, in
+	// stall-inducing utilization units (0 = idle). For each flow with
+	// active[i] set, dst receives the share of its traffic assigned to each
+	// candidate, normalized to sum to 1; inactive flows' entries are left
+	// untouched.
+	SplitWeights(e *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64)
 }
 
 // PolicyConfig carries the knobs shared by the built-in policies.
@@ -43,9 +50,6 @@ type PolicyConfig struct {
 	// the simulation state it is read under (see monitor.StallFeedback);
 	// nil disables the feedback term.
 	GroupStall func(topology.GroupID) float64
-	// FeedbackGain scales how strongly the feedback policy prices group
-	// stall ratios into path costs. 0 means the default (4).
-	FeedbackGain float64
 }
 
 // bias returns the effective non-minimal bias.
@@ -57,8 +61,8 @@ func (c PolicyConfig) bias() float64 {
 }
 
 // StaticWeights reports whether the policy's split is load-independent:
-// SplitWeights writes the same dst for a given candidate list no matter
-// what the load view returns (and never calls it). The simulator uses this
+// SplitWeights writes the same dst for a given candidate arena no matter
+// what the load view holds (and never reads it). The simulator uses this
 // to compute a flow's split once at resolve time and skip the per-round
 // (and per-relaxation-iteration) recomputation entirely — and, because the
 // resulting link loads then cannot change between relaxation iterations, to
@@ -69,19 +73,6 @@ func StaticWeights(p Policy) bool {
 		return true
 	}
 	return false
-}
-
-// SliceSplitter is the allocation- and indirection-free fast path of
-// SplitWeights over the flat candidate arena the simulator builds per
-// resolved flow list. Candidate path j of the flow spans
-// links[start:pathEnd[j]], where start advances to the previous path's end
-// (the flow's paths are contiguous in the arena); minimal[j] mirrors
-// Path.Minimal; load is indexed directly by LinkID, replacing the LoadFunc
-// closure. Implementations MUST produce bit-identical weights to
-// SplitWeights on the same candidates — the property test in
-// policy_slice_test.go enforces it.
-type SliceSplitter interface {
-	SplitWeightsSlice(e *Engine, links []topology.LinkID, start int32, pathEnd []int32, minimal []bool, load []float64, dst []float64)
 }
 
 // PolicyNames lists the built-in routing policies, sorted.
@@ -130,13 +121,23 @@ func (minimalPolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Stream
 	return e.Candidates(a, b, CandidateOptions{MaxMinimal: 1, MaxValiant: 0}, s)
 }
 
-func (minimalPolicy) SplitWeights(_ *Engine, paths []Path, _ LoadFunc, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
+// SplitWeights puts every active flow on its first candidate.
+func (minimalPolicy) SplitWeights(_ *Engine, _ []topology.LinkID, _, flowEnd []int32, _, active []bool, _ []float64, dst []float64) {
+	fs := int32(0)
+	for fi, pe := range flowEnd {
+		if active[fi] && pe > fs {
+			firstOnly(dst[fs:pe])
+		}
+		fs = pe
 	}
-	if len(dst) > 0 {
-		dst[0] = 1
+}
+
+// firstOnly assigns all traffic to the first candidate.
+func firstOnly(w []float64) {
+	for j := range w {
+		w[j] = 0
 	}
+	w[0] = 1
 }
 
 // valiantPolicy is oblivious Valiant routing: traffic is spread uniformly
@@ -156,28 +157,36 @@ func (p valiantPolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Stre
 	return e.Candidates(a, b, CandidateOptions{MaxMinimal: 1, MaxValiant: maxV}, s)
 }
 
-func (valiantPolicy) SplitWeights(_ *Engine, paths []Path, _ LoadFunc, dst []float64) {
+// SplitWeights spreads every active flow uniformly over its non-minimal
+// candidates, or puts it on its first candidate when it has none.
+func (valiantPolicy) SplitWeights(_ *Engine, _ []topology.LinkID, _, flowEnd []int32, minimal, active []bool, _ []float64, dst []float64) {
+	fs := int32(0)
+	for fi, pe := range flowEnd {
+		if active[fi] && pe > fs {
+			uniformOverDetours(minimal[fs:pe], dst[fs:pe])
+		}
+		fs = pe
+	}
+}
+
+// uniformOverDetours writes one flow's valiant split.
+func uniformOverDetours(minimal []bool, w []float64) {
 	nonMin := 0
-	for _, p := range paths {
-		if !p.Minimal {
+	for _, m := range minimal {
+		if !m {
 			nonMin++
 		}
 	}
 	if nonMin == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		if len(dst) > 0 {
-			dst[0] = 1
-		}
+		firstOnly(w)
 		return
 	}
-	w := 1 / float64(nonMin)
-	for i, p := range paths {
-		if p.Minimal {
-			dst[i] = 0
+	share := 1 / float64(nonMin)
+	for j, m := range minimal {
+		if m {
+			w[j] = 0
 		} else {
-			dst[i] = w
+			w[j] = share
 		}
 	}
 }
@@ -196,163 +205,10 @@ func (p adaptivePolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Str
 	return e.Candidates(a, b, CandidateOptions{MaxMinimal: p.cfg.MaxMinimal, MaxValiant: p.cfg.MaxValiant}, s)
 }
 
-func (p adaptivePolicy) SplitWeights(_ *Engine, paths []Path, load LoadFunc, dst []float64) {
-	bias := p.cfg.bias()
-	var total float64
-	for i, pa := range paths {
-		cost := 0.0
-		for _, l := range pa.Links {
-			cost += 1 + load(l)
-		}
-		if !pa.Minimal && bias != 1 {
-			cost *= bias
-		}
-		w := 1 / (cost + 1e-9)
-		dst[i] = w
-		total += w
-	}
-	if total > 0 {
-		inv := 1 / total
-		for i := range dst {
-			dst[i] *= inv
-		}
-	}
-}
-
-// SplitWeightsSlice mirrors SplitWeights over the arena layout with the
-// identical arithmetic and summation order (cost accumulation in link
-// order, bias multiply, inverse-cost weight, normalize by 1/total).
-func (p adaptivePolicy) SplitWeightsSlice(_ *Engine, links []topology.LinkID, start int32, pathEnd []int32, minimal []bool, load []float64, dst []float64) {
-	bias := p.cfg.bias()
-	var total float64
-	for i := range dst {
-		end := pathEnd[i]
-		cost := 0.0
-		for _, l := range links[start:end] {
-			cost += 1 + load[l]
-		}
-		if !minimal[i] && bias != 1 {
-			cost *= bias
-		}
-		w := 1 / (cost + 1e-9)
-		dst[i] = w
-		total += w
-		start = end
-	}
-	if total > 0 {
-		inv := 1 / total
-		for i := range dst {
-			dst[i] *= inv
-		}
-	}
-}
-
-// defaultFeedbackGain prices a sustained group stall ratio of 0.25 as a
-// doubling of every hop's cost through that group.
-const defaultFeedbackGain = 4
-
-// feedbackPolicy closes the loop between the network-weather signals and
-// routing: it is the adaptive split with every hop's cost additionally
-// scaled by the smoothed stall ratio of the groups its link touches, so
-// traffic drains away from groups the monitor's congestion rollup flags —
-// before the link-level backlog alone would have moved it.
-type feedbackPolicy struct{ cfg PolicyConfig }
-
-func (feedbackPolicy) Name() string { return "feedback" }
-
-func (p feedbackPolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Stream) []Path {
-	return e.Candidates(a, b, CandidateOptions{MaxMinimal: p.cfg.MaxMinimal, MaxValiant: p.cfg.MaxValiant}, s)
-}
-
-func (p feedbackPolicy) SplitWeights(e *Engine, paths []Path, load LoadFunc, dst []float64) {
-	gs := p.cfg.GroupStall
-	if gs == nil {
-		adaptivePolicy{cfg: p.cfg}.SplitWeights(e, paths, load, dst)
-		return
-	}
-	gain := p.cfg.FeedbackGain
-	if gain <= 0 {
-		gain = defaultFeedbackGain
-	}
-	bias := p.cfg.bias()
-	d := e.Machine()
-	var total float64
-	for i, pa := range paths {
-		cost := 0.0
-		for _, l := range pa.Links {
-			link := d.Links[l]
-			stall := 0.5 * (gs(d.Group(link.A)) + gs(d.Group(link.B)))
-			cost += (1 + load(l)) * (1 + gain*stall)
-		}
-		if !pa.Minimal && bias != 1 {
-			cost *= bias
-		}
-		w := 1 / (cost + 1e-9)
-		dst[i] = w
-		total += w
-	}
-	if total > 0 {
-		inv := 1 / total
-		for i := range dst {
-			dst[i] *= inv
-		}
-	}
-}
-
-// SplitWeightsSlice mirrors feedbackPolicy.SplitWeights over the arena
-// layout, bit for bit (see adaptivePolicy.SplitWeightsSlice).
-func (p feedbackPolicy) SplitWeightsSlice(e *Engine, links []topology.LinkID, start int32, pathEnd []int32, minimal []bool, load []float64, dst []float64) {
-	gs := p.cfg.GroupStall
-	if gs == nil {
-		adaptivePolicy{cfg: p.cfg}.SplitWeightsSlice(e, links, start, pathEnd, minimal, load, dst)
-		return
-	}
-	gain := p.cfg.FeedbackGain
-	if gain <= 0 {
-		gain = defaultFeedbackGain
-	}
-	bias := p.cfg.bias()
-	d := e.Machine()
-	var total float64
-	for i := range dst {
-		end := pathEnd[i]
-		cost := 0.0
-		for _, l := range links[start:end] {
-			link := d.Links[l]
-			stall := 0.5 * (gs(d.Group(link.A)) + gs(d.Group(link.B)))
-			cost += (1 + load[l]) * (1 + gain*stall)
-		}
-		if !minimal[i] && bias != 1 {
-			cost *= bias
-		}
-		w := 1 / (cost + 1e-9)
-		dst[i] = w
-		total += w
-		start = end
-	}
-	if total > 0 {
-		inv := 1 / total
-		for i := range dst {
-			dst[i] *= inv
-		}
-	}
-}
-
-// BulkSplitter computes the arena split for every active flow in one call
-// — the form the simulator's relaxation loop actually uses. Splitting flow
-// by flow through SliceSplitter pays an interface dispatch and a receiver
-// (config) copy per flow per iteration; the bulk form hoists that setup
-// out of the loop. Flow i's paths span pathEnd[flowEnd[i-1]:flowEnd[i]];
-// flows with active[i] == false are skipped (their dst entries are left
-// untouched). The weights written MUST be bit-identical to calling
-// SplitWeightsSlice per flow — policy_slice_test.go enforces it.
-type BulkSplitter interface {
-	SplitWeightsBulk(e *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64)
-}
-
-// SplitWeightsBulk applies adaptivePolicy.SplitWeightsSlice to every
-// active flow with the bias lookup hoisted out of the flow loop.
-func (p adaptivePolicy) SplitWeightsBulk(_ *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64) {
+// SplitWeights gives each candidate of an active flow a weight inversely
+// proportional to its cost — Σ over hops of (1 + load), times the bias
+// for non-minimal paths — normalized over the flow's candidates.
+func (p adaptivePolicy) SplitWeights(_ *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64) {
 	bias := p.cfg.bias()
 	ps, ls := int32(0), int32(0)
 	for fi := range flowEnd {
@@ -381,27 +237,35 @@ func (p adaptivePolicy) SplitWeightsBulk(_ *Engine, links []topology.LinkID, pat
 			total += w
 			start = end
 		}
-		if total > 0 {
-			inv := 1 / total
-			for j := fs; j < pe; j++ {
-				dst[j] *= inv
-			}
-		}
+		normalize(dst[fs:pe], total)
 	}
 }
 
-// SplitWeightsBulk applies feedbackPolicy.SplitWeightsSlice to every
-// active flow with the stall signal, gain, bias, and machine lookups
-// hoisted out of the flow loop.
-func (p feedbackPolicy) SplitWeightsBulk(e *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64) {
+// feedbackGain prices a sustained group stall ratio of 0.25 as a doubling
+// of every hop's cost through that group.
+const feedbackGain = 4
+
+// feedbackPolicy closes the loop between the network-weather signals and
+// routing: it is the adaptive split with every hop's cost additionally
+// scaled by the smoothed stall ratio of the groups its link touches, so
+// traffic drains away from groups the monitor's congestion rollup flags —
+// before the link-level backlog alone would have moved it.
+type feedbackPolicy struct{ cfg PolicyConfig }
+
+func (feedbackPolicy) Name() string { return "feedback" }
+
+func (p feedbackPolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Stream) []Path {
+	return e.Candidates(a, b, CandidateOptions{MaxMinimal: p.cfg.MaxMinimal, MaxValiant: p.cfg.MaxValiant}, s)
+}
+
+// SplitWeights is the adaptive split with every hop's cost scaled by
+// 1 + gain·(mean stall ratio of the link's two groups); without a stall
+// signal it is exactly the adaptive split.
+func (p feedbackPolicy) SplitWeights(e *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64) {
 	gs := p.cfg.GroupStall
 	if gs == nil {
-		adaptivePolicy{cfg: p.cfg}.SplitWeightsBulk(e, links, pathEnd, flowEnd, minimal, active, load, dst)
+		adaptivePolicy{cfg: p.cfg}.SplitWeights(e, links, pathEnd, flowEnd, minimal, active, load, dst)
 		return
-	}
-	gain := p.cfg.FeedbackGain
-	if gain <= 0 {
-		gain = defaultFeedbackGain
 	}
 	bias := p.cfg.bias()
 	d := e.Machine()
@@ -424,7 +288,7 @@ func (p feedbackPolicy) SplitWeightsBulk(e *Engine, links []topology.LinkID, pat
 			for _, l := range links[start:end] {
 				link := d.Links[l]
 				stall := 0.5 * (gs(d.Group(link.A)) + gs(d.Group(link.B)))
-				cost += (1 + load[l]) * (1 + gain*stall)
+				cost += (1 + load[l]) * (1 + feedbackGain*stall)
 			}
 			if !minimal[j] && bias != 1 {
 				cost *= bias
@@ -434,36 +298,17 @@ func (p feedbackPolicy) SplitWeightsBulk(e *Engine, links []topology.LinkID, pat
 			total += w
 			start = end
 		}
-		if total > 0 {
-			inv := 1 / total
-			for j := fs; j < pe; j++ {
-				dst[j] *= inv
-			}
+		normalize(dst[fs:pe], total)
+	}
+}
+
+// normalize scales a flow's inverse-cost weights by 1/total (left as they
+// are when total is not positive).
+func normalize(w []float64, total float64) {
+	if total > 0 {
+		inv := 1 / total
+		for j := range w {
+			w[j] *= inv
 		}
 	}
-}
-
-// InverseCostSplitter is implemented by policies whose split is exactly
-// the inverse-path-cost rule — cost = Σ over hops of (1 + load), scaled by
-// bias for non-minimal paths, weight 1/(cost+1e-9), normalized — with no
-// extra per-hop signal. The simulator uses it to run that arithmetic
-// inline in its relaxation loop (fusing the split with the share scatter)
-// instead of dispatching through SplitWeights; the inline loop must stay
-// bit-identical to SplitWeightsSlice. ok reports whether the rule applies
-// in the policy's current configuration.
-type InverseCostSplitter interface {
-	InverseCostBias() (bias float64, ok bool)
-}
-
-// InverseCostBias reports the adaptive policy's bias; the rule always
-// applies.
-func (p adaptivePolicy) InverseCostBias() (float64, bool) { return p.cfg.bias(), true }
-
-// InverseCostBias applies only when the feedback signal is absent (the
-// policy then degrades to the plain adaptive split).
-func (p feedbackPolicy) InverseCostBias() (float64, bool) {
-	if p.cfg.GroupStall != nil {
-		return 0, false
-	}
-	return p.cfg.bias(), true
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestMinimalPolicySingleShortestPath(t *testing.T) {
 	}
 	validatePath(t, e, a, b, paths[0])
 	w := make([]float64, len(paths))
-	p.SplitWeights(e, paths, func(topology.LinkID) float64 { return 3 }, w)
+	split(e, p, paths, func(topology.LinkID) float64 { return 3 }, w)
 	if w[0] != 1 {
 		t.Fatalf("minimal weights = %v, want [1]", w)
 	}
@@ -76,7 +77,7 @@ func TestValiantPolicyUniformOverDetours(t *testing.T) {
 	}
 	w := make([]float64, len(paths))
 	// load must not matter: valiant is oblivious
-	p.SplitWeights(e, paths, func(topology.LinkID) float64 { return 100 }, w)
+	split(e, p, paths, func(topology.LinkID) float64 { return 100 }, w)
 	sum := 0.0
 	for i, pa := range paths {
 		sum += w[i]
@@ -97,7 +98,7 @@ func TestValiantFallsBackToMinimal(t *testing.T) {
 	p, _ := NewPolicy("valiant", PolicyConfig{})
 	paths := []Path{{Minimal: true}}
 	w := make([]float64, 1)
-	p.SplitWeights(e, paths, func(topology.LinkID) float64 { return 0 }, w)
+	split(e, p, paths, func(topology.LinkID) float64 { return 0 }, w)
 	if w[0] != 1 {
 		t.Fatalf("valiant with no detours: weights = %v, want [1]", w)
 	}
@@ -114,7 +115,7 @@ func TestAdaptiveNeutralBiasIsInverseCost(t *testing.T) {
 	paths := p.Candidates(e, a, b, rng.New(7))
 	load := func(l topology.LinkID) float64 { return float64(l%5) * 2 }
 	got := make([]float64, len(paths))
-	p.SplitWeights(e, paths, load, got)
+	split(e, p, paths, load, got)
 
 	want := make([]float64, len(paths))
 	var total float64
@@ -155,8 +156,8 @@ func TestAdaptiveBiasPenalizesDetours(t *testing.T) {
 	load := func(topology.LinkID) float64 { return 1 }
 	wn := make([]float64, len(paths))
 	wb := make([]float64, len(paths))
-	neutral.SplitWeights(e, paths, load, wn)
-	biased.SplitWeights(e, paths, load, wb)
+	split(e, neutral, paths, load, wn)
+	split(e, biased, paths, load, wb)
 	if wb[detour] >= wn[detour] {
 		t.Fatalf("bias 4 did not reduce detour weight: %v -> %v", wn[detour], wb[detour])
 	}
@@ -205,18 +206,84 @@ func TestFeedbackShiftsAwayFromStalledGroups(t *testing.T) {
 	load := func(topology.LinkID) float64 { return 1 }
 	wa := make([]float64, len(paths))
 	wf := make([]float64, len(paths))
-	adaptive.SplitWeights(e, paths, load, wa)
-	fb.SplitWeights(e, paths, load, wf)
+	split(e, adaptive, paths, load, wa)
+	split(e, fb, paths, load, wf)
 	if wf[detour] >= wa[detour] {
 		t.Fatalf("stalling the detour's groups did not shed its weight: %v -> %v", wa[detour], wf[detour])
 	}
 	// and with no signal the feedback policy degrades to adaptive exactly
 	degraded, _ := NewPolicy("feedback", PolicyConfig{})
 	wd := make([]float64, len(paths))
-	degraded.SplitWeights(e, paths, load, wd)
+	split(e, degraded, paths, load, wd)
 	for i := range wd {
 		if wd[i] != wa[i] {
 			t.Fatalf("feedback without a signal diverged from adaptive at %d: %v != %v", i, wd[i], wa[i])
 		}
 	}
+}
+
+// TestBulkSplitAllocFree pins the split as allocation-free: the round loop
+// calls it once per relaxation iteration for the whole flow list, so a
+// single alloc here multiplies across the whole campaign.
+func TestBulkSplitAllocFree(t *testing.T) {
+	e := newEngine(t)
+	d := e.Machine()
+	for _, name := range PolicyNames() {
+		p := mustPolicy(t, name, PolicyConfig{GroupStall: func(topology.GroupID) float64 { return 0.1 }})
+		s := rng.New(7)
+		var a arena
+		for f := 0; f < 16; f++ {
+			src := d.RouterAt(topology.GroupID(s.Intn(9)), s.Intn(4), s.Intn(6))
+			dst := d.RouterAt(topology.GroupID((int(d.Group(src))+1+s.Intn(8))%9), s.Intn(4), s.Intn(6))
+			a.add(p.Candidates(e, src, dst, s.Split(fmt.Sprintf("p-%d", f))), true)
+		}
+		load := make([]float64, len(d.Links))
+		w := make([]float64, len(a.pathEnd))
+		allocs := testing.AllocsPerRun(100, func() {
+			p.SplitWeights(e, a.links, a.pathEnd, a.flowEnd, a.minimal, a.active, load, w)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s SplitWeights allocated %.1f times per run, want 0", name, allocs)
+		}
+	}
+}
+
+func mustPolicy(t *testing.T, name string, cfg PolicyConfig) Policy {
+	t.Helper()
+	p, err := NewPolicy(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// arena is the flat candidate layout SplitWeights reads, built flow by flow.
+type arena struct {
+	links   []topology.LinkID
+	pathEnd []int32
+	flowEnd []int32
+	minimal []bool
+	active  []bool
+}
+
+func (a *arena) add(paths []Path, active bool) {
+	for _, p := range paths {
+		a.links = append(a.links, p.Links...)
+		a.pathEnd = append(a.pathEnd, int32(len(a.links)))
+		a.minimal = append(a.minimal, p.Minimal)
+	}
+	a.flowEnd = append(a.flowEnd, int32(len(a.pathEnd)))
+	a.active = append(a.active, active)
+}
+
+// split runs p's split over one flow's candidate paths, with load evaluated
+// into the per-link view the split reads.
+func split(e *Engine, p Policy, paths []Path, load func(topology.LinkID) float64, dst []float64) {
+	var a arena
+	a.add(paths, true)
+	view := make([]float64, len(e.Machine().Links))
+	for l := range view {
+		view[l] = load(topology.LinkID(l))
+	}
+	p.SplitWeights(e, a.links, a.pathEnd, a.flowEnd, a.minimal, a.active, view, dst)
 }

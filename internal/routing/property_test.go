@@ -77,6 +77,13 @@ func TestPropertyValiantPathsValid(t *testing.T) {
 	}
 }
 
+// TestPropertySplitWeightsDistribution: for every policy, over its own
+// candidates for arbitrary pairs under arbitrary loads (and, for feedback,
+// arbitrary group stall ratios), the split is a distribution — weights
+// non-negative and summing to 1 — and a cheaper path is never weighted
+// below a costlier one of the same kind (minimal or detour). Cost is the
+// policy's own per-hop price: 1 + load, times 1 + gain·stall for feedback;
+// the oblivious policies weight same-kind paths equally whatever the cost.
 func TestPropertySplitWeightsDistribution(t *testing.T) {
 	d, err := topology.New(topology.Small())
 	if err != nil {
@@ -84,28 +91,63 @@ func TestPropertySplitWeightsDistribution(t *testing.T) {
 	}
 	e := NewEngine(d)
 	nr := d.Cfg.NumRouters()
+	stall := make([]float64, d.Cfg.Groups)
+	groupStall := func(g topology.GroupID) float64 { return stall[g] }
 
-	f := func(rawA, rawB uint16, loadSeed int64) bool {
-		a := topology.RouterID(int(rawA) % nr)
-		b := topology.RouterID(int(rawB) % nr)
-		if a == b {
-			return true
+	for _, name := range PolicyNames() {
+		p, err := NewPolicy(name, PolicyConfig{GroupStall: groupStall})
+		if err != nil {
+			t.Fatal(err)
 		}
-		s := rng.New(loadSeed)
-		paths := e.MinimalPaths(a, b, 4, nil)
-		load := func(l topology.LinkID) float64 { return s.Float64() * 10 }
-		w := SplitWeights(paths, load, nil)
-		var sum float64
-		for _, v := range w {
-			if v < 0 || v > 1 {
-				return false
+		f := func(rawA, rawB uint16, loadSeed int64) bool {
+			a := topology.RouterID(int(rawA) % nr)
+			b := topology.RouterID(int(rawB) % nr)
+			if a == b {
+				return true
 			}
-			sum += v
+			s := rng.New(loadSeed)
+			paths := p.Candidates(e, a, b, s.Split("pair"))
+			if len(paths) == 0 {
+				return true
+			}
+			load := make([]float64, len(d.Links))
+			for l := range load {
+				load[l] = s.Float64() * 10
+			}
+			for g := range stall {
+				stall[g] = s.Float64() * 0.5
+			}
+			w := make([]float64, len(paths))
+			split(e, p, paths, func(l topology.LinkID) float64 { return load[l] }, w)
+			cost := make([]float64, len(paths))
+			var sum float64
+			for i, pa := range paths {
+				if w[i] < 0 || w[i] > 1 {
+					return false
+				}
+				sum += w[i]
+				for _, l := range pa.Links {
+					hop := 1 + load[l]
+					if name == "feedback" {
+						link := d.Links[l]
+						st := 0.5 * (stall[d.Group(link.A)] + stall[d.Group(link.B)])
+						hop *= 1 + feedbackGain*st
+					}
+					cost[i] += hop
+				}
+			}
+			for i := range paths {
+				for j := range paths {
+					if paths[i].Minimal == paths[j].Minimal && cost[i] < cost[j] && w[i] < w[j] {
+						return false
+					}
+				}
+			}
+			return sum > 0.999 && sum < 1.001
 		}
-		return sum > 0.999 && sum < 1.001
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

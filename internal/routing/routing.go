@@ -5,9 +5,10 @@
 // links (§II-A of the paper).
 //
 // The Engine is purely combinatorial: it produces candidate paths as
-// sequences of link IDs. Load-aware selection takes the caller's view of
-// per-link congestion as a function, so the flow simulator (package netsim)
-// can plug in its current utilization estimates.
+// sequences of link IDs. A Policy picks the candidates for a flow and splits
+// its traffic across them; the load-aware splits read the caller's per-link
+// congestion view, so the flow simulator (package netsim) can plug in its
+// current utilization estimates.
 package routing
 
 import (
@@ -360,59 +361,6 @@ func (e *Engine) bfsHealthy(a, b topology.RouterID) (Path, bool) {
 		}
 	}
 	return Path{}, false
-}
-
-// LoadFunc reports the caller's current congestion estimate for a link,
-// in stall-inducing utilization units (0 = idle).
-type LoadFunc func(topology.LinkID) float64
-
-// PathCost is the UGAL-style cost of sending on a path under the given
-// loads: each hop costs 1 plus the congestion backlog on its link.
-// Non-minimal paths naturally cost more through their extra hops.
-func PathCost(p Path, load LoadFunc) float64 {
-	cost := 0.0
-	for _, l := range p.Links {
-		cost += 1 + load(l)
-	}
-	return cost
-}
-
-// Select returns the index of the cheapest candidate under the loads,
-// mimicking adaptive routing's back-pressure-driven choice. Ties go to the
-// earliest candidate (which, by construction, is minimal).
-func Select(paths []Path, load LoadFunc) int {
-	best := -1
-	bestCost := 0.0
-	for i, p := range paths {
-		c := PathCost(p, load)
-		if best == -1 || c < bestCost {
-			best = i
-			bestCost = c
-		}
-	}
-	return best
-}
-
-// SplitWeights apportions a flow across the candidate paths with weights
-// inversely proportional to path cost, normalized to sum to 1. This models
-// per-packet adaptive routing at flow granularity: most traffic takes the
-// least-loaded route but congested alternatives still carry a share.
-func SplitWeights(paths []Path, load LoadFunc, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(paths))
-	}
-	var total float64
-	for i, p := range paths {
-		w := 1 / (PathCost(p, load) + 1e-9)
-		dst[i] = w
-		total += w
-	}
-	if total > 0 {
-		for i := range dst {
-			dst[i] /= total
-		}
-	}
-	return dst
 }
 
 // sampleIndices returns up to k distinct indices in [0, n). With a nil

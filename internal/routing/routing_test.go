@@ -229,66 +229,6 @@ func TestCandidatesMixesMinimalAndValiant(t *testing.T) {
 	}
 }
 
-func TestSelectPrefersUnloaded(t *testing.T) {
-	e := newEngine(t)
-	d := e.Machine()
-	a := d.RouterAt(2, 0, 0)
-	b := d.RouterAt(2, 3, 5)
-	paths := e.IntraGroupPaths(a, b)
-	// load the first hop of path 0 heavily
-	loaded := paths[0].Links[0]
-	load := func(l topology.LinkID) float64 {
-		if l == loaded {
-			return 100
-		}
-		return 0
-	}
-	if Select(paths, load) != 1 {
-		t.Fatal("Select should avoid the loaded path")
-	}
-	// with no load, ties go to the first (minimal) candidate
-	if Select(paths, func(topology.LinkID) float64 { return 0 }) != 0 {
-		t.Fatal("Select tie-break should pick the first candidate")
-	}
-}
-
-func TestPathCostCountsHopsAndLoad(t *testing.T) {
-	p := Path{Links: []topology.LinkID{1, 2, 3}}
-	c := PathCost(p, func(l topology.LinkID) float64 { return float64(l) })
-	if c != 3+1+2+3 {
-		t.Fatalf("PathCost = %v", c)
-	}
-}
-
-func TestSplitWeights(t *testing.T) {
-	e := newEngine(t)
-	d := e.Machine()
-	a := d.RouterAt(2, 0, 0)
-	b := d.RouterAt(2, 3, 5)
-	paths := e.IntraGroupPaths(a, b)
-	loaded := paths[0].Links[0]
-	load := func(l topology.LinkID) float64 {
-		if l == loaded {
-			return 10
-		}
-		return 0
-	}
-	w := SplitWeights(paths, load, nil)
-	var sum float64
-	for _, v := range w {
-		if v < 0 || v > 1 {
-			t.Fatalf("weight out of range: %v", v)
-		}
-		sum += v
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("weights sum to %v", sum)
-	}
-	if w[0] >= w[1] {
-		t.Fatal("loaded path should receive less traffic")
-	}
-}
-
 func TestSampleIndicesDistinct(t *testing.T) {
 	s := rng.New(17)
 	for trial := 0; trial < 50; trial++ {
