@@ -19,21 +19,22 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
+	"dragonvar/internal/cli"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/netsim"
 	"dragonvar/internal/rng"
 	"dragonvar/internal/stats"
-	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
@@ -70,42 +71,33 @@ type result struct {
 	Hash          string  `json:"campaign_sha256"`
 }
 
-func main() {
-	days := flag.Float64("days", 10, "campaign length in days")
-	seed := flag.Int64("seed", 42, "campaign seed")
-	workers := flag.Int("workers", 4, "parallel worker count to compare against serial")
-	cori := flag.Bool("cori", false, "benchmark the full Cori machine instead of the small one")
-	routingPolicy := flag.String("routing", "", "routing policy to benchmark (empty = engine default, adaptive)")
-	placementPolicy := flag.String("placement", "", "placement policy to benchmark (empty = firstfit)")
-	reps := flag.Int("reps", 1, "serial measurement repetitions for the mean/std/std_rel timing row")
-	out := flag.String("out", "BENCH_engine.json", "output JSON ledger; existing entries are kept and the new row appended")
-	allowHashChange := flag.Bool("allow-hash-change", false, "permit appending a row whose campaign hash differs from the previous same-config ledger entry (required after intentional behavior changes)")
-	tmPath := flag.String("telemetry", "", "write a telemetry snapshot (metrics + span trace) to this JSON file on exit")
-	tracePath := flag.String("trace", "", `write the span stream to this JSONL file on exit (stitch with "dfvar trace")`)
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /telemetry on this address (e.g. localhost:6060)")
-	flag.Parse()
+func main() { cli.Main("dfbench", run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("dfbench", stderr)
+	days := fs.Float64("days", 10, "campaign length in days")
+	seed := fs.Int64("seed", 42, "campaign seed")
+	workers := fs.Int("workers", 4, "parallel worker count to compare against serial")
+	cori := fs.Bool("cori", false, "benchmark the full Cori machine instead of the small one")
+	routingPolicy := fs.String("routing", "", "routing policy to benchmark (empty = engine default, adaptive)")
+	placementPolicy := fs.String("placement", "", "placement policy to benchmark (empty = firstfit)")
+	reps := fs.Int("reps", 1, "serial measurement repetitions for the mean/std/std_rel timing row")
+	out := fs.String("out", "BENCH_engine.json", "output JSON ledger; existing entries are kept and the new row appended")
+	allowHashChange := fs.Bool("allow-hash-change", false, "permit appending a row whose campaign hash differs from the previous same-config ledger entry (required after intentional behavior changes)")
+	var tm cli.Telemetry
+	tm.Register(fs)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	// enable before the clusters are built so their handles are live; the
 	// determinism check below then doubles as proof that telemetry is
 	// observation-only (identical hashes with instrumentation recording)
-	if *tmPath != "" || *tracePath != "" || *pprofAddr != "" {
-		reg := telemetry.New()
-		reg.SetRole("dfbench")
-		telemetry.Enable(reg)
+	flush, err := tm.Start("dfbench", stderr)
+	if err != nil {
+		return err
 	}
-	if *pprofAddr != "" {
-		if err := telemetry.ServePprof(*pprofAddr); err != nil {
-			fatal(err)
-		}
-	}
-	defer func() {
-		if err := telemetry.Flush(*tmPath); err != nil {
-			fmt.Fprintf(os.Stderr, "dfbench: %v\n", err)
-		}
-		if err := telemetry.FlushTrace(*tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "dfbench: %v\n", err)
-		}
-	}()
+	defer flush()
 
 	cfg := cluster.Config{Days: *days, Seed: *seed}
 	cfg.Net.Routing = *routingPolicy
@@ -120,46 +112,21 @@ func main() {
 		*reps = 1
 	}
 
-	var serialCamp *dataset.Campaign
-	var w stats.Welford
-	serialSec := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		camp, sec, err := timeCampaign(cfg, 1)
-		if err != nil {
-			fatal(err)
-		}
-		w.Add(sec)
-		if rep == 0 {
-			serialCamp, serialSec = camp, sec
-		} else if campaignHash(camp) != campaignHash(serialCamp) {
-			fatal(fmt.Errorf("DETERMINISM VIOLATION: serial rep %d differs from rep 0", rep))
-		}
-		fmt.Fprintf(os.Stderr, "serial   (workers=1, rep %d/%d): %d runs in %.2fs\n",
-			rep+1, *reps, camp.TotalRuns(), sec)
+	serial, err := timeReps(cfg, "serial", 1, *reps, stderr)
+	if err != nil {
+		return err
+	}
+	par, err := timeReps(cfg, "parallel", *workers, *reps, stderr)
+	if err != nil {
+		return err
 	}
 
-	var parCamp *dataset.Campaign
-	var pw stats.Welford
-	parSec := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		camp, sec, err := timeCampaign(cfg, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		pw.Add(sec)
-		if rep == 0 {
-			parCamp, parSec = camp, sec
-		} else if campaignHash(camp) != campaignHash(parCamp) {
-			fatal(fmt.Errorf("DETERMINISM VIOLATION: parallel rep %d differs from rep 0", rep))
-		}
-		fmt.Fprintf(os.Stderr, "parallel (workers=%d, rep %d/%d): %d runs in %.2fs\n",
-			*workers, rep+1, *reps, camp.TotalRuns(), sec)
-	}
-
-	h1, h2 := campaignHash(serialCamp), campaignHash(parCamp)
 	routingName, placementName := cfg.EffectivePolicies()
-	roundNs := measureRoundLoop(cfg)
-	fmt.Fprintf(os.Stderr, "round loop (%s, 256 flows): %.0f ns/op\n", routingName, roundNs)
+	roundNs, err := measureRoundLoop(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "round loop (%s, 256 flows): %.0f ns/op\n", routingName, roundNs)
 	res := result{
 		Benchmark:       "campaign-engine",
 		CPUs:            runtime.NumCPU(),
@@ -167,21 +134,21 @@ func main() {
 		Machine:         machine,
 		Days:            *days,
 		Seed:            *seed,
-		Runs:            serialCamp.TotalRuns(),
+		Runs:            serial.runs,
 		Workers:         *workers,
 		Routing:         routingName,
 		Placement:       placementName,
-		SerialSec:       serialSec,
+		SerialSec:       serial.first,
 		Reps:            *reps,
-		SerialSecMean:   w.Mean(),
-		SerialSecStd:    w.Std(),
-		ParallelSec:     parSec,
-		ParallelSecMean: pw.Mean(),
-		ParallelSecStd:  pw.Std(),
-		Speedup:         w.Mean() / pw.Mean(),
+		SerialSecMean:   serial.w.Mean(),
+		SerialSecStd:    serial.w.Std(),
+		ParallelSec:     par.first,
+		ParallelSecMean: par.w.Mean(),
+		ParallelSecStd:  par.w.Std(),
+		Speedup:         serial.w.Mean() / par.w.Mean(),
 		RoundLoopNsOp:   roundNs,
-		Identical:       h1 == h2,
-		Hash:            hex.EncodeToString(h1[:8]),
+		Identical:       serial.hash == par.hash,
+		Hash:            hex.EncodeToString(serial.hash[:8]),
 	}
 	if res.SerialSecMean > 0 {
 		res.SerialSecStdRel = res.SerialSecStd / res.SerialSecMean
@@ -190,40 +157,87 @@ func main() {
 		res.ParallelSecStdRel = res.ParallelSecStd / res.ParallelSecMean
 	}
 	if !res.Identical {
-		fatal(fmt.Errorf("DETERMINISM VIOLATION: workers=1 and workers=%d campaigns differ", *workers))
+		return fmt.Errorf("DETERMINISM VIOLATION: workers=1 and workers=%d campaigns differ", *workers)
 	}
-	if err := checkHashContinuity(*out, res, *allowHashChange); err != nil {
-		fatal(err)
+	if err := checkHashContinuity(*out, res, *allowHashChange, stderr); err != nil {
+		return err
 	}
 
 	blob, err := appendLedger(*out, res)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "speedup %.2fx on %d CPUs, outputs identical; appended %s/%s row to %s\n",
+	fmt.Fprintf(stderr, "speedup %.2fx on %d CPUs, outputs identical; appended %s/%s row to %s\n",
 		res.Speedup, res.CPUs, res.Routing, res.Placement, *out)
-	os.Stdout.Write(blob)
+	_, err = stdout.Write(blob)
+	return err
+}
+
+// repTimings is one worker count's measurement: the first rep's campaign
+// hash, run count and time, and the spread over all reps.
+type repTimings struct {
+	hash  [32]byte
+	runs  int
+	first float64
+	w     stats.Welford
+}
+
+// timeReps times the campaign reps times at the given worker count and
+// requires every rep to hash like the first.
+func timeReps(cfg cluster.Config, label string, workers, reps int, stderr io.Writer) (repTimings, error) {
+	var rt repTimings
+	for rep := 0; rep < reps; rep++ {
+		camp, sec, err := timeCampaign(cfg, workers)
+		if err != nil {
+			return rt, err
+		}
+		h, err := campaignHash(camp)
+		if err != nil {
+			return rt, err
+		}
+		rt.w.Add(sec)
+		if rep == 0 {
+			rt.hash, rt.runs, rt.first = h, camp.TotalRuns(), sec
+		} else if h != rt.hash {
+			return rt, fmt.Errorf("DETERMINISM VIOLATION: %s rep %d differs from rep 0", label, rep)
+		}
+		fmt.Fprintf(stderr, "%-8s (workers=%d, rep %d/%d): %d runs in %.2fs\n",
+			label, workers, rep+1, reps, camp.TotalRuns(), sec)
+	}
+	return rt, nil
+}
+
+// readLedger reads the JSON ledger at path: an array of result objects,
+// with a legacy single-object file read as a one-row array. A missing or
+// empty file is an empty ledger.
+func readLedger(path string) ([]map[string]interface{}, error) {
+	old, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil
+	}
+	var entries []map[string]interface{}
+	trimmed := bytes.TrimSpace(old)
+	if len(trimmed) > 0 && trimmed[0] == '[' {
+		if err := json.Unmarshal(trimmed, &entries); err != nil {
+			return nil, fmt.Errorf("ledger %s is not a valid result array: %w", path, err)
+		}
+	} else if len(trimmed) > 0 {
+		var one map[string]interface{}
+		if err := json.Unmarshal(trimmed, &one); err != nil {
+			return nil, fmt.Errorf("ledger %s is not valid JSON: %w", path, err)
+		}
+		entries = append(entries, one)
+	}
+	return entries, nil
 }
 
 // appendLedger appends res to the JSON ledger at path, keeping existing
-// entries: the ledger is an array of result objects, and a legacy
-// single-object file is wrapped into an array first. Returns the bytes
-// written.
+// entries (a legacy single-object file is wrapped into an array first).
+// Returns the bytes written.
 func appendLedger(path string, res result) ([]byte, error) {
-	var entries []map[string]interface{}
-	if old, err := os.ReadFile(path); err == nil {
-		trimmed := bytes.TrimSpace(old)
-		if len(trimmed) > 0 && trimmed[0] == '[' {
-			if err := json.Unmarshal(trimmed, &entries); err != nil {
-				return nil, fmt.Errorf("ledger %s is not a valid result array: %w", path, err)
-			}
-		} else if len(trimmed) > 0 {
-			var one map[string]interface{}
-			if err := json.Unmarshal(trimmed, &one); err != nil {
-				return nil, fmt.Errorf("ledger %s is not valid JSON: %w", path, err)
-			}
-			entries = append(entries, one)
-		}
+	entries, err := readLedger(path)
+	if err != nil {
+		return nil, err
 	}
 	blob, err := json.Marshal(res)
 	if err != nil {
@@ -246,10 +260,10 @@ func appendLedger(path string, res result) ([]byte, error) {
 // 256-flow microbench workload (the same shape as the repo's
 // BenchmarkNetsimRound), so every ledger row carries a hot-path throughput
 // number alongside the campaign timings.
-func measureRoundLoop(cfg cluster.Config) float64 {
+func measureRoundLoop(cfg cluster.Config) (float64, error) {
 	d, err := topology.New(topology.Small())
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	ncfg := netsim.DefaultConfig()
 	if cfg.Net.Routing != "" {
@@ -278,7 +292,7 @@ func measureRoundLoop(cfg cluster.Config) float64 {
 	for i := 0; i < iters; i++ {
 		n.RunRoundRouted(flows, routed, nil, 1.0)
 	}
-	return float64(time.Since(start).Nanoseconds()) / iters
+	return float64(time.Since(start).Nanoseconds()) / iters, nil
 }
 
 // checkHashContinuity refuses to append a row whose campaign hash differs
@@ -286,26 +300,10 @@ func measureRoundLoop(cfg cluster.Config) float64 {
 // -allow-hash-change flag is set. The ledger's hashes are the repo's
 // determinism anchors; silently appending a changed hash would let a
 // behavior regression masquerade as timing noise.
-func checkHashContinuity(path string, res result, allow bool) error {
-	old, err := os.ReadFile(path)
+func checkHashContinuity(path string, res result, allow bool, stderr io.Writer) error {
+	entries, err := readLedger(path)
 	if err != nil {
-		return nil // no ledger yet — nothing to be continuous with
-	}
-	trimmed := bytes.TrimSpace(old)
-	if len(trimmed) == 0 {
-		return nil
-	}
-	var entries []map[string]interface{}
-	if trimmed[0] == '[' {
-		if json.Unmarshal(trimmed, &entries) != nil {
-			return nil // appendLedger reports malformed ledgers
-		}
-	} else {
-		var one map[string]interface{}
-		if json.Unmarshal(trimmed, &one) != nil {
-			return nil
-		}
-		entries = append(entries, one)
+		return err
 	}
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
@@ -321,7 +319,7 @@ func checkHashContinuity(path string, res result, allow bool) error {
 		if !allow {
 			return fmt.Errorf("campaign hash %s differs from previous same-config ledger row (%s); rerun with -allow-hash-change if the behavior change is intentional", res.Hash, prev)
 		}
-		fmt.Fprintf(os.Stderr, "dfbench: note: campaign hash changed %s -> %s (allowed by flag)\n", prev, res.Hash)
+		fmt.Fprintf(stderr, "dfbench: note: campaign hash changed %s -> %s (allowed by flag)\n", prev, res.Hash)
 		return nil
 	}
 	return nil
@@ -347,15 +345,10 @@ func timeCampaign(cfg cluster.Config, workers int) (*dataset.Campaign, float64, 
 // campaignHash hashes the campaign's JSON encoding. Unlike gob, whose wire
 // type ids depend on what the process encoded first, JSON bytes depend only
 // on the campaign's content, so ledger rows compare across processes.
-func campaignHash(camp *dataset.Campaign) [32]byte {
+func campaignHash(camp *dataset.Campaign) ([32]byte, error) {
 	blob, err := json.Marshal(camp)
 	if err != nil {
-		fatal(err)
+		return [32]byte{}, err
 	}
-	return sha256.Sum256(blob)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "dfbench: %v\n", err)
-	os.Exit(1)
+	return sha256.Sum256(blob), nil
 }

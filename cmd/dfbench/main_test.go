@@ -1,11 +1,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dragonvar/internal/cli"
 )
 
 // TestAppendLedgerWrapsLegacyObject: a pre-policy ledger holding a single
@@ -76,5 +80,20 @@ func TestAppendLedgerFreshFile(t *testing.T) {
 	}
 	if entries[0].Routing != "feedback" {
 		t.Fatalf("row lost its policy: %+v", entries[0])
+	}
+}
+
+func TestExitCodes(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-h"}, cli.ExitOK},
+		{[]string{"-bogus"}, cli.ExitUsage},
+	} {
+		err := run(context.Background(), c.args, io.Discard, io.Discard)
+		if got := cli.ExitCode(err); got != c.want {
+			t.Errorf("dfbench %v: exit %d (%v), want %d", c.args, got, err, c.want)
+		}
 	}
 }

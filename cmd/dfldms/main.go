@@ -28,98 +28,73 @@ import (
 	"sort"
 	"time"
 
+	"dragonvar/internal/cli"
 	"dragonvar/internal/cluster"
-	"dragonvar/internal/engine"
 	"dragonvar/internal/export"
 	"dragonvar/internal/monitor"
-	"dragonvar/internal/sigctx"
-	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 	"dragonvar/internal/traceio"
 	"dragonvar/internal/viz"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+func main() { cli.Main("dfldms", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		usage(stderr)
+		return cli.Usagef("missing command")
 	}
-	var err error
-	switch os.Args[1] {
+	cmd, args := args[0], args[1:]
+	switch cmd {
 	case "record":
-		err = cmdRecord(os.Args[2:])
+		return cmdRecord(ctx, args, stdout, stderr)
 	case "summarize":
-		err = cmdSummarize(os.Args[2:])
+		return cmdSummarize(args, stdout, stderr)
 	case "analyze":
-		err = cmdAnalyze(os.Args[2:])
+		return cmdAnalyze(args, stdout, stderr)
 	case "-h", "--help", "help":
-		usage()
+		usage(stderr)
+		return flag.ErrHelp
 	default:
-		fmt.Fprintf(os.Stderr, "dfldms: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dfldms: %v\n", err)
-		os.Exit(1)
+		usage(stderr)
+		return cli.Usagef("unknown command %q", cmd)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  dfldms record    [-small] [-days N] [-seed S] [-hours H] [-interval SEC] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] -out FILE
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
+  dfldms record    [-small] [-days N] [-seed S] [-hours H] [-interval SEC] [-faults SPEC] [-workers N] [-telemetry FILE] [-trace FILE] [-pprof ADDR] -out FILE
   dfldms summarize -in FILE [-top K]
   dfldms analyze   -in FILE [-events FILE|-] [-heatmap FILE.svg] [-csv FILE] [-top K]
                    [-rpg N] [-hot-z Z] [-stall-onset R] [-stall-clear R] [-bin SEC] [-interval SEC]`)
 }
 
-func cmdRecord(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ContinueOnError)
+func cmdRecord(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("record", stderr)
+	var cfg cluster.Config
 	small := fs.Bool("small", false, "use the reduced test machine")
-	days := fs.Float64("days", 2, "background timeline length")
-	seed := fs.Int64("seed", 42, "timeline seed")
+	fs.Float64Var(&cfg.Days, "days", 2, "background timeline length")
+	fs.Int64Var(&cfg.Seed, "seed", 42, "timeline seed")
 	hours := fs.Float64("hours", 1, "recording window length")
 	interval := fs.Float64("interval", 60, "sampling interval, seconds")
-	faults := fs.String("faults", "", `fault spec, e.g. "dropout@3600-7200" (see DESIGN.md)`)
+	fs.StringVar(&cfg.FaultSpec, "faults", "", `fault spec, e.g. "dropout@3600-7200" (see DESIGN.md)`)
 	out := fs.String("out", "ldms.bin", "output log file")
-	workers := fs.Int("workers", 0,
-		"worker count for any campaign simulation on this cluster (0 = $"+engine.EnvWorkers+" or GOMAXPROCS)")
-	tmPath := fs.String("telemetry", "", "write a telemetry snapshot (metrics + span trace) to this JSON file on exit")
-	tracePath := fs.String("trace", "", `write the span stream to this JSONL file on exit (stitch with "dfvar trace")`)
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and /telemetry on this address (e.g. localhost:6060)")
-	if err := fs.Parse(args); err != nil {
+	cli.Workers(fs, &cfg.Workers)
+	var tm cli.Telemetry
+	tm.Register(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-
-	// enable before cluster.New: instrumented components capture their
-	// metric handles at construction time
-	if *tmPath != "" || *tracePath != "" || *pprofAddr != "" {
-		reg := telemetry.New()
-		reg.SetRole("dfldms")
-		telemetry.Enable(reg)
+	flush, err := tm.Start("dfldms", stderr)
+	if err != nil {
+		return err
 	}
-	if *pprofAddr != "" {
-		if err := telemetry.ServePprof(*pprofAddr); err != nil {
-			return err
-		}
-	}
-	defer func() {
-		if err := telemetry.Flush(*tmPath); err != nil {
-			fmt.Fprintf(os.Stderr, "dfldms: %v\n", err)
-		}
-		if err := telemetry.FlushTrace(*tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "dfldms: %v\n", err)
-		}
-	}()
+	defer flush()
 
-	cfg := cluster.Config{Days: *days, Seed: *seed, FaultSpec: *faults, Workers: *workers}
 	if *small {
 		cfg.Machine = topology.Small()
 	}
-	fmt.Fprintln(os.Stderr, "building machine and background timeline...")
+	fmt.Fprintln(stderr, "building machine and background timeline...")
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return err
@@ -141,8 +116,6 @@ func cmdRecord(args []string) error {
 	t1 := t0 + *hours*3600
 	// SIGINT stops the recorder at a sample boundary and flushes; the log
 	// on disk stays readable, just shorter than requested
-	ctx, stop := sigctx.WithShutdown(context.Background())
-	defer stop()
 	start := time.Now()
 	n, err := c.RecordLDMSCtx(ctx, w, t0, t1, *interval)
 	interrupted := errors.Is(err, context.Canceled)
@@ -153,27 +126,27 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	if interrupted {
-		fmt.Fprintf(os.Stderr, "interrupted: flushed %d samples recorded so far\n", n)
+		fmt.Fprintf(stderr, "interrupted: flushed %d samples recorded so far\n", n)
 	}
 	info, err := os.Stat(*out)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d samples of %d routers × %d series in %v\n",
+	fmt.Fprintf(stdout, "recorded %d samples of %d routers × %d series in %v\n",
 		n, nr, cluster.LDMSSeriesPerRouter, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("log: %s (%.1f MiB, %.2f bytes per counter sample)\n",
+	fmt.Fprintf(stdout, "log: %s (%.1f MiB, %.2f bytes per counter sample)\n",
 		*out, float64(info.Size())/(1<<20),
 		float64(info.Size())/float64(n*nr*cluster.LDMSSeriesPerRouter))
 	perDay := float64(info.Size()) / (*hours) * 24 / (1 << 30)
-	fmt.Printf("at this rate a full day is %.2f GiB (Cori's real 1 Hz feed was ~5 TB/day)\n", perDay)
+	fmt.Fprintf(stdout, "at this rate a full day is %.2f GiB (Cori's real 1 Hz feed was ~5 TB/day)\n", perDay)
 	return nil
 }
 
-func cmdSummarize(args []string) error {
-	fs := flag.NewFlagSet("summarize", flag.ContinueOnError)
+func cmdSummarize(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("summarize", stderr)
 	in := fs.String("in", "ldms.bin", "input log file")
 	top := fs.Int("top", 10, "busiest routers to list")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
@@ -238,11 +211,11 @@ func cmdSummarize(args []string) error {
 		return fmt.Errorf("log has %d healthy samples (%d missing); need at least 2", samples-missing, missing)
 	}
 
-	fmt.Printf("log: %d samples over %.0fs, %d routers\n", samples, t1-t0, routers)
+	fmt.Fprintf(stdout, "log: %d samples over %.0fs, %d routers\n", samples, t1-t0, routers)
 	if missing > 0 {
-		fmt.Printf("sampler dropouts: %d of %d samples missing (%.1f%%)\n",
+		fmt.Fprintf(stdout, "sampler dropouts: %d of %d samples missing (%.1f%%)\n",
 			missing, samples, 100*float64(missing)/float64(samples))
-		reportRouterGaps(gaps, samples, *top)
+		reportRouterGaps(stdout, gaps, samples, *top)
 	}
 	type load struct {
 		router int
@@ -259,9 +232,9 @@ func cmdSummarize(args []string) error {
 		})
 	}
 	sort.Slice(loads, func(i, j int) bool { return loads[i].flits > loads[j].flits })
-	fmt.Printf("\nbusiest routers by RT_FLIT_TOT over the window:\n")
+	fmt.Fprintf(stdout, "\nbusiest routers by RT_FLIT_TOT over the window:\n")
 	for i := 0; i < *top && i < len(loads); i++ {
-		fmt.Printf("  router %4d: %.3g flits, %.3g stall cycles\n",
+		fmt.Fprintf(stdout, "  router %4d: %.3g flits, %.3g stall cycles\n",
 			loads[i].router, loads[i].flits, loads[i].stalls)
 	}
 	return nil
@@ -269,7 +242,7 @@ func cmdSummarize(args []string) error {
 
 // reportRouterGaps prints the per-router gap distribution so dropout faults
 // can be attributed to specific routers rather than the sampler as a whole.
-func reportRouterGaps(gaps []int, samples, top int) {
+func reportRouterGaps(w io.Writer, gaps []int, samples, top int) {
 	lo, hi := gaps[0], gaps[0]
 	total := 0
 	for _, g := range gaps {
@@ -282,10 +255,10 @@ func reportRouterGaps(gaps []int, samples, top int) {
 		}
 	}
 	pct := func(n int) float64 { return 100 * float64(n) / float64(samples) }
-	fmt.Printf("per-router gap fraction: min %.1f%%, mean %.1f%%, max %.1f%%\n",
+	fmt.Fprintf(w, "per-router gap fraction: min %.1f%%, mean %.1f%%, max %.1f%%\n",
 		pct(lo), 100*float64(total)/float64(len(gaps))/float64(samples), pct(hi))
 	if lo == hi {
-		fmt.Println("  (uniform across routers: sampler-wide dropout windows)")
+		fmt.Fprintln(w, "  (uniform across routers: sampler-wide dropout windows)")
 		return
 	}
 	type rg struct{ router, n int }
@@ -301,9 +274,9 @@ func reportRouterGaps(gaps []int, samples, top int) {
 		}
 		return worst[i].router < worst[j].router
 	})
-	fmt.Println("  most-gapped routers:")
+	fmt.Fprintln(w, "  most-gapped routers:")
 	for i := 0; i < top && i < len(worst); i++ {
-		fmt.Printf("    router %4d: %d of %d samples missing (%.1f%%)\n",
+		fmt.Fprintf(w, "    router %4d: %d of %d samples missing (%.1f%%)\n",
 			worst[i].router, worst[i].n, samples, pct(worst[i].n))
 	}
 }
@@ -320,8 +293,8 @@ func inferGroupSize(routers int) int {
 	return routers
 }
 
-func cmdAnalyze(args []string) error {
-	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
+func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("analyze", stderr)
 	in := fs.String("in", "ldms.bin", "input log file")
 	eventsOut := fs.String("events", "", `write anomaly events as JSONL to this file ("-" = stdout)`)
 	heatOut := fs.String("heatmap", "", "write the per-group congestion heatmap to this SVG file")
@@ -333,7 +306,7 @@ func cmdAnalyze(args []string) error {
 	stallClear := fs.Float64("stall-clear", 0, "congestion clear threshold (0 = onset/2)")
 	bin := fs.Float64("bin", 0, "heatmap time-bin width, seconds (0 = default)")
 	interval := fs.Float64("interval", 0, "expected sampling interval for time-jump gap detection (0 = infer)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
@@ -358,7 +331,7 @@ func cmdAnalyze(args []string) error {
 
 	var events io.Writer
 	if *eventsOut == "-" {
-		events = os.Stdout
+		events = stdout
 	} else if *eventsOut != "" {
 		ef, err := os.Create(*eventsOut)
 		if err != nil {
@@ -388,9 +361,9 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return fmt.Errorf("analyzing %s: %w", *in, err)
 	}
-	fmt.Fprintf(os.Stderr, "replayed %d samples (%d missing) over [%.0fs, %.0fs], %d routers in groups of %d\n",
+	fmt.Fprintf(stderr, "replayed %d samples (%d missing) over [%.0fs, %.0fs], %d routers in groups of %d\n",
 		st.Samples, st.Missing, st.FirstT, st.LastT, routers, *rpg)
-	fmt.Print(m.Report(*top))
+	fmt.Fprint(stdout, m.Report(*top))
 
 	if *heatOut != "" || *csvOut != "" {
 		rows, xs, vals := m.HeatmapData()
@@ -399,7 +372,7 @@ func cmdAnalyze(args []string) error {
 			if err := os.WriteFile(*heatOut, []byte(h.SVG()), 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "heatmap: %s\n", *heatOut)
+			fmt.Fprintf(stderr, "heatmap: %s\n", *heatOut)
 		}
 		if *csvOut != "" {
 			cf, err := os.Create(*csvOut)
@@ -413,7 +386,7 @@ func cmdAnalyze(args []string) error {
 			if err := cf.Close(); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "heatmap csv: %s\n", *csvOut)
+			fmt.Fprintf(stderr, "heatmap csv: %s\n", *csvOut)
 		}
 	}
 	return nil

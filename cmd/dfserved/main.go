@@ -27,8 +27,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -43,30 +41,20 @@ import (
 	"time"
 
 	"dragonvar/internal/advisor"
+	"dragonvar/internal/cli"
 	"dragonvar/internal/core"
 	"dragonvar/internal/counters"
+	"dragonvar/internal/daemon"
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/modelstore"
 	"dragonvar/internal/nn"
 	"dragonvar/internal/rng"
 	"dragonvar/internal/serve"
-	"dragonvar/internal/sigctx"
 	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dfserved: %v\n", err)
-		if errors.Is(err, context.Canceled) {
-			os.Exit(130)
-		}
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("dfserved", run) }
 
 type options struct {
 	// modes
@@ -80,14 +68,9 @@ type options struct {
 	m, k           int
 	features       string
 	retrain        bool
-	maxInflight    int
-	maxQueue       int
-	maxBatch       int
-	batchWindow    time.Duration
-	cacheSize      int
+	serve          serve.Config // the serving knobs; provision adds the models
 	reloadInterval time.Duration
-	telemetry      string
-	trace          string
+	tm             cli.Telemetry
 
 	// campaign (same semantics as dfvar)
 	cache  string
@@ -107,8 +90,8 @@ type options struct {
 	out      string
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("dfserved", flag.ContinueOnError)
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("dfserved", stderr)
 	var o options
 	fs.BoolVar(&o.loadgen, "loadgen", false, "run as a load generator against -target instead of serving")
 	fs.BoolVar(&o.list, "list", false, "list the model store's refs and exit")
@@ -120,16 +103,14 @@ func run(args []string) error {
 	fs.IntVar(&o.k, "k", 2, "forecast horizon (steps)")
 	fs.StringVar(&o.features, "features", "", `extra forecast feature groups: "placement,io,sys" (app counters always included)`)
 	fs.BoolVar(&o.retrain, "retrain", false, "retrain and repoint refs even when the store already has the models")
-	fs.IntVar(&o.maxInflight, "max-inflight", 0, "concurrent executing requests (0 = default)")
-	fs.IntVar(&o.maxQueue, "max-queue", 0, "waiting requests before 429 shedding (0 = default)")
-	fs.IntVar(&o.maxBatch, "max-batch", 0, "forecast requests coalesced per model call (0 = default)")
-	fs.DurationVar(&o.batchWindow, "batch-window", 0, "batch collection window (0 = default)")
-	fs.IntVar(&o.cacheSize, "cache-size", 0, "prediction cache entries (0 = default)")
+	fs.IntVar(&o.serve.MaxInflight, "max-inflight", 0, "concurrent executing requests (0 = default)")
+	fs.IntVar(&o.serve.MaxQueue, "max-queue", 0, "waiting requests before 429 shedding (0 = default)")
+	fs.IntVar(&o.serve.MaxBatch, "max-batch", 0, "forecast requests coalesced per model call (0 = default)")
+	fs.DurationVar(&o.serve.BatchWindow, "batch-window", 0, "batch collection window (0 = default)")
+	fs.IntVar(&o.serve.CacheSize, "cache-size", 0, "prediction cache entries (0 = default)")
 	fs.DurationVar(&o.reloadInterval, "reload-interval", 0,
 		"poll the model store refs this often and hot-swap the served models when one advances (0 = poll only on SIGHUP)")
-	fs.StringVar(&o.telemetry, "telemetry", "", "write a telemetry snapshot to this JSON file on exit")
-	fs.StringVar(&o.trace, "trace", "",
-		`write the span stream (per-request serve/request spans) to this JSONL file on exit (stitch with "dfvar trace")`)
+	o.tm.Register(fs)
 
 	fs.StringVar(&o.cache, "cache", "campaign.gob", "campaign cache file (empty to disable)")
 	fs.Float64Var(&o.days, "days", 130, "campaign length in days (training only)")
@@ -147,23 +128,23 @@ func run(args []string) error {
 		"loadgen: use a fresh window for every request (cache-busting: measures the uncached model path)")
 	fs.StringVar(&o.out, "out", "", "loadgen: write the JSON report here (default stdout)")
 
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		return cli.Usagef("unexpected argument %q", fs.Arg(0))
 	}
 	switch {
 	case o.list:
-		return runList(o)
+		return runList(o, stdout)
 	case o.loadgen:
-		return runLoadgen(o)
+		return runLoadgen(o, stdout, stderr)
 	default:
-		return runServe(o)
+		return runServe(ctx, o, stdout, stderr)
 	}
 }
 
-func runList(o options) error {
+func runList(o options, stdout io.Writer) error {
 	st, err := modelstore.Open(o.store)
 	if err != nil {
 		return err
@@ -173,56 +154,26 @@ func runList(o options) error {
 		return err
 	}
 	if len(entries) == 0 {
-		fmt.Printf("store %s is empty\n", o.store)
+		fmt.Fprintf(stdout, "store %s is empty\n", o.store)
 		return nil
 	}
 	for _, e := range entries {
-		fmt.Printf("%-40s %s  kind=%s dataset=%s seed=%d", e.Name, e.ID[:12], e.Meta.Kind, e.Meta.Dataset, e.Meta.Seed)
+		fmt.Fprintf(stdout, "%-40s %s  kind=%s dataset=%s seed=%d", e.Name, e.ID[:12], e.Meta.Kind, e.Meta.Dataset, e.Meta.Seed)
 		if e.Meta.Spec != "" {
-			fmt.Printf(" spec=%q", e.Meta.Spec)
+			fmt.Fprintf(stdout, " spec=%q", e.Meta.Spec)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	return nil
-}
-
-// parseFeatures turns "placement,io" into a FeatureSet (app is implicit).
-func parseFeatures(s string) (counters.FeatureSet, error) {
-	var f counters.FeatureSet
-	if s == "" {
-		return f, nil
-	}
-	for _, tok := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == '+' || r == ' ' }) {
-		switch tok {
-		case "app": // always on
-		case "placement":
-			f.Placement = true
-		case "io":
-			f.IO = true
-		case "sys":
-			f.Sys = true
-		default:
-			return f, fmt.Errorf("unknown feature group %q (want placement, io, sys)", tok)
-		}
-	}
-	return f, nil
-}
-
-// refNames derives the store ref names for one serving configuration.
-func refNames(o options, spec core.ForecastSpec) (forecast, deviation, adv string) {
-	slug := strings.ReplaceAll(spec.Features.String(), " + ", "+")
-	forecast = fmt.Sprintf("forecast/%s/m%d-k%d-%s", o.dataset, o.m, o.k, slug)
-	deviation = fmt.Sprintf("deviation/%s", o.dataset)
-	adv = fmt.Sprintf("advisor/seed%d", o.seed)
-	return
 }
 
 // loadCampaign lazily loads (or generates) the training campaign; the
 // first call pays, later calls reuse. When every model is already in the
 // store, no campaign is touched at all.
 type campaignLoader struct {
-	o    options
-	camp *dataset.Campaign
+	o      options
+	stderr io.Writer
+	camp   *dataset.Campaign
 }
 
 func (cl *campaignLoader) get(ctx context.Context) (*dataset.Campaign, error) {
@@ -230,7 +181,7 @@ func (cl *campaignLoader) get(ctx context.Context) (*dataset.Campaign, error) {
 		return cl.camp, nil
 	}
 	o := cl.o
-	fmt.Fprintf(os.Stderr, "dfserved: loading campaign (days=%g seed=%d cache=%q)...\n", o.days, o.seed, o.cache)
+	fmt.Fprintf(cl.stderr, "dfserved: loading campaign (days=%g seed=%d cache=%q)...\n", o.days, o.seed, o.cache)
 	ccfg := core.CampaignConfig{CachePath: o.cache}
 	ccfg.Cluster.Days = o.days
 	ccfg.Cluster.Seed = o.seed
@@ -275,28 +226,50 @@ func trainOptions(o options) (core.ForecastOptions, core.DeviationOptions) {
 	return fo, do
 }
 
+// modelRefs are the store refs one serving configuration resolves.
+type modelRefs struct{ forecast, deviation, advisor string }
+
+// ids resolves the refs to the content ids they currently point at.
+func (r modelRefs) ids(st *modelstore.Store) (forecast, deviation, adv string, err error) {
+	if forecast, _, err = st.Resolve(r.forecast); err != nil {
+		return
+	}
+	if deviation, _, err = st.Resolve(r.deviation); err != nil {
+		return
+	}
+	adv, _, err = st.Resolve(r.advisor)
+	return
+}
+
+// load loads the models the refs point at, with their content ids.
+func (r modelRefs) load(st *modelstore.Store) (m serve.Models, err error) {
+	if m.ForecastID, m.GBRID, m.AdvisorID, err = r.ids(st); err != nil {
+		return m, err
+	}
+	if m.Forecaster, m.ForecastMeta, err = st.GetForecaster(r.forecast); err != nil {
+		return m, err
+	}
+	if m.GBR, m.GBRMeta, err = st.GetGBR(r.deviation); err != nil {
+		return m, err
+	}
+	m.Adv, _, err = st.GetAdvisor(r.advisor)
+	return m, err
+}
+
 // provision returns a fully-populated serve.Config, training whatever the
 // store is missing (or everything, with -retrain) and loading the rest.
-func provision(ctx context.Context, o options, st *modelstore.Store) (serve.Config, error) {
-	spec := core.ForecastSpec{M: o.m, K: o.k}
-	var err error
-	if spec.Features, err = parseFeatures(o.features); err != nil {
-		return serve.Config{}, err
-	}
-	fRef, dRef, aRef := refNames(o, spec)
-	cl := &campaignLoader{o: o}
+func provision(ctx context.Context, o options, spec core.ForecastSpec, refs modelRefs, st *modelstore.Store, stderr io.Writer) (serve.Config, error) {
+	fRef, dRef, aRef := refs.forecast, refs.deviation, refs.advisor
+	cl := &campaignLoader{o: o, stderr: stderr}
 	fo, do := trainOptions(o)
-	cfg := serve.Config{
-		MaxInflight: o.maxInflight, MaxQueue: o.maxQueue, MaxBatch: o.maxBatch,
-		BatchWindow: o.batchWindow, CacheSize: o.cacheSize,
-	}
+	cfg := o.serve
 
 	if o.retrain || !st.Has(fRef) {
 		ds, err := cl.getDataset(ctx, o.dataset)
 		if err != nil {
 			return cfg, err
 		}
-		fmt.Fprintf(os.Stderr, "dfserved: training forecaster %s...\n", fRef)
+		fmt.Fprintf(stderr, "dfserved: training forecaster %s...\n", fRef)
 		model, windows, err := core.TrainServingForecaster(ds, spec, fo, o.seed)
 		if err != nil {
 			return cfg, err
@@ -307,13 +280,7 @@ func provision(ctx context.Context, o options, st *modelstore.Store) (serve.Conf
 		if err != nil {
 			return cfg, err
 		}
-		fmt.Fprintf(os.Stderr, "dfserved: stored %s -> %s (%d windows)\n", fRef, id[:12], windows)
-	}
-	if cfg.Forecaster, cfg.ForecastMeta, err = st.GetForecaster(fRef); err != nil {
-		return cfg, err
-	}
-	if cfg.ForecastID, _, err = st.Resolve(fRef); err != nil {
-		return cfg, err
+		fmt.Fprintf(stderr, "dfserved: stored %s -> %s (%d windows)\n", fRef, id[:12], windows)
 	}
 
 	if o.retrain || !st.Has(dRef) {
@@ -321,7 +288,7 @@ func provision(ctx context.Context, o options, st *modelstore.Store) (serve.Conf
 		if err != nil {
 			return cfg, err
 		}
-		fmt.Fprintf(os.Stderr, "dfserved: training deviation model %s...\n", dRef)
+		fmt.Fprintf(stderr, "dfserved: training deviation model %s...\n", dRef)
 		model, samples, err := core.TrainServingDeviation(ds, do, o.seed)
 		if err != nil {
 			return cfg, err
@@ -332,13 +299,7 @@ func provision(ctx context.Context, o options, st *modelstore.Store) (serve.Conf
 		if err != nil {
 			return cfg, err
 		}
-		fmt.Fprintf(os.Stderr, "dfserved: stored %s -> %s (%d samples)\n", dRef, id[:12], samples)
-	}
-	if cfg.GBR, cfg.GBRMeta, err = st.GetGBR(dRef); err != nil {
-		return cfg, err
-	}
-	if cfg.GBRID, _, err = st.Resolve(dRef); err != nil {
-		return cfg, err
+		fmt.Fprintf(stderr, "dfserved: stored %s -> %s (%d samples)\n", dRef, id[:12], samples)
 	}
 
 	if o.retrain || !st.Has(aRef) {
@@ -346,20 +307,21 @@ func provision(ctx context.Context, o options, st *modelstore.Store) (serve.Conf
 		if err != nil {
 			return cfg, err
 		}
-		fmt.Fprintf(os.Stderr, "dfserved: training advisor %s...\n", aRef)
+		fmt.Fprintf(stderr, "dfserved: training advisor %s...\n", aRef)
 		adv := advisor.Train(camp, advisor.Options{})
 		id, err := st.PutAdvisor(aRef, modelstore.Meta{Seed: o.seed}, adv)
 		if err != nil {
 			return cfg, err
 		}
-		fmt.Fprintf(os.Stderr, "dfserved: stored %s -> %s (%d blamed users)\n", aRef, id[:12], len(adv.Blamed()))
+		fmt.Fprintf(stderr, "dfserved: stored %s -> %s (%d blamed users)\n", aRef, id[:12], len(adv.Blamed()))
 	}
-	if cfg.Adv, _, err = st.GetAdvisor(aRef); err != nil {
+	m, err := refs.load(st)
+	if err != nil {
 		return cfg, err
 	}
-	if cfg.AdvisorID, _, err = st.Resolve(aRef); err != nil {
-		return cfg, err
-	}
+	cfg.Forecaster, cfg.ForecastMeta, cfg.ForecastID = m.Forecaster, m.ForecastMeta, m.ForecastID
+	cfg.GBR, cfg.GBRMeta, cfg.GBRID = m.GBR, m.GBRMeta, m.GBRID
+	cfg.Adv, cfg.AdvisorID = m.Adv, m.AdvisorID
 	return cfg, nil
 }
 
@@ -368,7 +330,7 @@ func provision(ctx context.Context, o options, st *modelstore.Store) (serve.Conf
 // on SIGHUP regardless of the interval. This is how a replica picks up
 // dfvard's retrains without a restart. The returned stop function is
 // idempotent to call once and blocks until the watcher goroutine exits.
-func startReloader(ctx context.Context, o options, st *modelstore.Store, srv *serve.Server, fRef, dRef, aRef string) func() {
+func startReloader(ctx context.Context, o options, st *modelstore.Store, srv *serve.Server, refs modelRefs, stderr io.Writer) func() {
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	done := make(chan struct{})
@@ -390,8 +352,8 @@ func startReloader(ctx context.Context, o options, st *modelstore.Store, srv *se
 			case <-tick:
 			case <-hup:
 			}
-			if err := maybeReload(st, srv, fRef, dRef, aRef); err != nil {
-				fmt.Fprintf(os.Stderr, "dfserved: reload: %v\n", err)
+			if err := maybeReload(st, srv, refs, stderr); err != nil {
+				fmt.Fprintf(stderr, "dfserved: reload: %v\n", err)
 			}
 		}
 	}()
@@ -406,77 +368,54 @@ func startReloader(ctx context.Context, o options, st *modelstore.Store, srv *se
 // ones and atomically swaps in a freshly loaded model set when any ref
 // advanced. A publish landing mid-load just means the next poll swaps
 // again — each swap is internally consistent.
-func maybeReload(st *modelstore.Store, srv *serve.Server, fRef, dRef, aRef string) error {
+func maybeReload(st *modelstore.Store, srv *serve.Server, refs modelRefs, stderr io.Writer) error {
 	curF, curD, curA := srv.ModelIDs()
-	newF, _, err := st.Resolve(fRef)
-	if err != nil {
-		return err
-	}
-	newD, _, err := st.Resolve(dRef)
-	if err != nil {
-		return err
-	}
-	newA, _, err := st.Resolve(aRef)
+	newF, newD, newA, err := refs.ids(st)
 	if err != nil {
 		return err
 	}
 	if newF == curF && newD == curD && newA == curA {
 		return nil
 	}
-	var m serve.Models
-	if m.Forecaster, m.ForecastMeta, err = st.GetForecaster(fRef); err != nil {
+	m, err := refs.load(st)
+	if err != nil {
 		return err
 	}
-	m.ForecastID = newF
-	if m.GBR, m.GBRMeta, err = st.GetGBR(dRef); err != nil {
-		return err
-	}
-	m.GBRID = newD
-	if m.Adv, _, err = st.GetAdvisor(aRef); err != nil {
-		return err
-	}
-	m.AdvisorID = newA
 	if err := srv.Swap(m); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "dfserved: reloaded models (forecast %.12s deviation %.12s advisor %.12s)\n",
-		newF, newD, newA)
+	fmt.Fprintf(stderr, "dfserved: reloaded models (forecast %.12s deviation %.12s advisor %.12s)\n",
+		m.ForecastID, m.GBRID, m.AdvisorID)
 	return nil
 }
 
-func runServe(o options) error {
+func runServe(ctx context.Context, o options, stdout, stderr io.Writer) error {
+	spec := core.ForecastSpec{M: o.m, K: o.k}
+	var err error
+	if spec.Features, err = counters.ParseFeatureSet(o.features); err != nil {
+		return cli.Usagef("-features: %w", err)
+	}
 	// the daemon is always instrumented: /metrics is part of its API
-	reg := telemetry.New()
-	reg.SetRole("dfserved")
-	telemetry.Enable(reg)
-	defer func() {
-		if err := telemetry.Flush(o.telemetry); err != nil {
-			fmt.Fprintf(os.Stderr, "dfserved: %v\n", err)
-		}
-		if err := telemetry.FlushTrace(o.trace); err != nil {
-			fmt.Fprintf(os.Stderr, "dfserved: %v\n", err)
-		}
-	}()
-	ctx, stop := sigctx.WithShutdown(context.Background())
-	defer stop()
+	flush, err := o.tm.StartAlways("dfserved", stderr)
+	if err != nil {
+		return err
+	}
+	defer flush()
 
 	st, err := modelstore.Open(o.store)
 	if err != nil {
 		return err
 	}
-	cfg, err := provision(ctx, o, st)
+	var refs modelRefs
+	refs.forecast, refs.deviation, refs.advisor = daemon.RefNames(o.dataset, o.seed, spec)
+	cfg, err := provision(ctx, o, spec, refs, st, stderr)
 	if err != nil {
 		return err
 	}
 	srv := serve.New(cfg)
 	defer srv.Drain()
 
-	spec := core.ForecastSpec{M: o.m, K: o.k}
-	if spec.Features, err = parseFeatures(o.features); err != nil {
-		return err
-	}
-	fRef, dRef, aRef := refNames(o, spec)
-	stopReload := startReloader(ctx, o, st, srv, fRef, dRef, aRef)
+	stopReload := startReloader(ctx, o, st, srv, refs, stderr)
 	defer stopReload()
 
 	ln, err := net.Listen("tcp", o.addr)
@@ -484,7 +423,7 @@ func runServe(o options) error {
 		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Printf("dfserved: serving %s (m=%d k=%d) on http://%s\n", o.dataset, o.m, o.k, ln.Addr())
+	fmt.Fprintf(stdout, "dfserved: serving %s (m=%d k=%d) on http://%s\n", o.dataset, o.m, o.k, ln.Addr())
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -493,7 +432,7 @@ func runServe(o options) error {
 		return err
 	case <-ctx.Done():
 	}
-	fmt.Fprintln(os.Stderr, "dfserved: draining...")
+	fmt.Fprintln(stderr, "dfserved: draining...")
 	srv.Drain() // in-flight requests complete; new ones get 503
 	shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -501,7 +440,7 @@ func runServe(o options) error {
 		return err
 	}
 	<-errc // Serve has returned http.ErrServerClosed
-	fmt.Fprintln(os.Stderr, "dfserved: drained, bye")
+	fmt.Fprintln(stderr, "dfserved: drained, bye")
 	return nil
 }
 
@@ -541,7 +480,7 @@ type benchBucket struct {
 	Count int64   `json:"count"`
 }
 
-func runLoadgen(o options) error {
+func runLoadgen(o options, stdout, stderr io.Writer) error {
 	base := strings.TrimSuffix(o.target, "/")
 	client := &http.Client{Timeout: 10 * time.Second}
 
@@ -600,7 +539,7 @@ func runLoadgen(o options) error {
 	if o.distinct {
 		mode = "distinct (cache-busting)"
 	}
-	fmt.Fprintf(os.Stderr, "dfserved: loadgen %g rps for %v against %s (%d requests, %s windows)...\n",
+	fmt.Fprintf(stderr, "dfserved: loadgen %g rps for %v against %s (%d requests, %s windows)...\n",
 		o.rps, o.duration, base, total, mode)
 
 	var sent, ok, cached, shed, errs atomic.Int64
@@ -709,13 +648,13 @@ func runLoadgen(o options) error {
 	}
 	blob = append(blob, '\n')
 	if o.out == "" {
-		_, err = os.Stdout.Write(blob)
+		_, err = stdout.Write(blob)
 		return err
 	}
 	if err := os.WriteFile(o.out, blob, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "dfserved: loadgen: %d ok (%d cached, %.0f rps achieved), %d shed, %d errors; p50=%.2gs p99=%.2gs -> %s\n",
+	fmt.Fprintf(stderr, "dfserved: loadgen: %d ok (%d cached, %.0f rps achieved), %d shed, %d errors; p50=%.2gs p99=%.2gs -> %s\n",
 		rep.OK, rep.Cached, rep.AchievedRPS, rep.Shed, rep.Errors,
 		rep.Latency.P50Sec, rep.Latency.P99Sec, o.out)
 	if rep.OK == 0 {

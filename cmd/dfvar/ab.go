@@ -2,10 +2,11 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"strings"
 
+	"dragonvar/internal/cli"
 	"dragonvar/internal/experiments"
 	"dragonvar/internal/routing"
 	"dragonvar/internal/slurm"
@@ -14,8 +15,8 @@ import (
 // cmdAB runs the A/B variability harness: the same seeded campaign rerun
 // under each routing/placement arm, with Figure-3-style run-time
 // distributions and deltas against the first arm.
-func cmdAB(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("ab", flag.ContinueOnError)
+func cmdAB(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("ab", stderr)
 	var c commonFlags
 	addCommon(fs, &c)
 	arms := fs.String("arms", "minimal/firstfit,adaptive/firstfit",
@@ -25,24 +26,24 @@ func cmdAB(ctx context.Context, args []string) error {
 		"rerun each arm serially and assert the campaign bytes match the parallel run")
 	blame := fs.Bool("blame", false,
 		"train the interference advisor on the baseline arm and feed its blamed users to interference arms")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if c.routing != "" || c.placement != "" {
-		return usageError{fmt.Errorf("ab: policies come from -arms, not -routing/-placement")}
+		return cli.Usagef("ab: policies come from -arms, not -routing/-placement")
 	}
 	parsed, err := parseArms(*arms)
 	if err != nil {
-		return usageError{fmt.Errorf("ab: %w", err)}
+		return cli.Usagef("ab: %w", err)
 	}
-	flush, err := c.startTelemetry("dfvar")
+	flush, err := c.tm.Start("dfvar", stderr)
 	if err != nil {
 		return err
 	}
 	defer flush()
 
 	cfg := experiments.ABConfig{
-		Cluster: c.clusterConfig(),
+		Cluster: c.clusterConfig(stderr),
 		Arms:    parsed,
 		Verify:  *verify,
 		Blame:   *blame,
@@ -51,12 +52,12 @@ func cmdAB(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(res.Render())
+	fmt.Fprint(stdout, res.Render())
 	if *out != "" {
 		if err := res.WriteJSON(*out); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *out)
+		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
 	if *verify {
 		for _, ar := range res.Arms {

@@ -12,6 +12,10 @@
 //	    Regenerate artifacts: table1 table2 table3 fig1 fig2 fig3 fig4 fig5
 //	    fig7 fig8 fig9 fig10 fig11 fig12, or "all" (default: the cheap ones).
 //
+//	dfvar calib [-days N] [-seed S] [-cache FILE] [-small] ...
+//	    Summarize the variability the campaign produces (best/mean/worst
+//	    run times, worst-to-best ratio, MPI fraction) against §III-B.
+//
 //	dfvar census [-small]
 //	    Print the machine census (Figure 2) without simulating anything.
 //
@@ -23,7 +27,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,102 +34,70 @@ import (
 	"strings"
 	"time"
 
+	"dragonvar/internal/cli"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/core"
+	"dragonvar/internal/dataset"
 	"dragonvar/internal/dist"
-	"dragonvar/internal/engine"
 	"dragonvar/internal/experiments"
 	"dragonvar/internal/export"
 	"dragonvar/internal/monitor"
 	"dragonvar/internal/routing"
-	"dragonvar/internal/sigctx"
 	"dragonvar/internal/slurm"
-	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+func main() { cli.Main("dfvar", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		usage(stderr)
+		return cli.Usagef("missing command")
 	}
-	// first SIGINT/SIGTERM cancels ctx for a graceful shutdown (in-flight
-	// campaign results are flushed as a partial cache); a second one kills
-	// the process the default way
-	ctx, stop := sigctx.WithShutdown(context.Background())
-	defer stop()
-	var err error
-	switch os.Args[1] {
+	cmd, args := args[0], args[1:]
+	switch cmd {
 	case "campaign":
-		err = cmdCampaign(ctx, os.Args[2:])
+		return cmdCampaign(ctx, args, stdout, stderr)
 	case "worker":
-		err = cmdWorker(ctx, os.Args[2:])
+		return cmdWorker(ctx, args, stderr)
 	case "report":
-		err = cmdReport(ctx, os.Args[2:])
+		return cmdReport(ctx, args, stdout, stderr)
+	case "calib":
+		return cmdCalib(ctx, args, stdout, stderr)
 	case "census":
-		err = cmdCensus(os.Args[2:])
+		return cmdCensus(args, stdout, stderr)
 	case "export":
-		err = cmdExport(ctx, os.Args[2:])
+		return cmdExport(ctx, args, stdout, stderr)
 	case "plot":
-		err = cmdPlot(ctx, os.Args[2:])
+		return cmdPlot(ctx, args, stdout, stderr)
 	case "ab":
-		err = cmdAB(ctx, os.Args[2:])
+		return cmdAB(ctx, args, stdout, stderr)
 	case "trace":
-		err = cmdTrace(os.Args[2:])
+		return cmdTrace(args, stdout, stderr)
 	case "-h", "--help", "help":
-		usage()
+		usage(stderr)
+		return flag.ErrHelp
 	default:
-		fmt.Fprintf(os.Stderr, "dfvar: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dfvar: %v\n", err)
-		if errors.Is(err, context.Canceled) {
-			os.Exit(130) // interrupted, the shell convention
-		}
-		var ue usageError
-		if errors.As(err, &ue) {
-			os.Exit(2)
-		}
-		os.Exit(1)
+		usage(stderr)
+		return cli.Usagef("unknown command %q", cmd)
 	}
 }
 
-// usageError marks bad command-line input so main exits 2 (usage) instead
-// of 1 (runtime failure).
-type usageError struct{ err error }
-
-func (e usageError) Error() string { return e.err.Error() }
-func (e usageError) Unwrap() error { return e.err }
-
-// parseFlags parses with ContinueOnError semantics: -h propagates
-// flag.ErrHelp (exit 0), anything else becomes a wrapped usage error.
-func parseFlags(fs *flag.FlagSet, args []string) error {
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return usageError{fmt.Errorf("%s: %w", fs.Name(), err)}
-	}
-	return nil
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   dfvar campaign [-days N] [-seed S] [-cache FILE] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-trace FILE] [-pprof ADDR] [-monitor FILE|-]
                  [-distribute ADDR] [-dist-checkpoint FILE] [-dist-lease DUR]
   dfvar worker   -join URL [-name NAME] [-telemetry FILE] [-trace FILE] [-pprof ADDR]
-  dfvar report   [-cache FILE] [-days N] [-seed S] [-small] [-fast] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] [-monitor FILE|-] [artifact ...]
+  dfvar report   [-cache FILE] [-days N] [-seed S] [-small] [-fast] [-faults SPEC] [-workers N] [-telemetry FILE] [-trace FILE] [-pprof ADDR] [-monitor FILE|-] [artifact ...]
+  dfvar calib    [-cache FILE] [-days N] [-seed S] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-trace FILE] [-pprof ADDR] [-monitor FILE|-]
   dfvar census   [-small]
   dfvar export   [-cache FILE] [-days N] [-seed S] [-small] -out DIR
   dfvar plot     [-cache FILE] [-days N] [-seed S] [-small] [-fast] -out DIR
   dfvar ab       [-days N] [-seed S] [-small] [-faults SPEC] -arms R/P,R/P[,...] [-out FILE] [-verify] [-blame]
   dfvar trace    [-out FILE.chrome.json] [-json FILE|-] SPANFILE [SPANFILE ...]
 artifacts: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 all
+calib prints per-dataset best/mean/worst run times, the worst-to-best ratio and
+  the MPI time fraction, to check the simulator against the §III-B targets.
 routing policies: minimal, valiant, adaptive (UGAL-style), feedback (stall-EWMA
   biased); placement policies: firstfit, compact, interference. -routing and
   -placement (default $DRAGONVAR_ROUTING / $DRAGONVAR_PLACEMENT) select them for
@@ -151,10 +122,12 @@ fault specs: links=N routers=N drains=N dropouts=N outage=SEC droplen=SEC,
 -distribute ADDR serves a campaign to "dfvar worker" processes instead of
   simulating locally: workers lease runs, crashed or hung workers are detected
   and their work re-dispatched, and with -dist-checkpoint a killed coordinator
-  resumes where it stopped. The result is byte-identical to a local run.`)
+  resumes where it stopped. The result is byte-identical to a local run.
+exit status: 0 ok or -h, 1 runtime error, 2 usage error, 130 interrupted.`)
 }
 
-// commonFlags defines the flags shared by campaign and report.
+// commonFlags defines the flags shared by the campaign-consuming
+// subcommands.
 type commonFlags struct {
 	days      float64
 	seed      int64
@@ -165,9 +138,7 @@ type commonFlags struct {
 	routing   string
 	placement string
 	workers   int
-	telemetry string
-	trace     string
-	pprof     string
+	tm        cli.Telemetry
 	monitor   string
 }
 
@@ -184,31 +155,76 @@ func addCommon(fs *flag.FlagSet, c *commonFlags) {
 	fs.StringVar(&c.placement, "placement", os.Getenv(cluster.EnvPlacement),
 		"placement policy: "+strings.Join(slurm.PlacementPolicyNames(), ", ")+
 			" (default $"+cluster.EnvPlacement+" or firstfit)")
-	fs.IntVar(&c.workers, "workers", 0,
-		"simulation/analysis worker count (0 = $"+engine.EnvWorkers+" or GOMAXPROCS); results are identical for any value")
-	fs.StringVar(&c.telemetry, "telemetry", "",
-		"write a telemetry snapshot (metrics + span trace, docs/OBSERVABILITY.md) to this JSON file on exit")
-	fs.StringVar(&c.trace, "trace", "",
-		`write the span stream to this JSONL file on exit (plus a Chrome trace-event view at FILE`+telemetry.TraceEventsSuffix+`); stitch files from several processes with "dfvar trace"`)
-	fs.StringVar(&c.pprof, "pprof", "",
-		"serve net/http/pprof and a live /telemetry + /metrics endpoint on this address (e.g. localhost:6060)")
+	cli.Workers(fs, &c.workers)
+	c.tm.Register(fs)
 	fs.StringVar(&c.monitor, "monitor", "",
 		`attach the streaming network-weather monitor to the simulation; anomaly events go to this JSONL file ("-" = stderr)`)
+}
+
+// parse parses args into fs and validates -routing/-placement (or their
+// environment defaults) up front, so a typo is a usage error instead of a
+// runtime one.
+func (c *commonFlags) parse(fs *flag.FlagSet, args []string) error {
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if c.routing != "" && !routing.ValidPolicy(c.routing) {
+		return cli.Usagef("unknown routing policy %q (have %s)",
+			c.routing, strings.Join(routing.PolicyNames(), ", "))
+	}
+	if c.placement != "" && !slurm.ValidPlacementPolicy(c.placement) {
+		return cli.Usagef("unknown placement policy %q (have %s)",
+			c.placement, strings.Join(slurm.PlacementPolicyNames(), ", "))
+	}
+	return nil
+}
+
+// withCampaign parses args, starts telemetry and calls fn with the loaded
+// campaign; the telemetry files are written on every return path.
+func (c *commonFlags) withCampaign(ctx context.Context, fs *flag.FlagSet, args []string, stderr io.Writer,
+	fn func(*dataset.Campaign) error) error {
+	if err := c.parse(fs, args); err != nil {
+		return err
+	}
+	flush, err := c.tm.Start("dfvar", stderr)
+	if err != nil {
+		return err
+	}
+	defer flush()
+	camp, err := c.loadCampaign(ctx, stderr)
+	if err != nil {
+		return err
+	}
+	return fn(camp)
+}
+
+// loadCampaign loads the campaign the flags describe from the cache, or
+// simulates it, with the network-weather monitor attached when -monitor
+// was given. The monitor is finished on every return path, so an error or
+// an interrupt still closes its event stream and prints its report.
+func (c commonFlags) loadCampaign(ctx context.Context, stderr io.Writer) (*dataset.Campaign, error) {
+	ccfg := c.clusterConfig(stderr)
+	finish, err := c.attachMonitor(&ccfg, stderr)
+	if err != nil {
+		return nil, err
+	}
+	defer finish()
+	return core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: ccfg, CachePath: c.cache})
 }
 
 // attachMonitor wires a live network-weather monitor into the campaign's
 // cluster config when -monitor was given. Like telemetry it is observation-
 // only: campaign bytes are identical with it on or off. The returned finish
-// prints the weather report to stderr and closes the event stream; call it
-// after the simulation. Without the flag both are cheap no-ops.
-func (c commonFlags) attachMonitor(cfg *cluster.Config) (finish func(), err error) {
+// prints the weather report to stderr and closes the event stream. Without
+// the flag both are cheap no-ops.
+func (c commonFlags) attachMonitor(cfg *cluster.Config, stderr io.Writer) (finish func(), err error) {
 	if c.monitor == "" {
 		return func() {}, nil
 	}
 	var events io.Writer
 	var closer io.Closer
 	if c.monitor == "-" {
-		events = os.Stderr
+		events = stderr
 	} else {
 		f, err := os.Create(c.monitor)
 		if err != nil {
@@ -240,65 +256,22 @@ func (c commonFlags) attachMonitor(cfg *cluster.Config) (finish func(), err erro
 	cfg.Monitor = m
 	return func() {
 		if err := m.Finish(); err != nil {
-			fmt.Fprintf(os.Stderr, "dfvar: monitor: %v\n", err)
+			fmt.Fprintf(stderr, "dfvar: monitor: %v\n", err)
 		}
 		if s := m.Summary(); s.Samples > 0 {
-			fmt.Fprint(os.Stderr, m.Report(5))
+			fmt.Fprint(stderr, m.Report(5))
 		} else {
-			fmt.Fprintln(os.Stderr, "network-weather monitor: no rounds observed (campaign loaded from cache?)")
+			fmt.Fprintln(stderr, "network-weather monitor: no rounds observed (campaign loaded from cache?)")
 		}
 		if closer != nil {
 			if err := closer.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "dfvar: monitor: %v\n", err)
+				fmt.Fprintf(stderr, "dfvar: monitor: %v\n", err)
 			}
 		}
 	}, nil
 }
 
-// startTelemetry installs the process-wide registry when -telemetry,
-// -trace, or -pprof was given, stamped with the process role so stitched
-// multi-process traces attribute spans. It must run before any
-// instrumented component is constructed (handles are captured at
-// construction time), and the returned flush must be deferred so the
-// snapshot and span stream are written on every exit path — including the
-// graceful-cancellation return after SIGINT.
-func (c commonFlags) startTelemetry(role string) (flush func(), err error) {
-	if c.telemetry != "" || c.trace != "" || c.pprof != "" {
-		reg := telemetry.New()
-		reg.SetRole(role)
-		telemetry.Enable(reg)
-	}
-	if c.pprof != "" {
-		if err := telemetry.ServePprof(c.pprof); err != nil {
-			return nil, err
-		}
-	}
-	path, tracePath := c.telemetry, c.trace
-	return func() {
-		if err := telemetry.Flush(path); err != nil {
-			fmt.Fprintf(os.Stderr, "dfvar: %v\n", err)
-		}
-		if err := telemetry.FlushTrace(tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "dfvar: %v\n", err)
-		}
-	}, nil
-}
-
-// checkPolicies validates -routing/-placement (or their environment
-// defaults) up front, so a typo is a usage error instead of a runtime one.
-func (c commonFlags) checkPolicies() error {
-	if c.routing != "" && !routing.ValidPolicy(c.routing) {
-		return usageError{fmt.Errorf("unknown routing policy %q (have %s)",
-			c.routing, strings.Join(routing.PolicyNames(), ", "))}
-	}
-	if c.placement != "" && !slurm.ValidPlacementPolicy(c.placement) {
-		return usageError{fmt.Errorf("unknown placement policy %q (have %s)",
-			c.placement, strings.Join(slurm.PlacementPolicyNames(), ", "))}
-	}
-	return nil
-}
-
-func (c commonFlags) clusterConfig() cluster.Config {
+func (c commonFlags) clusterConfig(stderr io.Writer) cluster.Config {
 	cfg := cluster.Config{Days: c.days, Seed: c.seed, FaultSpec: c.faults, Workers: c.workers}
 	cfg.Net.Routing = c.routing
 	cfg.Placement = c.placement
@@ -307,17 +280,17 @@ func (c commonFlags) clusterConfig() cluster.Config {
 	}
 	cfg.Progress = func(done, total int) {
 		if done%25 == 0 || done == total {
-			fmt.Fprintf(os.Stderr, "\rsimulating runs: %d/%d", done, total)
+			fmt.Fprintf(stderr, "\rsimulating runs: %d/%d", done, total)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
 	return cfg
 }
 
-func cmdCampaign(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+func cmdCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("campaign", stderr)
 	var c commonFlags
 	addCommon(fs, &c)
 	distribute := fs.String("distribute", "",
@@ -326,70 +299,66 @@ func cmdCampaign(ctx context.Context, args []string) error {
 		"spill completed work units to this file so a killed coordinator resumes instead of restarting (removed on success)")
 	distLease := fs.Duration("dist-lease", 0,
 		"distributed work-unit lease duration before re-dispatch (default 2m)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := c.checkPolicies(); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	role := "dfvar"
 	if *distribute != "" {
+		if c.monitor != "" {
+			return cli.Usagef("campaign: -monitor observes local simulation and cannot be combined with -distribute")
+		}
 		role = "coordinator"
 	}
-	flush, err := c.startTelemetry(role)
+	flush, err := c.tm.Start(role, stderr)
 	if err != nil {
 		return err
 	}
 	defer flush()
 
-	ccfg := c.clusterConfig()
 	if *distribute != "" {
-		if c.monitor != "" {
-			return usageError{fmt.Errorf("campaign: -monitor observes local simulation and cannot be combined with -distribute")}
-		}
-		return runDistributed(ctx, c, ccfg, *distribute, *distCheckpoint, *distLease)
+		return runDistributed(ctx, c, *distribute, *distCheckpoint, *distLease, stdout, stderr)
 	}
-	finish, err := c.attachMonitor(&ccfg)
-	if err != nil {
-		return err
-	}
-
 	start := time.Now()
-	camp, err := core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: ccfg, CachePath: c.cache})
+	camp, err := c.loadCampaign(ctx, stderr)
 	if err != nil {
 		return err
 	}
-	finish()
-	fmt.Printf("campaign: %d runs across %d datasets in %v\n",
-		camp.TotalRuns(), len(camp.Datasets), time.Since(start).Round(time.Second))
+	printCampaign(stdout, camp, time.Since(start), "", c.cache)
+	return nil
+}
+
+// printCampaign writes the campaign summary both the local and the
+// distributed path end with.
+func printCampaign(w io.Writer, camp *dataset.Campaign, elapsed time.Duration, how, cache string) {
+	fmt.Fprintf(w, "campaign: %d runs across %d datasets in %v%s\n",
+		camp.TotalRuns(), len(camp.Datasets), elapsed.Round(time.Second), how)
 	for _, ds := range camp.Datasets {
-		fmt.Printf("  %-14s %d runs\n", ds.Name, len(ds.Runs))
+		fmt.Fprintf(w, "  %-14s %d runs\n", ds.Name, len(ds.Runs))
 	}
 	if camp.Faults != "" {
-		fmt.Printf("faults %q: %d requeues, %.2f%% of samples lost to dropouts\n",
+		fmt.Fprintf(w, "faults %q: %d requeues, %.2f%% of samples lost to dropouts\n",
 			camp.Faults, camp.TotalRequeues(), 100*camp.GapFraction())
 	}
-	if c.cache != "" {
-		fmt.Printf("cached to %s\n", c.cache)
+	if cache != "" {
+		fmt.Fprintf(w, "cached to %s\n", cache)
 	}
-	return nil
 }
 
 // runDistributed executes the campaign through the internal/dist
 // coordinator: workers lease units over HTTP, crashes re-dispatch, and the
 // merged result — byte-identical to a local run — lands in the same cache.
-func runDistributed(ctx context.Context, c commonFlags, ccfg cluster.Config, addr, checkpoint string, lease time.Duration) error {
+func runDistributed(ctx context.Context, c commonFlags, addr, checkpoint string, lease time.Duration, stdout, stderr io.Writer) error {
 	co, err := dist.NewCoordinator(dist.Config{
-		Cluster:        ccfg,
+		Cluster:        c.clusterConfig(stderr),
 		Addr:           addr,
 		CheckpointPath: checkpoint,
 		Lease:          lease,
-		Log:            os.Stderr,
+		Log:            stderr,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "coordinating %d work units on %s; join workers with:\n  dfvar worker -join http://%s\n",
+	fmt.Fprintf(stderr, "coordinating %d work units on %s; join workers with:\n  dfvar worker -join http://%s\n",
 		co.NumUnits(), co.Addr(), co.Addr())
 	start := time.Now()
 	camp, err := co.Run(ctx)
@@ -398,53 +367,40 @@ func runDistributed(ctx context.Context, c commonFlags, ccfg cluster.Config, add
 		// completed runs as an inspectable partial cache
 		if camp != nil && camp.Partial && c.cache != "" && camp.TotalRuns() > 0 {
 			if serr := camp.Save(c.cache); serr != nil {
-				fmt.Fprintf(os.Stderr, "dfvar: could not flush partial campaign: %v\n", serr)
+				fmt.Fprintf(stderr, "dfvar: could not flush partial campaign: %v\n", serr)
 			} else {
-				fmt.Fprintf(os.Stderr, "dfvar: interrupted; flushed partial campaign (%d runs) to %s\n",
+				fmt.Fprintf(stderr, "dfvar: interrupted; flushed partial campaign (%d runs) to %s\n",
 					camp.TotalRuns(), c.cache)
 			}
 		}
 		return err
 	}
-	fmt.Printf("campaign: %d runs across %d datasets in %v (distributed)\n",
-		camp.TotalRuns(), len(camp.Datasets), time.Since(start).Round(time.Second))
-	for _, ds := range camp.Datasets {
-		fmt.Printf("  %-14s %d runs\n", ds.Name, len(ds.Runs))
-	}
-	if camp.Faults != "" {
-		fmt.Printf("faults %q: %d requeues, %.2f%% of samples lost to dropouts\n",
-			camp.Faults, camp.TotalRequeues(), 100*camp.GapFraction())
-	}
+	elapsed := time.Since(start)
 	if c.cache != "" {
 		if err := camp.Save(c.cache); err != nil {
 			return fmt.Errorf("cache campaign: %w", err)
 		}
-		fmt.Printf("cached to %s\n", c.cache)
 	}
+	printCampaign(stdout, camp, elapsed, " (distributed)", c.cache)
 	return nil
 }
 
 // cmdWorker joins a coordinator and simulates leased work units until the
 // campaign completes. SIGTERM/SIGINT drain gracefully: the in-flight unit
 // is finished and delivered, no new lease is taken.
-func cmdWorker(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+func cmdWorker(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := cli.NewFlagSet("worker", stderr)
 	join := fs.String("join", "", "coordinator URL, e.g. http://host:9631 (required)")
 	name := fs.String("name", "", "worker label in coordinator logs (default host:pid)")
-	telemetryPath := fs.String("telemetry", "",
-		"write a telemetry snapshot (docs/OBSERVABILITY.md) to this JSON file on exit")
-	tracePath := fs.String("trace", "",
-		`write the span stream to this JSONL file on exit (stitch with "dfvar trace")`)
-	pprofAddr := fs.String("pprof", "",
-		"serve net/http/pprof and live /telemetry + /metrics on this address")
-	if err := parseFlags(fs, args); err != nil {
+	var tm cli.Telemetry
+	tm.Register(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *join == "" {
-		return usageError{errors.New("worker: -join URL is required")}
+		return cli.Usagef("worker: -join URL is required")
 	}
-	c := commonFlags{telemetry: *telemetryPath, trace: *tracePath, pprof: *pprofAddr}
-	flush, err := c.startTelemetry("worker")
+	flush, err := tm.Start("worker", stderr)
 	if err != nil {
 		return err
 	}
@@ -453,17 +409,17 @@ func cmdWorker(ctx context.Context, args []string) error {
 		host, _ := os.Hostname()
 		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	w, err := dist.NewWorker(dist.WorkerConfig{Coord: *join, Name: *name, Log: os.Stderr})
+	w, err := dist.NewWorker(dist.WorkerConfig{Coord: *join, Name: *name, Log: stderr})
 	if err != nil {
 		return err
 	}
 	return w.Run(ctx)
 }
 
-func cmdCensus(args []string) error {
-	fs := flag.NewFlagSet("census", flag.ContinueOnError)
+func cmdCensus(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("census", stderr)
 	small := fs.Bool("small", false, "use the reduced test machine")
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	cfg := topology.Cori()
@@ -475,94 +431,53 @@ func cmdCensus(args []string) error {
 		return err
 	}
 	suite := &experiments.Suite{Clust: &cluster.Cluster{Topo: d}}
-	fmt.Print(suite.Figure2())
+	fmt.Fprint(stdout, suite.Figure2())
 	return nil
 }
 
-func cmdReport(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
+func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("report", stderr)
 	var c commonFlags
 	addCommon(fs, &c)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := c.checkPolicies(); err != nil {
-		return err
-	}
-	flush, err := c.startTelemetry("dfvar")
-	if err != nil {
-		return err
-	}
-	defer flush()
-
-	wanted := fs.Args()
-	if len(wanted) == 0 {
-		wanted = experiments.CheapArtifacts()
-	} else if len(wanted) == 1 && wanted[0] == "all" {
-		wanted = experiments.AllArtifacts()
-	}
-
-	ccfg := c.clusterConfig()
-	finish, err := c.attachMonitor(&ccfg)
-	if err != nil {
-		return err
-	}
-	camp, err := core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: ccfg, CachePath: c.cache})
-	if err != nil {
-		return err
-	}
-	finish()
-	suite := &experiments.Suite{Camp: camp, Seed: c.seed, Fast: c.fast, Workers: c.workers}
-	if experiments.NeedsCluster(wanted) {
-		fmt.Fprintln(os.Stderr, "rebuilding cluster state for fig2/fig12...")
-		cl, err := cluster.New(c.clusterConfig())
+	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign) error {
+		wanted := fs.Args()
+		if len(wanted) == 0 {
+			wanted = experiments.CheapArtifacts()
+		} else if len(wanted) == 1 && wanted[0] == "all" {
+			wanted = experiments.AllArtifacts()
+		}
+		suite := &experiments.Suite{Camp: camp, Seed: c.seed, Fast: c.fast, Workers: c.workers}
+		if experiments.NeedsCluster(wanted) {
+			fmt.Fprintln(stderr, "rebuilding cluster state for fig2/fig12...")
+			cl, err := cluster.New(c.clusterConfig(stderr))
+			if err != nil {
+				return err
+			}
+			suite.Clust = cl
+		}
+		// independent artifacts render concurrently; output order (and
+		// bytes) match rendering them one at a time
+		outs, err := suite.All(ctx, wanted)
 		if err != nil {
 			return err
 		}
-		suite.Clust = cl
-	}
-
-	// independent artifacts render concurrently; output order (and bytes)
-	// match rendering them one at a time
-	outs, err := suite.All(ctx, wanted)
-	if err != nil {
-		return err
-	}
-	for _, out := range outs {
-		fmt.Println(out)
-	}
-	return nil
+		for _, out := range outs {
+			fmt.Fprintln(stdout, out)
+		}
+		return nil
+	})
 }
 
-func cmdExport(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("export", flag.ContinueOnError)
+func cmdExport(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("export", stderr)
 	var c commonFlags
 	addCommon(fs, &c)
 	out := fs.String("out", "csv", "output directory for CSV files")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := c.checkPolicies(); err != nil {
-		return err
-	}
-	flush, err := c.startTelemetry("dfvar")
-	if err != nil {
-		return err
-	}
-	defer flush()
-	ccfg := c.clusterConfig()
-	finish, err := c.attachMonitor(&ccfg)
-	if err != nil {
-		return err
-	}
-	camp, err := core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: ccfg, CachePath: c.cache})
-	if err != nil {
-		return err
-	}
-	finish()
-	if err := export.CampaignToDir(camp, *out); err != nil {
-		return err
-	}
-	fmt.Printf("exported %d datasets to %s/\n", len(camp.Datasets), *out)
-	return nil
+	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign) error {
+		if err := export.CampaignToDir(camp, *out); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "exported %d datasets to %s/\n", len(camp.Datasets), *out)
+		return nil
+	})
 }

@@ -2,59 +2,46 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"dragonvar/internal/cli"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/core"
 	"dragonvar/internal/counters"
+	"dragonvar/internal/dataset"
 	"dragonvar/internal/experiments"
 	"dragonvar/internal/viz"
 )
 
 // cmdPlot renders figure SVGs from a cached campaign.
-func cmdPlot(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("plot", flag.ContinueOnError)
+func cmdPlot(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("plot", stderr)
 	var c commonFlags
 	addCommon(fs, &c)
 	out := fs.String("out", "plots", "output directory for SVG files")
 	fig12 := fs.Bool("fig12", false, "also simulate and plot the Figure 12 long run (slow: rebuilds the cluster)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := c.checkPolicies(); err != nil {
-		return err
-	}
-	flush, err := c.startTelemetry("dfvar")
-	if err != nil {
-		return err
-	}
-	defer flush()
+	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign) error {
+		return plotFigures(camp, c, *out, *fig12, stdout, stderr)
+	})
+}
 
-	ccfg := c.clusterConfig()
-	finish, err := c.attachMonitor(&ccfg)
-	if err != nil {
-		return err
-	}
-	camp, err := core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: ccfg, CachePath: c.cache})
-	if err != nil {
-		return err
-	}
-	finish()
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+// plotFigures writes the figure SVGs of camp into dir.
+func plotFigures(camp *dataset.Campaign, c commonFlags, dir string, fig12 bool, stdout, stderr io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	suite := &experiments.Suite{Camp: camp, Seed: c.seed, Fast: c.fast, Workers: c.workers}
 
 	write := func(name, svg string) error {
-		path := filepath.Join(*out, name)
+		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
 			return err
 		}
-		fmt.Println("wrote", path)
+		fmt.Fprintln(stdout, "wrote", path)
 		return nil
 	}
 
@@ -151,9 +138,9 @@ func cmdPlot(ctx context.Context, args []string) error {
 		return err
 	}
 
-	if *fig12 {
-		fmt.Fprintln(os.Stderr, "rebuilding cluster state for fig12...")
-		cl, err := cluster.New(c.clusterConfig())
+	if fig12 {
+		fmt.Fprintln(stderr, "rebuilding cluster state for fig12...")
+		cl, err := cluster.New(c.clusterConfig(stderr))
 		if err != nil {
 			return err
 		}
@@ -162,10 +149,10 @@ func cmdPlot(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := plotFigure12(*out, segs); err != nil {
+		if err := plotFigure12(dir, segs); err != nil {
 			return err
 		}
-		fmt.Println("wrote", filepath.Join(*out, "fig12-longrun.svg"))
+		fmt.Fprintln(stdout, "wrote", filepath.Join(dir, "fig12-longrun.svg"))
 	}
 
 	// Figure 11: forecast importances

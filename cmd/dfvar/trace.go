@@ -2,10 +2,11 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"dragonvar/internal/cli"
 	"dragonvar/internal/telemetry"
 )
 
@@ -16,17 +17,17 @@ import (
 // worker-compute vs network/retry breakdown. Orphaned spans — a parent
 // recorded in no input file — are flagged, because they usually mean a
 // process's trace file was forgotten.
-func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+func cmdTrace(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("trace", stderr)
 	out := fs.String("out", "",
 		"also write the merged Chrome trace-event view (open in chrome://tracing or Perfetto) to this file")
 	jsonOut := fs.String("json", "",
 		`also write the machine-readable stitch summary to this JSON file ("-" = stdout instead of the report)`)
-	if err := parseFlags(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return usageError{fmt.Errorf("trace: need at least one span file (written by -trace FILE)")}
+		return cli.Usagef("trace: need at least one span file (written by -trace FILE)")
 	}
 	files := make([]*telemetry.TraceFile, 0, fs.NArg())
 	for _, path := range fs.Args() {
@@ -50,16 +51,16 @@ func cmdTrace(args []string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "dfvar: merged trace-event view written to %s\n", *out)
+		fmt.Fprintf(stderr, "dfvar: merged trace-event view written to %s\n", *out)
 	}
 	if *jsonOut != "" {
-		enc := func(f *os.File) error {
-			e := json.NewEncoder(f)
+		enc := func(w io.Writer) error {
+			e := json.NewEncoder(w)
 			e.SetIndent("", "  ")
 			return e.Encode(st.Summary())
 		}
 		if *jsonOut == "-" {
-			return enc(os.Stdout)
+			return enc(stdout)
 		}
 		f, err := os.Create(*jsonOut)
 		if err != nil {
@@ -72,8 +73,8 @@ func cmdTrace(args []string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "dfvar: stitch summary written to %s\n", *jsonOut)
+		fmt.Fprintf(stderr, "dfvar: stitch summary written to %s\n", *jsonOut)
 	}
-	fmt.Print(st.Report())
+	fmt.Fprint(stdout, st.Report())
 	return nil
 }

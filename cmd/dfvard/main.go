@@ -25,172 +25,95 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
+	"dragonvar/internal/cli"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/counters"
 	"dragonvar/internal/daemon"
 	"dragonvar/internal/modelstore"
 	"dragonvar/internal/monitor"
-	"dragonvar/internal/sigctx"
-	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		fmt.Fprintf(os.Stderr, "dfvard: %v\n", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("dfvard", run) }
+
+// monitorFlags are the -monitor* flags.
+type monitorFlags struct {
+	path     string
+	maxBytes int64
+	maxAge   time.Duration
 }
 
-type options struct {
-	state string
-	store string
+func run(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := cli.NewFlagSet("dfvard", stderr)
+	var cfg daemon.Config
+	fs.StringVar(&cfg.StateDir, "state", "dfvard-state", "state directory (stream, checkpoint, publish log)")
+	store := fs.String("store", "models", "model store directory to publish retrained models into")
 
-	seed      int64
-	small     bool
-	fast      bool
-	days      float64
-	faults    string
-	routing   string
-	placement string
-	workers   int
+	fs.Int64Var(&cfg.Seed, "seed", 42, "root seed; the endless workload is a pure function of it")
+	small := fs.Bool("small", false, "use the small test machine instead of the Cori-scale one")
+	fs.BoolVar(&cfg.Fast, "fast", false, "reduced training knobs (fewer epochs, smaller sample caps)")
+	fs.Float64Var(&cfg.EpochDays, "days", 7, "simulated days per campaign epoch")
+	fs.StringVar(&cfg.FaultSpec, "faults", "", `fault spec for every epoch ("links=3,dropouts=2", ...)`)
+	fs.StringVar(&cfg.Routing, "routing", "", "routing policy name (default: the engine default; $"+cluster.EnvRouting+" overrides)")
+	fs.StringVar(&cfg.Placement, "placement", "", "placement policy name (default firstfit; $"+cluster.EnvPlacement+" overrides)")
+	cli.Workers(fs, &cfg.Workers)
 
-	windowRuns int
-	windowSpan float64
+	fs.IntVar(&cfg.WindowRuns, "window-runs", 16, "runs per ingest window (a window seals at this count)")
+	fs.Float64Var(&cfg.WindowSpan, "window-span", 0, "max campaign-clock seconds per window (0 = unbounded)")
 
-	retrainWindows int
-	driftFactor    float64
-	driftWindows   int
-	maxEpochs      int
+	fs.IntVar(&cfg.RetrainEvery, "retrain-windows", 4, "retrain every N sealed windows")
+	fs.Float64Var(&cfg.DriftFactor, "drift-factor", 1.5, "early retrain when live MAPE exceeds this factor of the training MAPE (<=0 disables)")
+	fs.IntVar(&cfg.DriftWindow, "drift-windows", 3, "rolling window (in sealed segments) of the live-MAPE mean")
+	fs.IntVar(&cfg.MaxEpochs, "max-epochs", 0, "stop after N epochs (0 = run until signalled)")
 
-	dataset  string
-	m, k     int
-	features string
+	fs.StringVar(&cfg.Dataset, "dataset", "AMG-128", "dataset whose forecaster is served")
+	fs.IntVar(&cfg.M, "m", 5, "forecast window length (steps)")
+	fs.IntVar(&cfg.K, "k", 2, "forecast horizon (steps)")
+	features := fs.String("features", "", `extra forecast feature groups: "placement,io,sys" (app counters always included)`)
 
-	monitor         string
-	monitorMaxBytes int64
-	monitorMaxAge   time.Duration
+	var mf monitorFlags
+	fs.StringVar(&mf.path, "monitor", "", `stream network-weather + drift events to this JSONL file ("-" = stderr), with rotation`)
+	fs.Int64Var(&mf.maxBytes, "monitor-max-bytes", 64<<20, "rotate the event stream past this size (0 = never)")
+	fs.DurationVar(&mf.maxAge, "monitor-max-age", 0, "rotate the event stream past this age (0 = never)")
 
-	telemetry string
-	trace     string
-	pprof     string
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("dfvard", flag.ContinueOnError)
-	var o options
-	fs.StringVar(&o.state, "state", "dfvard-state", "state directory (stream, checkpoint, publish log)")
-	fs.StringVar(&o.store, "store", "models", "model store directory to publish retrained models into")
-
-	fs.Int64Var(&o.seed, "seed", 42, "root seed; the endless workload is a pure function of it")
-	fs.BoolVar(&o.small, "small", false, "use the small test machine instead of the Cori-scale one")
-	fs.BoolVar(&o.fast, "fast", false, "reduced training knobs (fewer epochs, smaller sample caps)")
-	fs.Float64Var(&o.days, "days", 7, "simulated days per campaign epoch")
-	fs.StringVar(&o.faults, "faults", "", `fault spec for every epoch ("links=3,dropouts=2", ...)`)
-	fs.StringVar(&o.routing, "routing", "", "routing policy name (default: the engine default; $"+cluster.EnvRouting+" overrides)")
-	fs.StringVar(&o.placement, "placement", "", "placement policy name (default firstfit; $"+cluster.EnvPlacement+" overrides)")
-	fs.IntVar(&o.workers, "workers", 0, "concurrent runs per epoch (0 = automatic)")
-
-	fs.IntVar(&o.windowRuns, "window-runs", 16, "runs per ingest window (a window seals at this count)")
-	fs.Float64Var(&o.windowSpan, "window-span", 0, "max campaign-clock seconds per window (0 = unbounded)")
-
-	fs.IntVar(&o.retrainWindows, "retrain-windows", 4, "retrain every N sealed windows")
-	fs.Float64Var(&o.driftFactor, "drift-factor", 1.5, "early retrain when live MAPE exceeds this factor of the training MAPE (<=0 disables)")
-	fs.IntVar(&o.driftWindows, "drift-windows", 3, "rolling window (in sealed segments) of the live-MAPE mean")
-	fs.IntVar(&o.maxEpochs, "max-epochs", 0, "stop after N epochs (0 = run until signalled)")
-
-	fs.StringVar(&o.dataset, "dataset", "AMG-128", "dataset whose forecaster is served")
-	fs.IntVar(&o.m, "m", 5, "forecast window length (steps)")
-	fs.IntVar(&o.k, "k", 2, "forecast horizon (steps)")
-	fs.StringVar(&o.features, "features", "", `extra forecast feature groups: "placement,io,sys" (app counters always included)`)
-
-	fs.StringVar(&o.monitor, "monitor", "", `stream network-weather + drift events to this JSONL file ("-" = stderr), with rotation`)
-	fs.Int64Var(&o.monitorMaxBytes, "monitor-max-bytes", 64<<20, "rotate the event stream past this size (0 = never)")
-	fs.DurationVar(&o.monitorMaxAge, "monitor-max-age", 0, "rotate the event stream past this age (0 = never)")
-
-	fs.StringVar(&o.telemetry, "telemetry", "", "write a metrics snapshot to this file on exit")
-	fs.StringVar(&o.trace, "trace", "", "write collected trace spans to this file on exit")
-	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address")
-	if err := fs.Parse(args); err != nil {
+	var tm cli.Telemetry
+	tm.Register(fs)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-
+	var err error
+	if cfg.Features, err = counters.ParseFeatureSet(*features); err != nil {
+		return cli.Usagef("-features: %w", err)
+	}
 	// Policy env defaults, resolved here like every other CLI.
-	if o.routing == "" {
-		o.routing = os.Getenv(cluster.EnvRouting)
+	if cfg.Routing == "" {
+		cfg.Routing = os.Getenv(cluster.EnvRouting)
 	}
-	if o.placement == "" {
-		o.placement = os.Getenv(cluster.EnvPlacement)
+	if cfg.Placement == "" {
+		cfg.Placement = os.Getenv(cluster.EnvPlacement)
 	}
-
-	// The daemon is always instrumented: its counters are how the smoke
-	// test (and an operator) sees retrains and drift happen.
-	reg := telemetry.New()
-	reg.SetRole("dfvard")
-	telemetry.Enable(reg)
-	defer func() {
-		if err := telemetry.Flush(o.telemetry); err != nil {
-			fmt.Fprintf(os.Stderr, "dfvard: %v\n", err)
-		}
-		if err := telemetry.FlushTrace(o.trace); err != nil {
-			fmt.Fprintf(os.Stderr, "dfvard: %v\n", err)
-		}
-	}()
-	if o.pprof != "" {
-		go func() {
-			if err := telemetry.ServePprof(o.pprof); err != nil {
-				fmt.Fprintf(os.Stderr, "dfvard: pprof: %v\n", err)
-			}
-		}()
+	if *small {
+		cfg.Machine = topology.Small()
 	}
+	cfg.Logf = func(format string, args ...any) { fmt.Fprintf(stderr, "dfvard: "+format+"\n", args...) }
 
-	ctx, stop := sigctx.WithShutdown(context.Background())
-	defer stop()
-
-	st, err := modelstore.Open(o.store)
+	// The daemon is always instrumented: its counters are how the tests
+	// (and an operator) see retrains and drift happen.
+	flush, err := tm.StartAlways("dfvard", stderr)
 	if err != nil {
 		return err
 	}
+	defer flush()
 
-	cfg := daemon.Config{
-		StateDir:     o.state,
-		Store:        st,
-		Seed:         o.seed,
-		Routing:      o.routing,
-		Placement:    o.placement,
-		FaultSpec:    o.faults,
-		EpochDays:    o.days,
-		WindowRuns:   o.windowRuns,
-		WindowSpan:   o.windowSpan,
-		RetrainEvery: o.retrainWindows,
-		DriftFactor:  o.driftFactor,
-		DriftWindow:  o.driftWindows,
-		Dataset:      o.dataset,
-		M:            o.m,
-		K:            o.k,
-		Fast:         o.fast,
-		MaxEpochs:    o.maxEpochs,
-		Workers:      o.workers,
-		Logf:         func(format string, args ...any) { fmt.Fprintf(os.Stderr, "dfvard: "+format+"\n", args...) },
-	}
-	if o.small {
-		cfg.Machine = topology.Small()
-	}
-	if cfg.Features, err = parseFeatures(o.features); err != nil {
+	if cfg.Store, err = modelstore.Open(*store); err != nil {
 		return err
 	}
-
-	mon, finishMonitor, err := attachMonitor(o)
+	mon, finishMonitor, err := attachMonitor(mf, *small, stderr)
 	if err != nil {
 		return err
 	}
@@ -203,17 +126,17 @@ func run(args []string) error {
 	}
 	defer d.Close()
 
-	fmt.Fprintf(os.Stderr, "dfvard: state=%s store=%s seed=%d (%g days/epoch, retrain every %d windows of %d runs)\n",
-		o.state, o.store, o.seed, o.days, o.retrainWindows, o.windowRuns)
+	fmt.Fprintf(stderr, "dfvard: state=%s store=%s seed=%d (%g days/epoch, retrain every %d windows of %d runs)\n",
+		cfg.StateDir, *store, cfg.Seed, cfg.EpochDays, cfg.RetrainEvery, cfg.WindowRuns)
 
 	err = d.Run(ctx)
 	epoch, sealed, retrains, drift := d.Progress()
-	fmt.Fprintf(os.Stderr, "dfvard: %d epochs, %d windows sealed, %d retrains (%d drift-triggered)\n",
+	fmt.Fprintf(stderr, "dfvard: %d epochs, %d windows sealed, %d retrains (%d drift-triggered)\n",
 		epoch, sealed, retrains, drift)
 	if err != nil && errors.Is(err, context.Canceled) {
 		// A signal is the normal way to stop a daemon; all state is
 		// checkpointed, so the next start continues exactly here.
-		fmt.Fprintln(os.Stderr, "dfvard: checkpointed, bye")
+		fmt.Fprintln(stderr, "dfvard: checkpointed, bye")
 		return nil
 	}
 	return err
@@ -222,16 +145,16 @@ func run(args []string) error {
 // attachMonitor builds the live monitor when -monitor was given: network
 // weather plus the daemon's drift events, written as JSONL through a
 // size/age-rotated file ("-" streams to stderr, unrotated).
-func attachMonitor(o options) (*monitor.Monitor, func(), error) {
-	if o.monitor == "" {
+func attachMonitor(mf monitorFlags, small bool, stderr io.Writer) (*monitor.Monitor, func(), error) {
+	if mf.path == "" {
 		return nil, func() {}, nil
 	}
 	var events io.Writer
 	var closer io.Closer
-	if o.monitor == "-" {
-		events = os.Stderr
+	if mf.path == "-" {
+		events = stderr
 	} else {
-		w, err := monitor.NewRotatingWriter(o.monitor, o.monitorMaxBytes, o.monitorMaxAge)
+		w, err := monitor.NewRotatingWriter(mf.path, mf.maxBytes, mf.maxAge)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -239,7 +162,7 @@ func attachMonitor(o options) (*monitor.Monitor, func(), error) {
 		closer = w
 	}
 	topo := topology.Cori()
-	if o.small {
+	if small {
 		topo = topology.Small()
 	}
 	// DetectTimeGaps stays off: parallel campaign rounds interleave runs
@@ -260,36 +183,13 @@ func attachMonitor(o options) (*monitor.Monitor, func(), error) {
 	}
 	finish := func() {
 		if err := m.Finish(); err != nil {
-			fmt.Fprintf(os.Stderr, "dfvard: monitor: %v\n", err)
+			fmt.Fprintf(stderr, "dfvard: monitor: %v\n", err)
 		}
 		if closer != nil {
 			if err := closer.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "dfvard: monitor: %v\n", err)
+				fmt.Fprintf(stderr, "dfvard: monitor: %v\n", err)
 			}
 		}
 	}
 	return m, finish, nil
-}
-
-// parseFeatures maps the -features flag onto a counters.FeatureSet, the
-// same grammar dfserved uses so the two daemons meet on the same refs.
-func parseFeatures(s string) (counters.FeatureSet, error) {
-	var f counters.FeatureSet
-	if s == "" {
-		return f, nil
-	}
-	for _, tok := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == '+' || r == ' ' }) {
-		switch tok {
-		case "app": // always on
-		case "placement":
-			f.Placement = true
-		case "io":
-			f.IO = true
-		case "sys":
-			f.Sys = true
-		default:
-			return f, fmt.Errorf("unknown feature group %q (want placement, io, sys)", tok)
-		}
-	}
-	return f, nil
 }

@@ -1,11 +1,11 @@
-// Package sigctx centralizes the shutdown-signal contract shared by every
-// command in the repository: the first SIGINT or SIGTERM cancels the
-// returned context for a graceful shutdown (campaigns flush partial
-// caches, daemons drain in-flight requests, distributed workers finish
-// their in-flight unit), and a second signal force-exits the process —
-// an operator pressing Ctrl-C twice means "now", not "whenever the drain
-// finishes".
-package sigctx
+package cli
+
+// The shutdown-signal contract shared by every command in the repository:
+// the first SIGINT or SIGTERM cancels the returned context for a graceful
+// shutdown (campaigns flush partial caches, daemons drain in-flight
+// requests, distributed workers finish their in-flight unit), and a second
+// signal force-exits the process — an operator pressing Ctrl-C twice means
+// "now", not "whenever the drain finishes".
 
 import (
 	"context"
@@ -15,9 +15,8 @@ import (
 	"syscall"
 )
 
-// forcedExitCode is what the process exits with on the second signal:
-// 128+SIGINT, the convention shells use for signal-terminated commands.
-const forcedExitCode = 130
+// forcedExitCode is what the process exits with on the second signal.
+const forcedExitCode = ExitInterrupted
 
 // exitFn is swapped out by tests so the second-signal path can be
 // exercised without killing the test process. Guarded by exitMu.

@@ -1,4 +1,4 @@
-package sigctx
+package cli
 
 import (
 	"context"

@@ -9,6 +9,7 @@ package counters
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"dragonvar/internal/topology"
 )
@@ -288,6 +289,27 @@ func (f FeatureSet) String() string {
 		s += " + sys"
 	}
 	return s
+}
+
+// ParseFeatureSet parses the CLIs' -features grammar: feature group names
+// separated by commas, '+' or spaces, e.g. "placement,io" or
+// "app + sys". "app" is accepted and always on; "" is app only.
+func ParseFeatureSet(s string) (FeatureSet, error) {
+	var f FeatureSet
+	for _, tok := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == '+' || r == ' ' }) {
+		switch tok {
+		case "app":
+		case "placement":
+			f.Placement = true
+		case "io":
+			f.IO = true
+		case "sys":
+			f.Sys = true
+		default:
+			return FeatureSet{}, fmt.Errorf("unknown feature group %q (want placement, io, sys)", tok)
+		}
+	}
+	return f, nil
 }
 
 // Names returns the feature names of the set, in model column order:

@@ -219,3 +219,31 @@ func TestSampleIntoAndDeltaInto(t *testing.T) {
 		}
 	}
 }
+
+func TestParseFeatureSet(t *testing.T) {
+	cases := []struct {
+		in   string
+		want FeatureSet
+		err  bool
+	}{
+		{in: "", want: FeatureSet{}},
+		{in: "app", want: FeatureSet{}},
+		{in: "placement", want: FeatureSet{Placement: true}},
+		{in: "placement,io", want: FeatureSet{Placement: true, IO: true}},
+		{in: "app + sys", want: FeatureSet{Sys: true}},
+		{in: "io+sys placement", want: FeatureSet{Placement: true, IO: true, Sys: true}},
+		{in: ",,io,", want: FeatureSet{IO: true}},
+		{in: "placement,bogus", err: true},
+		{in: "IO", err: true},
+	}
+	for _, c := range cases {
+		got, err := ParseFeatureSet(c.in)
+		if (err != nil) != c.err {
+			t.Errorf("ParseFeatureSet(%q) error = %v, want error %t", c.in, err, c.err)
+			continue
+		}
+		if !c.err && got != c.want {
+			t.Errorf("ParseFeatureSet(%q) = %+v, want %+v", c.in, got, c.want)
+		}
+	}
+}
