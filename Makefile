@@ -5,7 +5,7 @@ CACHE ?= testdata/campaign.gob
 DAYS ?= 130
 SEED ?= 42
 
-.PHONY: all build test vet race fuzz lint-docs verify bench bench-engine bench-serve campaign report plots csv clean
+.PHONY: all build test vet race fuzz lint-docs verify bench campaign report plots csv clean
 
 all: build vet test
 
@@ -52,21 +52,6 @@ verify: build vet lint-docs test race
 # campaign (generated on first run, ~5 minutes).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Execution-engine benchmark: same campaign serial vs parallel, verifies
-# byte-identical output, appends per-policy rows to BENCH_engine.json (the
-# default adaptive/firstfit pair plus the minimal-routing baseline).
-# Speedup tracks the host's core count (a 1-CPU container reports ~1.0x by
-# construction).
-bench-engine:
-	$(GO) run ./cmd/dfbench -days 30 -seed $(SEED) -workers 4 -out BENCH_engine.json
-	$(GO) run ./cmd/dfbench -days 30 -seed $(SEED) -workers 4 -routing minimal -out BENCH_engine.json
-
-# Serving benchmark: train a small model set, start dfserved, drive it at
-# a target rate with the built-in load generator (RPS/DURATION env vars to
-# tune), drain with SIGTERM, write BENCH_serve.json.
-bench-serve:
-	sh scripts/bench_serve.sh
 
 # Simulate the four-month controlled-experiment campaign.
 campaign:

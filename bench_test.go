@@ -12,12 +12,17 @@
 package dragonvar
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"dragonvar/internal/advisor"
 	"dragonvar/internal/apps"
@@ -473,9 +478,10 @@ func benchRoundFlows(b *testing.B, d *topology.Dragonfly) []netsim.Flow {
 }
 
 // BenchmarkNetsimRound times one simulation round per routing policy over
-// pre-resolved routes — the campaign's hot path. The serial round-loop
-// throughput numbers in docs/PERFORMANCE.md and the BENCH_engine.json
-// ledger come from this workload shape.
+// pre-resolved routes — the campaign's hot path, on the fixed 256-flow
+// workload whose history docs/PERFORMANCE.md tables. It carries no
+// background, so it says nothing about a whole campaign; perfbench's
+// `campaign` workload does.
 func BenchmarkNetsimRound(b *testing.B) {
 	for _, pol := range []string{"adaptive", "minimal"} {
 		b.Run(pol, func(b *testing.B) {
@@ -494,6 +500,77 @@ func BenchmarkNetsimRound(b *testing.B) {
 				n.RunRoundRouted(flows, routed, nil, 1.0)
 			}
 			reportMetric(b, float64(len(flows)), "flows")
+		})
+	}
+}
+
+// campaignAnchors are the JSON content hashes of the small 30-day seed-42
+// firstfit campaign that TestCampaignContentGolden pins in internal/cluster.
+var campaignAnchors = map[string]string{
+	"adaptive": "a836983eb2f81861",
+	"minimal":  "323932e6963e0e2e",
+}
+
+// BenchmarkCampaignSpeedup runs the anchored campaign (small machine, 30
+// days, seed 42, firstfit) with 1 worker and with 4 in every iteration. Every
+// campaign must hash like the first one and like its anchor: serial equals
+// parallel, repeats equal each other, and the content has not moved. It
+// reports the mean serial and parallel campaign times and their ratio, and
+// on a host with more than one CPU fails when the parallel campaign is
+// slower than the serial one.
+func BenchmarkCampaignSpeedup(b *testing.B) {
+	for _, pol := range []string{"adaptive", "minimal"} {
+		b.Run(pol, func(b *testing.B) {
+			cfg := cluster.Config{Machine: topology.Small(), Days: 30, Seed: benchSeed, Placement: "firstfit"}
+			cfg.Net.Routing = pol
+			var first [32]byte
+			var serial, parallel float64
+			for i := 0; i < b.N; i++ {
+				for _, workers := range []int{1, 4} {
+					b.StopTimer()
+					cfg.Workers = workers
+					c, err := cluster.New(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					start := time.Now()
+					camp, err := c.RunCampaign()
+					if err != nil {
+						b.Fatal(err)
+					}
+					sec := time.Since(start).Seconds()
+					b.StopTimer()
+					blob, err := json.Marshal(camp)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sum := sha256.Sum256(blob)
+					if i == 0 && workers == 1 {
+						first = sum
+						if got := hex.EncodeToString(sum[:8]); got != campaignAnchors[pol] {
+							b.Fatalf("%s campaign content hash = %s, want anchor %s", pol, got, campaignAnchors[pol])
+						}
+					} else if sum != first {
+						b.Fatalf("%s campaign at %d workers, iteration %d, differs from the first", pol, workers, i)
+					}
+					if workers == 1 {
+						serial += sec
+					} else {
+						parallel += sec
+					}
+					b.StartTimer()
+				}
+			}
+			serial /= float64(b.N)
+			parallel /= float64(b.N)
+			speedup := serial / parallel
+			reportMetric(b, serial, "serial_s")
+			reportMetric(b, parallel, "parallel_s")
+			reportMetric(b, speedup, "speedup")
+			if cpus := runtime.NumCPU(); cpus > 1 && speedup < 1 {
+				b.Fatalf("%s: 4 workers %.2fx as fast as 1 on %d CPUs, want >= 1", pol, speedup, cpus)
+			}
 		})
 	}
 }

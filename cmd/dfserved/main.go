@@ -15,28 +15,19 @@
 //	    models when a publisher (dfvard) advances them; SIGHUP forces
 //	    one poll immediately.
 //
-//	dfserved -loadgen [-target URL] [-rps N] [-duration D] [-distinct] [-out FILE]
-//	    Drive a running daemon at a target request rate and write a
-//	    latency-histogram benchmark report (make bench-serve). -distinct
-//	    gives every request a unique window, measuring the uncached path.
-//
 //	dfserved -list [-store DIR]
 //	    Print every model ref in the store.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -48,18 +39,14 @@ import (
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/modelstore"
 	"dragonvar/internal/nn"
-	"dragonvar/internal/rng"
 	"dragonvar/internal/serve"
-	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
 func main() { cli.Main("dfserved", run) }
 
 type options struct {
-	// modes
-	loadgen bool
-	list    bool
+	list bool
 
 	// serving
 	addr           string
@@ -79,21 +66,11 @@ type options struct {
 	small  bool
 	fast   bool
 	faults string
-
-	// load generator
-	target   string
-	rps      float64
-	duration time.Duration
-	workers  int
-	pool     int
-	distinct bool
-	out      string
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("dfserved", stderr)
 	var o options
-	fs.BoolVar(&o.loadgen, "loadgen", false, "run as a load generator against -target instead of serving")
 	fs.BoolVar(&o.list, "list", false, "list the model store's refs and exit")
 
 	fs.StringVar(&o.addr, "addr", "localhost:8600", "listen address (port 0 picks a free port)")
@@ -119,29 +96,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.BoolVar(&o.fast, "fast", false, "faster, less accurate training settings")
 	fs.StringVar(&o.faults, "faults", "", "fault-injection spec for campaign generation (see DESIGN.md)")
 
-	fs.StringVar(&o.target, "target", "http://localhost:8600", "loadgen: base URL of the daemon")
-	fs.Float64Var(&o.rps, "rps", 500, "loadgen: target requests per second")
-	fs.DurationVar(&o.duration, "duration", 10*time.Second, "loadgen: how long to drive load")
-	fs.IntVar(&o.workers, "workers", 64, "loadgen: concurrent request workers")
-	fs.IntVar(&o.pool, "pool", 64, "loadgen: distinct request windows (reuse exercises the cache)")
-	fs.BoolVar(&o.distinct, "distinct", false,
-		"loadgen: use a fresh window for every request (cache-busting: measures the uncached model path)")
-	fs.StringVar(&o.out, "out", "", "loadgen: write the JSON report here (default stdout)")
-
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return cli.Usagef("unexpected argument %q", fs.Arg(0))
 	}
-	switch {
-	case o.list:
+	if o.list {
 		return runList(o, stdout)
-	case o.loadgen:
-		return runLoadgen(o, stdout, stderr)
-	default:
-		return runServe(ctx, o, stdout, stderr)
 	}
+	return runServe(ctx, o, stdout, stderr)
 }
 
 func runList(o options, stdout io.Writer) error {
@@ -441,224 +405,5 @@ func runServe(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	}
 	<-errc // Serve has returned http.ErrServerClosed
 	fmt.Fprintln(stderr, "dfserved: drained, bye")
-	return nil
-}
-
-// --- load generator ---
-
-// specProbe is the slice of /v1/spec the generator needs.
-type specProbe struct {
-	M              int      `json:"m"`
-	WindowFeatures []string `json:"window_features"`
-}
-
-// benchReport is the BENCH_serve.json schema.
-type benchReport struct {
-	Target      string  `json:"target"`
-	TargetRPS   float64 `json:"target_rps"`
-	DurationSec float64 `json:"duration_seconds"`
-	Distinct    bool    `json:"distinct,omitempty"` // cache-busting mode: every window unique
-	Sent        int64   `json:"sent"`
-	OK          int64   `json:"ok"`
-	Cached      int64   `json:"cached"`
-	Shed        int64   `json:"shed"`
-	Errors      int64   `json:"errors"`
-	AchievedRPS float64 `json:"achieved_rps"`
-
-	Latency struct {
-		MeanSec float64 `json:"mean"`
-		P50Sec  float64 `json:"p50"`
-		P90Sec  float64 `json:"p90"`
-		P99Sec  float64 `json:"p99"`
-		MaxSec  float64 `json:"max"`
-	} `json:"latency_seconds"`
-	Histogram []benchBucket `json:"latency_histogram"`
-}
-
-type benchBucket struct {
-	LE    float64 `json:"le"` // upper bound in seconds; +Inf bucket omitted
-	Count int64   `json:"count"`
-}
-
-func runLoadgen(o options, stdout, stderr io.Writer) error {
-	base := strings.TrimSuffix(o.target, "/")
-	client := &http.Client{Timeout: 10 * time.Second}
-
-	resp, err := client.Get(base + "/v1/spec")
-	if err != nil {
-		return fmt.Errorf("probe %s/v1/spec: %w", base, err)
-	}
-	var spec specProbe
-	err = json.NewDecoder(resp.Body).Decode(&spec)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("probe %s/v1/spec: %w", base, err)
-	}
-	if spec.M <= 0 || len(spec.WindowFeatures) == 0 {
-		return fmt.Errorf("daemon at %s serves no forecaster (spec: m=%d, %d features)",
-			base, spec.M, len(spec.WindowFeatures))
-	}
-
-	if o.rps <= 0 {
-		return fmt.Errorf("-rps must be positive")
-	}
-	interval := time.Duration(float64(time.Second) / o.rps)
-	total := int(o.rps * o.duration.Seconds())
-
-	// a fixed pool of synthetic windows: distinct enough to exercise the
-	// model, reused enough to exercise the cache. -distinct gives every
-	// request its own window instead, so no request can be answered from
-	// the prediction cache — the uncached model path under load.
-	if o.pool <= 0 {
-		o.pool = 64
-	}
-	if o.distinct {
-		o.pool = total
-	}
-	// distinct mode draws from its own stream so its windows never collide
-	// with a pooled run's against the same daemon (same seed, shared RNG
-	// prefix would re-hit the cache for the first -pool requests)
-	label := "loadgen"
-	if o.distinct {
-		label = "loadgen-distinct"
-	}
-	s := rng.NewLabeled(o.seed, label)
-	payloads := make([][]byte, o.pool)
-	for i := range payloads {
-		w := make([][]float64, spec.M)
-		for st := range w {
-			row := make([]float64, len(spec.WindowFeatures))
-			for j := range row {
-				row[j] = s.Float64() * 4
-			}
-			w[st] = row
-		}
-		payloads[i], _ = json.Marshal(map[string]any{"window": w})
-	}
-	mode := "cached"
-	if o.distinct {
-		mode = "distinct (cache-busting)"
-	}
-	fmt.Fprintf(stderr, "dfserved: loadgen %g rps for %v against %s (%d requests, %s windows)...\n",
-		o.rps, o.duration, base, total, mode)
-
-	var sent, ok, cached, shed, errs atomic.Int64
-	lats := make([]float64, 0, total)
-	var latMu sync.Mutex
-
-	work := make(chan []byte, o.workers)
-	var wg sync.WaitGroup
-	for w := 0; w < o.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for payload := range work {
-				t0 := time.Now()
-				resp, err := client.Post(base+"/v1/forecast", "application/json",
-					strings.NewReader(string(payload)))
-				lat := time.Since(t0).Seconds()
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				var fr struct {
-					Cached bool `json:"cached"`
-				}
-				json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&fr)
-				resp.Body.Close()
-				switch {
-				case resp.StatusCode == http.StatusOK:
-					ok.Add(1)
-					if fr.Cached {
-						cached.Add(1)
-					}
-					latMu.Lock()
-					lats = append(lats, lat)
-					latMu.Unlock()
-				case resp.StatusCode == http.StatusTooManyRequests ||
-					resp.StatusCode == http.StatusServiceUnavailable:
-					shed.Add(1)
-				default:
-					errs.Add(1)
-				}
-			}
-		}()
-	}
-
-	start := time.Now()
-	tick := time.NewTicker(interval)
-	for i := 0; i < total; i++ {
-		<-tick.C
-		select {
-		case work <- payloads[i%len(payloads)]:
-			sent.Add(1)
-		default:
-			// all workers busy and the hand-off buffer is full: the target
-			// can't absorb the offered rate; count it against the generator
-			shed.Add(1)
-		}
-	}
-	tick.Stop()
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	rep := benchReport{
-		Target:      base,
-		TargetRPS:   o.rps,
-		DurationSec: o.duration.Seconds(),
-		Distinct:    o.distinct,
-		Sent:        sent.Load(),
-		OK:          ok.Load(),
-		Cached:      cached.Load(),
-		Shed:        shed.Load(),
-		Errors:      errs.Load(),
-	}
-	if elapsed > 0 {
-		rep.AchievedRPS = float64(ok.Load()) / elapsed
-	}
-	sort.Float64s(lats)
-	if n := len(lats); n > 0 {
-		var sum float64
-		for _, l := range lats {
-			sum += l
-		}
-		rep.Latency.MeanSec = sum / float64(n)
-		rep.Latency.P50Sec = lats[n/2]
-		rep.Latency.P90Sec = lats[min(n-1, n*90/100)]
-		rep.Latency.P99Sec = lats[min(n-1, n*99/100)]
-		rep.Latency.MaxSec = lats[n-1]
-	}
-	rep.Histogram = make([]benchBucket, len(telemetry.LatencyBuckets))
-	for i, le := range telemetry.LatencyBuckets {
-		rep.Histogram[i].LE = le
-	}
-	for _, l := range lats {
-		for i, le := range telemetry.LatencyBuckets {
-			if l <= le {
-				rep.Histogram[i].Count++
-				break
-			}
-		}
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if o.out == "" {
-		_, err = stdout.Write(blob)
-		return err
-	}
-	if err := os.WriteFile(o.out, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "dfserved: loadgen: %d ok (%d cached, %.0f rps achieved), %d shed, %d errors; p50=%.2gs p99=%.2gs -> %s\n",
-		rep.OK, rep.Cached, rep.AchievedRPS, rep.Shed, rep.Errors,
-		rep.Latency.P50Sec, rep.Latency.P99Sec, o.out)
-	if rep.OK == 0 {
-		return fmt.Errorf("no request succeeded")
-	}
 	return nil
 }

@@ -11,12 +11,15 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dragonvar/internal/cli"
 	"dragonvar/internal/daemon"
 	"dragonvar/internal/modelstore"
+	"dragonvar/internal/rng"
 	"dragonvar/internal/topology"
 )
 
@@ -165,7 +168,7 @@ func getJSON(t *testing.T, url string) map[string]any {
 // TestServeSmoke trains a tiny model set, exercises every endpoint,
 // requires a cache hit on a repeated forecast, the per-endpoint counters
 // on /metrics and a traceparent header, drains gracefully, and then
-// drives a fresh daemon with both load-generator passes.
+// offers a fresh daemon a pooled and a distinct-window load.
 func TestServeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-small", "-fast", "-days", "2",
@@ -224,36 +227,115 @@ func TestServeSmoke(t *testing.T) {
 	}
 	srv.drain(t)
 
-	// load generator against a fresh daemon that loads the stored models
+	// offered load against a fresh daemon that loads the stored models
 	srv = startServer(t, base...)
-	url = srv.url
 	for _, distinct := range []bool{false, true} {
-		out := filepath.Join(dir, "bench.json")
-		args := []string{"-loadgen", "-target", url, "-rps", "500", "-duration", "5s", "-out", out}
-		if distinct {
-			// cache-busting pass: every window unique, so this measures the
-			// uncached model path and must never be answered from the LRU
-			args = append(args, "-distinct")
+		// the distinct pass gives every request its own window, so it
+		// measures the uncached model path and must never hit the LRU
+		rep := offerLoad(t, srv.url, distinct)
+		if rep.errors.Load() != 0 || rep.ok.Load() == 0 || rep.ok.Load() != rep.sent.Load() {
+			t.Errorf("load (distinct=%t): %d errors, %d ok of %d sent, %d shed", distinct,
+				rep.errors.Load(), rep.ok.Load(), rep.sent.Load(), rep.shed.Load())
 		}
-		if _, stderr, err := runCLI(args...); err != nil {
-			t.Fatalf("loadgen: %v\n%s", err, stderr)
-		}
-		blob, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep benchReport
-		if err := json.Unmarshal(blob, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if rep.Errors != 0 || rep.OK != rep.Sent {
-			t.Errorf("loadgen (distinct=%t): %d errors, %d ok of %d sent", distinct, rep.Errors, rep.OK, rep.Sent)
-		}
-		if distinct && (rep.Cached != 0 || !rep.Distinct) {
-			t.Errorf("distinct loadgen: cached = %d, distinct = %t", rep.Cached, rep.Distinct)
+		if distinct && rep.cached.Load() != 0 {
+			t.Errorf("distinct load: cached = %d", rep.cached.Load())
 		}
 	}
 	srv.drain(t)
+}
+
+// loadReport counts the outcomes of one offerLoad pass.
+type loadReport struct {
+	sent, ok, cached, shed, errors atomic.Int64
+}
+
+// offerLoad drives /v1/forecast at 500 requests per second for 5 s from 64
+// workers. Each tick hands one request to an idle worker; when every worker
+// is busy the request is counted as shed instead. The windows are shaped
+// by /v1/spec and drawn from a seeded stream: a pool of 64 reused windows,
+// or with distinct one window per request from a stream of its own, so a
+// distinct pass never repeats a pooled window.
+func offerLoad(t *testing.T, url string, distinct bool) *loadReport {
+	t.Helper()
+	const (
+		rps      = 500
+		duration = 5 * time.Second
+		workers  = 64
+		pool     = 64
+	)
+	spec := getJSON(t, url+"/v1/spec")
+	m, _ := spec["m"].(float64)
+	features, _ := spec["window_features"].([]any)
+	if m <= 0 || len(features) == 0 {
+		t.Fatalf("daemon serves no forecaster (spec %v)", spec)
+	}
+	total := int(rps * duration.Seconds())
+	label, n := "loadgen", pool
+	if distinct {
+		label, n = "loadgen-distinct", total
+	}
+	s := rng.NewLabeled(42, label)
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		w := make([][]float64, int(m))
+		for st := range w {
+			w[st] = make([]float64, len(features))
+			for j := range w[st] {
+				w[st][j] = s.Float64() * 4
+			}
+		}
+		payloads[i], _ = json.Marshal(map[string]any{"window": w})
+	}
+
+	rep := &loadReport{}
+	client := &http.Client{Timeout: 10 * time.Second}
+	// a request is shed only once every worker is busy and a further
+	// workers requests wait for one
+	work := make(chan []byte, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for payload := range work {
+				resp, err := client.Post(url+"/v1/forecast", "application/json", bytes.NewReader(payload))
+				if err != nil {
+					rep.errors.Add(1)
+					continue
+				}
+				var fr struct {
+					Cached bool `json:"cached"`
+				}
+				json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&fr)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					rep.ok.Add(1)
+					if fr.Cached {
+						rep.cached.Add(1)
+					}
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					rep.shed.Add(1)
+				default:
+					rep.errors.Add(1)
+				}
+			}
+		}()
+	}
+	tick := time.NewTicker(time.Second / rps)
+	for i := 0; i < total; i++ {
+		<-tick.C
+		select {
+		case work <- payloads[i%len(payloads)]:
+			rep.sent.Add(1)
+		default:
+			rep.shed.Add(1)
+		}
+	}
+	tick.Stop()
+	close(work)
+	wg.Wait()
+	return rep
 }
 
 // TestHotReload: a running replica picks up models a continuous-operation

@@ -415,10 +415,7 @@ type localExecutor struct {
 func (e *localExecutor) ExecuteRound(ctx context.Context, pending []int, _ []PlanOverride, completed func()) ([]UnitOutcome, error) {
 	c := e.c
 	outs := make([]UnitOutcome, len(pending))
-	// runs are milliseconds each, so batch the handout into super-units;
-	// results depend only on the unit index, never on the batching
-	batch := engine.Batch(len(pending), len(e.sws))
-	err := engine.MapBatch(ctx, len(e.sws), len(pending), batch, func(_ context.Context, wkr, k int) error {
+	err := engine.Map(ctx, len(e.sws), len(pending), func(_ context.Context, wkr, k int) error {
 		if e.sws[wkr] == nil {
 			e.sws[wkr] = c.newSimWorker()
 		}

@@ -24,6 +24,10 @@ import (
 // valid prefix. A damaged header is treated as a fresh file; a header
 // mismatch — different campaign — is a hard error, not a silent restart.
 
+// The checkpoint's wire types are pinned so its bytes do not depend on the
+// gob work a coordinator did before opening it.
+func init() { framelog.PinGob(checkpointHeader{}, checkpointRecord{}) }
+
 // checkpointHeader is the first frame of every checkpoint file.
 type checkpointHeader struct {
 	Version    int

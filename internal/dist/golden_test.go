@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -125,5 +127,29 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 	}
 	if g, w := sha256.Sum256(got), sha256.Sum256(want); g != w {
 		t.Fatalf("rewritten checkpoint differs from the golden file (sha256 %x, want %x)", g, w)
+	}
+}
+
+// TestGoldenCheckpointBytesAfterGobWork writes the golden checkpoint in this
+// process after gob has assigned a type id to an unrelated type: the
+// checkpoint's own type ids are pinned at init, so the bytes must still be
+// the golden file's.
+func TestGoldenCheckpointBytesAfterGobWork(t *testing.T) {
+	type unrelated struct{ A, B int }
+	if err := gob.NewEncoder(io.Discard).Encode(unrelated{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), filepath.Base(goldenCheckpointPath))
+	goldenCheckpoint(t, path)
+	want, err := os.ReadFile(goldenCheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint written after unrelated gob work differs from the golden file (%d bytes, want %d)", len(got), len(want))
 	}
 }

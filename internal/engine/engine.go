@@ -65,40 +65,12 @@ func Workers(n int) int {
 // (so the reported failure does not depend on scheduling). When the parent
 // context is cancelled, Map drains quickly and returns ctx.Err().
 func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, worker, shard int) error) error {
-	return MapBatch(ctx, workers, n, 1, fn)
-}
-
-// Batch suggests a contiguous batch size for n shards on w workers: large
-// enough to amortize the per-shard handout when shards are tiny, small
-// enough (~8 claims per worker) that dynamic load balance still works.
-func Batch(n, workers int) int {
-	workers = Workers(workers)
-	b := n / (workers * 8)
-	if b < 1 {
-		b = 1
-	}
-	if b > 32 {
-		b = 32
-	}
-	return b
-}
-
-// MapBatch is Map with contiguous batch handout: each atomic claim hands a
-// worker `batch` consecutive shards, which it runs in index order before
-// claiming again. Batching amortizes handout overhead for very small shards
-// without changing results — a correct fn depends only on its shard index,
-// so Map(workers, n, fn) and MapBatch(workers, n, b, fn) are equivalent for
-// every b ≥ 1. batch ≤ 1 behaves exactly like Map.
-func MapBatch(ctx context.Context, workers, n, batch int, fn func(ctx context.Context, worker, shard int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if batch < 1 {
-		batch = 1
-	}
 	workers = Workers(workers)
-	if claims := (n + batch - 1) / batch; workers > claims {
-		workers = claims
+	if workers > n {
+		workers = n
 	}
 	// Telemetry is observation-only: the wrapped fn runs identically, the
 	// handles are no-ops when disabled, and nothing below reads a metric.
@@ -141,23 +113,17 @@ func MapBatch(ctx context.Context, workers, n, batch int, fn func(ctx context.Co
 		go func(w int) {
 			defer wg.Done()
 			for {
-				end := int(next.Add(int64(batch)))
-				start := end - batch
-				if start >= n {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				if end > n {
-					end = n
+				if err := cctx.Err(); err != nil {
+					errs[i] = err
+					continue // keep draining so the shard range stays covered
 				}
-				for i := start; i < end; i++ {
-					if err := cctx.Err(); err != nil {
-						errs[i] = err
-						continue // keep draining so the shard range stays covered
-					}
-					if err := fn(cctx, w, i); err != nil {
-						errs[i] = err
-						cancel()
-					}
+				if err := fn(cctx, w, i); err != nil {
+					errs[i] = err
+					cancel()
 				}
 			}
 		}(w)

@@ -51,52 +51,6 @@ func TestMapCoversEveryShardExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestMapBatchCoversEveryShardExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 4, 32} {
-		for _, batch := range []int{0, 1, 3, 7, 100, 1000} {
-			const n = 100
-			visits := make([]atomic.Int32, n)
-			err := MapBatch(context.Background(), workers, n, batch, func(_ context.Context, _, i int) error {
-				visits[i].Add(1)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
-			}
-			for i := range visits {
-				if v := visits[i].Load(); v != 1 {
-					t.Fatalf("workers=%d batch=%d: shard %d ran %d times", workers, batch, i, v)
-				}
-			}
-		}
-	}
-}
-
-func TestMapBatchReportsTheFailingShard(t *testing.T) {
-	boom := errors.New("boom")
-	err := MapBatch(context.Background(), 4, 50, 8, func(_ context.Context, _, i int) error {
-		if i == 17 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want the shard error", err)
-	}
-}
-
-func TestBatchSuggestion(t *testing.T) {
-	if got := Batch(1, 4); got != 1 {
-		t.Fatalf("Batch(1,4) = %d, want 1", got)
-	}
-	if got := Batch(1200, 4); got < 1 || got > 32 {
-		t.Fatalf("Batch(1200,4) = %d, want within [1,32]", got)
-	}
-	if got := Batch(100000, 1); got != 32 {
-		t.Fatalf("Batch(100000,1) = %d, want capped at 32", got)
-	}
-}
-
 func TestMapWorkerIDsBoundedAndSequential(t *testing.T) {
 	const workers, n = 4, 64
 	var running [workers]atomic.Int32

@@ -190,7 +190,7 @@ func datasetStats(ds *dataset.Dataset) ABDatasetStats {
 }
 
 // campaignSHA hashes the campaign's gob encoding — the same byte-identity
-// criterion dfbench and the determinism tests use.
+// criterion the determinism tests use.
 func campaignSHA(camp *dataset.Campaign) string {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(camp); err != nil {

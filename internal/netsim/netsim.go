@@ -177,17 +177,6 @@ type Network struct {
 	injPkts  []float64
 	ejPkts   []float64
 
-	// per-round delay memos: queueDelay is pure, so its value per link
-	// (and per endpoint direction) is computed once after the relaxation
-	// settles and read by every flow that crosses it, instead of being
-	// recomputed per path hop. Entries are only valid for links/routers
-	// active this round — exactly the ones flows reference.
-	qdLink []float64 // queueDelay(util) per active link
-	injFD  []float64 // queueDelay of injection flit pressure per active router
-	ejFD   []float64 // … ejection flit pressure
-	injPD  []float64 // … injection packet pressure
-	ejPD   []float64 // … ejection packet pressure
-
 	// routing policy: candidate generation and split weighting are
 	// delegated to one routing.Policy per network (SetPolicy switches);
 	// staticSplit records that the split is load-independent
@@ -248,11 +237,6 @@ func New(d *topology.Dragonfly, cfg Config, s *rng.Stream) *Network {
 		ejFlits:    make([]float64, d.Cfg.NumRouters()),
 		injPkts:    make([]float64, d.Cfg.NumRouters()),
 		ejPkts:     make([]float64, d.Cfg.NumRouters()),
-		qdLink:     make([]float64, len(d.Links)),
-		injFD:      make([]float64, d.Cfg.NumRouters()),
-		ejFD:       make([]float64, d.Cfg.NumRouters()),
-		injPD:      make([]float64, d.Cfg.NumRouters()),
-		ejPD:       make([]float64, d.Cfg.NumRouters()),
 		pathCaches: make(map[cacheKey]map[uint64][]routing.Path),
 
 		tmCacheHits:   telemetry.C(telemetry.MNetsimCacheHits),
@@ -717,9 +701,8 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 	n.relax(flows, routed, anyBG, invDur)
 
 	// Final settle: one pass over the active links computes the round's
-	// utilizations, the max/mean summary, and the per-link queueing-delay
-	// memo the slowdown loop reads — the same values the three separate
-	// walks produced, in the same summation order.
+	// utilizations and the max/mean summary; the mean sums in activeLinks
+	// order.
 	var res Result
 	if n.reuseSlow {
 		if cap(n.slowScratch) < len(flows) {
@@ -731,7 +714,6 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 	}
 	linkLoad, linkCap := n.linkLoad, n.linkCap
 	util := n.prevLoad // final per-link utilization
-	qd := n.qdLink
 	var utilSum float64
 	var utilN int
 	for _, l := range n.activeLinks {
@@ -742,7 +724,6 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 			u = linkLoad[l] / linkCap[l] * invDur
 		}
 		util[l] = u
-		qd[l] = queueDelay(u)
 		if u > res.MaxLinkUtilization {
 			res.MaxLinkUtilization = u
 		}
@@ -904,22 +885,13 @@ func (n *Network) relax(flows []Flow, routed *RoutedFlows, anyBG bool, invDur fl
 }
 
 // slowdowns writes each flow's slowdown into dst: transit queueing along
-// the flow's weighted paths plus endpoint queueing at its source and
-// destination. queueDelay is a pure function, so every active link's delay
-// (memoized in qdLink by the settle pass) and every active router's four
-// endpoint delays are computed once and summed in exactly the order the
-// per-hop recomputation used. The transit delay also echoes into the
-// counters of the flow's endpoint routers.
+// the flow's weighted paths (from the settled utilizations) plus endpoint
+// queueing at its source and destination. The transit delay also echoes
+// into the counters of the flow's endpoint routers.
 func (n *Network) slowdowns(flows []Flow, routed *RoutedFlows, duration float64, dst []float64) {
 	injCap := n.cfg.InjectionBandwidth * duration
 	pktCap := n.cfg.PacketRate * duration
-	for _, r := range n.activeRouters {
-		n.injFD[r] = queueDelay(n.injFlits[r] / injCap)
-		n.ejFD[r] = queueDelay(n.ejFlits[r] / injCap)
-		n.injPD[r] = queueDelay(n.injPkts[r] / pktCap)
-		n.ejPD[r] = queueDelay(n.ejPkts[r] / pktCap)
-	}
-	qd := n.qdLink
+	util := n.prevLoad
 	arenaLinks, arenaPathEnd, arenaWeights := routed.links, routed.pathEnd, routed.weights
 	flowEnd, hops := routed.flowEnd, routed.hops
 	pathStart, linkStart := int32(0), int32(0)
@@ -946,14 +918,14 @@ func (n *Network) slowdowns(flows []Flow, routed *RoutedFlows, duration float64,
 			}
 			var pathDelay float64
 			for k := start; k < end; k++ {
-				pathDelay += qd[arenaLinks[k]]
+				pathDelay += queueDelay(util[arenaLinks[k]])
 			}
 			// normalize by hops so the value is delay per traversed link
 			transit += w * pathDelay / hops[j]
 			start = end
 		}
-		endFlit := n.injFD[f.Src] + n.ejFD[f.Dst]
-		endPkt := n.injPD[f.Src] + n.ejPD[f.Dst]
+		endFlit := queueDelay(n.injFlits[f.Src]/injCap) + queueDelay(n.ejFlits[f.Dst]/injCap)
+		endPkt := queueDelay(n.injPkts[f.Src]/pktCap) + queueDelay(n.ejPkts[f.Dst]/pktCap)
 		dst[i] = 1 + 0.8*transit + 0.5*endFlit + 0.5*endPkt
 
 		// Backpressure echo: credit exhaustion on congested downstream

@@ -193,27 +193,68 @@ func TestHistogramQuantile(t *testing.T) {
 	if got := snap.Quantile(0.75); math.Abs(got-15) > 1e-9 {
 		t.Errorf("p75 = %v, want 15", got)
 	}
-	// p100 → top of the last occupied bucket.
-	if got := snap.Quantile(1); math.Abs(got-20) > 1e-9 {
-		t.Errorf("p100 = %v, want 20", got)
+	// p100 → the largest observation, not the top of its bucket.
+	if got := snap.Quantile(1); math.Abs(got-15) > 1e-9 {
+		t.Errorf("p100 = %v, want the max 15", got)
 	}
 	// q clamps.
 	if got := snap.Quantile(-1); got > snap.Quantile(0.01) {
 		t.Errorf("q<0 not clamped: %v", got)
 	}
 
-	// Overflow-bucket estimates return the last finite bound.
+	// Overflow-bucket estimates interpolate toward the max.
 	h2 := r.Histogram("q2", []float64{1, 2})
 	h2.Observe(100)
 	snap2 := r.Snapshot().Histograms["q2"]
-	if got := snap2.Quantile(0.99); got != 2 {
-		t.Errorf("overflow quantile = %v, want last bound 2", got)
+	if got := snap2.Quantile(0.99); got != 100 {
+		t.Errorf("overflow quantile = %v, want the observed 100", got)
 	}
 
 	// Empty histogram.
 	var empty HistogramSnapshot
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Errorf("empty quantile = %v, want 0", got)
+	}
+}
+
+// TestQuantileOneSample: a histogram holding one observation reports it
+// at every quantile, not a value interpolated inside its bucket.
+func TestQuantileOneSample(t *testing.T) {
+	r := New()
+	r.Histogram("merge", SecondsBuckets).Observe(2.8e-6)
+	snap := r.Snapshot().Histograms["merge"]
+	if snap.Min != 2.8e-6 || snap.Max != 2.8e-6 {
+		t.Errorf("min, max = %v, %v, want 2.8e-6 both", snap.Min, snap.Max)
+	}
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := snap.Quantile(q); got != 2.8e-6 {
+			t.Errorf("Quantile(%v) = %v, want the one sample 2.8e-6", q, got)
+		}
+	}
+}
+
+// TestQuantileAllOverflow: when every observation is above the last bound,
+// quantiles stay inside the observed range instead of returning the bound.
+func TestQuantileAllOverflow(t *testing.T) {
+	r := New()
+	h := r.Histogram("flits", []float64{1, 10})
+	for _, v := range []float64{100, 200, 300, 400} {
+		h.Observe(v)
+	}
+	snap := r.Snapshot().Histograms["flits"]
+	if snap.Min != 100 || snap.Max != 400 {
+		t.Errorf("min, max = %v, %v, want 100, 400", snap.Min, snap.Max)
+	}
+	prev := 0.0
+	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
+		got := snap.Quantile(q)
+		if got < 100 || got > 400 || got < prev {
+			t.Errorf("Quantile(%v) = %v, want a non-decreasing value in [100, 400]", q, got)
+		}
+		prev = got
+	}
+	if got := snap.Quantile(1); got != 400 {
+		t.Errorf("Quantile(1) = %v, want the max 400", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -14,11 +15,14 @@ import (
 // len(Bounds)+1 entries; Counts[i] holds observations ≤ Bounds[i] (and
 // above the previous bound), and the final entry counts the overflow above
 // every bound — kept separate so the JSON never contains an infinity.
+// Min and Max are the smallest and largest observation (0 when empty).
 type HistogramSnapshot struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"`
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
+	Min    float64   `json:"min"`
+	Max    float64   `json:"max"`
 }
 
 // Mean returns the mean observation, or 0 when empty.
@@ -33,8 +37,9 @@ func (h HistogramSnapshot) Mean() float64 {
 // within the fixed buckets, the way histogram_quantile does: the estimate
 // assumes observations spread uniformly inside their bucket, so its error
 // is bounded by the bucket width. An estimate landing in the overflow
-// bucket returns the last bound (there is no finite upper edge to
-// interpolate toward). Returns 0 when the histogram is empty.
+// bucket interpolates toward Max. Every estimate is clamped to [Min, Max],
+// so it never leaves the observed range. Returns 0 when the histogram is
+// empty.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if h.Count == 0 || len(h.Bounds) == 0 {
 		return 0
@@ -47,25 +52,27 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	rank := q * float64(h.Count)
 	cum := 0.0
+	est := h.Max
 	for i, ci := range h.Counts {
 		c := float64(ci)
 		if cum+c >= rank && c > 0 {
-			if i == len(h.Bounds) {
-				return h.Bounds[len(h.Bounds)-1]
-			}
-			lo := 0.0
+			lo, hi := 0.0, h.Max
 			if i > 0 {
 				lo = h.Bounds[i-1]
+			}
+			if i < len(h.Bounds) {
+				hi = h.Bounds[i]
 			}
 			frac := (rank - cum) / c
 			if frac < 0 {
 				frac = 0
 			}
-			return lo + frac*(h.Bounds[i]-lo)
+			est = lo + frac*(hi-lo)
+			break
 		}
 		cum += c
 	}
-	return h.Bounds[len(h.Bounds)-1]
+	return math.Min(math.Max(est, h.Min), h.Max)
 }
 
 // Snapshot is a registry's full frozen state, as serialized by the CLIs'
@@ -114,6 +121,10 @@ func (r *Registry) Snapshot() *Snapshot {
 			Counts: make([]int64, len(h.counts)),
 			Count:  h.count.Load(),
 			Sum:    h.Sum(),
+		}
+		if hs.Count > 0 {
+			hs.Min = math.Float64frombits(h.min.Load())
+			hs.Max = math.Float64frombits(h.max.Load())
 		}
 		for i := range h.counts {
 			hs.Counts[i] = h.counts[i].Load()

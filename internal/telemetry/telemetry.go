@@ -121,13 +121,31 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1; last bucket is the +Inf overflow
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
+	// extremes of every observation, float64 bits; updated before count,
+	// so a reader that sees count > 0 sees finite values
+	min, max atomic.Uint64
 }
 
 // newHistogram builds a histogram over the given ascending bounds.
 func newHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h := &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
+	return h
+}
+
+// casFloat stores f(old) into bits until no concurrent update intervenes;
+// f returning old leaves bits unchanged.
+func casFloat(bits *atomic.Uint64, f func(old float64) float64) {
+	for {
+		old := bits.Load()
+		next := math.Float64bits(f(math.Float64frombits(old)))
+		if next == old || bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // Observe records one value. Bucket i holds observations v ≤ bounds[i]
@@ -139,15 +157,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 	// binary search for the first bound ≥ v
 	i := sort.SearchFloat64s(h.bounds, v)
+	casFloat(&h.min, func(old float64) float64 { return math.Min(old, v) })
+	casFloat(&h.max, func(old float64) float64 { return math.Max(old, v) })
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	casFloat(&h.sum, func(old float64) float64 { return old + v })
 }
 
 // ObserveSince records the wall-clock seconds elapsed since t0. No-op on a

@@ -124,30 +124,41 @@ func TestMarkdownLinks(t *testing.T) {
 	}
 }
 
-// TestPerformanceDocCoverage keeps docs/PERFORMANCE.md in sync with the
-// benchmark ledger: every field appearing in any BENCH_engine.json row
-// must be documented, so the ledger schema can't drift silently.
+// TestPerformanceDocCoverage keeps the performance docs in sync with the
+// benchmark manifest: every workload and end-to-end metric BENCHMARK.json
+// names must be documented in docs/PERFORMANCE.md, and every per-layer
+// metric in perfbench/README.md, so a renamed or added metric can't go
+// undocumented.
 func TestPerformanceDocCoverage(t *testing.T) {
-	blob, err := os.ReadFile("docs/PERFORMANCE.md")
+	blob, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := string(blob)
-	ledger, err := os.ReadFile("BENCH_engine.json")
-	if err != nil {
-		t.Fatal(err)
+	type named struct {
+		Name string `json:"name"`
 	}
-	var rows []map[string]interface{}
-	if err := json.Unmarshal(ledger, &rows); err != nil {
-		t.Fatalf("BENCH_engine.json is not a result array: %v", err)
+	var manifest struct {
+		Workloads []named `json:"workloads"`
+		EndToEnd  []named `json:"end_to_end"`
+		PerLayer  []named `json:"per_layer"`
 	}
-	if len(rows) == 0 {
-		t.Fatal("BENCH_engine.json has no rows")
+	if err := json.Unmarshal(blob, &manifest); err != nil {
+		t.Fatalf("BENCHMARK.json: %v", err)
 	}
-	for _, row := range rows {
-		for field := range row {
-			if !strings.Contains(doc, "`"+field+"`") {
-				t.Errorf("ledger field %q not documented in docs/PERFORMANCE.md", field)
+	if len(manifest.Workloads) == 0 || len(manifest.EndToEnd) == 0 || len(manifest.PerLayer) == 0 {
+		t.Fatal("BENCHMARK.json names no workload, end-to-end or per-layer metric")
+	}
+	for doc, names := range map[string][]named{
+		"docs/PERFORMANCE.md": append(manifest.Workloads, manifest.EndToEnd...),
+		"perfbench/README.md": manifest.PerLayer,
+	} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if !strings.Contains(string(text), "`"+n.Name+"`") {
+				t.Errorf("%q from BENCHMARK.json not documented in %s", n.Name, doc)
 			}
 		}
 	}
