@@ -177,6 +177,12 @@ type Cluster struct {
 	placer slurm.PlacementPolicy
 	blamed map[string]bool
 
+	// allocTmpl is the empty machine's allocator and haswell its Haswell
+	// nodes, which controlled runs never use: every placement try copies
+	// them instead of rebuilding them. Both are read-only.
+	allocTmpl *slurm.Allocator
+	haswell   *topology.NodeSet
+
 	tm clusterMetrics
 }
 
@@ -250,8 +256,13 @@ func New(cfg Config) (*Cluster, error) {
 	net.SharePathCache(shared)
 	tl := slurm.Generate(net, slurm.GenerateConfig{Days: cfg.Days, Users: cfg.Users, Faults: sched, Workers: cfg.Workers},
 		root.Split("timeline"))
+	haswell := topology.NewNodeSet(topo)
+	for _, n := range topo.ComputeNodes(topology.Haswell) {
+		haswell.Add(n)
+	}
 	return &Cluster{cfg: cfg, Topo: topo, Net: net, Timeline: tl, Faults: sched, root: root, curEpoch: -1,
-		pathCache: shared, placer: placer, blamed: blamed, tm: newClusterMetrics()}, nil
+		pathCache: shared, placer: placer, blamed: blamed,
+		allocTmpl: slurm.NewAllocator(topo), haswell: haswell, tm: newClusterMetrics()}, nil
 }
 
 // applyFaultsTo derates net to the fault state at time t, tracking the
@@ -654,29 +665,24 @@ func (c *Cluster) schedule() ([]*plan, error) {
 // means it gave up (or ran off the end of the campaign). Sets p.nodes.
 func (c *Cluster) place(p *plan, plans []*plan, self int, s *rng.Stream) bool {
 	est := p.estEnd - p.start
-	haswell := c.Topo.ComputeNodes(topology.Haswell)
 	for try := 0; try < 6; try++ {
 		if p.estEnd > c.Timeline.Horizon() {
 			return false
 		}
 		busy := c.Timeline.BusyNodesAt(p.start, p.estEnd)
 		// our jobs run on KNL nodes only (§II-A)
-		for _, n := range haswell {
-			busy[n] = true
-		}
+		busy.Union(c.haswell)
 		// the scheduler sees the drain list at submission time but cannot
 		// foresee future drains — those still kill runs mid-flight
-		for n := range c.Faults.DrainedNodes(p.start) {
-			busy[n] = true
-		}
+		busy.Union(c.Faults.DrainedNodes(p.start))
 		for j, q := range plans {
 			if j != self && q.nodes != nil && q.start < p.estEnd && q.estEnd > p.start {
 				for _, n := range q.nodes {
-					busy[n] = true
+					busy.Add(n)
 				}
 			}
 		}
-		alloc := slurm.NewAllocator(c.Topo)
+		alloc := c.allocTmpl.Clone()
 		compact := s.Uniform(0.05, 0.95)
 		advise := func() *slurm.PlacementAdvice { return c.placementAdvice(p, plans, self) }
 		p.nodes = c.placer.Place(alloc, p.model.Nodes, compact, busy, advise, s)
@@ -979,10 +985,8 @@ func (c *Cluster) SimulateAt(model *apps.Model, steps int, start, compactLo, com
 	est := p.estEnd - p.start
 	for try := 0; try < 64 && p.nodes == nil; try++ {
 		busy := c.Timeline.BusyNodesAt(p.start, p.estEnd)
-		for _, n := range c.Topo.ComputeNodes(topology.Haswell) {
-			busy[n] = true
-		}
-		alloc := slurm.NewAllocator(c.Topo)
+		busy.Union(c.haswell)
+		alloc := c.allocTmpl.Clone()
 		p.nodes = alloc.AllocAvoiding(job.Nodes, s.Uniform(compactLo, compactHi), busy, s)
 		if p.nodes == nil {
 			// queue wait, like any production submission

@@ -83,7 +83,10 @@ func LoadOrGenerateCtx(ctx context.Context, cfg CampaignConfig) (*dataset.Campai
 		}
 	}
 	telemetry.C(telemetry.MCacheMisses).Inc()
+	// a root span: the campaign span only opens once the cluster exists
+	_, newSpan := telemetry.Start(ctx, telemetry.SpanClusterNew)
 	c, err := cluster.New(cfg.Cluster)
+	newSpan.End()
 	if err != nil {
 		return nil, err
 	}

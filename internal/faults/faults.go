@@ -267,20 +267,20 @@ func (s *Schedule) DropoutOverlaps(t0, t1 float64) bool {
 
 // DrainedNodes returns the nodes unallocatable at time t because their
 // router is drained or down. Nil-safe: returns nil for a clean instant.
-func (s *Schedule) DrainedNodes(t float64) map[topology.NodeID]bool {
+func (s *Schedule) DrainedNodes(t float64) *topology.NodeSet {
 	if s == nil {
 		return nil
 	}
-	var out map[topology.NodeID]bool
+	var out *topology.NodeSet
 	for _, e := range s.events {
 		if (e.Kind != NodeDrain && e.Kind != RouterDown) || t < e.Start || t >= e.End {
 			continue
 		}
 		if out == nil {
-			out = map[topology.NodeID]bool{}
+			out = topology.NewNodeSet(s.topo)
 		}
 		for _, n := range s.topo.NodesOfRouter(e.Router) {
-			out[n] = true
+			out.Add(n)
 		}
 	}
 	return out

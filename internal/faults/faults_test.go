@@ -145,7 +145,7 @@ func TestDrainedNodesAndFirstFailure(t *testing.T) {
 	}
 	nodes := s.DrainedNodes(150)
 	for _, n := range d.NodesOfRouter(2) {
-		if !nodes[n] {
+		if !nodes.Has(n) {
 			t.Fatalf("node %d of drained router not reported", n)
 		}
 	}

@@ -13,8 +13,10 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dragonvar/internal/netsim"
@@ -213,6 +215,8 @@ func (p *Pattern) Downsample(maxPairs int) *Pattern {
 	}
 	flows := make([]netsim.Flow, len(p.flows))
 	copy(flows, p.flows)
+	// equal volumes tie here, and which tied pairs survive the cut is
+	// sort.Slice's tie order: the campaign's bytes depend on it
 	sort.Slice(flows, func(i, j int) bool { return flows[i].Flits > flows[j].Flits })
 	flows = flows[:maxPairs]
 	var vol, msg float64
@@ -228,32 +232,36 @@ func (p *Pattern) Downsample(maxPairs int) *Pattern {
 			flows[i].Packets /= msg
 		}
 	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
+	slices.SortFunc(flows, byPair)
 	return &Pattern{flows: flows}
 }
 
 // PatternBuilder accumulates weighted router-pair traffic and normalizes
 // it into a Pattern. Accumulation lives in a dense flow slice (insertion
-// order) with a pair → index map beside it: the per-Add hot path updates a
-// slice element in place instead of chasing per-pair heap pointers, and
-// the map holds plain int32 values the garbage collector never scans.
+// order) with a dense pair index beside it: routers get local IDs in the
+// order they are first seen, and index[src][dst] over local IDs holds the
+// pair's flow position plus one. The index is bounded by the routers the
+// pattern touches, not by the machine, and the per-Add hot path does no
+// hashing.
 type PatternBuilder struct {
-	index map[uint64]int32
+	local []int32   // global router ID → local ID plus one (0 = unseen)
+	index [][]int32 // [local src][local dst] → flow position plus one
 	flows []netsim.Flow
 }
 
 // NewPatternBuilder returns an empty builder.
-func NewPatternBuilder() *PatternBuilder {
-	return &PatternBuilder{index: make(map[uint64]int32)}
-}
+func NewPatternBuilder() *PatternBuilder { return &PatternBuilder{} }
 
-func pairKey(a, b topology.RouterID) uint64 {
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
+// localID returns r's local ID, assigning the next one on first sight.
+func (b *PatternBuilder) localID(r topology.RouterID) int {
+	if int(r) >= len(b.local) {
+		b.local = append(b.local, make([]int32, int(r)+1-len(b.local))...)
+	}
+	if b.local[r] == 0 {
+		b.index = append(b.index, nil)
+		b.local[r] = int32(len(b.index))
+	}
+	return int(b.local[r]) - 1
 }
 
 // Add accumulates volume and message weight between two routers. Traffic
@@ -262,16 +270,28 @@ func (b *PatternBuilder) Add(src, dst topology.RouterID, volWeight, msgWeight fl
 	if src == dst || (volWeight <= 0 && msgWeight <= 0) {
 		return
 	}
-	k := pairKey(src, dst)
-	i, ok := b.index[k]
-	if !ok {
-		i = int32(len(b.flows))
-		b.flows = append(b.flows, netsim.Flow{Src: src, Dst: dst})
-		b.index[k] = i
+	s, d := b.localID(src), b.localID(dst)
+	row := b.index[s]
+	if d >= len(row) {
+		row = append(row, make([]int32, d+1-len(row))...)
+		b.index[s] = row
 	}
-	f := &b.flows[i]
+	if row[d] == 0 {
+		b.flows = append(b.flows, netsim.Flow{Src: src, Dst: dst})
+		row[d] = int32(len(b.flows))
+	}
+	f := &b.flows[row[d]-1]
 	f.Flits += volWeight
 	f.Packets += msgWeight
+}
+
+// byPair orders flows by (Src, Dst); a pattern holds each pair once, so
+// the order is total and any sort yields the same slice.
+func byPair(a, b netsim.Flow) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst, b.Dst)
 }
 
 // Build normalizes the accumulated weights into a Pattern. The builder can
@@ -281,12 +301,7 @@ func (b *PatternBuilder) Build() *Pattern {
 	copy(p.flows, b.flows)
 	// sort BEFORE totaling: float summation is order-sensitive, and
 	// accumulation order must never leak into results
-	sort.Slice(p.flows, func(i, j int) bool {
-		if p.flows[i].Src != p.flows[j].Src {
-			return p.flows[i].Src < p.flows[j].Src
-		}
-		return p.flows[i].Dst < p.flows[j].Dst
-	})
+	slices.SortFunc(p.flows, byPair)
 	var volTotal, msgTotal float64
 	for _, f := range p.flows {
 		volTotal += f.Flits

@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"sort"
+	"slices"
 
 	"dragonvar/internal/routing"
 	"dragonvar/internal/topology"
@@ -36,40 +36,45 @@ type ScaledLoad struct {
 }
 
 // BuildLoadSet routes the flows with an even split across their minimal
-// path candidates and returns the aggregated unit-intensity footprint.
+// path candidates and returns the aggregated unit-intensity footprint. It
+// is safe for concurrent use: each call accumulates into dense scratch
+// taken from the network's pool, so a warm call allocates only the
+// returned LoadSet.
 func (n *Network) BuildLoadSet(flows []Flow) *LoadSet {
-	linkLoad := make(map[topology.LinkID]float64)
-	type endpoint struct {
-		injF, ejF, injP, ejP, vc0, vc4 float64
-	}
-	routers := make(map[topology.RouterID]*endpoint)
-	ep := func(r topology.RouterID) *endpoint {
-		e, ok := routers[r]
-		if !ok {
-			e = &endpoint{}
-			routers[r] = e
+	sc, _ := n.loadScratch.Get().(*loadScratch)
+	if sc == nil {
+		sc = &loadScratch{
+			// footprints route on the fault-free machine, whatever the
+			// network's current link health
+			eng:       routing.NewEngine(n.topo),
+			linkFlits: make([]float64, len(n.topo.Links)),
+			linkOn:    make([]bool, len(n.topo.Links)),
+			ends:      make([]endpoint, n.topo.Cfg.NumRouters()),
+			routerOn:  make([]bool, n.topo.Cfg.NumRouters()),
 		}
-		return e
 	}
+	defer n.loadScratch.Put(sc)
 
-	eng := routing.NewEngine(n.topo)
 	for _, f := range flows {
 		if f.Src == f.Dst || f.Flits <= 0 {
 			continue
 		}
 		// even split over minimal candidates only: background traffic is
 		// routed statically, Valiant detours are reserved for the
-		// adaptively routed foreground flows. Paths are computed directly
+		// adaptively routed foreground flows. Paths are walked directly
 		// rather than through the adaptive path cache: footprints are built
 		// once per job, and caching their pairs would bloat the cache.
-		minimal := eng.MinimalPaths(f.Src, f.Dst, 2, nil)
-		share := f.Flits / float64(len(minimal))
-		for _, p := range minimal {
-			for _, l := range p.Links {
-				linkLoad[l] += share
+		var paths int
+		sc.walk, paths = sc.eng.AppendMinimalLinks(sc.walk[:0], f.Src, f.Dst, 2)
+		share := f.Flits / float64(paths)
+		for _, l := range sc.walk {
+			if !sc.linkOn[l] {
+				sc.linkOn[l] = true
+				sc.links = append(sc.links, l)
 			}
+			sc.linkFlits[l] += share
 		}
-		src, dst := ep(f.Src), ep(f.Dst)
+		src, dst := sc.endpoint(f.Src), sc.endpoint(f.Dst)
 		src.injF += f.Flits
 		dst.ejF += f.Flits
 		src.injP += f.Packets
@@ -80,29 +85,55 @@ func (n *Network) BuildLoadSet(flows []Flow) *LoadSet {
 		src.vc4 += f.Packets // acks
 	}
 
-	ls := &LoadSet{}
-	for id := range linkLoad {
-		ls.LinkIDs = append(ls.LinkIDs, id)
+	// write out in ascending ID order, resetting the scratch behind us
+	slices.Sort(sc.links)
+	slices.Sort(sc.routers)
+	nl, nr := len(sc.links), len(sc.routers)
+	vals := make([]float64, nl+6*nr)
+	col := func(i int) []float64 { return vals[nl+i*nr : nl+(i+1)*nr : nl+(i+1)*nr] }
+	ls := &LoadSet{
+		LinkIDs: append([]topology.LinkID(nil), sc.links...), LinkFlits: vals[:nl:nl],
+		RouterIDs: append([]topology.RouterID(nil), sc.routers...),
+		InjFlits:  col(0), EjFlits: col(1), InjPkts: col(2), EjPkts: col(3), ArriveVC0: col(4), ArriveVC4: col(5),
 	}
-	sort.Slice(ls.LinkIDs, func(i, j int) bool { return ls.LinkIDs[i] < ls.LinkIDs[j] })
-	ls.LinkFlits = make([]float64, len(ls.LinkIDs))
-	for i, id := range ls.LinkIDs {
-		ls.LinkFlits[i] = linkLoad[id]
+	for i, l := range sc.links {
+		ls.LinkFlits[i] = sc.linkFlits[l]
+		sc.linkFlits[l], sc.linkOn[l] = 0, false
 	}
-	for r := range routers {
-		ls.RouterIDs = append(ls.RouterIDs, r)
+	for i, r := range sc.routers {
+		e := sc.ends[r]
+		ls.InjFlits[i], ls.EjFlits[i], ls.InjPkts[i], ls.EjPkts[i] = e.injF, e.ejF, e.injP, e.ejP
+		ls.ArriveVC0[i], ls.ArriveVC4[i] = e.vc0, e.vc4
+		sc.ends[r], sc.routerOn[r] = endpoint{}, false
 	}
-	sort.Slice(ls.RouterIDs, func(i, j int) bool { return ls.RouterIDs[i] < ls.RouterIDs[j] })
-	for _, r := range ls.RouterIDs {
-		e := routers[r]
-		ls.InjFlits = append(ls.InjFlits, e.injF)
-		ls.EjFlits = append(ls.EjFlits, e.ejF)
-		ls.InjPkts = append(ls.InjPkts, e.injP)
-		ls.EjPkts = append(ls.EjPkts, e.ejP)
-		ls.ArriveVC0 = append(ls.ArriveVC0, e.vc0)
-		ls.ArriveVC4 = append(ls.ArriveVC4, e.vc4)
-	}
+	sc.links, sc.routers = sc.links[:0], sc.routers[:0]
 	return ls
+}
+
+// loadScratch is BuildLoadSet's dense accumulator: per-link flits and
+// per-router endpoint loads indexed by ID, with on-list marks so only the
+// entries a call touched are collected and reset.
+type loadScratch struct {
+	eng       *routing.Engine
+	walk      []topology.LinkID // one flow's minimal-path links
+	linkFlits []float64
+	linkOn    []bool
+	links     []topology.LinkID // touched links
+	ends      []endpoint
+	routerOn  []bool
+	routers   []topology.RouterID // touched routers
+}
+
+type endpoint struct {
+	injF, ejF, injP, ejP, vc0, vc4 float64
+}
+
+func (sc *loadScratch) endpoint(r topology.RouterID) *endpoint {
+	if !sc.routerOn[r] {
+		sc.routerOn[r] = true
+		sc.routers = append(sc.routers, r)
+	}
+	return &sc.ends[r]
 }
 
 // NumLinks returns the number of links the footprint touches.

@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"dragonvar/internal/counters"
 	"dragonvar/internal/rng"
+	"dragonvar/internal/routing"
 	"dragonvar/internal/topology"
 )
 
@@ -124,5 +126,137 @@ func TestScaledLoadZeroOrNilIgnored(t *testing.T) {
 	b := n.RunRound(fg, []ScaledLoad{{Set: nil, Scale: 1}, {Set: &LoadSet{}, Scale: 0}}, 1.0)
 	if a.Slowdown[0] != b.Slowdown[0] {
 		t.Fatal("nil/zero background should be a no-op")
+	}
+}
+
+// mapBuildLoadSet is BuildLoadSet as it was before the dense scratch: a
+// fresh engine, MinimalPaths per flow, and map accumulators sorted on the
+// way out. It is the reference the dense version is pinned to.
+func mapBuildLoadSet(d *topology.Dragonfly, flows []Flow) *LoadSet {
+	linkLoad := make(map[topology.LinkID]float64)
+	type endpoint struct {
+		injF, ejF, injP, ejP, vc0, vc4 float64
+	}
+	routers := make(map[topology.RouterID]*endpoint)
+	ep := func(r topology.RouterID) *endpoint {
+		e, ok := routers[r]
+		if !ok {
+			e = &endpoint{}
+			routers[r] = e
+		}
+		return e
+	}
+	eng := routing.NewEngine(d)
+	for _, f := range flows {
+		if f.Src == f.Dst || f.Flits <= 0 {
+			continue
+		}
+		minimal := eng.MinimalPaths(f.Src, f.Dst, 2, nil)
+		share := f.Flits / float64(len(minimal))
+		for _, p := range minimal {
+			for _, l := range p.Links {
+				linkLoad[l] += share
+			}
+		}
+		src, dst := ep(f.Src), ep(f.Dst)
+		src.injF += f.Flits
+		dst.ejF += f.Flits
+		src.injP += f.Packets
+		dst.ejP += f.Packets
+		req := clamp01(f.RequestFraction)
+		dst.vc0 += f.Flits * req
+		dst.vc4 += f.Flits * (1 - req)
+		src.vc4 += f.Packets
+	}
+	ls := &LoadSet{}
+	for id := range linkLoad {
+		ls.LinkIDs = append(ls.LinkIDs, id)
+	}
+	sort.Slice(ls.LinkIDs, func(i, j int) bool { return ls.LinkIDs[i] < ls.LinkIDs[j] })
+	ls.LinkFlits = make([]float64, len(ls.LinkIDs))
+	for i, id := range ls.LinkIDs {
+		ls.LinkFlits[i] = linkLoad[id]
+	}
+	for r := range routers {
+		ls.RouterIDs = append(ls.RouterIDs, r)
+	}
+	sort.Slice(ls.RouterIDs, func(i, j int) bool { return ls.RouterIDs[i] < ls.RouterIDs[j] })
+	for _, r := range ls.RouterIDs {
+		e := routers[r]
+		ls.InjFlits = append(ls.InjFlits, e.injF)
+		ls.EjFlits = append(ls.EjFlits, e.ejF)
+		ls.InjPkts = append(ls.InjPkts, e.injP)
+		ls.EjPkts = append(ls.EjPkts, e.ejP)
+		ls.ArriveVC0 = append(ls.ArriveVC0, e.vc0)
+		ls.ArriveVC4 = append(ls.ArriveVC4, e.vc4)
+	}
+	return ls
+}
+
+// sameLoadSet compares two footprints ID for ID and bit for bit.
+func sameLoadSet(t *testing.T, got, want *LoadSet) {
+	t.Helper()
+	if len(got.LinkIDs) != len(want.LinkIDs) || len(got.RouterIDs) != len(want.RouterIDs) {
+		t.Fatalf("%d links / %d routers, want %d / %d",
+			len(got.LinkIDs), len(got.RouterIDs), len(want.LinkIDs), len(want.RouterIDs))
+	}
+	for i := range want.LinkIDs {
+		if got.LinkIDs[i] != want.LinkIDs[i] || math.Float64bits(got.LinkFlits[i]) != math.Float64bits(want.LinkFlits[i]) {
+			t.Fatalf("link %d: (%d, %v), want (%d, %v)", i, got.LinkIDs[i], got.LinkFlits[i], want.LinkIDs[i], want.LinkFlits[i])
+		}
+	}
+	cols := func(ls *LoadSet) [][]float64 {
+		return [][]float64{ls.InjFlits, ls.EjFlits, ls.InjPkts, ls.EjPkts, ls.ArriveVC0, ls.ArriveVC4}
+	}
+	gc, wc := cols(got), cols(want)
+	for i := range want.RouterIDs {
+		if got.RouterIDs[i] != want.RouterIDs[i] {
+			t.Fatalf("router %d: %d, want %d", i, got.RouterIDs[i], want.RouterIDs[i])
+		}
+		for c := range wc {
+			if math.Float64bits(gc[c][i]) != math.Float64bits(wc[c][i]) {
+				t.Fatalf("router %d column %d: %v, want %v", got.RouterIDs[i], c, gc[c][i], wc[c][i])
+			}
+		}
+	}
+}
+
+// TestBuildLoadSetMatchesMapBuild pins the dense scratch to the map-based
+// build, including on a network whose links are degraded: footprints
+// always route on the fault-free machine. Reusing one network across
+// calls also checks that the pooled scratch is fully reset.
+func TestBuildLoadSetMatchesMapBuild(t *testing.T) {
+	n := newNet(t, DefaultConfig())
+	d := n.Topology()
+	s := rng.New(17)
+	for trial := 0; trial < 40; trial++ {
+		if trial == 20 {
+			n.SetLinkHealth(func(l topology.LinkID) float64 {
+				if l%7 == 0 {
+					return 0
+				}
+				return 1
+			})
+		}
+		flows := randFlows(s, d, 1+s.Intn(300))
+		for i := range flows {
+			flows[i].RequestFraction = 1.4*s.Float64() - 0.2
+		}
+		sameLoadSet(t, n.BuildLoadSet(flows), mapBuildLoadSet(d, flows))
+	}
+}
+
+// TestBuildLoadSetAllocs pins a warm build to the allocations of the
+// LoadSet it returns: the struct, its link IDs, its router IDs, and one
+// backing array shared by its seven float columns.
+func TestBuildLoadSetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch on purpose")
+	}
+	n := newNet(t, DefaultConfig())
+	flows := randFlows(rng.New(4), n.Topology(), 256)
+	n.BuildLoadSet(flows) // warm the pooled scratch
+	if allocs := testing.AllocsPerRun(50, func() { n.BuildLoadSet(flows) }); allocs != 4 {
+		t.Fatalf("warm BuildLoadSet allocated %v times per call, want 4", allocs)
 	}
 }

@@ -29,6 +29,7 @@ package netsim
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"time"
 
 	"dragonvar/internal/counters"
@@ -201,6 +202,10 @@ type Network struct {
 	// shared is the optional second-level cache pooled across identically
 	// seeded Networks (SharePathCache); nil for standalone simulators.
 	shared *PathCache
+
+	// loadScratch pools BuildLoadSet's dense accumulators (*loadScratch)
+	// across calls and concurrent callers.
+	loadScratch sync.Pool
 
 	// reuseSlow lets RunRound reuse one Slowdown buffer across rounds
 	// (ReuseSlowdowns) instead of allocating per round.

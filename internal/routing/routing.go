@@ -93,28 +93,42 @@ func (e *Engine) linkOK(l topology.LinkID) bool {
 // or column, and otherwise the two two-hop corner routes (green-then-black
 // and black-then-green). Panics if the routers are in different groups.
 func (e *Engine) IntraGroupPaths(a, b topology.RouterID) []Path {
-	d := e.d
-	if d.Group(a) != d.Group(b) {
+	if e.d.Group(a) != e.d.Group(b) {
 		panic("routing: IntraGroupPaths across groups")
 	}
-	if a == b {
-		return []Path{{Minimal: true}}
+	paths := make([]Path, e.intraCount(a, b))
+	for v := range paths {
+		paths[v] = Path{Links: e.appendIntra(nil, a, b, v), Minimal: true}
 	}
+	return paths
+}
+
+// intraCount returns len(IntraGroupPaths(a, b)).
+func (e *Engine) intraCount(a, b topology.RouterID) int {
+	d := e.d
+	if a == b || d.Row(a) == d.Row(b) || d.Col(a) == d.Col(b) {
+		return 1
+	}
+	return 2
+}
+
+// appendIntra appends the links of IntraGroupPaths(a, b)[variant %
+// intraCount(a, b)] to dst without building the path list.
+func (e *Engine) appendIntra(dst []topology.LinkID, a, b topology.RouterID, variant int) []topology.LinkID {
+	d := e.d
 	ra, ca := d.Row(a), d.Col(a)
 	rb, cb := d.Row(b), d.Col(b)
 	switch {
+	case a == b:
+		return dst
 	case ra == rb:
-		return []Path{{Links: []topology.LinkID{d.RowLink(a, cb)}, Minimal: true}}
+		return append(dst, d.RowLink(a, cb))
 	case ca == cb:
-		return []Path{{Links: []topology.LinkID{d.ColLink(a, rb)}, Minimal: true}}
-	default:
-		g := d.Group(a)
-		corner1 := d.RouterAt(g, ra, cb) // row move first
-		corner2 := d.RouterAt(g, rb, ca) // column move first
-		return []Path{
-			{Links: []topology.LinkID{d.RowLink(a, cb), d.ColLink(corner1, rb)}, Minimal: true},
-			{Links: []topology.LinkID{d.ColLink(a, rb), d.RowLink(corner2, cb)}, Minimal: true},
-		}
+		return append(dst, d.ColLink(a, rb))
+	case variant%2 == 0: // row move first
+		return append(dst, d.RowLink(a, cb), d.ColLink(d.RouterAt(d.Group(a), ra, cb), rb))
+	default: // column move first
+		return append(dst, d.ColLink(a, rb), d.RowLink(d.RouterAt(d.Group(a), rb, ca), cb))
 	}
 }
 
@@ -210,6 +224,38 @@ func (e *Engine) MinimalPaths(a, b topology.RouterID, maxCandidates int, s *rng.
 		}
 	}
 	return paths
+}
+
+// AppendMinimalLinks appends the links of MinimalPaths(a, b,
+// maxCandidates, nil) to dst, path after path, and returns the extended
+// slice with the number of paths. It allocates nothing once dst has room.
+// The engine must be fault-free: no avoid predicate installed.
+func (e *Engine) AppendMinimalLinks(dst []topology.LinkID, a, b topology.RouterID, maxCandidates int) ([]topology.LinkID, int) {
+	if e.avoid != nil {
+		panic("routing: AppendMinimalLinks on an engine with failed links")
+	}
+	d := e.d
+	maxCandidates = max(maxCandidates, 1)
+	ga, gb := d.Group(a), d.Group(b)
+	if ga == gb {
+		n := min(e.intraCount(a, b), maxCandidates)
+		for v := 0; v < n; v++ {
+			dst = e.appendIntra(dst, a, b, v)
+		}
+		return dst, n
+	}
+	blues := d.GlobalBetween(ga, gb)
+	n := min(len(blues), maxCandidates)
+	for k, l := range blues[:n] {
+		x, y := d.Links[l].A, d.Links[l].B
+		if d.Group(x) != ga {
+			x, y = y, x
+		}
+		dst = e.appendIntra(dst, a, x, k)
+		dst = append(dst, l)
+		dst = e.appendIntra(dst, y, b, k)
+	}
+	return dst, n
 }
 
 // ValiantPaths returns up to maxCandidates non-minimal paths from a to b

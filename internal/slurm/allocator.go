@@ -1,7 +1,7 @@
 package slurm
 
 import (
-	"sort"
+	"slices"
 
 	"dragonvar/internal/rng"
 	"dragonvar/internal/topology"
@@ -16,23 +16,29 @@ type Allocator struct {
 	topo *topology.Dragonfly
 
 	// freeByGroup[g] holds the free nodes of group g; position[n] is the
-	// index of node n within its group slice (-1 when allocated).
+	// index of node n within its group slice, allocated when it is -1 and
+	// never allocatable (an I/O service node) when it is notCompute.
 	freeByGroup [][]topology.NodeID
-	position    map[topology.NodeID]int
+	position    []int32
 	freeTotal   int
 }
+
+const notCompute = -2
 
 // NewAllocator returns an allocator with every compute node free.
 func NewAllocator(topo *topology.Dragonfly) *Allocator {
 	a := &Allocator{
 		topo:        topo,
 		freeByGroup: make([][]topology.NodeID, topo.Cfg.Groups),
-		position:    make(map[topology.NodeID]int),
+		position:    make([]int32, topo.Cfg.NumNodes()),
+	}
+	for i := range a.position {
+		a.position[i] = notCompute
 	}
 	for _, class := range []topology.NodeClass{topology.KNL, topology.Haswell} {
 		for _, n := range topo.ComputeNodes(class) {
 			g := topo.Group(topo.RouterOfNode(n))
-			a.position[n] = len(a.freeByGroup[g])
+			a.position[n] = int32(len(a.freeByGroup[g]))
 			a.freeByGroup[g] = append(a.freeByGroup[g], n)
 			a.freeTotal++
 		}
@@ -40,13 +46,24 @@ func NewAllocator(topo *topology.Dragonfly) *Allocator {
 	return a
 }
 
+// Clone returns an independent copy of the allocator's state: callers
+// that place against the same starting pool many times copy a template
+// instead of rebuilding it.
+func (a *Allocator) Clone() *Allocator {
+	b := &Allocator{topo: a.topo, freeByGroup: make([][]topology.NodeID, len(a.freeByGroup)),
+		position: slices.Clone(a.position), freeTotal: a.freeTotal}
+	for g, list := range a.freeByGroup {
+		b.freeByGroup[g] = slices.Clone(list)
+	}
+	return b
+}
+
 // FreeCount returns the number of free nodes.
 func (a *Allocator) FreeCount() int { return a.freeTotal }
 
 // IsFree reports whether node n is currently free.
 func (a *Allocator) IsFree(n topology.NodeID) bool {
-	idx, ok := a.position[n]
-	return ok && idx >= 0
+	return n >= 0 && int(n) < len(a.position) && a.position[n] >= 0
 }
 
 // take removes node at index idx of group g's free list.
@@ -55,7 +72,7 @@ func (a *Allocator) take(g topology.GroupID, idx int) topology.NodeID {
 	n := list[idx]
 	last := len(list) - 1
 	list[idx] = list[last]
-	a.position[list[idx]] = idx
+	a.position[list[idx]] = int32(idx)
 	a.freeByGroup[g] = list[:last]
 	a.position[n] = -1
 	a.freeTotal--
@@ -121,25 +138,19 @@ func (a *Allocator) Alloc(n int, compact float64, s *rng.Stream) []topology.Node
 
 // AllocAvoiding behaves like Alloc but never hands out nodes in the busy
 // set. Used when placing instrumented jobs into a pre-generated timeline.
-func (a *Allocator) AllocAvoiding(n int, compact float64, busy map[topology.NodeID]bool, s *rng.Stream) []topology.NodeID {
-	if len(busy) == 0 {
+func (a *Allocator) AllocAvoiding(n int, compact float64, busy *topology.NodeSet, s *rng.Stream) []topology.NodeID {
+	if busy.Len() == 0 {
 		return a.Alloc(n, compact, s)
 	}
-	// temporarily remove the busy nodes that are currently free; iterate in
-	// sorted order so allocator state stays deterministic
-	busyList := make([]topology.NodeID, 0, len(busy))
-	for node := range busy {
-		busyList = append(busyList, node)
-	}
-	sort.Slice(busyList, func(i, j int) bool { return busyList[i] < busyList[j] })
+	// temporarily remove the busy nodes that are currently free; the set
+	// iterates in ascending order, so allocator state stays deterministic
 	var removed []topology.NodeID
-	for _, node := range busyList {
+	busy.Each(func(node topology.NodeID) {
 		if a.IsFree(node) {
-			g := a.topo.Group(a.topo.RouterOfNode(node))
-			a.take(g, a.position[node])
+			a.take(a.topo.Group(a.topo.RouterOfNode(node)), int(a.position[node]))
 			removed = append(removed, node)
 		}
-	}
+	})
 	out := a.Alloc(n, compact, s)
 	a.Free(removed)
 	return out
@@ -149,13 +160,13 @@ func (a *Allocator) AllocAvoiding(n int, compact float64, busy map[topology.Node
 // that is always a double-release bug in the caller.
 func (a *Allocator) Free(nodes []topology.NodeID) {
 	for _, n := range nodes {
-		if idx, ok := a.position[n]; !ok {
+		if n < 0 || int(n) >= len(a.position) || a.position[n] == notCompute {
 			panic("slurm: freeing unknown node")
-		} else if idx >= 0 {
+		} else if a.position[n] >= 0 {
 			panic("slurm: double free of node")
 		}
 		g := a.topo.Group(a.topo.RouterOfNode(n))
-		a.position[n] = len(a.freeByGroup[g])
+		a.position[n] = int32(len(a.freeByGroup[g]))
 		a.freeByGroup[g] = append(a.freeByGroup[g], n)
 		a.freeTotal++
 	}

@@ -39,7 +39,7 @@ type PlacementAdvice struct {
 // congestion view; policies that do not consult it must not call it.
 type PlacementPolicy interface {
 	Name() string
-	Place(a *Allocator, n int, compact float64, busy map[topology.NodeID]bool,
+	Place(a *Allocator, n int, compact float64, busy *topology.NodeSet,
 		advise func() *PlacementAdvice, s *rng.Stream) []topology.NodeID
 }
 
@@ -83,7 +83,7 @@ type firstFitPolicy struct{}
 
 func (firstFitPolicy) Name() string { return "firstfit" }
 
-func (firstFitPolicy) Place(a *Allocator, n int, compact float64, busy map[topology.NodeID]bool,
+func (firstFitPolicy) Place(a *Allocator, n int, compact float64, busy *topology.NodeSet,
 	_ func() *PlacementAdvice, s *rng.Stream) []topology.NodeID {
 	return a.AllocAvoiding(n, compact, busy, s)
 }
@@ -97,7 +97,7 @@ type compactPolicy struct{}
 
 func (compactPolicy) Name() string { return "compact" }
 
-func (compactPolicy) Place(a *Allocator, n int, _ float64, busy map[topology.NodeID]bool,
+func (compactPolicy) Place(a *Allocator, n int, _ float64, busy *topology.NodeSet,
 	_ func() *PlacementAdvice, s *rng.Stream) []topology.NodeID {
 	return a.AllocAvoiding(n, 0.95, busy, s)
 }
@@ -117,7 +117,7 @@ type interferencePolicy struct {
 
 func (*interferencePolicy) Name() string { return "interference" }
 
-func (p *interferencePolicy) Place(a *Allocator, n int, compact float64, busy map[topology.NodeID]bool,
+func (p *interferencePolicy) Place(a *Allocator, n int, compact float64, busy *topology.NodeSet,
 	advise func() *PlacementAdvice, s *rng.Stream) []topology.NodeID {
 	adv := advise()
 	if adv != nil && adv.BlamedActive {
@@ -128,13 +128,14 @@ func (p *interferencePolicy) Place(a *Allocator, n int, compact float64, busy ma
 		return a.AllocAvoiding(n, compact, busy, s)
 	}
 	// exclude every node of the hot groups, on top of the busy set
-	avoid := make(map[topology.NodeID]bool, len(busy))
-	for node := range busy {
-		avoid[node] = true
-	}
-	for node, g := range a.nodeGroups() {
-		if adv.HotGroups[g] {
-			avoid[node] = true
+	avoid := topology.NewNodeSet(a.topo)
+	avoid.Union(busy)
+	npr := a.topo.Cfg.NodesPerRouter
+	for r := 0; r < a.topo.Cfg.NumRouters(); r++ {
+		if adv.HotGroups[a.topo.Group(topology.RouterID(r))] {
+			for i := 0; i < npr; i++ {
+				avoid.Add(topology.NodeID(r*npr + i))
+			}
 		}
 	}
 	if out := a.AllocAvoiding(n, compact, avoid, s); out != nil {
@@ -144,13 +145,4 @@ func (p *interferencePolicy) Place(a *Allocator, n int, compact float64, busy ma
 	// the advice doesn't fit; place the job anyway
 	p.tmFallback.Add(1)
 	return a.AllocAvoiding(n, compact, busy, s)
-}
-
-// nodeGroups enumerates every allocatable node with its group.
-func (a *Allocator) nodeGroups() map[topology.NodeID]topology.GroupID {
-	out := make(map[topology.NodeID]topology.GroupID, len(a.position))
-	for node := range a.position {
-		out[node] = a.topo.Group(a.topo.RouterOfNode(node))
-	}
-	return out
 }

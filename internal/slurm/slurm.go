@@ -291,11 +291,11 @@ func (tl *Timeline) NeighborUsers(t0, t1 float64, minNodes int) []string {
 
 // BusyNodesAt returns the set of nodes owned by background jobs running in
 // the window [t0, t1).
-func (tl *Timeline) BusyNodesAt(t0, t1 float64) map[topology.NodeID]bool {
-	busy := make(map[topology.NodeID]bool)
+func (tl *Timeline) BusyNodesAt(t0, t1 float64) *topology.NodeSet {
+	busy := topology.NewNodeSet(tl.Topo)
 	for _, j := range tl.Overlapping(t0, t1) {
 		for _, n := range j.Nodes {
-			busy[n] = true
+			busy.Add(n)
 		}
 	}
 	return busy
@@ -401,12 +401,7 @@ func Generate(net *netsim.Network, cfg GenerateConfig, s *rng.Stream) *Timeline 
 		}
 		// drained nodes are unallocatable right now; the scheduler cannot
 		// see future drains, so jobs can still be caught by one mid-run
-		var nodes []topology.NodeID
-		if drained := cfg.Faults.DrainedNodes(a.t); len(drained) > 0 {
-			nodes = alloc.AllocAvoiding(size, placeStream.Float64(), drained, placeStream)
-		} else {
-			nodes = alloc.Alloc(size, placeStream.Float64(), placeStream)
-		}
+		nodes := alloc.AllocAvoiding(size, placeStream.Float64(), cfg.Faults.DrainedNodes(a.t), placeStream)
 		if nodes == nil {
 			// queue wait: retry later a few times, then give up
 			if a.try < 4 {

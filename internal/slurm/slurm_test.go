@@ -124,6 +124,19 @@ func TestAllocatorDoubleFreePanics(t *testing.T) {
 	a.Free(nodes)
 }
 
+func TestAllocatorFreeUnknownNodePanics(t *testing.T) {
+	net := testNet(t)
+	topo := net.Topology()
+	a := NewAllocator(topo)
+	io := topo.NodesOfRouter(topo.IORouters()[0])[0]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on freeing an I/O service node")
+		}
+	}()
+	a.Free([]topology.NodeID{io})
+}
+
 func TestCompactnessAffectsFragmentation(t *testing.T) {
 	net := testNet(t)
 	topo := net.Topology()
@@ -150,16 +163,16 @@ func TestAllocAvoiding(t *testing.T) {
 	s := rng.New(3)
 	busyNodes := a.Alloc(16, 0.5, s)
 	a.Free(busyNodes)
-	busy := map[topology.NodeID]bool{}
+	busy := topology.NewNodeSet(net.Topology())
 	for _, n := range busyNodes {
-		busy[n] = true
+		busy.Add(n)
 	}
 	got := a.AllocAvoiding(32, 0.2, busy, s)
 	if got == nil {
 		t.Fatal("allocation failed")
 	}
 	for _, n := range got {
-		if busy[n] {
+		if busy.Has(n) {
 			t.Fatal("allocated a busy node")
 		}
 	}
@@ -380,8 +393,15 @@ func TestBusyNodesAt(t *testing.T) {
 	for _, j := range tl.Overlapping(mid, mid+1) {
 		count += len(j.Nodes)
 	}
-	if len(busy) != count {
-		t.Fatalf("busy nodes %d != sum of job nodes %d", len(busy), count)
+	if busy.Len() != count {
+		t.Fatalf("busy nodes %d != sum of job nodes %d", busy.Len(), count)
+	}
+	for _, j := range tl.Overlapping(mid, mid+1) {
+		for _, n := range j.Nodes {
+			if !busy.Has(n) {
+				t.Fatalf("node %d of job %d missing from the busy set", n, j.ID)
+			}
+		}
 	}
 }
 
@@ -392,7 +412,7 @@ func TestMachineReasonablyUtilized(t *testing.T) {
 	probes := 0
 	// skip the first day (ramp-up from an empty machine)
 	for probe := 86400.0; probe < tl.Horizon(); probe += 3600 {
-		sum += float64(len(tl.BusyNodesAt(probe, probe+1))) / totalNodes
+		sum += float64(tl.BusyNodesAt(probe, probe+1).Len()) / totalNodes
 		probes++
 	}
 	mean := sum / float64(probes)

@@ -147,6 +147,7 @@ var (
 // Span names. Dynamic suffixes are limited to the documented artifact
 // names ("report/fig9", …); everything else is a fixed string.
 const (
+	SpanClusterNew       = "cluster/new"         // cluster.New before a local campaign: machine, faults, background timeline
 	SpanCampaign         = "campaign"            // one controlled-experiment campaign
 	SpanCampaignSchedule = "campaign/schedule"   // child: placement of all submissions
 	SpanCampaignRound    = "campaign/round"      // child: one parallel simulation round
@@ -214,7 +215,7 @@ var AllMetricNames = []string{
 
 // AllSpanNames lists every fixed span name plus the report prefix.
 var AllSpanNames = []string{
-	SpanCampaign, SpanCampaignSchedule, SpanCampaignRound,
+	SpanClusterNew, SpanCampaign, SpanCampaignSchedule, SpanCampaignRound,
 	SpanMLForecast, SpanMLDeviation, SpanMLImportances, SpanMLForecastLong,
 	SpanLDMSRecord, SpanReportPrefix,
 	SpanDistUnit, SpanDistWorker, SpanDistUnitExec, SpanDistSimulate, SpanDistDeliver, SpanDistRPCPrefix,
