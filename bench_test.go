@@ -28,12 +28,14 @@ import (
 	"dragonvar/internal/apps"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/core"
+	"dragonvar/internal/counters"
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/desim"
 	"dragonvar/internal/experiments"
 	"dragonvar/internal/gbr"
 	"dragonvar/internal/linreg"
 	"dragonvar/internal/netsim"
+	"dragonvar/internal/nn"
 	"dragonvar/internal/rng"
 	"dragonvar/internal/topology"
 )
@@ -573,6 +575,36 @@ func BenchmarkCampaignSpeedup(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkForecasterTrain trains the forecaster on synthetic windows of
+// Figure 10's largest shape — 30 steps of every feature column, 1200
+// samples (the default subsampling cap) — with the default configuration
+// cut to 3 epochs. One iteration is one nn.Train; the training kernel
+// (forward and backward passes, Adam) is most of every forecasting figure.
+func BenchmarkForecasterTrain(b *testing.B) {
+	const m, n = 30, 1200
+	h := counters.FeatureSet{Placement: true, IO: true, Sys: true}.Count()
+	s := rng.New(benchSeed)
+	samples := make([]nn.Sample, n)
+	for i := range samples {
+		steps := make([][]float64, m)
+		for t := range steps {
+			row := make([]float64, h)
+			for j := range row {
+				row[j] = s.Float64() * float64(j+1)
+			}
+			steps[t] = row
+		}
+		samples[i] = nn.Sample{Steps: steps, Target: 50 + 3*steps[m-1][0] + steps[m-1][1] + s.NormFloat64()}
+	}
+	cfg := core.DefaultForecastNN()
+	cfg.Epochs = 3
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.Train(samples, cfg, rng.New(benchSeed))
+	}
+	reportMetric(b, float64(b.Elapsed().Nanoseconds())/float64(b.N*n*cfg.Epochs), "ns/sample")
 }
 
 func BenchmarkCampaignDay(b *testing.B) {

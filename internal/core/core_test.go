@@ -177,6 +177,37 @@ func TestForecast(t *testing.T) {
 	}
 }
 
+// TestForecastGridMatchesCells checks that one grid, whose trainings share
+// a worker pool, returns for every cell what Forecast returns for it alone,
+// at any worker count — including a cell with no windows.
+func TestForecastGridMatchesCells(t *testing.T) {
+	camp, _ := testCampaign(t)
+	milc, amg := camp.Get("MILC-128"), camp.Get("AMG-128")
+	cells := []ForecastCell{
+		{DS: milc, Spec: ForecastSpec{M: 5, K: 5}},
+		{DS: amg, Spec: ForecastSpec{M: 10, K: 10}}, // no windows
+		{DS: milc, Spec: ForecastSpec{M: 4, K: 6, Features: counters.FeatureSet{Placement: true}}},
+	}
+	opt := fastForecastOpts()
+	opt.NN.Epochs = 4
+	want := make([]ForecastResult, len(cells))
+	for i, c := range cells {
+		want[i] = Forecast(c.DS, c.Spec, opt, 13)
+	}
+	if want[1].MAPE != -1 || want[0].MAPE <= 0 || want[2].MAPE <= 0 {
+		t.Fatalf("unexpected per-cell results %+v", want)
+	}
+	for _, workers := range []int{1, 3} {
+		opt.Workers = workers
+		got := ForecastGrid(cells, opt, 13)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d cell %d: grid %+v, alone %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestForecastTooShort(t *testing.T) {
 	camp, _ := testCampaign(t)
 	ds := camp.Get("AMG-128") // 12 steps

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"dragonvar/internal/counters"
 	"dragonvar/internal/dataset"
@@ -34,9 +36,10 @@ type ForecastOptions struct {
 	// dataset.GapImpute (default) interpolates, dataset.GapSkip drops
 	// affected windows.
 	Gaps dataset.GapPolicy
-	// Workers is the number of CV folds trained concurrently (0 means
-	// engine.Workers). Fold results merge in fold order, so the reported
-	// MAPE is identical at every worker count.
+	// Workers is the number of trainings of the grid run concurrently (0
+	// means engine.Workers); ForecastImportances scores feature columns on
+	// as many. Fold results merge in fold order, so the reported MAPE is
+	// identical at every worker count.
 	Workers int
 }
 
@@ -45,17 +48,23 @@ func (o ForecastOptions) withDefaults() ForecastOptions {
 		o.Folds = 4
 	}
 	if o.NN.Epochs == 0 {
-		o.NN = nn.Config{
-			EmbedDim:     8,
-			HiddenDim:    16,
-			Epochs:       35,
-			BatchSize:    16,
-			LearningRate: 0.01,
-			UseAttention: true,
-			MaxSamples:   1200,
-		}
+		o.NN = DefaultForecastNN()
 	}
 	return o
+}
+
+// DefaultForecastNN returns the campaign-tuned forecaster configuration
+// that a zero ForecastOptions.NN selects.
+func DefaultForecastNN() nn.Config {
+	return nn.Config{
+		EmbedDim:     8,
+		HiddenDim:    16,
+		Epochs:       35,
+		BatchSize:    16,
+		LearningRate: 0.01,
+		UseAttention: true,
+		MaxSamples:   1200,
+	}
 }
 
 // ForecastResult is the cross-validated error of one spec on one dataset
@@ -70,70 +79,105 @@ type ForecastResult struct {
 	GapFraction float64
 }
 
+// ForecastCell is one cell of a forecasting grid: a spec on a dataset.
+type ForecastCell struct {
+	DS   *dataset.Dataset
+	Spec ForecastSpec
+}
+
 // Forecast trains and evaluates the attention forecaster with
 // cross-validation over runs: windows of held-out runs are never seen in
-// training, mirroring the paper's splits.
+// training, mirroring the paper's splits. It is a one-cell ForecastGrid.
 func Forecast(ds *dataset.Dataset, spec ForecastSpec, opt ForecastOptions, seed int64) ForecastResult {
+	return ForecastGrid([]ForecastCell{{DS: ds, Spec: spec}}, opt, seed)[0]
+}
+
+// ForecastGrid cross-validates every cell as Forecast describes and returns
+// the results in cell order. Every (cell, fold) training of the grid runs in one worker
+// pool, so no cell waits for another's slowest fold. Each fold's stream is
+// split from its cell's stream by fold index, and a cell's MAPEs are
+// summed in fold order afterwards, so the results are identical at every
+// worker count.
+func ForecastGrid(cells []ForecastCell, opt ForecastOptions, seed int64) []ForecastResult {
 	_, span := telemetry.Start(context.Background(), telemetry.SpanMLForecast)
 	defer span.End()
 	opt = opt.withDefaults()
-	s := rng.NewLabeled(seed, "forecast-"+ds.Name+"-"+spec.String())
-	windows := ds.BuildWindowsGap(spec.Features, spec.M, spec.K, opt.Gaps)
-	if len(windows) == 0 {
-		return ForecastResult{Dataset: ds.Name, Spec: spec, MAPE: -1, GapFraction: ds.GapFraction()}
-	}
+	span.SetAttr("cells", strconv.Itoa(len(cells)))
+	span.SetAttr("folds", strconv.Itoa(opt.Folds))
 
-	// group windows by run for run-level folds
-	byRun := map[int][]nn.Sample{}
-	for _, w := range windows {
-		byRun[w.RunIdx] = append(byRun[w.RunIdx], nn.Sample{Steps: w.Steps, Target: w.Target})
+	// cross-validation set-up of one cell: its stream, its windows grouped
+	// by run (in ascending run index), and its run-level folds
+	type cv struct {
+		s      *rng.Stream
+		byRun  [][]nn.Sample
+		splits []dataset.FoldSplit
 	}
-	runIdxs := make([]int, 0, len(byRun))
-	for ri := range byRun {
-		runIdxs = append(runIdxs, ri)
-	}
-	// map iteration order must not matter: sort
-	for i := 1; i < len(runIdxs); i++ {
-		for j := i; j > 0 && runIdxs[j] < runIdxs[j-1]; j-- {
-			runIdxs[j], runIdxs[j-1] = runIdxs[j-1], runIdxs[j]
+	type training struct{ cell, fold int }
+	cvs := make([]cv, len(cells))
+	res := make([]ForecastResult, len(cells))
+	var trainings []training
+	for c, cell := range cells {
+		ds, spec := cell.DS, cell.Spec
+		res[c] = ForecastResult{Dataset: ds.Name, Spec: spec, GapFraction: ds.GapFraction()}
+		windows := ds.BuildWindowsGap(spec.Features, spec.M, spec.K, opt.Gaps)
+		if len(windows) == 0 {
+			res[c].MAPE = -1
+			continue
+		}
+		res[c].Windows = len(windows)
+		byRun := map[int][]nn.Sample{}
+		for _, w := range windows {
+			byRun[w.RunIdx] = append(byRun[w.RunIdx], nn.Sample{Steps: w.Steps, Target: w.Target})
+		}
+		runIdxs := make([]int, 0, len(byRun))
+		for ri := range byRun {
+			runIdxs = append(runIdxs, ri)
+		}
+		slices.Sort(runIdxs) // map iteration order must not matter
+		s := rng.NewLabeled(seed, "forecast-"+ds.Name+"-"+spec.String())
+		cvs[c] = cv{s: s, byRun: make([][]nn.Sample, len(runIdxs)),
+			splits: dataset.KFoldSplits(len(runIdxs), opt.Folds, s.Split("folds"))}
+		for i, ri := range runIdxs {
+			cvs[c].byRun[i] = byRun[ri]
+		}
+		for fold := range cvs[c].splits {
+			trainings = append(trainings, training{c, fold})
 		}
 	}
 
-	// train the folds concurrently; each fold's stream is split from the
-	// parent by fold index, and MAPEs are summed in fold order afterwards,
-	// so the result is identical at every worker count
 	type foldMAPE struct {
 		mape float64
 		ok   bool
 	}
-	splits := dataset.KFoldSplits(len(runIdxs), opt.Folds, s.Split("folds"))
-	out, _ := engine.MapOrdered(context.Background(), opt.Workers, len(splits),
-		func(_ context.Context, fold int) (foldMAPE, error) {
+	out, _ := engine.MapOrdered(context.Background(), opt.Workers, len(trainings),
+		func(_ context.Context, i int) (foldMAPE, error) {
+			cv, fold := cvs[trainings[i].cell], trainings[i].fold
 			var trainSamples, testSamples []nn.Sample
-			for _, i := range splits[fold].Train {
-				trainSamples = append(trainSamples, byRun[runIdxs[i]]...)
+			for _, r := range cv.splits[fold].Train {
+				trainSamples = append(trainSamples, cv.byRun[r]...)
 			}
-			for _, i := range splits[fold].Test {
-				testSamples = append(testSamples, byRun[runIdxs[i]]...)
+			for _, r := range cv.splits[fold].Test {
+				testSamples = append(testSamples, cv.byRun[r]...)
 			}
 			if len(trainSamples) == 0 || len(testSamples) == 0 {
 				return foldMAPE{}, nil
 			}
-			model := nn.Train(trainSamples, opt.NN, s.Split(fmt.Sprintf("fold-%d", fold)))
+			model := nn.Train(trainSamples, opt.NN, cv.s.Split(fmt.Sprintf("fold-%d", fold)))
 			return foldMAPE{mape: model.MAPE(testSamples), ok: true}, nil
 		})
-	var mapeSum float64
-	var folds int
-	for _, f := range out {
+	// trainings are in (cell, fold) order, so each cell sums in fold order
+	sums := make([]float64, len(cells))
+	folds := make([]int, len(cells))
+	for i, f := range out {
 		if f.ok {
-			mapeSum += f.mape
-			folds++
+			sums[trainings[i].cell] += f.mape
+			folds[trainings[i].cell]++
 		}
 	}
-	res := ForecastResult{Dataset: ds.Name, Spec: spec, Windows: len(windows),
-		GapFraction: ds.GapFraction()}
-	if folds > 0 {
-		res.MAPE = mapeSum / float64(folds)
+	for c := range res {
+		if folds[c] > 0 {
+			res[c].MAPE = sums[c] / float64(folds[c])
+		}
 	}
 	return res
 }
@@ -170,7 +214,7 @@ func ForecastImportances(ds *dataset.Dataset, spec ForecastSpec, opt ForecastOpt
 		return spec.Features.Names(), nil
 	}
 	model := nn.Train(train, opt.NN, s.Split("train"))
-	return spec.Features.Names(), model.PermutationImportance(test, s.Split("perm"))
+	return spec.Features.Names(), model.PermutationImportance(test, s.Split("perm"), opt.Workers)
 }
 
 // SegmentForecast is one point of Figure 12: a 40-step segment of a long

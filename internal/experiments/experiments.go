@@ -358,11 +358,28 @@ func (s *Suite) Figure9() (string, []core.DeviationResult) {
 	return b.String(), results
 }
 
-// forecastFigure runs the forecasting grid of Figure 8 or 10.
+// forecastFigure runs the forecasting grid of Figure 8 or 10: every spec on
+// every dataset with data, trained in one ForecastGrid.
 func (s *Suite) forecastFigure(title string, datasets []string, ms, ks []int, features []counters.FeatureSet) (string, []core.ForecastResult) {
+	var cells []core.ForecastCell
+	for _, name := range datasets {
+		ds := s.Camp.Get(name)
+		if ds == nil || len(ds.Runs) == 0 {
+			continue
+		}
+		for _, k := range ks {
+			for _, m := range ms {
+				for _, fs := range features {
+					cells = append(cells, core.ForecastCell{DS: ds, Spec: core.ForecastSpec{M: m, K: k, Features: fs}})
+				}
+			}
+		}
+	}
+	results := core.ForecastGrid(cells, s.forecastOpts(), s.Seed)
+
 	var b strings.Builder
 	b.WriteString(title + "\n")
-	var results []core.ForecastResult
+	rest := results
 	for _, name := range datasets {
 		ds := s.Camp.Get(name)
 		if ds == nil || len(ds.Runs) == 0 {
@@ -374,15 +391,11 @@ func (s *Suite) forecastFigure(title string, datasets []string, ms, ks []int, fe
 			title = fmt.Sprintf("%s (gaps %.1f%%, imputed)", name, 100*gf)
 		}
 		t := report.NewTable(title, "spec", "MAPE %")
-		for _, k := range ks {
-			for _, m := range ms {
-				for _, fs := range features {
-					res := core.Forecast(ds, core.ForecastSpec{M: m, K: k, Features: fs}, s.forecastOpts(), s.Seed)
-					results = append(results, res)
-					t.AddRow(res.Spec.String(), res.MAPE)
-				}
-			}
+		n := len(ks) * len(ms) * len(features)
+		for _, res := range rest[:n] {
+			t.AddRow(res.Spec.String(), res.MAPE)
 		}
+		rest = rest[n:]
 		b.WriteString(t.String())
 	}
 	return b.String(), results

@@ -136,7 +136,10 @@ func (f *Forecaster) carve() {
 	f.b2 = take(1)
 }
 
-// scratch holds per-sample forward/backward buffers, reused across samples.
+// scratch holds per-sample forward/backward buffers, reused across samples,
+// and the transposed key and value weights the forward pass reads row by
+// row. The transposes are copies: refresh them whenever the parameters
+// change.
 type scratch struct {
 	norm  []float64 // m×h normalized input
 	e     []float64 // m×d embeddings
@@ -147,71 +150,110 @@ type scratch struct {
 	ctx   []float64 // d
 	pre1  []float64 // p
 	hid   []float64 // p
+	wkT   []float64 // d×d, wkT[a*d+b] = wk[b*d+a]
+	wvT   []float64 // d×d, wvT[a*d+b] = wv[b*d+a]
 
 	gE   []float64 // m×d
 	gCtx []float64 // d
 	gPre []float64 // p
 	gSc  []float64 // m
+	gK   []float64 // d, one row's key gradient
+	gV   []float64 // d, one row's value gradient
 }
 
 func (f *Forecaster) newScratch() *scratch {
-	d, p := f.cfg.EmbedDim, f.cfg.HiddenDim
-	return &scratch{
-		norm:  make([]float64, f.m*f.h),
-		e:     make([]float64, f.m*d),
-		k:     make([]float64, f.m*d),
-		v:     make([]float64, f.m*d),
-		score: make([]float64, f.m),
-		alpha: make([]float64, f.m),
-		ctx:   make([]float64, d),
-		pre1:  make([]float64, p),
-		hid:   make([]float64, p),
-		gE:    make([]float64, f.m*d),
-		gCtx:  make([]float64, d),
-		gPre:  make([]float64, p),
-		gSc:   make([]float64, f.m),
+	d, p, m := f.cfg.EmbedDim, f.cfg.HiddenDim, f.m
+	buf := make([]float64, m*f.h+4*m*d+3*m+2*d*d+4*d+3*p)
+	take := func(n int) []float64 {
+		v := buf[:n:n]
+		buf = buf[n:]
+		return v
+	}
+	sc := &scratch{
+		norm:  take(m * f.h),
+		e:     take(m * d),
+		k:     take(m * d),
+		v:     take(m * d),
+		score: take(m),
+		alpha: take(m),
+		ctx:   take(d),
+		pre1:  take(p),
+		hid:   take(p),
+		wkT:   take(d * d),
+		wvT:   take(d * d),
+		gE:    take(m * d),
+		gCtx:  take(d),
+		gPre:  take(p),
+		gSc:   take(m),
+		gK:    take(d),
+		gV:    take(d),
+	}
+	f.refresh(sc)
+	return sc
+}
+
+// refresh copies the current key and value weights, transposed, into sc.
+func (f *Forecaster) refresh(sc *scratch) {
+	d := f.cfg.EmbedDim
+	for b := 0; b < d; b++ {
+		wk, wv := f.wk[b*d:(b+1)*d], f.wv[b*d:(b+1)*d]
+		for a := range wk {
+			sc.wkT[a*d+b] = wk[a]
+			sc.wvT[a*d+b] = wv[a]
+		}
 	}
 }
+
+// The forward and backward passes below are written for speed but keep
+// every float operation of the textbook loops, in the same order: each
+// accumulator receives its terms one at a time in ascending index order,
+// starting from the same value, and every exact-zero skip is kept. Only
+// which accumulators are live at once changes, so the trained parameters
+// are bit-identical to those of the straightforward formulation.
 
 // forward computes the normalized-space prediction for one window.
 func (f *Forecaster) forward(steps [][]float64, sc *scratch) float64 {
 	d, p := f.cfg.EmbedDim, f.cfg.HiddenDim
 	m, h := f.m, f.h
-	// normalize
-	for t := 0; t < m; t++ {
-		row := steps[t]
-		for j := 0; j < h; j++ {
-			sc.norm[t*h+j] = (row[j] - f.featMu[j]) / f.featSigma[j]
-		}
-	}
+	mu, sigma := f.featMu[:h], f.featSigma[:h]
+	we, be := f.we[:h*d], f.be[:d]
 	// embeddings and projections
 	for t := 0; t < m; t++ {
-		et := sc.e[t*d : (t+1)*d]
+		row := steps[t][:h]
 		nt := sc.norm[t*h : (t+1)*h]
-		for a := 0; a < d; a++ {
-			et[a] = f.be[a] + f.pos[t*d+a]
+		for j, x := range row {
+			nt[j] = (x - mu[j]) / sigma[j]
 		}
-		for j := 0; j < h; j++ {
-			x := nt[j]
-			if x == 0 {
-				continue
+		// E_t[a] starts from be[a] + pos_t[a] and adds x_j·We[j][a] for
+		// j ascending, four columns a at a time
+		et := sc.e[t*d : (t+1)*d]
+		pt := f.pos[t*d : (t+1)*d]
+		a := 0
+		for ; a+4 <= d; a += 4 {
+			e0, e1, e2, e3 := be[a]+pt[a], be[a+1]+pt[a+1], be[a+2]+pt[a+2], be[a+3]+pt[a+3]
+			for j, x := range nt {
+				if x == 0 {
+					continue
+				}
+				w := we[j*d+a : j*d+a+4]
+				e0 += x * w[0]
+				e1 += x * w[1]
+				e2 += x * w[2]
+				e3 += x * w[3]
 			}
-			wrow := f.we[j*d : (j+1)*d]
-			for a := 0; a < d; a++ {
-				et[a] += x * wrow[a]
-			}
+			et[a], et[a+1], et[a+2], et[a+3] = e0, e1, e2, e3
 		}
-		kt := sc.k[t*d : (t+1)*d]
-		vt := sc.v[t*d : (t+1)*d]
-		for a := 0; a < d; a++ {
-			var ks, vs float64
-			for b := 0; b < d; b++ {
-				ks += et[b] * f.wk[b*d+a]
-				vs += et[b] * f.wv[b*d+a]
+		for ; a < d; a++ {
+			e := be[a] + pt[a]
+			for j, x := range nt {
+				if x != 0 {
+					e += x * we[j*d+a]
+				}
 			}
-			kt[a] = ks
-			vt[a] = vs
+			et[a] = e
 		}
+		project(sc.wkT, et, sc.k[t*d:(t+1)*d])
+		project(sc.wvT, et, sc.v[t*d:(t+1)*d])
 	}
 	// attention weights
 	if f.cfg.UseAttention {
@@ -282,90 +324,164 @@ func (f *Forecaster) backward(dOut float64, sc *scratch, grad []float64) {
 		sc.gPre[j] = g
 		gB1[j] += g
 	}
+	gPre := sc.gPre[:p]
 	for a := 0; a < d; a++ {
 		var s float64
-		for j := 0; j < p; j++ {
-			g := sc.gPre[j]
+		c := sc.ctx[a]
+		w1 := f.w1[a*p : (a+1)*p]
+		gw1 := gW1[a*p : (a+1)*p]
+		for j, g := range gPre {
 			if g == 0 {
 				continue
 			}
-			gW1[a*p+j] += sc.ctx[a] * g
-			s += f.w1[a*p+j] * g
+			gw1[j] += c * g
+			s += w1[j] * g
 		}
 		sc.gCtx[a] = s
 	}
 
-	// attention
-	for i := range sc.gE {
-		sc.gE[i] = 0
-	}
-	if f.cfg.UseAttention {
-		// gAlpha_t = V_t · gCtx; softmax backward
-		var dot float64
+	// attention: gAlpha_t = V_t · gCtx; softmax backward
+	att := f.cfg.UseAttention
+	var dot, inv float64
+	if att {
 		for t := 0; t < m; t++ {
 			sc.gSc[t] = linalg.Dot(sc.v[t*d:(t+1)*d], sc.gCtx)
 		}
 		for t := 0; t < m; t++ {
 			dot += sc.alpha[t] * sc.gSc[t]
 		}
-		inv := 1 / math.Sqrt(float64(d))
-		for t := 0; t < m; t++ {
+		inv = 1 / math.Sqrt(float64(d))
+	}
+	// gK_t = gScore_t·q and gV_t = alpha_t·gCtx flow through Wk and Wv
+	// into E_t: gE_t[b] sums the Wk terms, then the Wv terms
+	gK, gV := sc.gK[:d], sc.gV[:d]
+	for t := 0; t < m; t++ {
+		et := sc.e[t*d : (t+1)*d]
+		ge := sc.gE[t*d : (t+1)*d]
+		clear(ge)
+		if att {
 			gScore := sc.alpha[t] * (sc.gSc[t] - dot) * inv
 			kt := sc.k[t*d : (t+1)*d]
-			et := sc.e[t*d : (t+1)*d]
-			// q and K gradients
-			for a := 0; a < d; a++ {
-				gQ[a] += gScore * kt[a]
+			for a, k := range kt {
+				gQ[a] += gScore * k
 			}
-			// gK_t = gScore * q → backprop through Wk into E
-			for a := 0; a < d; a++ {
-				gk := gScore * f.q[a]
-				if gk == 0 {
-					continue
-				}
-				for b := 0; b < d; b++ {
-					gWk[b*d+a] += et[b] * gk
-					sc.gE[t*d+b] += f.wk[b*d+a] * gk
-				}
+			for a, q := range f.q[:d] {
+				gK[a] = gScore * q
 			}
+			backProject(f.wk, gWk, gK, et, ge)
 		}
-	}
-	// values: gV_t = alpha_t * gCtx → through Wv into E
-	for t := 0; t < m; t++ {
-		at := sc.alpha[t]
-		if at == 0 {
-			continue
-		}
-		et := sc.e[t*d : (t+1)*d]
-		for a := 0; a < d; a++ {
-			gv := at * sc.gCtx[a]
-			if gv == 0 {
-				continue
+		if at := sc.alpha[t]; at != 0 {
+			for a, g := range sc.gCtx[:d] {
+				gV[a] = at * g
 			}
-			for b := 0; b < d; b++ {
-				gWv[b*d+a] += et[b] * gv
-				sc.gE[t*d+b] += f.wv[b*d+a] * gv
-			}
+			backProject(f.wv, gWv, gV, et, ge)
 		}
 	}
 	// embeddings
 	for t := 0; t < m; t++ {
-		nt := sc.norm[t*h : (t+1)*h]
 		ge := sc.gE[t*d : (t+1)*d]
-		for a := 0; a < d; a++ {
-			gBe[a] += ge[a]
-			gPos[t*d+a] += ge[a]
+		gp := gPos[t*d : (t+1)*d]
+		for a, g := range ge {
+			gBe[a] += g
+			gp[a] += g
 		}
-		for j := 0; j < h; j++ {
-			x := nt[j]
-			if x == 0 {
+	}
+	// gWe[j][a] adds x_tj·gE_t[a] for t ascending, four columns a at a time
+	norm, gE := sc.norm[:m*h], sc.gE[:m*d]
+	for j := 0; j < h; j++ {
+		gw := gWe[j*d : (j+1)*d]
+		a := 0
+		for ; a+4 <= d; a += 4 {
+			g0, g1, g2, g3 := gw[a], gw[a+1], gw[a+2], gw[a+3]
+			for t := 0; t < m; t++ {
+				x := norm[t*h+j]
+				if x == 0 {
+					continue
+				}
+				ge := gE[t*d+a : t*d+a+4]
+				g0 += x * ge[0]
+				g1 += x * ge[1]
+				g2 += x * ge[2]
+				g3 += x * ge[3]
+			}
+			gw[a], gw[a+1], gw[a+2], gw[a+3] = g0, g1, g2, g3
+		}
+		for ; a < d; a++ {
+			g := gw[a]
+			for t := 0; t < m; t++ {
+				if x := norm[t*h+j]; x != 0 {
+					g += x * gE[t*d+a]
+				}
+			}
+			gw[a] = g
+		}
+	}
+}
+
+// project sets y[a] = Σ_b x[b]·wT[a][b] (wT is W transposed, one row per
+// output), each sum starting from zero and adding b ascending. Four rows
+// run at once so their sums overlap.
+func project(wT, x, y []float64) {
+	d := len(x)
+	a := 0
+	for ; a+4 <= len(y); a += 4 {
+		w0, w1, w2, w3 := wT[a*d:(a+1)*d], wT[(a+1)*d:(a+2)*d], wT[(a+2)*d:(a+3)*d], wT[(a+3)*d:(a+4)*d]
+		var s0, s1, s2, s3 float64
+		for b, xb := range x {
+			s0 += xb * w0[b]
+			s1 += xb * w1[b]
+			s2 += xb * w2[b]
+			s3 += xb * w3[b]
+		}
+		y[a], y[a+1], y[a+2], y[a+3] = s0, s1, s2, s3
+	}
+	for ; a < len(y); a++ {
+		w := wT[a*d : (a+1)*d]
+		var s float64
+		for b, xb := range x {
+			s += xb * w[b]
+		}
+		y[a] = s
+	}
+}
+
+// backProject backpropagates the gradient g of y = x·W (W is d×d, row b
+// holds the weights from input b) for every nonzero g[a]: it adds
+// x[b]·g[a] to gw[b][a] and w[b][a]·g[a] to ge[b], for a ascending. Four
+// rows run at once so their sums overlap.
+func backProject(w, gw, g, x, ge []float64) {
+	d := len(g)
+	b := 0
+	for ; b+4 <= d; b += 4 {
+		x0, x1, x2, x3 := x[b], x[b+1], x[b+2], x[b+3]
+		s0, s1, s2, s3 := ge[b], ge[b+1], ge[b+2], ge[b+3]
+		w0, w1, w2, w3 := w[b*d:(b+1)*d], w[(b+1)*d:(b+2)*d], w[(b+2)*d:(b+3)*d], w[(b+3)*d:(b+4)*d]
+		g0, g1, g2, g3 := gw[b*d:(b+1)*d], gw[(b+1)*d:(b+2)*d], gw[(b+2)*d:(b+3)*d], gw[(b+3)*d:(b+4)*d]
+		for a, ga := range g {
+			if ga == 0 {
 				continue
 			}
-			wrow := gWe[j*d : (j+1)*d]
-			for a := 0; a < d; a++ {
-				wrow[a] += x * ge[a]
+			g0[a] += x0 * ga
+			s0 += w0[a] * ga
+			g1[a] += x1 * ga
+			s1 += w1[a] * ga
+			g2[a] += x2 * ga
+			s2 += w2[a] * ga
+			g3[a] += x3 * ga
+			s3 += w3[a] * ga
+		}
+		ge[b], ge[b+1], ge[b+2], ge[b+3] = s0, s1, s2, s3
+	}
+	for ; b < d; b++ {
+		xb, s := x[b], ge[b]
+		wb, gb := w[b*d:(b+1)*d], gw[b*d:(b+1)*d]
+		for a, ga := range g {
+			if ga != 0 {
+				gb[a] += xb * ga
+				s += wb[a] * ga
 			}
 		}
+		ge[b] = s
 	}
 }
 
@@ -456,6 +572,7 @@ func Train(samples []Sample, cfg Config, s *rng.Stream) *Forecaster {
 				vAdam[i] = beta2*vAdam[i] + (1-beta2)*g*g
 				f.params[i] -= cfg.LearningRate * (mAdam[i] / c1) / (math.Sqrt(vAdam[i]/c2) + eps)
 			}
+			f.refresh(sc)
 		}
 	}
 	return f
@@ -512,12 +629,13 @@ func (f *Forecaster) AttentionWeights(steps [][]float64) []float64 {
 // increase in MAPE when that column is shuffled across samples (at every
 // window position). Larger is more important; floors at 0.
 //
-// Feature columns are scored concurrently; each column's shuffle uses its
-// own stream split from s by column index, so the scores are identical at
-// every worker count (inference is read-only on the trained model).
-func (f *Forecaster) PermutationImportance(samples []Sample, s *rng.Stream) []float64 {
+// Feature columns are scored on up to workers goroutines (0 means
+// engine.Workers); each column's shuffle uses its own stream split from s
+// by column index, so the scores are identical at every worker count
+// (inference is read-only on the trained model).
+func (f *Forecaster) PermutationImportance(samples []Sample, s *rng.Stream, workers int) []float64 {
 	base := f.MAPE(samples)
-	out, _ := engine.MapOrdered(context.Background(), 0, f.h,
+	out, _ := engine.MapOrdered(context.Background(), workers, f.h,
 		func(_ context.Context, j int) (float64, error) {
 			perm := make([]int, len(samples))
 			for i := range perm {

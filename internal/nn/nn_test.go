@@ -210,9 +210,15 @@ func TestPermutationImportance(t *testing.T) {
 	s := rng.New(13)
 	samples := mkSamples(400, 4, 3, 0.05, s)
 	f := Train(samples[:300], fastCfg(), rng.New(14))
-	imp := f.PermutationImportance(samples[300:], rng.New(15))
+	imp := f.PermutationImportance(samples[300:], rng.New(15), 1)
 	if len(imp) != 3 {
 		t.Fatalf("importance length = %d", len(imp))
+	}
+	// columns reduce in column order whatever the worker count
+	for i, v := range f.PermutationImportance(samples[300:], rng.New(15), 3) {
+		if v != imp[i] {
+			t.Fatalf("importance %d: %v at 3 workers, %v at 1", i, v, imp[i])
+		}
 	}
 	// feature 0 (weight 3) must beat feature 2 (weight 0.5)
 	if imp[0] <= imp[2] {
@@ -221,6 +227,25 @@ func TestPermutationImportance(t *testing.T) {
 	for _, v := range imp {
 		if v < 0 {
 			t.Fatal("importance below zero")
+		}
+	}
+}
+
+// TestForwardBackwardAllocFree pins the training kernel: a warm forward and
+// backward pass on a reused scratch allocates nothing.
+func TestForwardBackwardAllocFree(t *testing.T) {
+	s := rng.New(22)
+	samples := mkSamples(16, 6, 5, 0.1, s)
+	for _, att := range []bool{true, false} {
+		cfg := Config{EmbedDim: 6, HiddenDim: 5, Epochs: 1, UseAttention: att}
+		f := Train(samples, cfg, rng.New(23))
+		sc := f.newScratch()
+		grad := make([]float64, len(f.params))
+		allocs := testing.AllocsPerRun(50, func() {
+			f.backward(f.forward(samples[1].Steps, sc)-0.5, sc, grad)
+		})
+		if allocs != 0 {
+			t.Fatalf("attention=%v: forward+backward allocates %v times per sample", att, allocs)
 		}
 	}
 }

@@ -151,7 +151,7 @@ const (
 	SpanCampaign         = "campaign"            // one controlled-experiment campaign
 	SpanCampaignSchedule = "campaign/schedule"   // child: placement of all submissions
 	SpanCampaignRound    = "campaign/round"      // child: one parallel simulation round
-	SpanMLForecast       = "ml/forecast"         // cross-validated forecaster training+eval
+	SpanMLForecast       = "ml/forecast"         // one forecasting grid: every cell's cross-validated training+eval
 	SpanMLDeviation      = "ml/deviation"        // GBR+RFE deviation analysis
 	SpanMLImportances    = "ml/importances"      // permutation-importance pass
 	SpanMLForecastLong   = "ml/forecast_longrun" // long-run segment forecasting
