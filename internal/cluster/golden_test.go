@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"dragonvar/internal/dataset"
 	"dragonvar/internal/routing"
 	"dragonvar/internal/topology"
 )
@@ -25,23 +26,70 @@ var goldenContent = map[string]string{
 	"valiant":  "3b9e5483f10e285b",
 }
 
+// goldenCampaignHash runs the small 30-day seed-42 campaign at 2 workers
+// and returns the first eight bytes of the SHA-256 of its JSON encoding,
+// with the campaign itself.
+func goldenCampaignHash(t *testing.T, routing, placement, faults string) (string, *dataset.Campaign) {
+	t.Helper()
+	cfg := Config{
+		Machine:   topology.Small(),
+		Days:      30,
+		Seed:      42,
+		Placement: placement,
+		FaultSpec: faults,
+	}
+	cfg.Net.Routing = routing
+	camp := campaignAtWorkers(t, cfg, 2)
+	blob, err := json.Marshal(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:8]), camp
+}
+
 func TestCampaignContentGolden(t *testing.T) {
 	for _, pol := range routing.PolicyNames() {
 		t.Run(pol, func(t *testing.T) {
-			cfg := Config{
-				Machine:   topology.Small(),
-				Days:      30,
-				Seed:      42,
-				Placement: "firstfit",
+			if got, _ := goldenCampaignHash(t, pol, "firstfit", ""); got != goldenContent[pol] {
+				t.Fatalf("%s campaign content hash = %s, want %s", pol, got, goldenContent[pol])
 			}
-			cfg.Net.Routing = pol
-			blob, err := json.Marshal(campaignAtWorkers(t, cfg, 2))
-			if err != nil {
-				t.Fatal(err)
+		})
+	}
+}
+
+// TestCampaignPlacementFaultsGolden pins the same campaign on the paths the
+// anchors above do not reach: the interference policy, which reads other
+// runs' footprints while placing; compact placement; and a dense random
+// fault schedule whose drains kill runs, so requeues re-place them and
+// rebuild their footprints mid-campaign. Recorded once; never regenerate
+// them to make a change pass.
+func TestCampaignPlacementFaultsGolden(t *testing.T) {
+	cases := []struct {
+		name, routing, placement, faults, want string
+	}{
+		{"adaptive-interference", "adaptive", "interference", "", "e8b22daa3d799eb7"},
+		{"adaptive-compact", "adaptive", "compact", "", "dc3c498602e01f1f"},
+		{"minimal-firstfit-faults", "minimal", "firstfit",
+			"links=4,degraded=4,routers=4,drains=300,dropouts=3,outage=300", "8dcae615d7331e31"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, camp := goldenCampaignHash(t, tc.routing, tc.placement, tc.faults)
+			if got != tc.want {
+				t.Fatalf("%s campaign content hash = %s, want %s", tc.name, got, tc.want)
 			}
-			sum := sha256.Sum256(blob)
-			if got, want := hex.EncodeToString(sum[:8]), goldenContent[pol]; got != want {
-				t.Fatalf("%s campaign content hash = %s, want %s", pol, got, want)
+			if tc.faults == "" {
+				return
+			}
+			requeued := 0
+			for _, ds := range camp.Datasets {
+				for _, r := range ds.Runs {
+					requeued += r.Requeues
+				}
+			}
+			if requeued == 0 {
+				t.Fatal("the fault schedule requeued no run; the requeue path is not pinned")
 			}
 		})
 	}
