@@ -30,7 +30,8 @@ FUZZ_TARGETS = \
 	./internal/telemetry:FuzzParseTraceparent \
 	./internal/dist:FuzzDecodeRun \
 	./internal/modelstore:FuzzObjectDecode \
-	./internal/traceio:FuzzReader
+	./internal/traceio:FuzzReader \
+	./internal/rng:FuzzSourceMatchesMathRand
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -607,6 +607,38 @@ func BenchmarkForecasterTrain(b *testing.B) {
 	reportMetric(b, float64(b.Elapsed().Nanoseconds())/float64(b.N*n*cfg.Epochs), "ns/sample")
 }
 
+// BenchmarkStreamSplit times the random streams every stochastic component
+// draws from. "seed+30" is one rng.Split plus 30 Float64 draws, the shape of
+// a per-pair path-sampling stream on a path-cache miss; "warm" is one
+// Float64 draw from a stream past its lazily seeded phase, which should
+// cost what a math/rand draw costs.
+func BenchmarkStreamSplit(b *testing.B) {
+	b.Run("seed+30", func(b *testing.B) {
+		root := rng.New(benchSeed)
+		var sink float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := root.Split("pair")
+			for k := 0; k < 30; k++ {
+				sink += s.Float64()
+			}
+		}
+		_ = sink
+	})
+	b.Run("warm", func(b *testing.B) {
+		s := rng.New(benchSeed)
+		for k := 0; k < 1000; k++ {
+			s.Float64()
+		}
+		var sink float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink += s.Float64()
+		}
+		_ = sink
+	})
+}
+
 func BenchmarkCampaignDay(b *testing.B) {
 	// cost of simulating one campaign day at reduced scale
 	for i := 0; i < b.N; i++ {

@@ -320,6 +320,7 @@ func (m *Model) BuildPattern(topo *topology.Dragonfly, nodes []topology.NodeID) 
 	}
 	mapper := &mpi.RankMapper{Topo: topo, Nodes: nodes, RanksPerNode: m.RanksPerNode}
 	b := mpi.NewPatternBuilder()
+	defer b.Release()
 	switch m.Pattern {
 	case Stencil3D:
 		dims, err := FactorDims(m.NumRanks(), 3)

@@ -642,12 +642,10 @@ func (c *Cluster) schedule() ([]*plan, error) {
 	sort.Slice(plans, func(i, j int) bool { return plans[i].start < plans[j].start })
 
 	// place in start order; when the machine is full, the job waits in the
-	// queue and retries later (like a real submission would)
+	// queue and retries later (like a real submission would). A plan that
+	// gives up keeps nil nodes.
 	for i, p := range plans {
-		if !c.place(p, plans, i, s) {
-			continue // gave up on this submission
-		}
-		p.footprint = c.planFootprint(p)
+		c.place(p, plans, i, s)
 	}
 	// drop unplaced plans
 	placed := plans[:0]
@@ -656,6 +654,13 @@ func (c *Cluster) schedule() ([]*plan, error) {
 			placed = append(placed, p)
 		}
 	}
+	// no placement above waits for a footprint the interference policy did
+	// not ask for, so the rest are built here, in parallel: a footprint
+	// draws from no shared stream and depends only on its own plan
+	engine.Map(context.Background(), c.cfg.Workers, len(placed), func(_ context.Context, _, i int) error {
+		c.footprint(placed[i])
+		return nil
+	})
 	return placed, nil
 }
 
@@ -726,7 +731,7 @@ func (c *Cluster) placementAdvice(p *plan, plans []*plan, self int) *slurm.Place
 	}
 	for i, q := range plans {
 		if i != self && q.nodes != nil && q.start < p.estEnd && q.estEnd > p.start {
-			addSet(q.footprint, 1)
+			addSet(c.footprint(q), 1)
 		}
 	}
 	// hotZ 1.5: with ~10 groups a full 3-sigma outlier (the monitor's
@@ -739,6 +744,14 @@ func (c *Cluster) placementAdvice(p *plan, plans []*plan, self int) *slurm.Place
 		}
 	}
 	return adv
+}
+
+// footprint returns p's footprint, building it on first use.
+func (c *Cluster) footprint(p *plan) *netsim.LoadSet {
+	if p.footprint == nil {
+		p.footprint = c.planFootprint(p)
+	}
+	return p.footprint
 }
 
 // planFootprint builds the unit (per-second) footprint used when this run

@@ -110,6 +110,30 @@ func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 	}
 }
 
+// TestRoundFlitsFitLayout: the netsim/round_flits histogram's layout fits
+// the offered flits per round a campaign produces. At most 5% of the
+// samples of a small reference campaign fall in the overflow bucket, and at
+// most 5% at or below the lowest bound, where the layout says nothing
+// either.
+func TestRoundFlitsFitLayout(t *testing.T) {
+	r := telemetry.New()
+	telemetry.Enable(r)
+	defer telemetry.Disable()
+	campaignAtWorkers(t, tinyConfig(41), 2)
+	h := r.Snapshot().Histograms[telemetry.MNetsimRoundFlits]
+	if h.Count == 0 {
+		t.Fatal("no round_flits samples")
+	}
+	over, under := h.Counts[len(h.Counts)-1], h.Counts[0]
+	t.Logf("%d samples in [%.3g, %.3g]: %d overflow, %d at or below %g", h.Count, h.Min, h.Max, over, under, h.Bounds[0])
+	if float64(over) > 0.05*float64(h.Count) {
+		t.Errorf("%d of %d samples overflow the top bound %g (max %g)", over, h.Count, h.Bounds[len(h.Bounds)-1], h.Max)
+	}
+	if float64(under) > 0.05*float64(h.Count) {
+		t.Errorf("%d of %d samples at or below the lowest bound %g (min %g)", under, h.Count, h.Bounds[0], h.Min)
+	}
+}
+
 // TestCampaignIgnoresWorkersEnv pins down flag/env precedence: an explicit
 // Workers count wins, and the env-var path still yields identical results.
 func TestCampaignWorkersEnvIdentical(t *testing.T) {

@@ -206,9 +206,12 @@ func TestPatternBuilderMatchesMapBuilderForModels(t *testing.T) {
 		modelStream(t, ref, m, mapper)
 		want := ref.pattern(1500)
 
+		// pooled: after the first model, usually a builder the previous
+		// model released, so its packed-key Build runs on reused storage
 		dense := mpi.NewPatternBuilder()
 		modelStream(t, dense, m, mapper)
 		sameFlows(t, m.Name()+" replayed", dense.Build().Downsample(1500).Instantiate(1, 1, 0, nil), want)
+		dense.Release()
 
 		bp, err := m.BuildPattern(d, nodes)
 		if err != nil {
@@ -227,8 +230,15 @@ func TestPatternBuilderMatchesMapBuilderForBackgroundJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, size := range []int{4, 37, 128, 200} {
-			mapper := &mpi.RankMapper{Topo: d, Nodes: scattered(d, size, int64(100+i)), RanksPerNode: 1}
+		// the last input holds the machine's lowest- and highest-numbered
+		// KNL nodes, so Build's packed (Src, Dst) keys span every router ID
+		knl := d.ComputeNodes(topology.KNL)
+		ends := append(append([]topology.NodeID(nil), knl[:30]...), knl[len(knl)-30:]...)
+		for i, nodes := range [][]topology.NodeID{
+			scattered(d, 4, 100), scattered(d, 37, 101), scattered(d, 128, 102), scattered(d, 200, 103), ends,
+		} {
+			size := len(nodes)
+			mapper := &mpi.RankMapper{Topo: d, Nodes: nodes, RanksPerNode: 1}
 			fanout, io := 4+i, 0.3*float64(size)
 			ref := &mapBuilder{index: map[uint64]int32{}}
 			irregular(ref, mapper, fanout, 1)
@@ -238,6 +248,7 @@ func TestPatternBuilderMatchesMapBuilderForBackgroundJobs(t *testing.T) {
 			b.AddIrregular(mapper, fanout, 1)
 			b.AddIOTraffic(mapper, io)
 			sameFlows(t, "background job", b.Build().Downsample(256).Instantiate(1, 1, 0, nil), ref.pattern(256))
+			b.Release()
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"dragonvar/internal/netsim"
 	"dragonvar/internal/topology"
@@ -162,17 +163,12 @@ func (m *RankMapper) RouterOf(rank int) topology.RouterID {
 
 // Routers returns the distinct routers of the placement, ascending.
 func (m *RankMapper) Routers() []topology.RouterID {
-	seen := make(map[topology.RouterID]bool)
-	var out []topology.RouterID
-	for _, n := range m.Nodes {
-		r := m.Topo.RouterOfNode(n)
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
+	out := make([]topology.RouterID, len(m.Nodes))
+	for i, n := range m.Nodes {
+		out[i] = m.Topo.RouterOfNode(n)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Pattern is a normalized router-to-router traffic shape: the volume and
@@ -242,15 +238,37 @@ func (p *Pattern) Downsample(maxPairs int) *Pattern {
 // order they are first seen, and index[src][dst] over local IDs holds the
 // pair's flow position plus one. The index is bounded by the routers the
 // pattern touches, not by the machine, and the per-Add hot path does no
-// hashing.
+// hashing. Builders come from a pool (NewPatternBuilder, Release) and keep
+// their storage between patterns.
 type PatternBuilder struct {
 	local []int32   // global router ID → local ID plus one (0 = unseen)
 	index [][]int32 // [local src][local dst] → flow position plus one
 	flows []netsim.Flow
+	keys  []uint64 // Build's scratch: packed (Src, Dst) pairs
 }
 
-// NewPatternBuilder returns an empty builder.
-func NewPatternBuilder() *PatternBuilder { return &PatternBuilder{} }
+var builderPool = sync.Pool{New: func() any { return new(PatternBuilder) }}
+
+// NewPatternBuilder returns an empty builder, reusing the storage of a
+// released one when the pool has one.
+func NewPatternBuilder() *PatternBuilder { return builderPool.Get().(*PatternBuilder) }
+
+// Release empties b and returns it to the pool. b must not be used
+// afterwards; Patterns it built stay valid.
+func (b *PatternBuilder) Release() {
+	b.reset()
+	builderPool.Put(b)
+}
+
+// reset empties b and keeps its storage.
+func (b *PatternBuilder) reset() {
+	// every router with a local ID is an endpoint of some flow
+	for _, f := range b.flows {
+		b.local[f.Src], b.local[f.Dst] = 0, 0
+	}
+	b.index = b.index[:0]
+	b.flows = b.flows[:0]
+}
 
 // localID returns r's local ID, assigning the next one on first sight.
 func (b *PatternBuilder) localID(r topology.RouterID) int {
@@ -258,8 +276,15 @@ func (b *PatternBuilder) localID(r topology.RouterID) int {
 		b.local = append(b.local, make([]int32, int(r)+1-len(b.local))...)
 	}
 	if b.local[r] == 0 {
-		b.index = append(b.index, nil)
-		b.local[r] = int32(len(b.index))
+		// reuse a released row's storage, emptied
+		n := len(b.index)
+		if n < cap(b.index) {
+			b.index = b.index[:n+1]
+			b.index[n] = b.index[n][:0]
+		} else {
+			b.index = append(b.index, nil)
+		}
+		b.local[r] = int32(n + 1)
 	}
 	return int(b.local[r]) - 1
 }
@@ -297,13 +322,22 @@ func byPair(a, b netsim.Flow) int {
 // Build normalizes the accumulated weights into a Pattern. The builder can
 // be reused afterwards (it keeps its state).
 func (b *PatternBuilder) Build() *Pattern {
-	p := &Pattern{flows: make([]netsim.Flow, len(b.flows))}
-	copy(p.flows, b.flows)
 	// sort BEFORE totaling: float summation is order-sensitive, and
-	// accumulation order must never leak into results
-	slices.SortFunc(p.flows, byPair)
+	// accumulation order must never leak into results. Router IDs are
+	// non-negative, so the packed keys order like byPair, and each pair is
+	// held once, so any sort yields the same order.
+	keys := b.keys[:0]
+	for _, f := range b.flows {
+		keys = append(keys, uint64(f.Src)<<32|uint64(f.Dst))
+	}
+	slices.Sort(keys)
+	b.keys = keys
+	p := &Pattern{flows: make([]netsim.Flow, len(keys))}
 	var volTotal, msgTotal float64
-	for _, f := range p.flows {
+	for i, k := range keys {
+		s, d := b.local[k>>32]-1, b.local[uint32(k)]-1
+		f := b.flows[b.index[s][d]-1]
+		p.flows[i] = f
 		volTotal += f.Flits
 		msgTotal += f.Packets
 	}

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dragonvar/internal/topology"
@@ -354,5 +356,77 @@ func TestDownsample(t *testing.T) {
 	// no-ops
 	if p.Downsample(100) != p || p.Downsample(0) != p {
 		t.Fatal("oversized/zero cap should return the same pattern")
+	}
+}
+
+// flowBits renders a pattern's flows with their float bits, for exact
+// comparison.
+func flowBits(p *Pattern) []string {
+	out := make([]string, len(p.flows))
+	for i, f := range p.flows {
+		out[i] = fmt.Sprintf("%d>%d %x %x", f.Src, f.Dst, math.Float64bits(f.Flits), math.Float64bits(f.Packets))
+	}
+	return out
+}
+
+// TestPatternBuilderReuse: a builder emptied and reused for a different
+// pattern, on different routers, and then for the first pattern again
+// builds each exactly as a fresh builder does.
+func TestPatternBuilderReuse(t *testing.T) {
+	small := testMapper(t, 16, 4)
+	d := small.Topo
+	knl := d.ComputeNodes(topology.KNL)
+	far := &RankMapper{Topo: d, Nodes: knl[len(knl)-40:], RanksPerNode: 1}
+	stencil := func(b *PatternBuilder) {
+		if err := b.AddStencil3D(small, [3]int{4, 4, 4}); err != nil {
+			t.Fatal(err)
+		}
+		b.AddAllreduce(small, 0.15)
+	}
+	background := func(b *PatternBuilder) {
+		b.AddIrregular(far, 5, 1)
+		b.AddIOTraffic(far, 3)
+	}
+	fresh := func(add func(*PatternBuilder)) []string {
+		b := new(PatternBuilder)
+		add(b)
+		return flowBits(b.Build())
+	}
+	reused := new(PatternBuilder)
+	for k, add := range []func(*PatternBuilder){stencil, background, stencil} {
+		add(reused)
+		got, want := flowBits(reused.Build()), fresh(add)
+		if !slices.Equal(got, want) {
+			t.Fatalf("pattern %d from a reused builder differs from a fresh build:\n%v\nwant\n%v", k, got, want)
+		}
+		reused.reset()
+	}
+}
+
+// TestPatternBuilderAllocs pins a warm Build to the Pattern it returns (the
+// struct and its flows), and a pooled builder's whole cycle — get, add,
+// build, release — to the same two: Add and Build reuse the storage a
+// released builder kept.
+func TestPatternBuilderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled builders on purpose")
+	}
+	m := testMapper(t, 64, 1)
+	b := NewPatternBuilder()
+	b.AddIrregular(m, 4, 1)
+	b.Build()
+	if allocs := testing.AllocsPerRun(50, func() { b.Build() }); allocs != 2 {
+		t.Fatalf("warm Build allocated %v times per call, want 2", allocs)
+	}
+	b.Release()
+	cycle := func() {
+		b := NewPatternBuilder()
+		b.AddIrregular(m, 4, 1)
+		b.Build()
+		b.Release()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 2 {
+		t.Fatalf("pooled build cycle allocated %v times per call, want 2", allocs)
 	}
 }

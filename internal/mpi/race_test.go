@@ -1,0 +1,8 @@
+//go:build race
+
+package mpi
+
+// raceEnabled reports a race-detector build. The detector makes sync.Pool
+// drop a share of the items put back on purpose, so allocation pins do not
+// hold under it.
+const raceEnabled = true

@@ -249,7 +249,7 @@ func New(d *topology.Dragonfly, cfg Config, s *rng.Stream) *Network {
 		tmCacheShared: telemetry.C(telemetry.MNetsimCacheShared),
 		tmCacheInval:  telemetry.C(telemetry.MNetsimCacheInval),
 		tmRounds:      telemetry.C(telemetry.MNetsimRounds),
-		tmRoundFlits:  telemetry.H(telemetry.MNetsimRoundFlits, telemetry.CountBuckets),
+		tmRoundFlits:  telemetry.H(telemetry.MNetsimRoundFlits, telemetry.FlitsBuckets),
 		tmRoundSecs:   telemetry.H(telemetry.MNetsimRoundSecs, telemetry.SecondsBuckets),
 		tmMaxUtil:     telemetry.G(telemetry.GNetsimMaxUtil),
 	}

@@ -10,30 +10,34 @@ import (
 	"math/rand"
 )
 
-// Stream is a deterministic random stream. It wraps math/rand with the
-// distributions the simulator needs. A Stream is not safe for concurrent
-// use; derive per-goroutine streams with Split.
+// Stream is a deterministic random stream. It draws math/rand's sequence
+// for its seed (from source, which seeds lazily) through math/rand's
+// distributions, plus the ones the simulator needs. A Stream is not safe
+// for concurrent use; derive per-goroutine streams with Split.
 type Stream struct {
 	r *rand.Rand
 	// base is the seed material the stream was constructed from; Split
 	// derives children from it so splitting is order-independent (it does
 	// not matter how much of the parent has been consumed).
 	base uint64
+	src  source
+}
+
+// newStream returns the stream for seed material b.
+func newStream(b uint64) *Stream {
+	s := &Stream{base: b}
+	s.src.Seed(mix(b))
+	s.r = rand.New(&s.src)
+	return s
 }
 
 // New returns a stream seeded with the given seed.
-func New(seed int64) *Stream {
-	b := uint64(seed)
-	return &Stream{r: rand.New(rand.NewSource(mix(b))), base: b}
-}
+func New(seed int64) *Stream { return newStream(uint64(seed)) }
 
 // Split derives an independent child stream from this stream's seed material
 // and a label. Splitting is stable: the same parent seed and label always
 // yield the same child, regardless of how much the parent has been consumed.
-func (s *Stream) Split(label string) *Stream {
-	b := s.base ^ fnv64(label)
-	return &Stream{r: rand.New(rand.NewSource(mix(b))), base: b}
-}
+func (s *Stream) Split(label string) *Stream { return newStream(s.base ^ fnv64(label)) }
 
 // NewLabeled returns a stream derived from seed and a label; equivalent to
 // New(seed).Split(label).

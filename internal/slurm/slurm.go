@@ -470,6 +470,7 @@ func (j *Job) buildFootprint(net *netsim.Network) {
 	w := j.User.Workload
 	mapper := &mpi.RankMapper{Topo: topo, Nodes: j.Nodes, RanksPerNode: 1}
 	b := mpi.NewPatternBuilder()
+	defer b.Release()
 	fanout := w.Fanout
 	if fanout < 1 {
 		fanout = 1

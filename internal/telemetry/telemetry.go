@@ -200,6 +200,11 @@ var (
 	BytesBuckets = []float64{1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28, 1 << 30, 1 << 32}
 	// CountBuckets spans 1 … 1e6 in powers of 10 with midpoints.
 	CountBuckets = []float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6}
+	// FlitsBuckets spans 1e8 … 1e15 flits exponentially (factor ~3.16):
+	// the traffic one simulation round offers, one step of a job's
+	// communication, which reads 1.4e11 … 5.2e12 flits in the paper's
+	// application campaigns.
+	FlitsBuckets = []float64{1e8, 3.16e8, 1e9, 3.16e9, 1e10, 3.16e10, 1e11, 3.16e11, 1e12, 3.16e12, 1e13, 3.16e13, 1e14, 3.16e14, 1e15}
 )
 
 // ProcessInfo identifies the process a snapshot or trace file came from,

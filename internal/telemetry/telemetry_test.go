@@ -146,7 +146,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 // TestHistogramLayoutHasNoInfinity checks the JSON-safety property the
 // overflow bucket exists for: no snapshot bound is ±Inf.
 func TestHistogramLayoutHasNoInfinity(t *testing.T) {
-	for _, bounds := range [][]float64{SecondsBuckets, BytesBuckets, CountBuckets} {
+	for _, bounds := range [][]float64{SecondsBuckets, BytesBuckets, CountBuckets, FlitsBuckets} {
 		for _, b := range bounds {
 			if math.IsInf(b, 0) || math.IsNaN(b) {
 				t.Fatalf("bucket layout contains %v", b)
