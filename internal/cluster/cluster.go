@@ -356,8 +356,9 @@ type plan struct {
 	// shared by the footprint estimate and the run simulation — pattern
 	// expansion is deterministic given the node list, so it is built once
 	// per placement instead of once per consumer. Reset whenever nodes
-	// change (requeue). Written by the plan's owning worker or the serial
-	// driver, never read across plans, so no locking is needed.
+	// change (requeue). Written by whichever goroutine owns the plan at the
+	// time (the serial driver, a footprint shard or a simulation worker),
+	// never read across plans, so no locking is needed.
 	pat *apps.BuiltPattern
 	// requeues counts how often this submission lost its nodes to a fault
 	// and was resubmitted

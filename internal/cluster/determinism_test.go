@@ -65,7 +65,10 @@ func TestCampaignIdenticalAcrossWorkerCounts(t *testing.T) {
 // registry is byte-identical to the uninstrumented serial one, and the
 // registry actually observed the layers it claims to (engine shard
 // timings, routing-cache traffic, campaign counters) — a silent
-// no-handles run would pass the hash check while measuring nothing.
+// no-handles run would pass the hash check while measuring nothing. The
+// netsim/round_flits layout must also fit what the rounds offer: at most
+// 5% of the samples in the overflow bucket, and at most 5% at or below
+// the lowest bound, where the layout says nothing either.
 func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 	cfg := faultyConfig(t, 41)
 	telemetry.Disable()
@@ -93,6 +96,12 @@ func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 			t.Errorf("histogram %s empty; instrumentation not recording", name)
 		}
 	}
+	if flits := snap.Histograms[telemetry.MNetsimRoundFlits]; flits.Count == 0 {
+		t.Error("histogram round_flits empty")
+	} else if over, under := flits.Counts[len(flits.Counts)-1], flits.Counts[0]; float64(over) > 0.05*float64(flits.Count) || float64(under) > 0.05*float64(flits.Count) {
+		t.Errorf("round_flits: %d samples in [%.3g, %.3g], %d above the top bound %g, %d at or below %g",
+			flits.Count, flits.Min, flits.Max, over, flits.Bounds[len(flits.Bounds)-1], under, flits.Bounds[0])
+	}
 	var sawCampaign, sawRound bool
 	for _, sp := range snap.Spans {
 		switch sp.Name {
@@ -107,30 +116,6 @@ func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 	}
 	if !sawCampaign || !sawRound {
 		t.Errorf("missing spans: campaign=%v round=%v", sawCampaign, sawRound)
-	}
-}
-
-// TestRoundFlitsFitLayout: the netsim/round_flits histogram's layout fits
-// the offered flits per round a campaign produces. At most 5% of the
-// samples of a small reference campaign fall in the overflow bucket, and at
-// most 5% at or below the lowest bound, where the layout says nothing
-// either.
-func TestRoundFlitsFitLayout(t *testing.T) {
-	r := telemetry.New()
-	telemetry.Enable(r)
-	defer telemetry.Disable()
-	campaignAtWorkers(t, tinyConfig(41), 2)
-	h := r.Snapshot().Histograms[telemetry.MNetsimRoundFlits]
-	if h.Count == 0 {
-		t.Fatal("no round_flits samples")
-	}
-	over, under := h.Counts[len(h.Counts)-1], h.Counts[0]
-	t.Logf("%d samples in [%.3g, %.3g]: %d overflow, %d at or below %g", h.Count, h.Min, h.Max, over, under, h.Bounds[0])
-	if float64(over) > 0.05*float64(h.Count) {
-		t.Errorf("%d of %d samples overflow the top bound %g (max %g)", over, h.Count, h.Bounds[len(h.Bounds)-1], h.Max)
-	}
-	if float64(under) > 0.05*float64(h.Count) {
-		t.Errorf("%d of %d samples at or below the lowest bound %g (min %g)", under, h.Count, h.Bounds[0], h.Min)
 	}
 }
 

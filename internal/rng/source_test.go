@@ -20,17 +20,16 @@ func referenceSeeds() []int64 {
 	return seeds
 }
 
-// sameRands draws the same mixed sequence from a math/rand source and from
-// source for one seed, through every distribution the simulator uses, and
+// sameRands seeds src and draws the same mixed sequence from it and from a
+// math/rand source, through every distribution the simulator uses, and
 // reports the first mismatch. n draws of each kind are made per pass; with
 // n ≥ 200 one pass reads past 1,214 source values, so both the feed and the
 // tap index wrap.
-func sameRands(t *testing.T, seed int64, n int) {
+func sameRands(t *testing.T, src *source, seed int64, n int) {
 	t.Helper()
 	want := rand.New(rand.NewSource(seed))
-	var src source
 	src.Seed(seed)
-	got := rand.New(&src)
+	got := rand.New(src)
 	fail := func(what string, i int, g, w any) {
 		t.Helper()
 		t.Fatalf("seed %d: %s draw %d = %v, math/rand gives %v", seed, what, i, g, w)
@@ -79,30 +78,16 @@ func sameRands(t *testing.T, seed int64, n int) {
 
 // TestSourceMatchesMathRand: source is math/rand's generator, draw for draw,
 // for every seed — short streams that stay in the lazily seeded phase and
-// long ones that wrap both indices many times.
+// long ones that wrap both indices many times. One source is reseeded for
+// every seed, so what a seed leaves in the state never leaks into the next.
 func TestSourceMatchesMathRand(t *testing.T) {
-	seeds := referenceSeeds()
-	for k, seed := range seeds {
+	var src source
+	for k, seed := range referenceSeeds() {
 		n := 3
 		if k%10 == 0 {
 			n = 400
 		}
-		sameRands(t, seed, n)
-	}
-}
-
-// TestSourceReseed: seeding a used source restarts math/rand's sequence.
-func TestSourceReseed(t *testing.T) {
-	var src source
-	r := rand.New(&src)
-	for _, seed := range []int64{5, -7, 0} {
-		src.Seed(seed)
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 1500; i++ {
-			if g, w := r.Int63(), want.Int63(); g != w {
-				t.Fatalf("reseeded %d: draw %d = %d, want %d", seed, i, g, w)
-			}
-		}
+		sameRands(t, &src, seed, n)
 	}
 }
 
