@@ -98,9 +98,12 @@ func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 	}
 	if flits := snap.Histograms[telemetry.MNetsimRoundFlits]; flits.Count == 0 {
 		t.Error("histogram round_flits empty")
-	} else if over, under := flits.Counts[len(flits.Counts)-1], flits.Counts[0]; float64(over) > 0.05*float64(flits.Count) || float64(under) > 0.05*float64(flits.Count) {
-		t.Errorf("round_flits: %d samples in [%.3g, %.3g], %d above the top bound %g, %d at or below %g",
-			flits.Count, flits.Min, flits.Max, over, flits.Bounds[len(flits.Bounds)-1], under, flits.Bounds[0])
+	} else {
+		over, under := flits.Counts[len(flits.Counts)-1], flits.Counts[0]
+		if limit := 0.05 * float64(flits.Count); float64(over) > limit || float64(under) > limit {
+			t.Errorf("round_flits: %d samples in [%.3g, %.3g], %d above the top bound %g, %d at or below %g",
+				flits.Count, flits.Min, flits.Max, over, flits.Bounds[len(flits.Bounds)-1], under, flits.Bounds[0])
+		}
 	}
 	var sawCampaign, sawRound bool
 	for _, sp := range snap.Spans {
