@@ -12,8 +12,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -40,11 +43,11 @@ fuzz:
 	done
 
 # Documentation lint: every package has a godoc comment, intra-repo
-# markdown links resolve, and docs/OBSERVABILITY.md covers every
-# telemetry name. (Also part of plain `make test`; split out so doc-only
-# changes can be checked in isolation.)
+# markdown links resolve, docs/OBSERVABILITY.md covers every telemetry
+# name, and every metric name has a reader. (Also part of plain
+# `make test`; split out so doc-only changes can be checked in isolation.)
 lint-docs:
-	$(GO) test -run 'TestPackageDocComments|TestMarkdownLinks|TestObservabilityDocCoverage' .
+	$(GO) test -run 'TestPackageDocComments|TestMarkdownLinks|TestObservabilityDocCoverage|TestMetricNamesHaveReaders' .
 
 # Tier-1 verification: everything the merge gate runs.
 verify: build vet lint-docs test race

@@ -259,7 +259,10 @@ func BenchmarkAblationAdaptiveRouting(b *testing.B) {
 	}
 	mk := func(adaptive bool) float64 {
 		cfg := netsim.DefaultConfig()
-		cfg.Adaptive = adaptive
+		cfg.Routing = "minimal"
+		if adaptive {
+			cfg.Routing = "adaptive"
+		}
 		n := netsim.New(d, cfg, rng.New(1))
 		var flows []netsim.Flow
 		src := d.RouterAt(0, 1, 1)

@@ -105,6 +105,44 @@ func TestMonitorFinishedOnCancel(t *testing.T) {
 	}
 }
 
+// TestTelemetryRootSpansCoverUptime: the root spans of an instrumented
+// campaign account for its wall time. Their union must cover at least 95%
+// of the snapshot's uptime; a gap means work runs outside any span and
+// the trace cannot say where the time went.
+func TestTelemetryRootSpansCoverUptime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "telemetry.json")
+	if _, stderr, err := runCLI(context.Background(), "campaign", "-small", "-days", "3", "-cache", "",
+		"-telemetry", path); err != nil {
+		t.Fatalf("campaign: %v\n%s", err, stderr)
+	}
+	snap, err := telemetry.ReadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []telemetry.SpanRecord
+	for _, sp := range snap.Spans {
+		if sp.Parent == 0 {
+			roots = append(roots, sp)
+		}
+	}
+	sort.Slice(roots, func(i, j int) bool { return roots[i].StartS < roots[j].StartS })
+	covered, end := 0.0, 0.0
+	for _, sp := range roots {
+		lo, hi := max(sp.StartS, end), sp.StartS+sp.DurS
+		if hi > lo {
+			covered += hi - lo
+			end = hi
+		}
+	}
+	if snap.UptimeS <= 0 || covered < 0.95*snap.UptimeS {
+		var names []string
+		for _, sp := range roots {
+			names = append(names, sp.Name)
+		}
+		t.Errorf("root spans %v cover %.4fs of %.4fs uptime, want >= 95%%", names, covered, snap.UptimeS)
+	}
+}
+
 // TestABSmoke: the A/B harness reruns one seeded campaign under two
 // routing policies, proves each arm's serial == parallel identity, and
 // reports per-arm distributions with deltas against the baseline.

@@ -38,7 +38,8 @@ func (t Telemetry) Start(role string, stderr io.Writer) (flush func(), err error
 }
 
 // StartAlways is Start for the daemons, which are instrumented whether or
-// not a flag was given: their counters are part of their API.
+// not a flag was given: their /metrics endpoints serve the request, cache
+// and retrain counters their tests read.
 func (t Telemetry) StartAlways(role string, stderr io.Writer) (flush func(), err error) {
 	return t.start(role, true, stderr)
 }

@@ -190,32 +190,20 @@ type Cluster struct {
 // once in New. All handles are nil (no-op) when telemetry is disabled, and
 // observation-only either way: no simulation decision reads them.
 type clusterMetrics struct {
-	runs        *telemetry.Counter
-	drained     *telemetry.Counter
-	requeues    *telemetry.Counter
-	abandoned   *telemetry.Counter
-	rounds      *telemetry.Counter
-	runSecs     *telemetry.Histogram
-	mergeSecs   *telemetry.Histogram
-	ldms        *telemetry.Counter
-	placements  *telemetry.Counter
-	placeNodes  *telemetry.Histogram
-	placeGroups *telemetry.Histogram
+	runs       *telemetry.Counter
+	requeues   *telemetry.Counter
+	rounds     *telemetry.Counter
+	runSecs    *telemetry.Histogram
+	placements *telemetry.Counter
 }
 
 func newClusterMetrics() clusterMetrics {
 	return clusterMetrics{
-		runs:        telemetry.C(telemetry.MClusterRuns),
-		drained:     telemetry.C(telemetry.MClusterDrained),
-		requeues:    telemetry.C(telemetry.MClusterRequeues),
-		abandoned:   telemetry.C(telemetry.MClusterAbandoned),
-		rounds:      telemetry.C(telemetry.MClusterRounds),
-		runSecs:     telemetry.H(telemetry.MClusterRunSecs, telemetry.SecondsBuckets),
-		mergeSecs:   telemetry.H(telemetry.MClusterMergeSecs, telemetry.SecondsBuckets),
-		ldms:        telemetry.C(telemetry.MLDMSSamples),
-		placements:  telemetry.C(telemetry.MSlurmPlacements),
-		placeNodes:  telemetry.H(telemetry.MSlurmPlacementNodes, telemetry.CountBuckets),
-		placeGroups: telemetry.H(telemetry.MSlurmPlacementGroups, telemetry.CountBuckets),
+		runs:       telemetry.C(telemetry.MClusterRuns),
+		requeues:   telemetry.C(telemetry.MClusterRequeues),
+		rounds:     telemetry.C(telemetry.MClusterRounds),
+		runSecs:    telemetry.H(telemetry.MClusterRunSecs, telemetry.SecondsBuckets),
+		placements: telemetry.C(telemetry.MSlurmPlacements),
 	}
 }
 
@@ -437,7 +425,6 @@ func (e *localExecutor) ExecuteRound(ctx context.Context, pending []int, _ []Pla
 		c.tm.runSecs.ObserveSince(simStart)
 		var de drainError
 		if errors.As(err, &de) {
-			c.tm.drained.Add(1)
 			outs[k] = UnitOutcome{Drained: true, DrainAt: de.at}
 			return nil
 		}
@@ -543,7 +530,6 @@ func (c *Cluster) runCampaign(ctx context.Context, mkExec func(plans []*plan) Un
 		}
 
 		// merge the round and decide requeues serially, in plan order
-		mergeStart := time.Now()
 		var next []int
 		for k, i := range pending {
 			o := outs[k]
@@ -588,10 +574,8 @@ func (c *Cluster) runCampaign(ctx context.Context, mkExec func(plans []*plan) Un
 				}
 			}
 			// gave up: the submission never completes and records no run
-			c.tm.abandoned.Add(1)
 			progress()
 		}
-		c.tm.mergeSecs.ObserveSince(mergeStart)
 		roundSpan.End()
 		pending = next
 		runErr = roundErr
@@ -694,9 +678,6 @@ func (c *Cluster) place(p *plan, plans []*plan, self int, s *rng.Stream) bool {
 		p.nodes = c.placer.Place(alloc, p.model.Nodes, compact, busy, advise, s)
 		if p.nodes != nil {
 			c.tm.placements.Add(1)
-			_, ng := slurm.PlacementFeatures(c.Topo, p.nodes)
-			c.tm.placeNodes.Observe(float64(len(p.nodes)))
-			c.tm.placeGroups.Observe(float64(ng))
 			return true
 		}
 		p.start += s.Uniform(1800, 7200)

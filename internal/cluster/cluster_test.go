@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -305,7 +306,7 @@ func TestRecordLDMS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.RecordLDMS(w, 3600, 3600+600, 60)
+	n, err := c.RecordLDMSCtx(context.Background(), w, 3600, 3600+600, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +337,10 @@ func TestRecordLDMS(t *testing.T) {
 		t.Fatal("no traffic recorded")
 	}
 	// invalid windows rejected
-	if _, err := c.RecordLDMS(w, 100, 50, 60); err == nil {
+	if _, err := c.RecordLDMSCtx(context.Background(), w, 100, 50, 60); err == nil {
 		t.Fatal("reversed window should error")
 	}
-	if _, err := c.RecordLDMS(w, 0, 100, 0); err == nil {
+	if _, err := c.RecordLDMSCtx(context.Background(), w, 0, 100, 0); err == nil {
 		t.Fatal("zero interval should error")
 	}
 }

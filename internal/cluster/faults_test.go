@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -168,7 +169,7 @@ func TestRecordLDMSWithDropout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.RecordLDMS(w, 3600, 3600+600, 60)
+	n, err := c.RecordLDMSCtx(context.Background(), w, 3600, 3600+600, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ var ldmsSources = [4]counters.Index{
 // LDMSSeriesPerRouter is the number of counter series recorded per router.
 const LDMSSeriesPerRouter = len(ldmsSources)
 
-// RecordLDMS replays the background timeline over [t0, t1) at the given
+// RecordLDMSCtx replays the background timeline over [t0, t1) at the given
 // sampling interval and streams system-wide counter samples — four series
 // per router — to the writer, mimicking the LDMS pipeline that sampled
 // every Aries router on Cori once per second (§III-C). Values are the
@@ -32,12 +32,8 @@ const LDMSSeriesPerRouter = len(ldmsSources)
 // degraded or dead links reshape the traffic the counters see, and during
 // sampler-dropout windows a missing-sample marker is written instead of
 // counter values (the hardware keeps counting; only the reads are lost).
-func (c *Cluster) RecordLDMS(w *traceio.Writer, t0, t1, interval float64) (int, error) {
-	return c.RecordLDMSCtx(context.Background(), w, t0, t1, interval)
-}
-
-// RecordLDMSCtx is RecordLDMS with cancellation: on context cancellation the
-// recorder stops at a sample boundary, flushes what it has written so far
+//
+// On context cancellation the recorder stops at a sample boundary, flushes what it has written so far
 // (the log stays readable), and returns the sample count alongside ctx's
 // error — a partial recording, never a truncated one.
 func (c *Cluster) RecordLDMSCtx(ctx context.Context, w *traceio.Writer, t0, t1, interval float64) (int, error) {
@@ -52,7 +48,6 @@ func (c *Cluster) RecordLDMSCtx(ctx context.Context, w *traceio.Writer, t0, t1, 
 	nr := c.Topo.Cfg.NumRouters()
 	values := make([]float64, nr*LDMSSeriesPerRouter)
 	samples := 0
-	defer func() { c.tm.ldms.Add(int64(samples)) }()
 
 	// live monitor feed state: deltas against the previous healthy sample
 	// (the counters keep counting through a dropout, so the first healthy

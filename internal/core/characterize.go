@@ -71,7 +71,6 @@ func LoadOrGenerateCtx(ctx context.Context, cfg CampaignConfig) (*dataset.Campai
 			if !camp.Partial && camp.Seed == cfg.Cluster.Seed && camp.Days == cfg.Cluster.Days &&
 				camp.Faults == cfg.Cluster.FaultSpec &&
 				camp.Routing == wantRouting && camp.Placement == wantPlacement {
-				telemetry.C(telemetry.MCacheHits).Inc()
 				return camp, nil
 			}
 			if camp.Partial {
@@ -82,7 +81,6 @@ func LoadOrGenerateCtx(ctx context.Context, cfg CampaignConfig) (*dataset.Campai
 			}
 		}
 	}
-	telemetry.C(telemetry.MCacheMisses).Inc()
 	// a root span: the campaign span only opens once the cluster exists
 	_, newSpan := telemetry.Start(ctx, telemetry.SpanClusterNew)
 	c, err := cluster.New(cfg.Cluster)

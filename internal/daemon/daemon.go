@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"dragonvar/internal/advisor"
 	"dragonvar/internal/apps"
@@ -191,30 +190,16 @@ func RefNames(ds string, seed int64, spec core.ForecastSpec) (forecast, deviatio
 // daemonMetrics bundles the daemon's telemetry handles, captured once in
 // New (nil/no-op when telemetry is disabled). Observation-only.
 type daemonMetrics struct {
-	epochs        *telemetry.Counter
 	runs          *telemetry.Counter
-	resumed       *telemetry.Counter
 	retrains      *telemetry.Counter
 	driftRetrains *telemetry.Counter
-	publishes     *telemetry.Counter
-	epochSecs     *telemetry.Histogram
-	retrainSecs   *telemetry.Histogram
-	liveMAPE      *telemetry.Gauge
-	trainMAPE     *telemetry.Gauge
 }
 
 func newDaemonMetrics() daemonMetrics {
 	return daemonMetrics{
-		epochs:        telemetry.C(telemetry.MDaemonEpochs),
 		runs:          telemetry.C(telemetry.MDaemonRunsIngested),
-		resumed:       telemetry.C(telemetry.MDaemonResumedRuns),
 		retrains:      telemetry.C(telemetry.MDaemonRetrains),
 		driftRetrains: telemetry.C(telemetry.MDaemonDriftRetrains),
-		publishes:     telemetry.C(telemetry.MDaemonPublishes),
-		epochSecs:     telemetry.H(telemetry.MDaemonEpochSecs, telemetry.SecondsBuckets),
-		retrainSecs:   telemetry.H(telemetry.MDaemonRetrainSecs, telemetry.SecondsBuckets),
-		liveMAPE:      telemetry.G(telemetry.GDaemonLiveMAPE),
-		trainMAPE:     telemetry.G(telemetry.GDaemonTrainMAPE),
 	}
 }
 
@@ -362,15 +347,12 @@ func (d *Daemon) epochSeed(e int) int64 {
 // byte-identically and are skipped by count.
 func (d *Daemon) runEpoch(ctx context.Context) error {
 	e := d.p.Epoch
-	start := time.Now()
 	ctx, span := telemetry.Start(ctx, telemetry.SpanDaemonEpoch)
 	defer span.End()
-	defer d.tm.epochSecs.ObserveSince(start)
 
 	skip := d.stream.TotalRuns() - d.p.RunsBefore
 	if skip > 0 {
 		d.cfg.Logf("daemon: epoch %d: resuming, skipping %d already-ingested runs", e, skip)
-		d.tm.resumed.Add(skip)
 	}
 	d.cfg.Logf("daemon: epoch %d: simulating %g days (seed %d)", e, d.cfg.EpochDays, d.cfg.Seed)
 
@@ -430,7 +412,6 @@ func (d *Daemon) runEpoch(ctx context.Context) error {
 	if err := d.ck.append(d.p); err != nil {
 		return err
 	}
-	d.tm.epochs.Inc()
 	d.cfg.Logf("daemon: epoch %d done: %d runs total, %d segments sealed", e, d.p.RunsBefore, d.p.Sealed)
 	return nil
 }
@@ -448,7 +429,6 @@ func (d *Daemon) onSeal(ctx context.Context, seg *dataset.Segment) error {
 				d.p.LiveMAPEs = d.p.LiveMAPEs[len(d.p.LiveMAPEs)-d.cfg.DriftWindow:]
 			}
 			live := mean(d.p.LiveMAPEs)
-			d.tm.liveMAPE.Set(live)
 			if !d.p.DriftPending && len(d.p.LiveMAPEs) >= d.cfg.DriftWindow &&
 				d.p.TrainMAPE > 0 && live > d.cfg.DriftFactor*d.p.TrainMAPE {
 				d.p.DriftPending = true
@@ -496,10 +476,8 @@ func (d *Daemon) maybeRetrain(ctx context.Context) error {
 // open window — so an interrupted and an uninterrupted daemon train on
 // identical bytes.
 func (d *Daemon) retrain(ctx context.Context, reason string) error {
-	start := time.Now()
 	_, span := telemetry.Start(ctx, telemetry.SpanDaemonRetrain)
 	defer span.End()
-	defer d.tm.retrainSecs.ObserveSince(start)
 	span.SetAttr("reason", reason)
 	span.SetAttr("retrain", fmt.Sprintf("%d", d.p.Retrains))
 
@@ -543,18 +521,15 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 		M: d.spec.M, K: d.spec.K, FeatureNames: d.spec.Features.Names(),
 	}, model, d.p.RefForecast)
 	if err == nil {
-		d.tm.publishes.Inc()
 		var did string
 		did, err = d.cfg.Store.PutGBRCAS(d.dRef, modelstore.Meta{
 			Dataset: d.cfg.Dataset, Seed: d.cfg.Seed,
 			FeatureNames: core.DeviationFeatureNames(),
 		}, gm, d.p.RefDeviation)
 		if err == nil {
-			d.tm.publishes.Inc()
 			var aid string
 			aid, err = d.cfg.Store.PutAdvisorCAS(d.aRef, modelstore.Meta{Seed: d.cfg.Seed}, adv, d.p.RefAdvisor)
 			if err == nil {
-				d.tm.publishes.Inc()
 				d.p.RefForecast, d.p.RefDeviation, d.p.RefAdvisor = fid, did, aid
 			}
 		}
@@ -593,7 +568,6 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 	if wasDrift {
 		d.tm.driftRetrains.Inc()
 	}
-	d.tm.trainMAPE.Set(trainMAPE)
 	d.cfg.Logf("daemon: retrain %d published: forecast=%s train MAPE %.4f (%d windows, blamed %d users)",
 		k, short(d.p.RefForecast), trainMAPE, nwin, len(adv.Blamed()))
 	return nil

@@ -12,14 +12,12 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"dragonvar/internal/counters"
 	"dragonvar/internal/framelog"
 	"dragonvar/internal/linalg"
 	"dragonvar/internal/mpi"
 	"dragonvar/internal/rng"
-	"dragonvar/internal/telemetry"
 )
 
 // NeighborJob summarizes one other user's presence during a run.
@@ -360,15 +358,9 @@ const (
 	GapSkip
 )
 
-// BuildWindows slides t_c from m to T−k over every run and returns the
-// samples, imputing any dropout gaps (equivalent to
-// BuildWindowsGap(fs, m, k, GapImpute)). fs selects the feature columns.
-func (d *Dataset) BuildWindows(fs counters.FeatureSet, m, k int) []Window {
-	return d.BuildWindowsGap(fs, m, k, GapImpute)
-}
-
-// BuildWindowsGap is BuildWindows with an explicit policy for missing
-// steps. Forecast targets are unaffected by gaps (step times come from the
+// BuildWindowsGap slides t_c from m to T−k over every run and returns the
+// samples; fs selects the feature columns and policy decides how missing
+// (dropout) steps are handled. Forecast targets are unaffected by gaps (step times come from the
 // job log, not the samplers); only the feature history can be missing.
 func (d *Dataset) BuildWindowsGap(fs counters.FeatureSet, m, k int, policy GapPolicy) []Window {
 	var out []Window
@@ -619,61 +611,28 @@ func (c *Campaign) TotalRuns() int {
 // so an interrupt (or a full disk) can never leave a truncated
 // campaign.gob behind for the next Load to choke on.
 func (c *Campaign) Save(path string) error {
-	start := time.Now()
-	defer telemetry.H(telemetry.MCacheSaveSecs, telemetry.SecondsBuckets).ObserveSince(start)
-	cw := &countingWriter{}
 	err := framelog.AtomicWrite(path, func(w io.Writer) error {
-		cw.w = w
-		return gob.NewEncoder(cw).Encode(c)
+		return gob.NewEncoder(w).Encode(c)
 	})
 	if err != nil {
 		return fmt.Errorf("dataset: save: %w", err)
 	}
-	telemetry.C(telemetry.MCacheWriteBytes).Add(cw.n)
 	return nil
 }
 
 // Load reads a campaign from a gob file.
 func Load(path string) (*Campaign, error) {
-	start := time.Now()
-	defer telemetry.H(telemetry.MCacheLoadSecs, telemetry.SecondsBuckets).ObserveSince(start)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: load: %w", err)
 	}
 	defer f.Close()
 	var c Campaign
-	cr := &countingReader{r: f}
-	if err := gob.NewDecoder(cr).Decode(&c); err != nil {
+	if err := gob.NewDecoder(f).Decode(&c); err != nil {
 		return nil, fmt.Errorf("dataset: decode %s: %w (stale or corrupt campaign cache; delete it and regenerate)", path, err)
 	}
-	telemetry.C(telemetry.MCacheReadBytes).Add(cr.n)
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("dataset: validate %s: %w (stale or corrupt campaign cache; delete it and regenerate)", path, err)
 	}
 	return &c, nil
-}
-
-// countingWriter / countingReader tally gob traffic for the cache byte
-// counters without buffering anything.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

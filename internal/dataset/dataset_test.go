@@ -184,7 +184,7 @@ func TestBuildWindows(t *testing.T) {
 	d := synthetic(2, 10)
 	fs := counters.FeatureSet{}
 	m, k := 3, 2
-	ws := d.BuildWindows(fs, m, k)
+	ws := d.BuildWindowsGap(fs, m, k, GapImpute)
 	// per run: tc from 3 to 8 inclusive = 6 windows
 	if len(ws) != 2*6 {
 		t.Fatalf("window count = %d, want 12", len(ws))
@@ -206,7 +206,7 @@ func TestBuildWindows(t *testing.T) {
 
 func TestBuildWindowsTooShort(t *testing.T) {
 	d := synthetic(2, 4)
-	if ws := d.BuildWindows(counters.FeatureSet{}, 3, 2); len(ws) != 0 {
+	if ws := d.BuildWindowsGap(counters.FeatureSet{}, 3, 2, GapImpute); len(ws) != 0 {
 		t.Fatalf("windows from too-short runs: %d", len(ws))
 	}
 }

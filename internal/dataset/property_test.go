@@ -73,7 +73,7 @@ func TestPropertyWindowsTargetsConsistent(t *testing.T) {
 		m := int(rawM%5) + 1
 		k := int(rawK%5) + 1
 		d := randomDataset(seed, 3, 12)
-		ws := d.BuildWindows(counters.FeatureSet{Placement: true}, m, k)
+		ws := d.BuildWindowsGap(counters.FeatureSet{Placement: true}, m, k, GapImpute)
 		for _, w := range ws {
 			if len(w.Steps) != m {
 				return false

@@ -28,7 +28,6 @@ import (
 	"path/filepath"
 
 	"dragonvar/internal/framelog"
-	"dragonvar/internal/telemetry"
 )
 
 // streamVersion is the WAL/segment format version; a mismatch is a hard
@@ -350,10 +349,8 @@ func (w *StreamWriter) seal() (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: segment: %w", err)
 	}
-	telemetry.C(telemetry.MSegmentWriteBytes).Add(int64(buf.Len()))
 	w.nextSeg++
 	w.open = nil
-	telemetry.C(telemetry.MSegmentsSealed).Add(1)
 	return seg, nil
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/framelog"
-	"dragonvar/internal/telemetry"
 )
 
 // The checkpoint is the coordinator's crash armor: every completed unit
@@ -50,7 +49,6 @@ type checkpointRecord struct {
 type checkpoint struct {
 	path string
 	log  *framelog.Log
-	recs *telemetry.Counter
 }
 
 // openCheckpoint opens (or creates) the journal at path, validates its
@@ -119,11 +117,7 @@ func openCheckpoint(path, planDigest string, numUnits int) (*checkpoint, map[int
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: heal checkpoint %s: %w", path, err)
 	}
-	return &checkpoint{
-		path: path,
-		log:  log,
-		recs: telemetry.Active().Counter(telemetry.MDistCheckpointRecs),
-	}, replay, nil
+	return &checkpoint{path: path, log: log}, replay, nil
 }
 
 // outcome converts a journaled record back into a unit outcome.
@@ -152,7 +146,6 @@ func (cp *checkpoint) append(round, unit int, out cluster.UnitOutcome) error {
 	if err := cp.log.Append(rec); err != nil {
 		return fmt.Errorf("dist: append checkpoint: %w", err)
 	}
-	cp.recs.Add(1)
 	return nil
 }
 

@@ -112,7 +112,6 @@ type workerState struct {
 	id       string
 	name     string
 	lastSeen time.Time
-	units    int // outcomes accepted from this worker
 }
 
 // Coordinator owns a distributed campaign: it runs the deterministic
@@ -148,11 +147,9 @@ type Coordinator struct {
 	replay map[int]map[int]cluster.UnitOutcome
 
 	// telemetry (nil-safe no-op handles when telemetry is off)
-	granted, expired, redisp   *telemetry.Counter
-	results, malformed, stale  *telemetry.Counter
+	expired, redisp, malformed *telemetry.Counter
 	deaths, resumed            *telemetry.Counter
-	hbGap, workerUnits         *telemetry.Histogram
-	gWorkers, gPending, gLease *telemetry.Gauge
+	gLease                     *telemetry.Gauge
 }
 
 // NewCoordinator validates the campaign, binds the listen address, and
@@ -181,19 +178,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		backoff:  engine.Backoff{Base: 250 * time.Millisecond, Max: 15 * time.Second, Factor: 2, Jitter: 0.2},
 		workers:  map[string]*workerState{},
 
-		granted:     telemetry.C(telemetry.MDistLeasesGranted),
-		expired:     telemetry.C(telemetry.MDistLeaseExpired),
-		redisp:      telemetry.C(telemetry.MDistLeaseRedispatch),
-		results:     telemetry.C(telemetry.MDistResults),
-		malformed:   telemetry.C(telemetry.MDistResultsMalformed),
-		stale:       telemetry.C(telemetry.MDistResultsStale),
-		deaths:      telemetry.C(telemetry.MDistWorkerDeaths),
-		resumed:     telemetry.C(telemetry.MDistResumedUnits),
-		hbGap:       telemetry.H(telemetry.MDistHeartbeatGap, telemetry.SecondsBuckets),
-		workerUnits: telemetry.H(telemetry.MDistWorkerUnits, telemetry.CountBuckets),
-		gWorkers:    telemetry.G(telemetry.GDistWorkers),
-		gPending:    telemetry.G(telemetry.GDistPendingUnits),
-		gLease:      telemetry.G(telemetry.GDistLeasedUnits),
+		expired:   telemetry.C(telemetry.MDistLeaseExpired),
+		redisp:    telemetry.C(telemetry.MDistLeaseRedispatch),
+		malformed: telemetry.C(telemetry.MDistResultsMalformed),
+		deaths:    telemetry.C(telemetry.MDistWorkerDeaths),
+		resumed:   telemetry.C(telemetry.MDistResumedUnits),
+		gLease:    telemetry.G(telemetry.GDistLeasedUnits),
 	}
 	if cfg.CheckpointPath != "" {
 		cp, replay, err := openCheckpoint(cfg.CheckpointPath, digest, numUnits)
@@ -258,11 +248,6 @@ func (co *Coordinator) Run(ctx context.Context) (*dataset.Campaign, error) {
 
 	co.mu.Lock()
 	co.campDone = true
-	for _, w := range co.workers {
-		co.workerUnits.Observe(float64(w.units))
-	}
-	co.gWorkers.Set(0)
-	co.gPending.Set(0)
 	co.gLease.Set(0)
 	co.mu.Unlock()
 
@@ -321,7 +306,6 @@ func (co *Coordinator) ExecuteRound(ctx context.Context, pending []int, override
 		}
 		remaining++
 	}
-	co.gPending.Set(float64(remaining))
 	co.mu.Unlock()
 	if remaining < len(pending) {
 		fmt.Fprintf(co.cfg.Log, "dist: round %d: %d/%d units resumed from checkpoint\n", round, len(pending)-remaining, len(pending))
@@ -360,7 +344,6 @@ func (co *Coordinator) ExecuteRound(ctx context.Context, pending []int, override
 			}
 			co.units = nil
 			co.roundCtx = nil
-			co.gPending.Set(0)
 			co.gLease.Set(0)
 			co.mu.Unlock()
 			return outs, roundErr
@@ -388,7 +371,6 @@ func (co *Coordinator) sweep() {
 		fmt.Fprintf(co.cfg.Log, "dist: worker %s (%s) silent for %.1fs, declaring dead\n", id, w.name, now.Sub(w.lastSeen).Seconds())
 		delete(co.workers, id)
 		co.deaths.Add(1)
-		co.gWorkers.Set(float64(len(co.workers)))
 		for i, st := range co.units {
 			if st.leased && !st.done && st.worker == id {
 				co.requeueLocked(i, st, now, "worker died")
@@ -488,7 +470,6 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	co.workers[id] = &workerState{id: id, name: req.Name, lastSeen: time.Now()}
 	n := len(co.workers)
 	campTP := co.campTP
-	co.gWorkers.Set(float64(n))
 	co.mu.Unlock()
 	fmt.Fprintf(co.cfg.Log, "dist: worker %s joined (%s), %d alive\n", id, req.Name, n)
 	writeJSON(w, http.StatusOK, JoinResponse{
@@ -503,15 +484,12 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // touchLocked records a sign of life from worker id. Caller holds co.mu.
-func (co *Coordinator) touchLocked(id string) (*workerState, bool) {
+func (co *Coordinator) touchLocked(id string) bool {
 	wk, ok := co.workers[id]
-	if !ok {
-		return nil, false
+	if ok {
+		wk.lastSeen = time.Now()
 	}
-	now := time.Now()
-	co.hbGap.Observe(now.Sub(wk.lastSeen).Seconds())
-	wk.lastSeen = now
-	return wk, true
+	return ok
 }
 
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -526,7 +504,7 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, LeaseResponse{Status: StatusDone})
 		return
 	}
-	if _, ok := co.touchLocked(req.WorkerID); !ok {
+	if !co.touchLocked(req.WorkerID) {
 		writeError(w, http.StatusNotFound, "unknown worker %q (rejoin)", req.WorkerID)
 		return
 	}
@@ -552,7 +530,6 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	st.leaseID = fmt.Sprintf("L%d", co.seq)
 	st.worker = req.WorkerID
 	st.deadline = now.Add(co.cfg.Lease)
-	co.granted.Add(1)
 	co.gLease.Add(1)
 	// open the lease span under the round span; its context rides to the
 	// worker so the unit's execution spans parent to it cross-process
@@ -589,11 +566,10 @@ func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	wk, known := co.touchLocked(req.WorkerID)
+	co.touchLocked(req.WorkerID)
 	st, current := co.units[req.Unit]
 	if co.campDone || !current || req.Round != co.round || st.done {
 		// determinism makes duplicates harmless; acknowledge and move on
-		co.stale.Add(1)
 		writeJSON(w, http.StatusOK, ResultResponse{Status: StatusStale})
 		return
 	}
@@ -633,11 +609,6 @@ func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	st.done = true
 	st.out = out
-	co.results.Add(1)
-	co.gPending.Add(-1)
-	if known {
-		wk.units++
-	}
 	if co.cp != nil {
 		if err := co.cp.append(co.round, req.Unit, out); err != nil {
 			// a dead checkpoint disk must not kill the campaign; resume
@@ -663,7 +634,7 @@ func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, HeartbeatResponse{Status: StatusDone})
 		return
 	}
-	if _, ok := co.touchLocked(req.WorkerID); !ok {
+	if !co.touchLocked(req.WorkerID) {
 		writeError(w, http.StatusNotFound, "unknown worker %q (rejoin)", req.WorkerID)
 		return
 	}

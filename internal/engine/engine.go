@@ -75,19 +75,13 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, worke
 	// Telemetry is observation-only: the wrapped fn runs identically, the
 	// handles are no-ops when disabled, and nothing below reads a metric.
 	if telemetry.Enabled() {
-		mapStart := time.Now()
 		telemetry.C(telemetry.MEngineMaps).Inc()
-		telemetry.C(telemetry.MEngineShards).Add(int64(n))
-		telemetry.G(telemetry.GEngineWorkers).Set(float64(workers))
-		shardWait := telemetry.H(telemetry.MEngineShardWait, telemetry.SecondsBuckets)
 		shardRun := telemetry.H(telemetry.MEngineShardRun, telemetry.SecondsBuckets)
-		defer telemetry.H(telemetry.MEngineMapSeconds, telemetry.SecondsBuckets).ObserveSince(mapStart)
 		inner := fn
 		fn = func(ctx context.Context, worker, shard int) error {
-			pickup := time.Now()
-			shardWait.Observe(pickup.Sub(mapStart).Seconds())
+			start := time.Now()
 			err := inner(ctx, worker, shard)
-			shardRun.ObserveSince(pickup)
+			shardRun.ObserveSince(start)
 			return err
 		}
 	}

@@ -7,8 +7,6 @@
 package gbr
 
 import (
-	"time"
-
 	"dragonvar/internal/linalg"
 	"dragonvar/internal/rng"
 	"dragonvar/internal/telemetry"
@@ -47,10 +45,7 @@ type Model struct {
 // Fit trains a model on the rows of x listed in idx (all rows when idx is
 // nil), optionally restricted to the given feature columns (nil = all).
 func Fit(x *linalg.Matrix, y []float64, idx []int, features []int, opt Options, s *rng.Stream) *Model {
-	if telemetry.Enabled() {
-		telemetry.C(telemetry.MGBRFits).Inc()
-		defer telemetry.H(telemetry.MGBRFitSecs, telemetry.SecondsBuckets).ObserveSince(time.Now())
-	}
+	telemetry.C(telemetry.MGBRFits).Inc()
 	opt = opt.withDefaults()
 	if idx == nil {
 		idx = make([]int, x.Rows)

@@ -10,7 +10,7 @@
 // This is the monitoring half of the paper's measurement stack: LDMS gave
 // Cori a 1 Hz system-wide counter feed (§III-C), and the follow-up
 // longitudinal-analytics work turns such feeds into queryable aggregates.
-// cluster.RecordLDMS produces the feed; this package watches it.
+// cluster.RecordLDMSCtx produces the feed; this package watches it.
 //
 // # Observation-only contract
 //
@@ -33,7 +33,6 @@ import (
 	"sync"
 
 	"dragonvar/internal/stats"
-	"dragonvar/internal/telemetry"
 )
 
 // Event types emitted to the JSONL stream.
@@ -149,16 +148,6 @@ type Monitor struct {
 	missing    int // missing-sample observations
 	eventCount map[string]int
 	encodeErr  error // first Events-writer failure, surfaced by Finish
-
-	// Telemetry handles, captured at construction (nil-safe no-ops when
-	// telemetry is disabled).
-	tmSamples   *telemetry.Counter
-	tmEvents    *telemetry.Counter
-	tmHot       *telemetry.Gauge
-	tmCongested *telemetry.Gauge
-	tmMaxStall  *telemetry.Gauge
-	tmGapFrac   *telemetry.Gauge
-	tmLastT     *telemetry.Gauge
 }
 
 // New validates cfg, applies defaults, and returns a ready Monitor.
@@ -220,14 +209,6 @@ func New(cfg Config) (*Monitor, error) {
 		heat:       map[int64][]heatCell{},
 		interval:   cfg.Interval,
 		eventCount: map[string]int{},
-
-		tmSamples:   telemetry.C(telemetry.MMonitorSamples),
-		tmEvents:    telemetry.C(telemetry.MMonitorEvents),
-		tmHot:       telemetry.G(telemetry.GMonitorHot),
-		tmCongested: telemetry.G(telemetry.GMonitorCongested),
-		tmMaxStall:  telemetry.G(telemetry.GMonitorMaxStall),
-		tmGapFrac:   telemetry.G(telemetry.GMonitorGapFrac),
-		tmLastT:     telemetry.G(telemetry.GMonitorLastT),
 	}
 	return m, nil
 }
@@ -319,7 +300,6 @@ func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
 		cells = make([]heatCell, m.numGroups)
 		m.heat[bin] = cells
 	}
-	maxStall := 0.0
 	for g := 0; g < m.numGroups; g++ {
 		r0 := g * m.cfg.RoutersPerGroup
 		r1 := r0 + m.cfg.RoutersPerGroup
@@ -345,9 +325,6 @@ func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
 		} else {
 			m.groupEWMA[g] += alpha * (ratio - m.groupEWMA[g])
 		}
-		if m.groupEWMA[g] > maxStall {
-			maxStall = m.groupEWMA[g]
-		}
 		switch {
 		case !m.congested[g] && m.groupEWMA[g] >= m.cfg.StallOnset:
 			m.congested[g] = true
@@ -360,12 +337,6 @@ func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
 
 	m.samples++
 	m.lastT = t
-	m.tmSamples.Inc()
-	m.tmLastT.Set(t)
-	m.tmHot.Set(float64(countTrue(m.hot)))
-	m.tmCongested.Set(float64(countTrue(m.congested)))
-	m.tmMaxStall.Set(maxStall)
-	m.tmGapFrac.Set(m.gapFractionLocked())
 }
 
 // ObserveMissing feeds one explicit missing-sample marker at time t (the
@@ -382,7 +353,6 @@ func (m *Monitor) ObserveMissing(t float64) {
 		m.gap.missed++
 	}
 	m.missing++
-	m.tmGapFrac.Set(m.gapFractionLocked())
 }
 
 // closeGapLocked emits the pending sampler_gap event, if any. Callers hold mu.
@@ -401,7 +371,6 @@ func (m *Monitor) closeGapLocked(t float64) {
 func (m *Monitor) emitLocked(ev Event) {
 	ev.Source = m.cfg.Source
 	m.eventCount[ev.Type]++
-	m.tmEvents.Inc()
 	if m.cfg.Events == nil || m.encodeErr != nil {
 		return
 	}

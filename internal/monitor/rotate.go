@@ -5,8 +5,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"dragonvar/internal/telemetry"
 )
 
 // RotatingWriter is an io.WriteCloser for endless JSONL event streams:
@@ -94,7 +92,6 @@ func (w *RotatingWriter) rotateLocked() error {
 	if err := os.Rename(w.path, w.rotatedPath(w.seq)); err != nil {
 		return fmt.Errorf("monitor: rotate rename: %w", err)
 	}
-	telemetry.C(telemetry.MMonitorRotations).Add(1)
 	return w.open()
 }
 

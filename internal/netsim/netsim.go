@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"time"
 
 	"dragonvar/internal/counters"
 	"dragonvar/internal/monitor"
@@ -65,15 +64,11 @@ type Config struct {
 	// MaxMinimal and MaxValiant bound the adaptive-routing candidate set.
 	MaxMinimal int
 	MaxValiant int
-	// Adaptive enables load-aware path splitting. When false the simulator
-	// always uses the first minimal path (the ablation of §VI's related
-	// simulation studies: variability collapses onto fewer links and
-	// hotspots form). Superseded by Routing; kept as the back-compat
-	// default when Routing is empty.
-	Adaptive bool
 	// Routing names the routing policy ("minimal", "valiant", "adaptive",
-	// "feedback" — see routing.PolicyNames). Empty falls back to the
-	// Adaptive flag: true means "adaptive", false means "minimal".
+	// "feedback" — see routing.PolicyNames). Empty means "adaptive", the
+	// load-aware path splitting of Aries; "minimal" always uses the first
+	// minimal path (the ablation of §VI's related simulation studies:
+	// variability collapses onto fewer links and hotspots form).
 	Routing string
 	// NonMinimalBias scales the cost of non-minimal candidates in the
 	// adaptive/feedback split (UGAL's threshold knob); 0 means neutral (1),
@@ -88,15 +83,12 @@ type Config struct {
 }
 
 // PolicyName returns the effective routing-policy name: Routing when set,
-// otherwise the Adaptive flag's historical meaning.
+// otherwise "adaptive".
 func (c Config) PolicyName() string {
 	if c.Routing != "" {
 		return c.Routing
 	}
-	if c.Adaptive {
-		return "adaptive"
-	}
-	return "minimal"
+	return "adaptive"
 }
 
 // DefaultConfig returns the calibration used by the campaign.
@@ -110,7 +102,6 @@ func DefaultConfig() Config {
 		FlitsPerPacket:     12,
 		MaxMinimal:         3,
 		MaxValiant:         1,
-		Adaptive:           true,
 		RelaxationRounds:   2,
 	}
 }
@@ -217,12 +208,9 @@ type Network struct {
 	// simulation reads them, so results are identical with telemetry on.
 	tmCacheHits   *telemetry.Counter
 	tmCacheMisses *telemetry.Counter
-	tmCacheShared *telemetry.Counter
 	tmCacheInval  *telemetry.Counter
 	tmRounds      *telemetry.Counter
 	tmRoundFlits  *telemetry.Histogram
-	tmRoundSecs   *telemetry.Histogram
-	tmMaxUtil     *telemetry.Gauge
 }
 
 // New creates a network simulator over machine d. The stream drives path
@@ -246,12 +234,9 @@ func New(d *topology.Dragonfly, cfg Config, s *rng.Stream) *Network {
 
 		tmCacheHits:   telemetry.C(telemetry.MNetsimCacheHits),
 		tmCacheMisses: telemetry.C(telemetry.MNetsimCacheMisses),
-		tmCacheShared: telemetry.C(telemetry.MNetsimCacheShared),
 		tmCacheInval:  telemetry.C(telemetry.MNetsimCacheInval),
 		tmRounds:      telemetry.C(telemetry.MNetsimRounds),
 		tmRoundFlits:  telemetry.H(telemetry.MNetsimRoundFlits, telemetry.FlitsBuckets),
-		tmRoundSecs:   telemetry.H(telemetry.MNetsimRoundSecs, telemetry.SecondsBuckets),
-		tmMaxUtil:     telemetry.G(telemetry.GNetsimMaxUtil),
 	}
 	n.linkOnList = make([]bool, len(d.Links))
 	n.routerOnList = make([]bool, d.Cfg.NumRouters())
@@ -423,7 +408,6 @@ func (n *Network) candidates(a, b topology.RouterID) []routing.Path {
 	if n.shared != nil {
 		ck := cacheKey{policy: n.policy.Name(), sig: n.deadSig}
 		if p, ok := n.shared.lookup(ck, key); ok {
-			n.tmCacheShared.Add(1)
 			n.pathCache[key] = p
 			return p
 		}
@@ -659,8 +643,6 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		duration = 1
 	}
 	if n.tmRounds != nil { // telemetry on: per-round throughput accounting
-		roundStart := time.Now()
-		defer n.tmRoundSecs.ObserveSince(roundStart)
 		n.tmRounds.Add(1)
 		var offered float64
 		for _, f := range flows {
@@ -754,7 +736,6 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		n.touchRouter(f.Src)
 		n.touchRouter(f.Dst)
 	}
-	n.tmMaxUtil.Set(res.MaxLinkUtilization)
 
 	n.accumulateTransitCounters(duration)
 	n.accumulateEndpointCounters(flows, duration)

@@ -149,7 +149,10 @@ func TestSmallMessageTrafficHitsEndpointCounters(t *testing.T) {
 func TestAdaptiveSpreadsLoad(t *testing.T) {
 	mk := func(adaptive bool) float64 {
 		cfg := DefaultConfig()
-		cfg.Adaptive = adaptive
+		cfg.Routing = "minimal"
+		if adaptive {
+			cfg.Routing = "adaptive"
+		}
 		d, err := topology.New(topology.Small())
 		if err != nil {
 			t.Fatal(err)

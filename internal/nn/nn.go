@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"dragonvar/internal/engine"
 	"dragonvar/internal/linalg"
@@ -489,10 +488,7 @@ func backProject(w, gw, g, x, ge []float64) {
 // window shape. The stream drives initialization, shuffling, and the
 // optional subsampling.
 func Train(samples []Sample, cfg Config, s *rng.Stream) *Forecaster {
-	if telemetry.Enabled() {
-		telemetry.C(telemetry.MNNFits).Inc()
-		defer telemetry.H(telemetry.MNNFitSecs, telemetry.SecondsBuckets).ObserveSince(time.Now())
-	}
+	telemetry.C(telemetry.MNNFits).Inc()
 	cfg = cfg.withDefaults()
 	if len(samples) == 0 {
 		panic("nn: no training samples")

@@ -80,7 +80,6 @@ func Run(x *linalg.Matrix, y []float64, opt Options, s *rng.Stream) *Result {
 				}
 			}
 			foldStream := s.Split("fold").Split(string(rune('a' + f)))
-			telemetry.C(telemetry.MRFEFolds).Inc()
 			elim, best, fullPred := eliminate(x, y, train, test, opt.GBR, foldStream)
 			telemetry.C(telemetry.MRFERounds).Add(int64(len(elim)))
 			return foldResult{elim: elim, best: best, fullPred: fullPred}, nil

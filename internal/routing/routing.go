@@ -45,20 +45,14 @@ type Engine struct {
 
 	// telemetry handles, captured at construction; nil (no-op) without a
 	// registry. Observation-only: no routing decision reads them.
-	tmSets    *telemetry.Counter
-	tmMinimal *telemetry.Counter
-	tmNonMin  *telemetry.Counter
-	tmBFS     *telemetry.Counter
+	tmSets *telemetry.Counter
 }
 
 // NewEngine returns a path engine for machine d.
 func NewEngine(d *topology.Dragonfly) *Engine {
 	return &Engine{
-		d:         d,
-		tmSets:    telemetry.C(telemetry.MRoutingCandidateSets),
-		tmMinimal: telemetry.C(telemetry.MRoutingMinimal),
-		tmNonMin:  telemetry.C(telemetry.MRoutingNonMinimal),
-		tmBFS:     telemetry.C(telemetry.MRoutingBFSFallback),
+		d:      d,
+		tmSets: telemetry.C(telemetry.MRoutingCandidateSets),
 	}
 }
 
@@ -329,17 +323,9 @@ func (e *Engine) Candidates(a, b topology.RouterID, opt CandidateOptions, s *rng
 	if len(paths) == 0 && a != b && e.avoid != nil {
 		if p, ok := e.bfsHealthy(a, b); ok {
 			paths = append(paths, p)
-			e.tmBFS.Add(1)
 		}
 	}
 	e.tmSets.Add(1)
-	for _, p := range paths {
-		if p.Minimal {
-			e.tmMinimal.Add(1)
-		} else {
-			e.tmNonMin.Add(1)
-		}
-	}
 	return paths
 }
 

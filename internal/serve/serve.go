@@ -13,8 +13,8 @@
 //     input window (lru.go);
 //   - a concurrency limiter with a bounded wait queue sheds overload with
 //     429 (queue full) and 503 (draining) instead of collapsing;
-//   - every endpoint reports latency, inflight, queue-depth, and cache
-//     metrics through the internal/telemetry registry, exposed in
+//   - every endpoint reports request, latency, shed and cache metrics
+//     through the internal/telemetry registry, exposed in
 //     OpenMetrics form on /metrics (docs/OBSERVABILITY.md);
 //   - Drain stops intake and waits for every admitted request to finish,
 //     so a SIGTERM never drops an in-flight response.
@@ -151,8 +151,6 @@ type Server struct {
 	reqs, errs, shed       *telemetry.Counter
 	cacheHits, cacheMisses *telemetry.Counter
 	reloads                *telemetry.Counter
-	inflight, drainG       *telemetry.Gauge
-	queueDepth             *telemetry.Histogram
 	latForecast            *telemetry.Histogram
 	latDeviation           *telemetry.Histogram
 	latBlame               *telemetry.Histogram
@@ -170,20 +168,16 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		sem:         make(chan struct{}, cfg.MaxInflight),
-		reqs:        telemetry.C(telemetry.MServeRequests),
-		errs:        telemetry.C(telemetry.MServeErrors),
-		shed:        telemetry.C(telemetry.MServeShed),
-		cacheHits:   telemetry.C(telemetry.MServeCacheHits),
-		cacheMisses: telemetry.C(telemetry.MServeCacheMisses),
-		reloads:     telemetry.C(telemetry.MServeModelReloads),
-		inflight:    telemetry.G(telemetry.GServeInflight),
-		drainG:      telemetry.G(telemetry.GServeDraining),
-		queueDepth:  telemetry.H(telemetry.MServeQueueDepth, telemetry.QueueDepthBuckets),
-		latForecast: telemetry.H(telemetry.MServeForecastSecs, telemetry.LatencyBuckets),
-		latDeviation: telemetry.H(telemetry.MServeDeviationSecs,
-			telemetry.LatencyBuckets),
+		cfg:          cfg,
+		sem:          make(chan struct{}, cfg.MaxInflight),
+		reqs:         telemetry.C(telemetry.MServeRequests),
+		errs:         telemetry.C(telemetry.MServeErrors),
+		shed:         telemetry.C(telemetry.MServeShed),
+		cacheHits:    telemetry.C(telemetry.MServeCacheHits),
+		cacheMisses:  telemetry.C(telemetry.MServeCacheMisses),
+		reloads:      telemetry.C(telemetry.MServeModelReloads),
+		latForecast:  telemetry.H(telemetry.MServeForecastSecs, telemetry.LatencyBuckets),
+		latDeviation: telemetry.H(telemetry.MServeDeviationSecs, telemetry.LatencyBuckets),
 		latBlame:     telemetry.H(telemetry.MServeBlameSecs, telemetry.LatencyBuckets),
 		latSpec:      telemetry.H(telemetry.MServeSpecSecs, telemetry.LatencyBuckets),
 		reqForecast:  telemetry.C(telemetry.MServeForecastReqs),
@@ -198,15 +192,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/spec", s.handleSpec)
-	s.mux.HandleFunc("/v1/forecast", s.limited("forecast",
-		func() *telemetry.Histogram { return s.latForecast },
-		func() *telemetry.Counter { return s.reqForecast }, s.handleForecast))
-	s.mux.HandleFunc("/v1/deviation", s.limited("deviation",
-		func() *telemetry.Histogram { return s.latDeviation },
-		func() *telemetry.Counter { return s.reqDeviation }, s.handleDeviation))
-	s.mux.HandleFunc("/v1/advisor/blame", s.limited("blame",
-		func() *telemetry.Histogram { return s.latBlame },
-		func() *telemetry.Counter { return s.reqBlame }, s.handleBlame))
+	s.mux.HandleFunc("/v1/forecast", s.limited("forecast", s.latForecast, s.reqForecast, s.handleForecast))
+	s.mux.HandleFunc("/v1/deviation", s.limited("deviation", s.latDeviation, s.reqDeviation, s.handleDeviation))
+	s.mux.HandleFunc("/v1/advisor/blame", s.limited("blame", s.latBlame, s.reqBlame, s.handleBlame))
 	return s
 }
 
@@ -224,7 +212,6 @@ func (s *Server) Drain() {
 	if s.draining.Swap(true) {
 		return
 	}
-	s.drainG.Set(1)
 	// every admitted request holds drainMu.RLock for its lifetime; taking
 	// the write lock therefore blocks until the last one completes
 	s.drainMu.Lock()
@@ -321,10 +308,8 @@ func (s *Server) traced(w http.ResponseWriter, r *http.Request, endpoint string)
 
 // limited wraps an API handler with the admission pipeline: drain check,
 // bounded wait queue, concurrency semaphore, per-endpoint request
-// accounting, and the per-request trace span. The metric handles are
-// fetched lazily so the wrapper can be built before New finishes wiring
-// them.
-func (s *Server) limited(endpoint string, lat func() *telemetry.Histogram, cnt func() *telemetry.Counter, fn http.HandlerFunc) http.HandlerFunc {
+// accounting, and the per-request trace span.
+func (s *Server) limited(endpoint string, lat *telemetry.Histogram, cnt *telemetry.Counter, fn http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		r, span := s.traced(w, r, endpoint)
@@ -361,7 +346,6 @@ func (s *Server) limited(endpoint string, lat func() *telemetry.Histogram, cnt f
 			apiError(w, http.StatusTooManyRequests, "overloaded: %d requests queued", depth-1)
 			return
 		}
-		s.queueDepth.Observe(float64(depth - 1))
 		select {
 		case s.sem <- struct{}{}:
 		case <-r.Context().Done():
@@ -373,13 +357,11 @@ func (s *Server) limited(endpoint string, lat func() *telemetry.Histogram, cnt f
 		s.waiting.Add(-1)
 		admit.SetAttr("outcome", "admitted")
 		admit.End()
-		s.inflight.Add(1)
 		s.reqs.Inc()
-		cnt().Inc()
+		cnt.Inc()
 		defer func() {
 			<-s.sem
-			s.inflight.Add(-1)
-			lat().ObserveSince(start)
+			lat.ObserveSince(start)
 		}()
 
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)

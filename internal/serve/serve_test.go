@@ -403,7 +403,11 @@ func TestMetricsAndSpecEndpoints(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(body)
-	for _, want := range []string{"serve_requests_total", "serve_forecast_seconds", "serve_cache_misses"} {
+	// the four per-endpoint latency histograms are one family: each is
+	// registered at construction, so all four are scraped before any but
+	// /v1/forecast has seen traffic
+	for _, want := range []string{"serve_requests_total", "serve_cache_misses",
+		"serve_forecast_seconds", "serve_deviation_seconds", "serve_blame_seconds", "serve_spec_seconds"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
@@ -423,5 +427,14 @@ func TestMetricsAndSpecEndpoints(t *testing.T) {
 	}
 	if fmt.Sprint(spec.WindowFeatures) != "[a b c]" {
 		t.Fatalf("window features = %v", spec.WindowFeatures)
+	}
+	hists := reg.Snapshot().Histograms
+	for name, want := range map[string]int64{
+		telemetry.MServeForecastSecs: 1, telemetry.MServeSpecSecs: 1,
+		telemetry.MServeDeviationSecs: 0, telemetry.MServeBlameSecs: 0,
+	} {
+		if got := hists[name].Count; got != want {
+			t.Errorf("%s count = %d, want %d", name, got, want)
+		}
 	}
 }

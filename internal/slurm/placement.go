@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dragonvar/internal/rng"
-	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
@@ -68,10 +67,7 @@ func NewPlacementPolicy(name string) (PlacementPolicy, error) {
 	case "compact":
 		return compactPolicy{}, nil
 	case "interference":
-		return &interferencePolicy{
-			tmAvoided:  telemetry.C(telemetry.MSlurmHotGroupAvoided),
-			tmFallback: telemetry.C(telemetry.MSlurmAdviceFallback),
-		}, nil
+		return interferencePolicy{}, nil
 	default:
 		return nil, fmt.Errorf("slurm: unknown placement policy %q (have %v)", name, PlacementPolicyNames())
 	}
@@ -110,14 +106,11 @@ func (compactPolicy) Place(a *Allocator, n int, _ float64, busy *topology.NodeSe
 // starving the job. With blamed users active it also compacts harder, the
 // mitigation the paper's §VI discussion (and the advisor's delay signal)
 // points at.
-type interferencePolicy struct {
-	tmAvoided  *telemetry.Counter
-	tmFallback *telemetry.Counter
-}
+type interferencePolicy struct{}
 
-func (*interferencePolicy) Name() string { return "interference" }
+func (interferencePolicy) Name() string { return "interference" }
 
-func (p *interferencePolicy) Place(a *Allocator, n int, compact float64, busy *topology.NodeSet,
+func (interferencePolicy) Place(a *Allocator, n int, compact float64, busy *topology.NodeSet,
 	advise func() *PlacementAdvice, s *rng.Stream) []topology.NodeID {
 	adv := advise()
 	if adv != nil && adv.BlamedActive {
@@ -139,10 +132,8 @@ func (p *interferencePolicy) Place(a *Allocator, n int, compact float64, busy *t
 		}
 	}
 	if out := a.AllocAvoiding(n, compact, avoid, s); out != nil {
-		p.tmAvoided.Add(int64(len(adv.HotGroups)))
 		return out
 	}
 	// the advice doesn't fit; place the job anyway
-	p.tmFallback.Add(1)
 	return a.AllocAvoiding(n, compact, busy, s)
 }

@@ -57,7 +57,7 @@ func parseProm(t *testing.T, text string) (samples map[string]float64, types map
 func TestWriteOpenMetrics(t *testing.T) {
 	r := New()
 	r.Counter("cluster/runs_total").Add(42)
-	r.Gauge("monitor/gap_fraction").Set(0.125)
+	r.Gauge("test/ratio").Set(0.125)
 	h := r.Histogram("cluster/run_seconds", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
@@ -78,11 +78,11 @@ func TestWriteOpenMetrics(t *testing.T) {
 	if types["cluster_runs_total"] != "counter" {
 		t.Errorf("counter TYPE = %q", types["cluster_runs_total"])
 	}
-	if samples["monitor_gap_fraction"] != 0.125 {
-		t.Errorf("gauge sample = %v, want 0.125", samples["monitor_gap_fraction"])
+	if samples["test_ratio"] != 0.125 {
+		t.Errorf("gauge sample = %v, want 0.125", samples["test_ratio"])
 	}
-	if types["monitor_gap_fraction"] != "gauge" {
-		t.Errorf("gauge TYPE = %q", types["monitor_gap_fraction"])
+	if types["test_ratio"] != "gauge" {
+		t.Errorf("gauge TYPE = %q", types["test_ratio"])
 	}
 	if types["cluster_run_seconds"] != "histogram" {
 		t.Errorf("histogram TYPE = %q", types["cluster_run_seconds"])
@@ -134,15 +134,14 @@ func TestPromNameSanitization(t *testing.T) {
 }
 
 // TestMetricsEndpoint drives the /metrics handler end to end: enable a
-// registry with campaign-style metrics and monitor-style gauges, scrape,
-// and parse what comes back.
+// registry with campaign-style metrics and a coordinator-style gauge,
+// scrape, and parse what comes back.
 func TestMetricsEndpoint(t *testing.T) {
 	r := New()
 	Enable(r)
 	defer Disable()
 	C(MClusterRuns).Add(7)
-	G(GMonitorHot).Set(2)
-	G(GMonitorMaxStall).Set(0.4)
+	G(GDistLeasedUnits).Set(2)
 	H(MClusterRunSecs, SecondsBuckets).Observe(1.5)
 	_, sp := Start(context.Background(), SpanCampaign)
 	sp.End()
@@ -165,11 +164,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if samples["cluster_runs_total"] != 7 {
 		t.Errorf("scraped cluster_runs_total = %v, want 7", samples["cluster_runs_total"])
 	}
-	if samples["monitor_hot_routers"] != 2 {
-		t.Errorf("scraped monitor_hot_routers = %v, want 2", samples["monitor_hot_routers"])
-	}
-	if samples["monitor_max_group_stall_ratio"] != 0.4 {
-		t.Errorf("scraped monitor_max_group_stall_ratio = %v", samples["monitor_max_group_stall_ratio"])
+	if samples["dist_leased_units"] != 2 {
+		t.Errorf("scraped dist_leased_units = %v, want 2", samples["dist_leased_units"])
 	}
 	if samples["cluster_run_seconds_count"] != 1 {
 		t.Errorf("scraped histogram count = %v, want 1", samples["cluster_run_seconds_count"])

@@ -145,102 +145,9 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// flameNode aggregates the spans sharing one path.
-type flameNode struct {
-	path     string
-	name     string
-	depth    int
-	count    int
-	total    float64
-	children []*flameNode
-}
-
-// Flame renders the trace as a flame-style text summary: spans aggregated
-// by path, children indented under parents, each line showing call count,
-// total wall-clock time, and the share of its parent's time.
-func (s *Snapshot) Flame() string {
-	byPath := map[string]*flameNode{}
-	var roots []*flameNode
-	node := func(path string) *flameNode {
-		n, ok := byPath[path]
-		if !ok {
-			parts := strings.Split(path, "/")
-			// a span name may itself contain no slash; depth = path segments
-			// relative to its ancestor chain
-			n = &flameNode{path: path, name: parts[len(parts)-1]}
-			byPath[path] = n
-		}
-		return n
-	}
-	for _, sp := range s.Spans {
-		n := node(sp.Path)
-		n.name = sp.Name
-		n.count++
-		n.total += sp.DurS
-	}
-	// wire up the tree using the longest strictly-shorter registered prefix
-	// as the parent (span names can contain '/' themselves)
-	paths := make([]string, 0, len(byPath))
-	for p := range byPath {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		n := byPath[p]
-		parentPath := ""
-		for _, q := range paths {
-			if q != p && strings.HasPrefix(p, q+"/") && len(q) > len(parentPath) {
-				parentPath = q
-			}
-		}
-		if parentPath == "" {
-			roots = append(roots, n)
-			continue
-		}
-		parent := byPath[parentPath]
-		n.depth = parent.depth + 1
-		parent.children = append(parent.children, n)
-	}
-	// fix depths (children may have been wired before the parent's depth)
-	var setDepth func(n *flameNode, d int)
-	setDepth = func(n *flameNode, d int) {
-		n.depth = d
-		sort.Slice(n.children, func(i, j int) bool { return n.children[i].total > n.children[j].total })
-		for _, c := range n.children {
-			setDepth(c, d+1)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].total > roots[j].total })
-	for _, r := range roots {
-		setDepth(r, 0)
-	}
-
-	var b strings.Builder
-	b.WriteString("trace summary (wall-clock, aggregated by span path)\n")
-	if len(s.Spans) == 0 {
-		b.WriteString("  (no spans recorded)\n")
-		return b.String()
-	}
-	var render func(n *flameNode, parentTotal float64)
-	render = func(n *flameNode, parentTotal float64) {
-		share := ""
-		if parentTotal > 0 {
-			share = fmt.Sprintf("  %5.1f%%", 100*n.total/parentTotal)
-		}
-		fmt.Fprintf(&b, "  %s%-*s ×%-5d %8s%s\n",
-			strings.Repeat("  ", n.depth), 36-2*n.depth, n.name, n.count, fmtSeconds(n.total), share)
-		for _, c := range n.children {
-			render(c, n.total)
-		}
-	}
-	for _, r := range roots {
-		render(r, 0)
-	}
-	return b.String()
-}
-
 // Summary renders a compact human-readable digest: top counters, histogram
-// means, and the flame trace. Used for the stderr report on CLI exit.
+// means, and the span flame (Stitch.Flame over this one process). Used for
+// the stderr report on CLI exit.
 func (s *Snapshot) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "telemetry: %d counters, %d gauges, %d histograms, %d spans over %s\n",
@@ -279,7 +186,7 @@ func (s *Snapshot) Summary() string {
 				n, h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Sum)
 		}
 	}
-	b.WriteString(s.Flame())
+	b.WriteString(s.localStitch().Flame())
 	return b.String()
 }
 

@@ -14,12 +14,10 @@ type SpanRecord struct {
 	ID     int64  `json:"id"`
 	Parent int64  `json:"parent"` // 0 for root spans
 	Name   string `json:"name"`
-	// Path is the "/"-joined chain of ancestor names ending in Name; flame
-	// aggregation groups by it.
-	Path    string  `json:"path"`
-	StartS  float64 `json:"start_s"` // offset from registry start, seconds
-	DurS    float64 `json:"dur_s"`   // wall-clock duration, seconds
-	Workers int     `json:"-"`       // reserved; not exported yet
+	// Path is the "/"-joined chain of ancestor names ending in Name.
+	Path   string  `json:"path"`
+	StartS float64 `json:"start_s"` // offset from registry start, seconds
+	DurS   float64 `json:"dur_s"`   // wall-clock duration, seconds
 
 	// Distributed-tracing identity. TraceID is shared by every span of one
 	// logical operation across processes; ParentSpanID links to the parent

@@ -454,8 +454,10 @@ func (st *Stitch) MergedTraceEvents(w io.Writer) error {
 			Args: map[string]any{"name": fmt.Sprintf("%s (%s, pid %d)", role, tf.Proc.Hostname, tf.Proc.PID)},
 		})
 	}
-	// lanes: each node inherits its highest in-process ancestor's span ID
+	// lanes: each node shares the lane of its highest in-process ancestor;
+	// those ancestors get small lane numbers per process, in start order
 	lane := map[*StitchNode]int64{}
+	lanes := map[*ProcessInfo]int64{}
 	var laneOf func(n *StitchNode) int64
 	laneOf = func(n *StitchNode) int64 {
 		if v, ok := lane[n]; ok {
@@ -465,13 +467,8 @@ func (st *Stitch) MergedTraceEvents(w io.Writer) error {
 		if n.Parent != nil && n.Parent.Proc == n.Proc {
 			v = laneOf(n.Parent)
 		} else {
-			// stable small lane from the span ID hex
-			for _, c := range n.Span.SpanID {
-				v = v<<4 | int64(hexVal(byte(c)))
-			}
-			if v < 0 {
-				v = -v
-			}
+			lanes[n.Proc]++
+			v = lanes[n.Proc]
 		}
 		lane[n] = v
 		return v
@@ -496,16 +493,4 @@ func (st *Stitch) MergedTraceEvents(w io.Writer) error {
 		})
 	}
 	return json.NewEncoder(w).Encode(traceEventFile{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return 0
 }

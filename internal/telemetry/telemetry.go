@@ -2,7 +2,7 @@
 // dependency-free metrics registry (counters, gauges, histograms with fixed
 // bucket layouts) plus lightweight span tracing, threaded through every hot
 // layer — the execution engine, the network simulator, the campaign driver,
-// the dataset cache, and the ML stack.
+// the ML stack, and the serving, distributed and daemon layers.
 //
 // The paper's method is built on instrumentation of the system under study
 // (Aries counters, 1 Hz LDMS sweeps, sacct logs); this package instruments
@@ -193,11 +193,11 @@ func (h *Histogram) Sum() float64 {
 // Standard bucket layouts. Fixed layouts keep aggregation well-defined:
 // two snapshots with the same metric name always share bucket edges.
 var (
-	// SecondsBuckets spans 100 µs … ~1000 s exponentially (factor ~3.16),
-	// fitting everything from a shard dispatch to a full campaign.
-	SecondsBuckets = []float64{1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2, 3.16e-2, 0.1, 0.316, 1, 3.16, 10, 31.6, 100, 316, 1000}
-	// BytesBuckets spans 1 KiB … 4 GiB in powers of 4.
-	BytesBuckets = []float64{1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28, 1 << 30, 1 << 32}
+	// SecondsBuckets spans 1 µs … ~1000 s in half-decade steps (factor
+	// ~3.16), fitting everything from a single engine shard to a full
+	// campaign.
+	SecondsBuckets = []float64{1e-6, 3.16e-6, 1e-5, 3.16e-5, 1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2, 3.16e-2,
+		0.1, 0.316, 1, 3.16, 10, 31.6, 100, 316, 1000}
 	// CountBuckets spans 1 … 1e6 in powers of 10 with midpoints.
 	CountBuckets = []float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6}
 	// FlitsBuckets spans 1e8 … 1e15 flits exponentially (factor ~3.16):

@@ -146,7 +146,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 // TestHistogramLayoutHasNoInfinity checks the JSON-safety property the
 // overflow bucket exists for: no snapshot bound is ±Inf.
 func TestHistogramLayoutHasNoInfinity(t *testing.T) {
-	for _, bounds := range [][]float64{SecondsBuckets, BytesBuckets, CountBuckets, FlitsBuckets} {
+	for _, bounds := range [][]float64{SecondsBuckets, CountBuckets, FlitsBuckets, LatencyBuckets} {
 		for _, b := range bounds {
 			if math.IsInf(b, 0) || math.IsNaN(b) {
 				t.Fatalf("bucket layout contains %v", b)
@@ -292,7 +292,7 @@ func TestFlushAndSummary(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
 	}
-	flame := snap.Flame()
+	flame := snap.localStitch().Flame()
 	// the child renders indented under the parent with its share
 	if !strings.Contains(flame, "round") || !strings.Contains(flame, "%") {
 		t.Errorf("flame missing nested child:\n%s", flame)

@@ -33,14 +33,14 @@ func TestTraceparentMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"garbage",
-		valid[:54],                         // truncated
+		valid[:54],                          // truncated
 		strings.Replace(valid, "-", "_", 1), // wrong separators
 		"zz" + valid[2:],                    // non-hex version
 		"ff" + valid[2:],                    // reserved version
-		"00-" + strings.Repeat("0", 32) + valid[35:],            // all-zero trace id
-		valid[:36] + strings.Repeat("0", 16) + valid[52:],       // all-zero span id
-		valid[:3] + "xx" + valid[5:],                            // non-hex trace id
-		valid + "tail",                                          // trailing junk without a dash
+		"00-" + strings.Repeat("0", 32) + valid[35:],      // all-zero trace id
+		valid[:36] + strings.Repeat("0", 16) + valid[52:], // all-zero span id
+		valid[:3] + "xx" + valid[5:],                      // non-hex trace id
+		valid + "tail",                                    // trailing junk without a dash
 	}
 	for _, v := range bad {
 		if _, err := ParseTraceparent(v); err == nil {
@@ -241,7 +241,7 @@ func TestTraceExportAndStitch(t *testing.T) {
 		// the chrome rendering must be valid JSON with one event per span
 		// plus process metadata
 		var chrome bytes.Buffer
-		if err := snap.WriteTraceEvents(&chrome); err != nil {
+		if err := snap.localStitch().MergedTraceEvents(&chrome); err != nil {
 			t.Fatal(err)
 		}
 		var tf traceEventFile
@@ -321,6 +321,51 @@ func TestStitchFlagsOrphans(t *testing.T) {
 	sum := st.Summary()
 	if sum.Orphans != 1 || len(sum.OrphanNames) != 1 {
 		t.Fatalf("summary %+v: want 1 orphan", sum)
+	}
+}
+
+// TestLocalViewsRenderRemoteParentAsRoot: the one-process views of a
+// snapshot (the stderr summary and the Chrome trace file) render a span
+// whose parent lives in another process as a root, without an orphan flag,
+// while the JSONL stream keeps the remote parent ID for stitching.
+func TestLocalViewsRenderRemoteParentAsRoot(t *testing.T) {
+	r := New()
+	r.SetRole("worker")
+	remote := SpanContext{Trace: NewTraceID(), Span: NewSpanID()}
+	ctx, exec := StartIn(r, ContextWithRemote(context.Background(), remote), SpanDistUnitExec)
+	_, sim := StartIn(r, ctx, SpanDistSimulate)
+	sim.End()
+	exec.End()
+	snap := r.Snapshot()
+
+	sum := snap.Summary()
+	if strings.Contains(sum, "orphan") {
+		t.Errorf("one-process summary flags an orphan:\n%s", sum)
+	}
+	// the remote-parented span sits at depth 0, its child one level below
+	if !strings.Contains(sum, "\n  "+SpanDistUnitExec+" ") || !strings.Contains(sum, "\n    "+SpanDistSimulate+" ") {
+		t.Errorf("summary does not render %s as a root over %s:\n%s", SpanDistUnitExec, SpanDistSimulate, sum)
+	}
+	var chrome bytes.Buffer
+	if err := snap.localStitch().MergedTraceEvents(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(chrome.String(), `"cat":"orphan"`) {
+		t.Errorf("chrome trace flags an orphan:\n%s", chrome.String())
+	}
+
+	var buf bytes.Buffer
+	if err := snap.WriteSpanJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := readTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tf.Spans {
+		if sp.Name == SpanDistUnitExec && sp.ParentSpanID != remote.Span.String() {
+			t.Errorf("JSONL parent of %s = %q, want the remote %s", sp.Name, sp.ParentSpanID, remote.Span)
+		}
 	}
 }
 

@@ -42,23 +42,62 @@ type traceLine struct {
 	Attrs        map[string]string `json:"attrs,omitempty"`
 }
 
+// traceFile converts the snapshot's spans to the parsed form of a trace
+// file, with absolute unix-nanosecond timestamps, so the JSONL stream and
+// every rendering share one conversion. Remote parent IDs are kept.
+func (s *Snapshot) traceFile() *TraceFile {
+	base := s.Process.StartedAt.UnixNano()
+	tf := &TraceFile{Proc: s.Process, Spans: make([]StitchSpan, len(s.Spans))}
+	for i, sp := range s.Spans {
+		tf.Spans[i] = StitchSpan{
+			TraceID:      sp.TraceID,
+			SpanID:       sp.SpanID,
+			ParentSpanID: sp.ParentSpanID,
+			Name:         sp.Name,
+			Path:         sp.Path,
+			StartNs:      base + int64(sp.StartS*1e9),
+			DurNs:        int64(sp.DurS * 1e9),
+			Attrs:        sp.Attrs,
+		}
+	}
+	return tf
+}
+
+// localStitch is the one-process view of the snapshot behind the stderr
+// flame and the Chrome trace file: a span whose parent is not in this
+// snapshot (a remote parent in another process, or a local one still
+// open) renders as a root rather than as an orphan.
+func (s *Snapshot) localStitch() *Stitch {
+	tf := s.traceFile()
+	ids := make(map[string]bool, len(tf.Spans))
+	for _, sp := range tf.Spans {
+		ids[sp.SpanID] = true
+	}
+	for i := range tf.Spans {
+		if !ids[tf.Spans[i].ParentSpanID] {
+			tf.Spans[i].ParentSpanID = ""
+		}
+	}
+	return StitchTraces([]*TraceFile{tf})
+}
+
 // WriteSpanJSONL writes the snapshot's spans as a JSONL stream: first a
 // process-identity line, then one line per span in start order.
 func (s *Snapshot) WriteSpanJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	base := s.Process.StartedAt.UnixNano()
+	tf := s.traceFile()
 	head := traceLine{
 		Type:        "process",
-		PID:         s.Process.PID,
-		Hostname:    s.Process.Hostname,
-		Role:        s.Process.Role,
-		StartedAt:   s.Process.StartedAt.Format(time.RFC3339Nano),
-		StartUnixNs: base,
+		PID:         tf.Proc.PID,
+		Hostname:    tf.Proc.Hostname,
+		Role:        tf.Proc.Role,
+		StartedAt:   tf.Proc.StartedAt.Format(time.RFC3339Nano),
+		StartUnixNs: tf.Proc.StartedAt.UnixNano(),
 	}
 	if err := enc.Encode(head); err != nil {
 		return err
 	}
-	for _, sp := range s.Spans {
+	for _, sp := range tf.Spans {
 		line := traceLine{
 			Type:         "span",
 			TraceID:      sp.TraceID,
@@ -66,8 +105,8 @@ func (s *Snapshot) WriteSpanJSONL(w io.Writer) error {
 			ParentSpanID: sp.ParentSpanID,
 			Name:         sp.Name,
 			Path:         sp.Path,
-			StartUnixNs:  base + int64(sp.StartS*1e9),
-			DurNs:        int64(sp.DurS * 1e9),
+			StartUnixNs:  sp.StartNs,
+			DurNs:        sp.DurNs,
 			Attrs:        sp.Attrs,
 		}
 		if err := enc.Encode(line); err != nil {
@@ -94,63 +133,6 @@ type traceEvent struct {
 type traceEventFile struct {
 	TraceEvents     []traceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
-// chromeEvents renders the snapshot's spans as trace events. Timestamps are
-// absolute unix microseconds, so events from several processes land on one
-// shared timeline when merged. Each local root span gets its own lane
-// (tid), and descendants share their root's lane, which keeps concurrent
-// units visually separate.
-func (s *Snapshot) chromeEvents() []traceEvent {
-	procName := s.Process.Role
-	if procName == "" {
-		procName = "process"
-	}
-	events := []traceEvent{{
-		Name: "process_name", Ph: "M", PID: s.Process.PID,
-		Args: map[string]any{"name": fmt.Sprintf("%s (%s, pid %d)", procName, s.Process.Hostname, s.Process.PID)},
-	}}
-	// resolve each span's lane: the local ID of its root ancestor
-	parentOf := make(map[int64]int64, len(s.Spans))
-	for _, sp := range s.Spans {
-		parentOf[sp.ID] = sp.Parent
-	}
-	lane := func(id int64) int64 {
-		for {
-			p := parentOf[id]
-			if p == 0 {
-				return id
-			}
-			id = p
-		}
-	}
-	base := float64(s.Process.StartedAt.UnixNano()) / 1e3
-	for _, sp := range s.Spans {
-		args := map[string]any{
-			"trace_id": sp.TraceID,
-			"span_id":  sp.SpanID,
-		}
-		if sp.ParentSpanID != "" {
-			args["parent_span_id"] = sp.ParentSpanID
-		}
-		for k, v := range sp.Attrs {
-			args[k] = v
-		}
-		events = append(events, traceEvent{
-			Name: sp.Name, Ph: "X", Cat: "span",
-			PID: s.Process.PID, TID: lane(sp.ID),
-			Ts: base + sp.StartS*1e6, Dur: sp.DurS * 1e6,
-			Args: args,
-		})
-	}
-	return events
-}
-
-// WriteTraceEvents writes the snapshot's spans as a Chrome trace-event JSON
-// object ({"traceEvents": […]}), loadable in chrome://tracing or Perfetto.
-func (s *Snapshot) WriteTraceEvents(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(traceEventFile{TraceEvents: s.chromeEvents(), DisplayTimeUnit: "ms"})
 }
 
 // writeFileWith creates path and runs fn over it, closing carefully.
@@ -182,7 +164,7 @@ func FlushTrace(path string) error {
 	if err := writeFileWith(path, snap.WriteSpanJSONL); err != nil {
 		return err
 	}
-	if err := writeFileWith(path+TraceEventsSuffix, snap.WriteTraceEvents); err != nil {
+	if err := writeFileWith(path+TraceEventsSuffix, snap.localStitch().MergedTraceEvents); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "trace: %d spans written to %s (+%s)\n",

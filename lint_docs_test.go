@@ -2,11 +2,13 @@ package dragonvar
 
 import (
 	"encoding/json"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -181,6 +183,119 @@ func TestObservabilityDocCoverage(t *testing.T) {
 	for _, name := range telemetry.AllSpanNames {
 		if !strings.Contains(doc, "`"+name+"`") {
 			t.Errorf("span %q not documented in docs/OBSERVABILITY.md", name)
+		}
+	}
+}
+
+// metricCatalogue parses internal/telemetry/names.go and returns the string
+// value of every constant plus the constant names AllMetricNames lists, in
+// order.
+func metricCatalogue(t *testing.T) (values map[string]string, listed []string) {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/telemetry/names.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values = map[string]string{}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
+			}
+			for i, id := range vs.Names {
+				if i >= len(vs.Values) {
+					continue
+				}
+				switch v := vs.Values[i].(type) {
+				case *ast.BasicLit:
+					if gd.Tok == token.CONST && v.Kind == token.STRING {
+						values[id.Name], _ = strconv.Unquote(v.Value)
+					}
+				case *ast.CompositeLit:
+					if id.Name != "AllMetricNames" {
+						continue
+					}
+					for _, e := range v.Elts {
+						ident, ok := e.(*ast.Ident)
+						if !ok {
+							t.Fatalf("AllMetricNames element %T is not a constant", e)
+						}
+						listed = append(listed, ident.Name)
+					}
+				}
+			}
+		}
+	}
+	return values, listed
+}
+
+// metricReaders concatenates every file that counts as a metric reader:
+// the _test.go files outside internal/telemetry and the Go files under
+// perfbench/. This file is left out so its own text cannot satisfy itself.
+func metricReaders(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || path == filepath.Join("internal", "telemetry") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		reader := strings.HasSuffix(path, "_test.go") ||
+			(strings.HasPrefix(path, "perfbench"+string(filepath.Separator)) && strings.HasSuffix(path, ".go"))
+		if !reader || path == "lint_docs_test.go" {
+			return nil
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		b.Write(blob)
+		b.WriteByte('\n')
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// promUnsafe matches the characters the OpenMetrics exposition rewrites to
+// '_' (see promName in internal/telemetry).
+var promUnsafe = regexp.MustCompile(`[^a-zA-Z0-9_:]`)
+
+// TestMetricNamesHaveReaders keeps the telemetry catalogue to what is
+// read: every name in AllMetricNames must be read by a test outside
+// internal/telemetry or by perfbench — through its constant, its string,
+// or its OpenMetrics form (histograms also through their _bucket, _count
+// and _sum series). A metric nobody reads is cost without signal; remove
+// it, or add the test that reads it.
+func TestMetricNamesHaveReaders(t *testing.T) {
+	values, listed := metricCatalogue(t)
+	if len(listed) != len(telemetry.AllMetricNames) {
+		t.Fatalf("parsed %d AllMetricNames entries from names.go, the package has %d",
+			len(listed), len(telemetry.AllMetricNames))
+	}
+	corpus := metricReaders(t)
+	for i, c := range listed {
+		name, ok := values[c]
+		if !ok || name != telemetry.AllMetricNames[i] {
+			t.Fatalf("AllMetricNames[%d]: parsed %s = %q, package has %q", i, c, name, telemetry.AllMetricNames[i])
+		}
+		read := regexp.MustCompile(`\btelemetry\.` + c + `\b` +
+			`|"` + regexp.QuoteMeta(name) + `"` +
+			`|\b` + regexp.QuoteMeta(promUnsafe.ReplaceAllString(name, "_")) + `(_bucket|_count|_sum)?\b`)
+		if !read.MatchString(corpus) {
+			t.Errorf("metric %s (%q) has no reader: no test outside internal/telemetry and no perfbench file reads it", c, name)
 		}
 	}
 }
