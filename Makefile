@@ -31,6 +31,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/framelog:FuzzLog \
 	./internal/telemetry:FuzzParseTraceparent \
+	./internal/telemetry:FuzzStitchSnapshot \
 	./internal/dist:FuzzDecodeRun \
 	./internal/modelstore:FuzzObjectDecode \
 	./internal/traceio:FuzzReader \
@@ -44,10 +45,11 @@ fuzz:
 
 # Documentation lint: every package has a godoc comment, intra-repo
 # markdown links resolve, docs/OBSERVABILITY.md covers every telemetry
-# name, and every metric name has a reader. (Also part of plain
-# `make test`; split out so doc-only changes can be checked in isolation.)
+# name, and every metric name, span attribute and stitch summary field
+# has a reader. (Also part of plain `make test`; split out so doc-only
+# changes can be checked in isolation.)
 lint-docs:
-	$(GO) test -run 'TestPackageDocComments|TestMarkdownLinks|TestObservabilityDocCoverage|TestMetricNamesHaveReaders' .
+	$(GO) test -run 'TestPackageDocComments|TestMarkdownLinks|TestObservabilityDocCoverage|TestMetricNamesHaveReaders|TestSpanAttrsHaveReaders|TestStitchSummaryFieldsHaveReaders' .
 
 # Tier-1 verification: everything the merge gate runs.
 verify: build vet lint-docs test race

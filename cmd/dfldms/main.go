@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  dfldms record    [-small] [-days N] [-seed S] [-hours H] [-interval SEC] [-faults SPEC] [-workers N] [-telemetry FILE] [-trace FILE] [-pprof ADDR] -out FILE
+  dfldms record    [-small] [-days N] [-seed S] [-hours H] [-interval SEC] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] -out FILE
   dfldms summarize -in FILE [-top K]
   dfldms analyze   -in FILE [-events FILE|-] [-heatmap FILE.svg] [-csv FILE] [-top K]
                    [-rpg N] [-hot-z Z] [-stall-onset R] [-stall-clear R] [-bin SEC] [-interval SEC]`)

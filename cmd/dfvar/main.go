@@ -85,16 +85,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  dfvar campaign [-days N] [-seed S] [-cache FILE] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-trace FILE] [-pprof ADDR] [-monitor FILE|-]
+  dfvar campaign [-days N] [-seed S] [-cache FILE] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] [-monitor FILE|-]
                  [-distribute ADDR] [-dist-checkpoint FILE] [-dist-lease DUR]
-  dfvar worker   -join URL [-name NAME] [-telemetry FILE] [-trace FILE] [-pprof ADDR]
-  dfvar report   [-cache FILE] [-days N] [-seed S] [-small] [-fast] [-faults SPEC] [-workers N] [-telemetry FILE] [-trace FILE] [-pprof ADDR] [-monitor FILE|-] [artifact ...]
-  dfvar calib    [-cache FILE] [-days N] [-seed S] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-trace FILE] [-pprof ADDR] [-monitor FILE|-]
+  dfvar worker   -join URL [-name NAME] [-telemetry FILE] [-pprof ADDR]
+  dfvar report   [-cache FILE] [-days N] [-seed S] [-small] [-fast] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] [-monitor FILE|-] [artifact ...]
+  dfvar calib    [-cache FILE] [-days N] [-seed S] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] [-monitor FILE|-]
   dfvar census   [-small]
   dfvar export   [-cache FILE] [-days N] [-seed S] [-small] -out DIR
   dfvar plot     [-cache FILE] [-days N] [-seed S] [-small] [-fast] -out DIR
   dfvar ab       [-days N] [-seed S] [-small] [-faults SPEC] -arms R/P,R/P[,...] [-out FILE] [-verify] [-blame]
-  dfvar trace    [-out FILE.chrome.json] [-json FILE|-] SPANFILE [SPANFILE ...]
+  dfvar trace    [-out FILE.chrome.json] [-json FILE|-] SNAPSHOT [SNAPSHOT ...]
 artifacts: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 all
 calib prints per-dataset best/mean/worst run times, the worst-to-best ratio and
   the MPI time fraction, to check the simulator against the §III-B targets.
@@ -109,16 +109,15 @@ fault specs: links=N routers=N drains=N dropouts=N outage=SEC droplen=SEC,
 -workers 0 (the default) uses $DRAGONVAR_WORKERS, falling back to GOMAXPROCS;
   any worker count produces byte-identical output. SIGINT cancels gracefully,
   flushing completed campaign runs to the cache as a partial dataset.
--telemetry FILE writes a metrics + span-trace snapshot (docs/OBSERVABILITY.md)
-  on exit; -pprof ADDR serves net/http/pprof plus live /telemetry and /metrics
-  (OpenMetrics) endpoints; -monitor FILE streams network-weather anomaly events
-  as JSONL while the campaign simulates ("-" = stderr) and prints a weather
-  report. All three are observation-only: output bytes are identical on or off.
--trace FILE streams every finished span (with trace/span IDs and process
-  identity) to a JSONL file on exit, plus a Chrome trace-event view at
-  FILE.chrome.json; spans propagate across processes via W3C traceparent, and
-  "dfvar trace" stitches the files from a coordinator and its workers into one
-  cross-process timeline with a wait/compute/network breakdown.
+-telemetry FILE writes a metrics + span snapshot (docs/OBSERVABILITY.md) on
+  exit; spans carry trace/span IDs and the process identity, propagate across
+  processes via W3C traceparent, and "dfvar trace" stitches the snapshots of a
+  coordinator and its workers into one cross-process timeline with a
+  wait/compute/network breakdown. -pprof ADDR serves net/http/pprof plus live
+  /telemetry and /metrics (OpenMetrics) endpoints; -monitor FILE streams
+  network-weather anomaly events as JSONL while the campaign simulates ("-" =
+  stderr) and prints a weather report. All three are observation-only: output
+  bytes are identical on or off.
 -distribute ADDR serves a campaign to "dfvar worker" processes instead of
   simulating locally: workers lease runs, crashed or hung workers are detected
   and their work re-dispatched, and with -dist-checkpoint a killed coordinator

@@ -108,7 +108,9 @@ func TestMonitorFinishedOnCancel(t *testing.T) {
 // TestTelemetryRootSpansCoverUptime: the root spans of an instrumented
 // campaign account for its wall time. Their union must cover at least 95%
 // of the snapshot's uptime; a gap means work runs outside any span and
-// the trace cannot say where the time went.
+// the trace cannot say where the time went. A root is a span whose parent
+// is not in the snapshot; a local campaign ends every span before exit,
+// so each root must have no parent at all.
 func TestTelemetryRootSpansCoverUptime(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "telemetry.json")
 	if _, stderr, err := runCLI(context.Background(), "campaign", "-small", "-days", "3", "-cache", "",
@@ -119,11 +121,19 @@ func TestTelemetryRootSpansCoverUptime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids := map[string]bool{}
+	for _, sp := range snap.Spans {
+		ids[sp.SpanID] = true
+	}
 	var roots []telemetry.SpanRecord
 	for _, sp := range snap.Spans {
-		if sp.Parent == 0 {
-			roots = append(roots, sp)
+		if ids[sp.ParentSpanID] {
+			continue
 		}
+		if sp.ParentSpanID != "" {
+			t.Errorf("span %s: parent %s is not in the snapshot", sp.Name, sp.ParentSpanID)
+		}
+		roots = append(roots, sp)
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].StartS < roots[j].StartS })
 	covered, end := 0.0, 0.0
@@ -293,22 +303,22 @@ func TestDistributedSurvivesWorkerKill(t *testing.T) {
 }
 
 // TestTraceStitchesCoordinatorAndWorker: a coordinator and a worker
-// process both run with -trace, and "dfvar trace" stitches their span
-// files into one trace rooted at the coordinator's campaign span with at
+// process both run with -telemetry, and "dfvar trace" stitches their
+// snapshots into one trace rooted at the coordinator's campaign span with at
 // least one parent edge crossing the process boundary. Tracing is
 // observation-only: the cache is byte-identical to an untraced serial run.
 func TestTraceStitchesCoordinatorAndWorker(t *testing.T) {
 	want := serialCampaign(t)
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "dist.gob")
-	coordSpans := filepath.Join(dir, "coord.spans.jsonl")
-	workerSpans := filepath.Join(dir, "worker.spans.jsonl")
-	url, co := startCoordinator(t, "-cache", cache, "-trace", coordSpans)
+	coordSpans := filepath.Join(dir, "coord.telemetry.json")
+	workerSpans := filepath.Join(dir, "worker.telemetry.json")
+	url, co := startCoordinator(t, "-cache", cache, "-telemetry", coordSpans)
 
 	// the worker is a real process so its spans carry their own process
 	// identity and the "worker" role
 	workerOut := outFile(t)
-	worker := startChild(t, workerOut, "worker", "-join", url, "-name", "tracer", "-trace", workerSpans)
+	worker := startChild(t, workerOut, "worker", "-join", url, "-name", "tracer", "-telemetry", workerSpans)
 	if err := worker.Wait(); err != nil {
 		t.Fatalf("worker: %v\n%s", err, readOut(workerOut))
 	}
@@ -356,6 +366,65 @@ func TestTraceStitchesCoordinatorAndWorker(t *testing.T) {
 		t.Errorf("roles = %v, want [coordinator worker]", roles)
 	}
 	for _, s := range []string{"dist/unit_exec", "time breakdown"} {
+		if !strings.Contains(report, s) {
+			t.Errorf("stitch report lacks %q:\n%s", s, report)
+		}
+	}
+}
+
+// TestTraceFlagsOrphansAndCycles: "dfvar trace" flags a span whose parent
+// is in no input file and a parent chain that loops back on itself — in
+// the report, the JSON summary and the Chrome view — instead of dropping
+// them.
+func TestTraceFlagsOrphansAndCycles(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, pid int, spans ...telemetry.SpanRecord) string {
+		snap := &telemetry.Snapshot{
+			Process: telemetry.ProcessInfo{PID: pid, Hostname: "h", Role: strings.TrimSuffix(name, ".json"),
+				StartedAt: time.Unix(1_700_000_000, 0)},
+			Spans: spans,
+		}
+		var buf bytes.Buffer
+		if err := snap.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	worker := write("worker.json", 2,
+		telemetry.SpanRecord{Name: "dist/unit_exec", TraceID: "t", SpanID: "e1", ParentSpanID: "lost", DurS: 1})
+	loop := write("loop.json", 3,
+		telemetry.SpanRecord{Name: "a", TraceID: "t", SpanID: "a1", ParentSpanID: "b1", DurS: 2},
+		telemetry.SpanRecord{Name: "b", TraceID: "t", SpanID: "b1", ParentSpanID: "a1", StartS: 1, DurS: 1})
+
+	chrome := filepath.Join(dir, "merged.chrome.json")
+	stdout, stderr, err := runCLI(context.Background(), "trace", "-out", chrome, "-json", "-", worker, loop)
+	if err != nil {
+		t.Fatalf("trace: %v\n%s", err, stderr)
+	}
+	var sum telemetry.StitchSummary
+	if err := json.Unmarshal([]byte(stdout), &sum); err != nil {
+		t.Fatalf("summary: %v\n%s", err, stdout)
+	}
+	if sum.Roots != 0 || sum.Orphans != 2 || strings.Join(sum.OrphanNames, ",") != "a,dist/unit_exec" {
+		t.Errorf("roots = %d, orphans = %d %v, want 0, 2 [a dist/unit_exec]", sum.Roots, sum.Orphans, sum.OrphanNames)
+	}
+	blob, err := os.ReadFile(chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(blob), `"cat":"orphan"`); n != 2 {
+		t.Errorf("chrome view flags %d orphans, want 2", n)
+	}
+
+	report, stderr, err := runCLI(context.Background(), "trace", worker, loop)
+	if err != nil {
+		t.Fatalf("trace: %v\n%s", err, stderr)
+	}
+	for _, s := range []string{"orphans: 2", "dist/unit_exec (worker) missing parent lost", "a (loop) parent chain loops through b1"} {
 		if !strings.Contains(report, s) {
 			t.Errorf("stitch report lacks %q:\n%s", s, report)
 		}

@@ -4,19 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"dragonvar/internal/cli"
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/telemetry"
 )
 
-// cmdTrace stitches span-stream files written by -trace in several
+// cmdTrace stitches the snapshots written by -telemetry in several
 // processes (coordinator + workers, daemon + load generator) into one
 // cross-process timeline: a process table, the merged span tree's roots
 // and cross-process edges, a flame summary, and the coordinator-wait vs
 // worker-compute vs network/retry breakdown. Orphaned spans — a parent
-// recorded in no input file — are flagged, because they usually mean a
-// process's trace file was forgotten.
+// recorded in no input file, or a parent chain that loops — are flagged,
+// because they usually mean a process's snapshot was forgotten.
 func cmdTrace(args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("trace", stderr)
 	out := fs.String("out", "",
@@ -27,7 +27,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return cli.Usagef("trace: need at least one span file (written by -trace FILE)")
+		return cli.Usagef("trace: need at least one snapshot (written by -telemetry FILE)")
 	}
 	files := make([]*telemetry.TraceFile, 0, fs.NArg())
 	for _, path := range fs.Args() {
@@ -40,15 +40,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) error {
 	st := telemetry.StitchTraces(files)
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := st.MergedTraceEvents(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := framelog.AtomicWrite(*out, st.MergedTraceEvents); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "dfvar: merged trace-event view written to %s\n", *out)
@@ -62,15 +54,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) error {
 		if *jsonOut == "-" {
 			return enc(stdout)
 		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		if err := enc(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := framelog.AtomicWrite(*jsonOut, enc); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "dfvar: stitch summary written to %s\n", *jsonOut)

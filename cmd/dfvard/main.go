@@ -13,7 +13,7 @@
 //	       [-retrain-windows N] [-drift-factor F] [-drift-windows N]
 //	       [-max-epochs N] [-dataset NAME] [-m N] [-k N] [-features LIST]
 //	       [-monitor FILE|-] [-monitor-max-bytes N] [-monitor-max-age D]
-//	       [-telemetry FILE] [-trace FILE] [-pprof ADDR] [-workers N]
+//	       [-telemetry FILE] [-pprof ADDR] [-workers N]
 //
 // All state lives under -state: the run stream (WAL + sealed segments),
 // the progress checkpoint, and the publish log. The daemon may be killed

@@ -2,7 +2,7 @@
 // the shutdown-signal contract, calls the binary's testable
 // run(ctx, args, stdout, stderr) and maps its error onto one exit-code
 // convention. The package also owns the flags whose meaning is the same in
-// every binary: -telemetry/-trace/-pprof and the simulation -workers count.
+// every binary: -telemetry/-pprof and the simulation -workers count.
 package cli
 
 import (

@@ -50,7 +50,7 @@ func TestParseHelp(t *testing.T) {
 	}
 }
 
-// TestTelemetryOffByDefault: without any of the three flags Start leaves
+// TestTelemetryOffByDefault: without either flag Start leaves
 // the process uninstrumented, and flush is a harmless no-op.
 func TestTelemetryOffByDefault(t *testing.T) {
 	defer telemetry.Disable()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"dragonvar/internal/counters"
 	"dragonvar/internal/dataset"
@@ -102,8 +101,6 @@ func ForecastGrid(cells []ForecastCell, opt ForecastOptions, seed int64) []Forec
 	_, span := telemetry.Start(context.Background(), telemetry.SpanMLForecast)
 	defer span.End()
 	opt = opt.withDefaults()
-	span.SetAttr("cells", strconv.Itoa(len(cells)))
-	span.SetAttr("folds", strconv.Itoa(opt.Folds))
 
 	// cross-validation set-up of one cell: its stream, its windows grouped
 	// by run (in ascending run index), and its run-level folds

@@ -478,8 +478,6 @@ func (d *Daemon) maybeRetrain(ctx context.Context) error {
 func (d *Daemon) retrain(ctx context.Context, reason string) error {
 	_, span := telemetry.Start(ctx, telemetry.SpanDaemonRetrain)
 	defer span.End()
-	span.SetAttr("reason", reason)
-	span.SetAttr("retrain", fmt.Sprintf("%d", d.p.Retrains))
 
 	camp, err := d.stream.AssembleSealed()
 	if err != nil {

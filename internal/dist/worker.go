@@ -165,9 +165,6 @@ func (w *Worker) startSession(tp string) {
 		return
 	}
 	sp.SetAttr("worker", w.id)
-	if w.cfg.Name != "" {
-		sp.SetAttr("name", w.cfg.Name)
-	}
 	w.session, w.sessionCtx = sp, sctx
 }
 

@@ -108,25 +108,23 @@ func TestConcurrentSpanNesting(t *testing.T) {
 	if len(spans) != goroutines*depth {
 		t.Fatalf("got %d spans, want %d", len(spans), goroutines*depth)
 	}
-	byID := map[int64]SpanRecord{}
-	ids := map[int64]bool{}
+	byID := map[string]SpanRecord{}
 	for _, sp := range spans {
-		if ids[sp.ID] {
-			t.Fatalf("duplicate span id %d", sp.ID)
+		if sp.SpanID == "" || byID[sp.SpanID].SpanID != "" {
+			t.Fatalf("missing or duplicate span id %q", sp.SpanID)
 		}
-		ids[sp.ID] = true
-		byID[sp.ID] = sp
+		byID[sp.SpanID] = sp
 	}
 	for _, sp := range spans {
-		if sp.Parent == 0 {
+		if sp.ParentSpanID == "" {
 			if sp.Path != sp.Name {
 				t.Errorf("root span path = %q, want %q", sp.Path, sp.Name)
 			}
 			continue
 		}
-		parent, ok := byID[sp.Parent]
+		parent, ok := byID[sp.ParentSpanID]
 		if !ok {
-			t.Errorf("span %d has unknown parent %d", sp.ID, sp.Parent)
+			t.Errorf("span %s has unknown parent %s", sp.SpanID, sp.ParentSpanID)
 			continue
 		}
 		// the child's chain stays inside its own goroutine's worker tree
@@ -137,7 +135,7 @@ func TestConcurrentSpanNesting(t *testing.T) {
 	// every goroutine contributed exactly one root and one full chain
 	roots := 0
 	for _, sp := range spans {
-		if sp.Parent == 0 {
+		if sp.ParentSpanID == "" {
 			roots++
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"dragonvar/internal/framelog"
 )
 
 // HistogramSnapshot is one histogram's frozen state. Counts has
@@ -82,8 +84,8 @@ type Snapshot struct {
 	CapturedAt time.Time `json:"captured_at"`
 	// UptimeS is seconds from registry creation to capture.
 	UptimeS float64 `json:"uptime_s"`
-	// Process identifies the emitting process so snapshots and trace files
-	// from several processes merge unambiguously.
+	// Process identifies the emitting process so snapshots from several
+	// processes merge unambiguously.
 	Process    ProcessInfo                  `json:"process"`
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
@@ -191,9 +193,10 @@ func (s *Snapshot) Summary() string {
 }
 
 // Flush snapshots the active registry and writes it as JSON to path,
-// printing the human-readable summary to stderr. It is a no-op when
-// telemetry is disabled or path is empty, so CLIs can call it
-// unconditionally on every exit path (including after SIGINT
+// printing the human-readable summary to stderr. The write is atomic, so
+// an interrupted flush leaves the old file or none, never a truncated
+// one. It is a no-op when telemetry is disabled or path is empty, so CLIs
+// can call it unconditionally on every exit path (including after SIGINT
 // cancellation).
 func Flush(path string) error {
 	r := Active()
@@ -201,15 +204,7 @@ func Flush(path string) error {
 		return nil
 	}
 	snap := r.Snapshot()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := framelog.AtomicWrite(path, snap.WriteJSON); err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
 	fmt.Fprint(os.Stderr, snap.Summary())
@@ -223,9 +218,17 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
+	s, err := decodeSnapshot(blob)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: decode %s: %w", path, err)
+	}
+	return s, nil
+}
+
+func decodeSnapshot(blob []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(blob, &s); err != nil {
-		return nil, fmt.Errorf("telemetry: decode %s: %w", path, err)
+		return nil, err
 	}
 	return &s, nil
 }

@@ -11,9 +11,7 @@ import (
 // trace is self-contained; combined with the snapshot's process identity
 // the offsets convert to absolute times for cross-process stitching.
 type SpanRecord struct {
-	ID     int64  `json:"id"`
-	Parent int64  `json:"parent"` // 0 for root spans
-	Name   string `json:"name"`
+	Name string `json:"name"`
 	// Path is the "/"-joined chain of ancestor names ending in Name.
 	Path   string  `json:"path"`
 	StartS float64 `json:"start_s"` // offset from registry start, seconds
@@ -21,8 +19,8 @@ type SpanRecord struct {
 
 	// Distributed-tracing identity. TraceID is shared by every span of one
 	// logical operation across processes; ParentSpanID links to the parent
-	// span, which may live in another process (then Parent is 0: the span
-	// is a local root with a remote parent).
+	// span, which may live in another process. A span whose parent is not
+	// in the snapshot is a local root.
 	TraceID      string `json:"trace_id,omitempty"`
 	SpanID       string `json:"span_id,omitempty"`
 	ParentSpanID string `json:"parent_span_id,omitempty"`
@@ -35,8 +33,6 @@ type SpanRecord struct {
 // handle (telemetry disabled), so callers never branch around tracing.
 type Span struct {
 	r         *Registry
-	id        int64
-	parent    int64
 	name      string
 	path      string
 	start     time.Time
@@ -75,12 +71,10 @@ func StartIn(r *Registry, ctx context.Context, name string) (context.Context, *S
 	if r == nil {
 		return ctx, nil
 	}
-	var parentID int64
 	path := name
 	sc := SpanContext{Span: NewSpanID()}
 	var parentSID SpanID
 	if parent, ok := ctx.Value(spanCtxKey{}).(*Span); ok && parent != nil && parent.r == r {
-		parentID = parent.id
 		path = parent.path + "/" + name
 		sc.Trace = parent.sc.Trace
 		parentSID = parent.sc.Span
@@ -91,12 +85,7 @@ func StartIn(r *Registry, ctx context.Context, name string) (context.Context, *S
 	if sc.Trace.IsZero() {
 		sc.Trace = NewTraceID()
 	}
-	r.mu.Lock()
-	r.spanSeq++
-	id := r.spanSeq
-	r.mu.Unlock()
-	sp := &Span{r: r, id: id, parent: parentID, name: name, path: path, start: time.Now(),
-		sc: sc, parentSID: parentSID}
+	sp := &Span{r: r, name: name, path: path, start: time.Now(), sc: sc, parentSID: parentSID}
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
@@ -151,8 +140,6 @@ func (s *Span) End() {
 	attrs := s.attrs
 	s.mu.Unlock()
 	rec := SpanRecord{
-		ID:      s.id,
-		Parent:  s.parent,
 		Name:    s.name,
 		Path:    s.path,
 		StartS:  s.start.Sub(s.r.start).Seconds(),

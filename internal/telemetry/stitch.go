@@ -1,52 +1,48 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 )
 
-// Trace stitching. `dfvar trace` reads the JSONL span streams written by
-// -trace in several processes (a coordinator and its workers, say), joins
-// them on span IDs into one cross-process tree, and reports where the wall
-// clock actually went — coordinator wait vs worker compute vs network and
-// retry time — plus any orphaned spans whose parent never showed up (a
-// crashed process, a lost file, or a propagation bug).
+// Trace stitching. `dfvar trace` reads the -telemetry snapshots written by
+// several processes (a coordinator and its workers, say), joins their spans
+// on span IDs into one cross-process tree, and reports where the wall clock
+// actually went — coordinator wait vs worker compute vs network and retry
+// time — plus any orphaned spans whose parent never showed up (a crashed
+// process, a lost file, or a propagation bug) or whose parent chain loops.
 
-// StitchSpan is one span parsed back from a JSONL trace file, with
-// absolute unix-nanosecond timestamps.
+// StitchSpan is one span of a trace file, with absolute unix-nanosecond
+// timestamps, so files from several processes on one host align on a
+// shared clock.
 type StitchSpan struct {
 	TraceID      string
 	SpanID       string
 	ParentSpanID string
 	Name         string
-	Path         string
 	StartNs      int64
 	DurNs        int64
 	Attrs        map[string]string
 }
 
-// TraceFile is one process's parsed trace stream.
+// TraceFile is one process's spans, ready to stitch.
 type TraceFile struct {
 	Path  string
 	Proc  ProcessInfo
 	Spans []StitchSpan
 }
 
-// ReadTraceFile parses a JSONL span stream written by FlushTrace. The
-// first line must be the process-identity record; lines of unknown type
-// are skipped so the format can grow.
+// ReadTraceFile reads a snapshot written by -telemetry as one process's
+// trace file.
 func ReadTraceFile(path string) (*TraceFile, error) {
-	f, err := os.Open(path)
+	s, err := ReadSnapshot(path)
 	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	tf, err := readTrace(f)
+	tf, err := s.stitchInput()
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
@@ -54,49 +50,56 @@ func ReadTraceFile(path string) (*TraceFile, error) {
 	return tf, nil
 }
 
-func readTrace(r io.Reader) (*TraceFile, error) {
-	tf := &TraceFile{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	n := 0
-	sawProc := false
-	for sc.Scan() {
-		n++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var line traceLine
-		if err := json.Unmarshal([]byte(text), &line); err != nil {
-			return nil, fmt.Errorf("line %d: %w", n, err)
-		}
-		switch line.Type {
-		case "process":
-			tf.Proc = ProcessInfo{PID: line.PID, Hostname: line.Hostname, Role: line.Role}
-			sawProc = true
-		case "span":
-			if line.SpanID == "" {
-				return nil, fmt.Errorf("line %d: span without span_id", n)
-			}
-			tf.Spans = append(tf.Spans, StitchSpan{
-				TraceID:      line.TraceID,
-				SpanID:       line.SpanID,
-				ParentSpanID: line.ParentSpanID,
-				Name:         line.Name,
-				Path:         line.Path,
-				StartNs:      line.StartUnixNs,
-				DurNs:        line.DurNs,
-				Attrs:        line.Attrs,
-			})
+// stitchInput is traceFile for a snapshot read from disk: it rejects a
+// file without a process identity and a span without a span ID, neither
+// of which a registry writes.
+func (s *Snapshot) stitchInput() (*TraceFile, error) {
+	if s.Process.PID == 0 || s.Process.StartedAt.IsZero() {
+		return nil, fmt.Errorf("no process identity (is this a -telemetry snapshot?)")
+	}
+	for i, sp := range s.Spans {
+		if sp.SpanID == "" {
+			return nil, fmt.Errorf("span %d (%s) without span_id", i, sp.Name)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	return s.traceFile(), nil
+}
+
+// traceFile converts the snapshot's spans to a trace file with absolute
+// unix-nanosecond timestamps. Remote parent IDs are kept.
+func (s *Snapshot) traceFile() *TraceFile {
+	base := s.Process.StartedAt.UnixNano()
+	tf := &TraceFile{Proc: s.Process, Spans: make([]StitchSpan, len(s.Spans))}
+	for i, sp := range s.Spans {
+		tf.Spans[i] = StitchSpan{
+			TraceID:      sp.TraceID,
+			SpanID:       sp.SpanID,
+			ParentSpanID: sp.ParentSpanID,
+			Name:         sp.Name,
+			StartNs:      base + int64(sp.StartS*1e9),
+			DurNs:        int64(sp.DurS * 1e9),
+			Attrs:        sp.Attrs,
+		}
 	}
-	if !sawProc {
-		return nil, fmt.Errorf("no process record (is this a -trace JSONL file?)")
+	return tf
+}
+
+// localStitch is the one-process view of the snapshot behind the stderr
+// flame: a span whose parent is not in this snapshot (a remote parent in
+// another process, or a local one still open) renders as a root rather
+// than as an orphan.
+func (s *Snapshot) localStitch() *Stitch {
+	tf := s.traceFile()
+	ids := make(map[string]bool, len(tf.Spans))
+	for _, sp := range tf.Spans {
+		ids[sp.SpanID] = true
 	}
-	return tf, nil
+	for i := range tf.Spans {
+		if !ids[tf.Spans[i].ParentSpanID] {
+			tf.Spans[i].ParentSpanID = ""
+		}
+	}
+	return StitchTraces([]*TraceFile{tf})
 }
 
 // StitchNode is one span wired into the merged cross-process tree.
@@ -107,15 +110,18 @@ type StitchNode struct {
 	Children []*StitchNode
 }
 
-// Stitch is the merged view over several processes' trace files.
+// Stitch is the merged view over several processes' trace files. Every
+// node is reached exactly once by walking Children down from Roots and
+// Orphans.
 type Stitch struct {
 	Files []*TraceFile
 	Nodes []*StitchNode
 	// Roots are spans with no parent reference at all.
 	Roots []*StitchNode
-	// Orphans reference a parent span that appears in none of the files —
-	// a crashed process, a missing file, or broken propagation. They are
-	// rendered as extra roots but flagged.
+	// Orphans are spans whose parent chain never reaches a root: the
+	// parent appears in none of the files — a crashed process, a missing
+	// file, or broken propagation — or the chain loops back on itself. They
+	// are rendered as extra roots but flagged.
 	Orphans []*StitchNode
 	// CrossProcessEdges counts child→parent links that span two processes.
 	CrossProcessEdges int
@@ -140,19 +146,46 @@ func StitchTraces(files []*TraceFile) *Stitch {
 		}
 	}
 	for _, n := range st.Nodes {
-		if n.Span.ParentSpanID == "" {
+		if n.Span.ParentSpanID != "" {
+			n.Parent = byID[n.Span.ParentSpanID]
+		}
+	}
+	// Walk each parent chain up to a node already placed. A chain that
+	// comes back to a node of its own walk is a cycle: the node it comes
+	// back to loses its parent link and becomes an orphan.
+	const (
+		unseen = iota
+		walking
+		placed
+	)
+	state := make(map[*StitchNode]int, len(st.Nodes))
+	var chain []*StitchNode
+	for _, n := range st.Nodes {
+		chain = chain[:0]
+		m := n
+		for m != nil && state[m] == unseen {
+			state[m] = walking
+			chain = append(chain, m)
+			m = m.Parent
+		}
+		if m != nil && state[m] == walking {
+			m.Parent = nil
+		}
+		for _, c := range chain {
+			state[c] = placed
+		}
+	}
+	for _, n := range st.Nodes {
+		switch {
+		case n.Parent != nil:
+			n.Parent.Children = append(n.Parent.Children, n)
+			if n.Parent.Proc != n.Proc {
+				st.CrossProcessEdges++
+			}
+		case n.Span.ParentSpanID == "":
 			st.Roots = append(st.Roots, n)
-			continue
-		}
-		parent := byID[n.Span.ParentSpanID]
-		if parent == nil || parent == n {
+		default:
 			st.Orphans = append(st.Orphans, n)
-			continue
-		}
-		n.Parent = parent
-		parent.Children = append(parent.Children, n)
-		if parent.Proc != n.Proc {
-			st.CrossProcessEdges++
 		}
 	}
 	order := func(ns []*StitchNode) {
@@ -262,7 +295,7 @@ func (st *Stitch) Flame() string {
 	}
 	render(root, 0, 0)
 	if len(st.Orphans) > 0 {
-		fmt.Fprintf(&b, "  ! orphaned subtrees (parent span missing):\n")
+		fmt.Fprintf(&b, "  ! orphaned subtrees (parent span missing or in a cycle):\n")
 		render(orphanRoot, 1, 0)
 	}
 	return b.String()
@@ -339,65 +372,51 @@ func (st *Stitch) Breakdown() string {
 
 // StitchProcess summarizes one input file for the machine-readable report.
 type StitchProcess struct {
-	File     string `json:"file"`
-	PID      int    `json:"pid"`
-	Hostname string `json:"hostname"`
-	Role     string `json:"role,omitempty"`
-	Spans    int    `json:"spans"`
+	Role string `json:"role,omitempty"`
 }
 
 // StitchSummary is the machine-readable stitch report (`dfvar trace
 // -json`); CI asserts on roots, orphans, and cross_process_edges.
 type StitchSummary struct {
-	Files             []StitchProcess    `json:"files"`
-	Spans             int                `json:"spans"`
-	Traces            []string           `json:"traces"`
-	Roots             int                `json:"roots"`
-	RootNames         []string           `json:"root_names"`
-	Orphans           int                `json:"orphans"`
-	OrphanNames       []string           `json:"orphan_names,omitempty"`
-	CrossProcessEdges int                `json:"cross_process_edges"`
-	DuplicateSpanIDs  int                `json:"duplicate_span_ids"`
-	ByRoleSeconds     map[string]float64 `json:"by_role_seconds"`
+	Files             []StitchProcess `json:"files"`
+	Traces            []string        `json:"traces"`
+	Roots             int             `json:"roots"`
+	RootNames         []string        `json:"root_names"`
+	Orphans           int             `json:"orphans"`
+	OrphanNames       []string        `json:"orphan_names,omitempty"`
+	CrossProcessEdges int             `json:"cross_process_edges"`
+	DuplicateSpanIDs  int             `json:"duplicate_span_ids"`
 }
 
 // Summary builds the machine-readable report.
 func (st *Stitch) Summary() StitchSummary {
 	s := StitchSummary{
-		Spans:             len(st.Nodes),
 		Traces:            st.TraceIDs(),
 		Roots:             len(st.Roots),
 		Orphans:           len(st.Orphans),
 		CrossProcessEdges: st.CrossProcessEdges,
 		DuplicateSpanIDs:  st.DuplicateSpanIDs,
-		ByRoleSeconds:     map[string]float64{},
 	}
 	for _, tf := range st.Files {
-		s.Files = append(s.Files, StitchProcess{
-			File: tf.Path, PID: tf.Proc.PID, Hostname: tf.Proc.Hostname,
-			Role: tf.Proc.Role, Spans: len(tf.Spans),
-		})
+		s.Files = append(s.Files, StitchProcess{Role: tf.Proc.Role})
 	}
-	names := map[string]bool{}
-	for _, n := range st.Roots {
-		if !names[n.Span.Name] {
-			names[n.Span.Name] = true
-			s.RootNames = append(s.RootNames, n.Span.Name)
-		}
-	}
-	sort.Strings(s.RootNames)
-	names = map[string]bool{}
-	for _, n := range st.Orphans {
-		if !names[n.Span.Name] {
-			names[n.Span.Name] = true
-			s.OrphanNames = append(s.OrphanNames, n.Span.Name)
-		}
-	}
-	sort.Strings(s.OrphanNames)
-	for _, n := range st.Nodes {
-		s.ByRoleSeconds[roleOf(n)] += float64(n.Span.DurNs) / 1e9
-	}
+	s.RootNames = distinctNames(st.Roots)
+	s.OrphanNames = distinctNames(st.Orphans)
 	return s
+}
+
+// distinctNames returns the sorted set of the nodes' span names.
+func distinctNames(ns []*StitchNode) []string {
+	seen := map[string]bool{}
+	var names []string
+	for _, n := range ns {
+		if !seen[n.Span.Name] {
+			seen[n.Span.Name] = true
+			names = append(names, n.Span.Name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Report renders the full human-readable stitch report: process table,
@@ -419,20 +438,47 @@ func (st *Stitch) Report() string {
 	b.WriteString(st.Flame())
 	b.WriteString(st.Breakdown())
 	if len(st.Orphans) > 0 {
-		fmt.Fprintf(&b, "WARNING: %d orphaned span(s) — parent missing from the supplied files:\n", len(st.Orphans))
+		fmt.Fprintf(&b, "WARNING: %d orphaned span(s) — parent missing from the supplied files, or in a cycle:\n", len(st.Orphans))
+		ids := make(map[string]bool, len(st.Nodes))
+		for _, n := range st.Nodes {
+			ids[n.Span.SpanID] = true
+		}
 		const maxList = 10
 		for i, n := range st.Orphans {
 			if i == maxList {
 				fmt.Fprintf(&b, "  … and %d more\n", len(st.Orphans)-maxList)
 				break
 			}
-			fmt.Fprintf(&b, "  %s (%s) missing parent %s\n", n.Span.Name, roleOf(n), n.Span.ParentSpanID)
+			why := "missing parent"
+			if ids[n.Span.ParentSpanID] {
+				why = "parent chain loops through"
+			}
+			fmt.Fprintf(&b, "  %s (%s) %s %s\n", n.Span.Name, roleOf(n), why, n.Span.ParentSpanID)
 		}
 	}
 	if st.DuplicateSpanIDs > 0 {
 		fmt.Fprintf(&b, "WARNING: %d duplicate span ID(s) across files\n", st.DuplicateSpanIDs)
 	}
 	return b.String()
+}
+
+// traceEvent is one Chrome trace-event. Complete ("X") events carry ts+dur
+// in microseconds; metadata ("M") events name the process.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Cat  string         `json:"cat,omitempty"`
+	PID  int            `json:"pid"`
+	TID  int64          `json:"tid"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// traceEventFile is the Chrome trace-event JSON object format.
+type traceEventFile struct {
+	TraceEvents     []traceEvent `json:"traceEvents"`
+	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
 // MergedTraceEvents renders every input file's spans as one Chrome

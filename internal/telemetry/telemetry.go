@@ -207,8 +207,8 @@ var (
 	FlitsBuckets = []float64{1e8, 3.16e8, 1e9, 3.16e9, 1e10, 3.16e10, 1e11, 3.16e11, 1e12, 3.16e12, 1e13, 3.16e13, 1e14, 3.16e14, 1e15}
 )
 
-// ProcessInfo identifies the process a snapshot or trace file came from,
-// so files from several processes merge unambiguously in `dfvar trace`.
+// ProcessInfo identifies the process a snapshot came from, so snapshots
+// from several processes merge unambiguously in `dfvar trace`.
 type ProcessInfo struct {
 	PID      int    `json:"pid"`
 	Hostname string `json:"hostname"`
@@ -232,7 +232,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	spans    []SpanRecord
-	spanSeq  int64
 }
 
 // New creates an empty registry stamped with the process's identity.

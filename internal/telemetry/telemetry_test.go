@@ -178,17 +178,17 @@ func TestSpanNesting(t *testing.T) {
 	for _, sp := range spans {
 		byName[sp.Name] = sp
 	}
-	if p := byName["campaign"]; p.Parent != 0 || p.Path != "campaign" {
-		t.Errorf("root span: parent=%d path=%q", p.Parent, p.Path)
+	if p := byName["campaign"]; p.ParentSpanID != "" || p.SpanID == "" || p.Path != "campaign" {
+		t.Errorf("root span: parent=%q span=%q path=%q", p.ParentSpanID, p.SpanID, p.Path)
 	}
-	if c := byName["round"]; c.Parent != byName["campaign"].ID || c.Path != "campaign/round" {
-		t.Errorf("child span: parent=%d path=%q", c.Parent, c.Path)
+	if c := byName["round"]; c.ParentSpanID != byName["campaign"].SpanID || c.Path != "campaign/round" {
+		t.Errorf("child span: parent=%q path=%q", c.ParentSpanID, c.Path)
 	}
-	if g := byName["merge"]; g.Parent != byName["round"].ID || g.Path != "campaign/round/merge" {
-		t.Errorf("grandchild span: parent=%d path=%q", g.Parent, g.Path)
+	if g := byName["merge"]; g.ParentSpanID != byName["round"].SpanID || g.Path != "campaign/round/merge" {
+		t.Errorf("grandchild span: parent=%q path=%q", g.ParentSpanID, g.Path)
 	}
-	if s := byName["schedule"]; s.Parent != byName["campaign"].ID {
-		t.Errorf("sibling span: parent=%d, want root's id", s.Parent)
+	if s := byName["schedule"]; s.ParentSpanID != byName["campaign"].SpanID {
+		t.Errorf("sibling span: parent=%q, want root's span id", s.ParentSpanID)
 	}
 	// chronological order: root started first
 	if spans[0].Name != "campaign" {
@@ -214,7 +214,7 @@ func TestSpanCrossRegistry(t *testing.T) {
 	_, sp2 := StartIn(r2, ctx, "new")
 	sp2.End()
 	spans := r2.Snapshot().Spans
-	if len(spans) != 1 || spans[0].Parent != 0 || spans[0].Path != "new" {
+	if len(spans) != 1 || spans[0].ParentSpanID != "" || spans[0].Path != "new" {
 		t.Fatalf("cross-registry parent leaked: %+v", spans)
 	}
 }

@@ -67,7 +67,7 @@ func TestExtractMalformedFallsBackToFreshRoot(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("got %d spans, want 1", len(recs))
 	}
-	if recs[0].ParentSpanID != "" || recs[0].Parent != 0 {
+	if recs[0].ParentSpanID != "" {
 		t.Fatalf("malformed header produced a parented span: %+v", recs[0])
 	}
 	if recs[0].TraceID == "" || recs[0].TraceID == strings.Repeat("0", 32) {
@@ -83,15 +83,16 @@ func TestExtractValidHeaderJoinsRemoteTrace(t *testing.T) {
 	ctx := ExtractTraceparent(context.Background(), h)
 	_, sp := StartIn(r, ctx, "req")
 	sp.End()
-	rec := r.Snapshot().Spans[0]
+	snap := r.Snapshot()
+	rec := snap.Spans[0]
 	if rec.TraceID != remote.Trace.String() {
 		t.Fatalf("trace ID not inherited: got %s want %s", rec.TraceID, remote.Trace)
 	}
 	if rec.ParentSpanID != remote.Span.String() {
 		t.Fatalf("remote parent not linked: got %s want %s", rec.ParentSpanID, remote.Span)
 	}
-	if rec.Parent != 0 {
-		t.Fatalf("remote-parented span must be a local root, got local parent %d", rec.Parent)
+	if roots := snap.localStitch().Roots; len(roots) != 1 || roots[0].Span.SpanID != rec.SpanID {
+		t.Fatalf("remote-parented span must be a local root, got roots %v", roots)
 	}
 }
 
@@ -206,18 +207,19 @@ func TestSpanLinkageAndAttrs(t *testing.T) {
 	}
 }
 
-func TestTraceExportAndStitch(t *testing.T) {
-	// two registries standing in for two processes sharing one trace
-	coord := New()
+// coordAndWorker returns two registries standing in for two processes
+// sharing one trace: a coordinator's campaign and lease spans, and the
+// worker's execution span parented to the lease over the wire format.
+func coordAndWorker() (coord, worker *Registry) {
+	coord = New()
 	coord.SetRole("coordinator")
-	worker := New()
+	worker = New()
 	worker.SetRole("worker")
 
 	cctx, campaign := StartIn(coord, context.Background(), SpanCampaign)
 	uctx, unit := StartIn(coord, cctx, SpanDistUnit)
 	unit.SetAttr("unit", "3")
 
-	// worker joins via the wire format
 	sc, _ := FromContext(uctx).SpanContext()
 	wctx := ContextWithRemote(context.Background(), sc)
 	_, exec := StartIn(worker, wctx, SpanDistUnitExec)
@@ -225,21 +227,17 @@ func TestTraceExportAndStitch(t *testing.T) {
 	exec.End()
 	unit.End()
 	campaign.End()
+	return coord, worker
+}
 
+func TestTraceExportAndStitch(t *testing.T) {
+	coord, worker := coordAndWorker()
 	dir := t.TempDir()
-	var paths []string
+	var files []*TraceFile
 	for name, r := range map[string]*Registry{"coord": coord, "worker": worker} {
 		snap := r.Snapshot()
-		var buf bytes.Buffer
-		if err := snap.WriteSpanJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(dir, name+".trace")
-		if err := writeFileWith(p, snap.WriteSpanJSONL); err != nil {
-			t.Fatal(err)
-		}
-		// the chrome rendering must be valid JSON with one event per span
-		// plus process metadata
+		// the one-process chrome rendering must be valid JSON with one
+		// event per span plus process metadata
 		var chrome bytes.Buffer
 		if err := snap.localStitch().MergedTraceEvents(&chrome); err != nil {
 			t.Fatal(err)
@@ -251,20 +249,12 @@ func TestTraceExportAndStitch(t *testing.T) {
 		if len(tf.TraceEvents) != len(snap.Spans)+1 {
 			t.Fatalf("chrome events %d, want %d spans + 1 metadata", len(tf.TraceEvents), len(snap.Spans))
 		}
-		paths = append(paths, p)
+		files = append(files, readBack(t, writeSnapshot(t, dir, name, snap)))
 	}
 
-	var files []*TraceFile
-	for _, p := range paths {
-		tf, err := ReadTraceFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, tf)
-	}
 	st := StitchTraces(files)
 	sum := st.Summary()
-	if sum.Spans != 3 || sum.Roots != 1 || sum.Orphans != 0 {
+	if len(st.Nodes) != 3 || sum.Roots != 1 || sum.Orphans != 0 {
 		t.Fatalf("summary %+v: want 3 spans, 1 root, 0 orphans", sum)
 	}
 	if sum.CrossProcessEdges != 1 {
@@ -301,16 +291,7 @@ func TestStitchFlagsOrphans(t *testing.T) {
 	remote := SpanContext{Trace: NewTraceID(), Span: NewSpanID()}
 	_, sp := StartIn(r, ContextWithRemote(context.Background(), remote), SpanDistUnitExec)
 	sp.End()
-	snap := r.Snapshot()
-	dir := t.TempDir()
-	p := filepath.Join(dir, "w.trace")
-	if err := writeFileWith(p, snap.WriteSpanJSONL); err != nil {
-		t.Fatal(err)
-	}
-	tf, err := ReadTraceFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tf := readBack(t, writeSnapshot(t, t.TempDir(), "w", r.Snapshot()))
 	st := StitchTraces([]*TraceFile{tf})
 	if len(st.Orphans) != 1 || len(st.Roots) != 0 {
 		t.Fatalf("orphans=%d roots=%d, want 1/0", len(st.Orphans), len(st.Roots))
@@ -325,9 +306,9 @@ func TestStitchFlagsOrphans(t *testing.T) {
 }
 
 // TestLocalViewsRenderRemoteParentAsRoot: the one-process views of a
-// snapshot (the stderr summary and the Chrome trace file) render a span
+// snapshot (the stderr summary and its Chrome rendering) render a span
 // whose parent lives in another process as a root, without an orphan flag,
-// while the JSONL stream keeps the remote parent ID for stitching.
+// while the snapshot file keeps the remote parent ID for stitching.
 func TestLocalViewsRenderRemoteParentAsRoot(t *testing.T) {
 	r := New()
 	r.SetRole("worker")
@@ -354,17 +335,10 @@ func TestLocalViewsRenderRemoteParentAsRoot(t *testing.T) {
 		t.Errorf("chrome trace flags an orphan:\n%s", chrome.String())
 	}
 
-	var buf bytes.Buffer
-	if err := snap.WriteSpanJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tf, err := readTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tf := readBack(t, writeSnapshot(t, t.TempDir(), "w", snap))
 	for _, sp := range tf.Spans {
 		if sp.Name == SpanDistUnitExec && sp.ParentSpanID != remote.Span.String() {
-			t.Errorf("JSONL parent of %s = %q, want the remote %s", sp.Name, sp.ParentSpanID, remote.Span)
+			t.Errorf("snapshot parent of %s = %q, want the remote %s", sp.Name, sp.ParentSpanID, remote.Span)
 		}
 	}
 }
@@ -396,30 +370,142 @@ func TestSnapshotCarriesProcessIdentity(t *testing.T) {
 	}
 }
 
-func TestFlushTraceWritesBothArtifacts(t *testing.T) {
+// TestFlushWritesStitchableSnapshot: the -telemetry snapshot is the span
+// file "dfvar trace" reads, process identity included.
+func TestFlushWritesStitchableSnapshot(t *testing.T) {
 	r := New()
 	r.SetRole("test")
 	Enable(r)
 	defer Disable()
 	_, sp := Start(context.Background(), "op")
 	sp.End()
-	p := filepath.Join(t.TempDir(), "out.trace")
-	if err := FlushTrace(p); err != nil {
+	p := filepath.Join(t.TempDir(), "telemetry.json")
+	if err := Flush(p); err != nil {
 		t.Fatal(err)
 	}
-	tf, err := ReadTraceFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tf.Spans) != 1 || tf.Proc.Role != "test" {
+	tf := readBack(t, p)
+	if len(tf.Spans) != 1 || tf.Proc.Role != "test" || tf.Path != p {
 		t.Fatalf("trace file %+v", tf)
 	}
-	blob, err := os.ReadFile(p + TraceEventsSuffix)
+	var chrome bytes.Buffer
+	if err := StitchTraces([]*TraceFile{tf}).MergedTraceEvents(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	var events traceEventFile
+	if err := json.Unmarshal(chrome.Bytes(), &events); err != nil {
+		t.Fatalf("chrome view not JSON: %v", err)
+	}
+}
+
+// TestReadTraceFileRejects: a file that no registry wrote — no process
+// identity, or a span without a span ID — is refused, not stitched.
+func TestReadTraceFileRejects(t *testing.T) {
+	dir := t.TempDir()
+	r := New()
+	_, sp := StartIn(r, context.Background(), "op")
+	sp.End()
+	noID := r.Snapshot()
+	noID.Spans[0].SpanID = ""
+	for name, blob := range map[string]string{
+		"not-json":    "{",
+		"no-process":  `{"spans":[{"name":"op","span_id":"0000000000000001"}]}`,
+		"no-span-id":  string(mustJSON(t, noID)),
+		"jsonl-trace": `{"type":"process","pid":1}` + "\n" + `{"type":"span","span_id":"01"}`,
+	} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tf, err := ReadTraceFile(p); err == nil {
+			t.Errorf("%s: accepted as %+v", name, tf)
+		}
+	}
+}
+
+// TestStitchBreaksParentCycle: spans whose parent chain loops never reach
+// a root. Each cycle becomes one orphan subtree, flagged in the report, the
+// summary and the Chrome view, and the Chrome view renders without
+// recursing forever.
+func TestStitchBreaksParentCycle(t *testing.T) {
+	tf := &TraceFile{
+		Proc: ProcessInfo{PID: 7, Hostname: "h", Role: "worker"},
+		Spans: []StitchSpan{
+			{Name: "a", TraceID: "t", SpanID: "a", ParentSpanID: "b", DurNs: 2e9},
+			{Name: "b", TraceID: "t", SpanID: "b", ParentSpanID: "a", StartNs: 1e9, DurNs: 1e9},
+		},
+	}
+	st := StitchTraces([]*TraceFile{tf})
+	if len(st.Roots) != 0 || len(st.Orphans) != 1 {
+		t.Fatalf("roots=%d orphans=%d, want 0/1", len(st.Roots), len(st.Orphans))
+	}
+	checkReachedOnce(t, st)
+	if sum := st.Summary(); sum.Orphans != 1 {
+		t.Errorf("summary %+v: want 1 orphan", sum)
+	}
+	report := st.Report()
+	for _, want := range []string{"orphans: 1", "orphaned span", "a (worker) parent chain loops through b", "\n    a ", "\n      b "} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	var chrome bytes.Buffer
+	if err := st.MergedTraceEvents(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(chrome.String(), `"cat":"orphan"`); n != 1 {
+		t.Errorf("chrome view flags %d orphans, want 1:\n%s", n, chrome.String())
+	}
+}
+
+// cycleSnapshot is a one-process snapshot whose two spans parent each
+// other, as a file on disk.
+const cycleSnapshot = `{"process":{"pid":7,"hostname":"h","role":"worker","started_at":"2026-01-01T00:00:00Z"},
+"spans":[{"name":"a","start_s":0,"dur_s":2,"trace_id":"t","span_id":"000000000000000a","parent_span_id":"000000000000000b"},
+{"name":"b","start_s":1,"dur_s":1,"trace_id":"t","span_id":"000000000000000b","parent_span_id":"000000000000000a"}]}`
+
+// checkReachedOnce walks Children down from Roots and Orphans and requires
+// every node of the stitch to be reached exactly once.
+func checkReachedOnce(t testing.TB, st *Stitch) {
+	t.Helper()
+	seen := make(map[*StitchNode]int, len(st.Nodes))
+	stack := append(append([]*StitchNode(nil), st.Roots...), st.Orphans...)
+	for len(stack) > 0 && len(seen) <= len(st.Nodes) {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		seen[n]++
+		stack = append(stack, n.Children...)
+	}
+	for _, n := range st.Nodes {
+		if seen[n] != 1 {
+			t.Fatalf("span %s (%s) reached %d times from roots and orphans, want once", n.Span.Name, n.Span.SpanID, seen[n])
+		}
+	}
+}
+
+func mustJSON(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeSnapshot writes snap as dir/name.json, the way -telemetry does.
+func writeSnapshot(t testing.TB, dir, name string, snap *Snapshot) string {
+	t.Helper()
+	p := filepath.Join(dir, name+".json")
+	if err := os.WriteFile(p, mustJSON(t, snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func readBack(t testing.TB, path string) *TraceFile {
+	t.Helper()
+	tf, err := ReadTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var chrome traceEventFile
-	if err := json.Unmarshal(blob, &chrome); err != nil {
-		t.Fatalf("chrome artifact not JSON: %v", err)
-	}
+	return tf
 }

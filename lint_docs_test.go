@@ -234,12 +234,13 @@ func metricCatalogue(t *testing.T) (values map[string]string, listed []string) {
 	return values, listed
 }
 
-// metricReaders concatenates every file that counts as a metric reader:
-// the _test.go files outside internal/telemetry and the Go files under
-// perfbench/. This file is left out so its own text cannot satisfy itself.
-func metricReaders(t *testing.T) string {
+// readerFiles returns the content of every file that counts as a reader
+// of telemetry, by path: the _test.go files outside internal/telemetry and
+// the Go files under perfbench/. This file is left out so its own text
+// cannot satisfy itself.
+func readerFiles(t *testing.T) map[string]string {
 	t.Helper()
-	var b strings.Builder
+	files := map[string]string{}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -259,14 +260,13 @@ func metricReaders(t *testing.T) string {
 		if err != nil {
 			return err
 		}
-		b.Write(blob)
-		b.WriteByte('\n')
+		files[path] = string(blob)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.String()
+	return files
 }
 
 // promUnsafe matches the characters the OpenMetrics exposition rewrites to
@@ -285,7 +285,11 @@ func TestMetricNamesHaveReaders(t *testing.T) {
 		t.Fatalf("parsed %d AllMetricNames entries from names.go, the package has %d",
 			len(listed), len(telemetry.AllMetricNames))
 	}
-	corpus := metricReaders(t)
+	var corpus strings.Builder
+	for _, blob := range readerFiles(t) {
+		corpus.WriteString(blob)
+		corpus.WriteByte('\n')
+	}
 	for i, c := range listed {
 		name, ok := values[c]
 		if !ok || name != telemetry.AllMetricNames[i] {
@@ -294,8 +298,100 @@ func TestMetricNamesHaveReaders(t *testing.T) {
 		read := regexp.MustCompile(`\btelemetry\.` + c + `\b` +
 			`|"` + regexp.QuoteMeta(name) + `"` +
 			`|\b` + regexp.QuoteMeta(promUnsafe.ReplaceAllString(name, "_")) + `(_bucket|_count|_sum)?\b`)
-		if !read.MatchString(corpus) {
+		if !read.MatchString(corpus.String()) {
 			t.Errorf("metric %s (%q) has no reader: no test outside internal/telemetry and no perfbench file reads it", c, name)
 		}
+	}
+}
+
+// TestSpanAttrsHaveReaders keeps span attributes to what is read: the key
+// of every SetAttr call in non-test code must be a string literal that a
+// test outside internal/telemetry names, in a file that reads a span's
+// .Attrs. An attribute nobody reads is cost without signal; remove it, or
+// add the test that reads it.
+func TestSpanAttrsHaveReaders(t *testing.T) {
+	var corpus strings.Builder
+	for path, blob := range readerFiles(t) {
+		if strings.HasSuffix(path, "_test.go") && strings.Contains(blob, ".Attrs") {
+			corpus.WriteString(blob)
+			corpus.WriteByte('\n')
+		}
+	}
+	read := corpus.String()
+	keys := 0
+	fset := token.NewFileSet()
+	for _, dir := range goPackageDirs(t) {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 2 {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "SetAttr" {
+					return true
+				}
+				lit, ok := call.Args[0].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Errorf("%s: SetAttr key is not a string literal, so its readers cannot be checked", fset.Position(call.Pos()))
+					return true
+				}
+				keys++
+				if !strings.Contains(read, lit.Value) {
+					t.Errorf("%s: span attribute %s has no reader: no test outside internal/telemetry reads .Attrs and names it",
+						fset.Position(call.Pos()), lit.Value)
+				}
+				return true
+			})
+		}
+	}
+	if keys == 0 {
+		t.Fatal("found no SetAttr call; the walk is broken")
+	}
+}
+
+// TestStitchSummaryFieldsHaveReaders keeps `dfvar trace -json` to what is
+// read: every field of StitchSummary and StitchProcess must be read, as
+// .Field, by a test outside internal/telemetry or by perfbench.
+func TestStitchSummaryFieldsHaveReaders(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/telemetry/stitch.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus strings.Builder
+	for _, blob := range readerFiles(t) {
+		corpus.WriteString(blob)
+		corpus.WriteByte('\n')
+	}
+	read := corpus.String()
+	structs := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || (ts.Name.Name != "StitchSummary" && ts.Name.Name != "StitchProcess") {
+			return true
+		}
+		structs++
+		for _, field := range ts.Type.(*ast.StructType).Fields.List {
+			for _, id := range field.Names {
+				if !regexp.MustCompile(`\.` + id.Name + `\b`).MatchString(read) {
+					t.Errorf("%s.%s has no reader: no test outside internal/telemetry and no perfbench file reads it",
+						ts.Name.Name, id.Name)
+				}
+			}
+		}
+		return false
+	})
+	if structs != 2 {
+		t.Fatalf("found %d of StitchSummary and StitchProcess in stitch.go", structs)
 	}
 }
