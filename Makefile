@@ -26,7 +26,9 @@ race:
 
 # Native fuzzing: run each fuzz target for FUZZTIME. Plain `go test ./...`
 # already replays every seed corpus under testdata/fuzz/; a crasher found
-# here lands there as a new seed.
+# here lands there as a new seed. Minimizing a new interesting input is
+# capped at 2s (Go's default is 60s, which at FUZZTIME=10s leaves a target
+# minimizing instead of fuzzing).
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/framelog:FuzzLog \
@@ -40,7 +42,7 @@ FUZZ_TARGETS = \
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $${t#*:} ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 2s "$${t%%:*}"; \
 	done
 
 # Documentation lint: every package has a godoc comment, intra-repo

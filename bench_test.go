@@ -30,7 +30,6 @@ import (
 	"dragonvar/internal/core"
 	"dragonvar/internal/counters"
 	"dragonvar/internal/dataset"
-	"dragonvar/internal/desim"
 	"dragonvar/internal/experiments"
 	"dragonvar/internal/gbr"
 	"dragonvar/internal/linreg"
@@ -376,49 +375,6 @@ func BenchmarkAblationGBRvsLinear(b *testing.B) {
 	if gbrRMSE >= linRMSE {
 		b.Logf("note: GBR (%.3f) did not beat linear (%.3f) on this dataset", gbrRMSE, linRMSE)
 	}
-}
-
-// BenchmarkAblationFlowVsPacket cross-checks the flow-level model against
-// the packet-level discrete-event simulator: across three load levels the
-// two must agree on ordering and convexity.
-func BenchmarkAblationFlowVsPacket(b *testing.B) {
-	d, err := topology.New(topology.Config{
-		Groups: 4, Rows: 2, Cols: 3, NodesPerRouter: 2,
-		GlobalLinksPerRouter: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, dst := d.RouterAt(0, 0, 0), d.RouterAt(2, 1, 1)
-	var flowSlow, pktLat [3]float64
-	for i := 0; i < b.N; i++ {
-		for li, load := range []float64{0.2, 0.5, 0.8} {
-			// flow model: single flow at a fraction of link bandwidth
-			n := netsim.New(d, netsim.DefaultConfig(), rng.New(1))
-			f := []netsim.Flow{{Src: src, Dst: dst,
-				Flits: load * netsim.DefaultConfig().LinkBandwidth, Packets: 1e4, RequestFraction: 1}}
-			flowSlow[li] = n.RunRound(f, nil, 1.0).Slowdown[0]
-
-			// packet model: matching injection rate (packets of 4 flits)
-			sim := desim.New(d, desim.Config{QueueDepth: 8, PacketFlits: 4, Adaptive: false, MaxCandidates: 1}, rng.New(1))
-			st, err := sim.Run([]desim.TrafficSpec{{Src: src, Dst: dst, Rate: load / 4}}, 30000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pktLat[li] = st.MeanLatency
-		}
-	}
-	// both must be increasing and convex in load
-	for _, v := range [2][3]float64{flowSlow, pktLat} {
-		if !(v[0] < v[1] && v[1] < v[2]) {
-			b.Fatalf("model not monotone in load: %v", v)
-		}
-		if (v[2] - v[1]) <= (v[1] - v[0]) {
-			b.Fatalf("model not convex in load: %v", v)
-		}
-	}
-	reportMetric(b, flowSlow[2]/flowSlow[0], "flow-slowdown-ratio")
-	reportMetric(b, pktLat[2]/pktLat[0], "packet-latency-ratio")
 }
 
 // BenchmarkAblationSchedulingAdvisor evaluates the paper's future-work

@@ -27,18 +27,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"dragonvar/internal/advisor"
 	"dragonvar/internal/cli"
 	"dragonvar/internal/core"
 	"dragonvar/internal/counters"
 	"dragonvar/internal/daemon"
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/modelstore"
-	"dragonvar/internal/nn"
 	"dragonvar/internal/serve"
 	"dragonvar/internal/topology"
 )
@@ -131,21 +128,9 @@ func runList(o options, stdout io.Writer) error {
 	return nil
 }
 
-// loadCampaign lazily loads (or generates) the training campaign; the
-// first call pays, later calls reuse. When every model is already in the
-// store, no campaign is touched at all.
-type campaignLoader struct {
-	o      options
-	stderr io.Writer
-	camp   *dataset.Campaign
-}
-
-func (cl *campaignLoader) get(ctx context.Context) (*dataset.Campaign, error) {
-	if cl.camp != nil {
-		return cl.camp, nil
-	}
-	o := cl.o
-	fmt.Fprintf(cl.stderr, "dfserved: loading campaign (days=%g seed=%d cache=%q)...\n", o.days, o.seed, o.cache)
+// loadCampaign loads (or generates) the training campaign.
+func loadCampaign(ctx context.Context, o options, stderr io.Writer) (*dataset.Campaign, error) {
+	fmt.Fprintf(stderr, "dfserved: loading campaign (days=%g seed=%d cache=%q)...\n", o.days, o.seed, o.cache)
 	ccfg := core.CampaignConfig{CachePath: o.cache}
 	ccfg.Cluster.Days = o.days
 	ccfg.Cluster.Seed = o.seed
@@ -153,133 +138,66 @@ func (cl *campaignLoader) get(ctx context.Context) (*dataset.Campaign, error) {
 	if o.small {
 		ccfg.Cluster.Machine = topology.Small()
 	}
-	camp, err := core.LoadOrGenerateCtx(ctx, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	cl.camp = camp
-	return camp, nil
+	return core.LoadOrGenerateCtx(ctx, ccfg)
 }
 
-func (cl *campaignLoader) getDataset(ctx context.Context, name string) (*dataset.Dataset, error) {
-	camp, err := cl.get(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ds := camp.Get(name)
-	if ds == nil {
-		var names []string
-		for _, d := range camp.Datasets {
-			names = append(names, d.Name)
+// storedIDs returns the content ids sv's refs point at, in ServedKinds
+// order.
+func storedIDs(st *modelstore.Store, sv daemon.Serving) (ids [len(daemon.ServedKinds)]string, err error) {
+	for i, kind := range daemon.ServedKinds {
+		if ids[i], _, err = st.Resolve(sv.Ref(kind)); err != nil {
+			return ids, err
 		}
-		return nil, fmt.Errorf("campaign has no dataset %q (have: %s)", name, strings.Join(names, ", "))
 	}
-	return ds, nil
+	return ids, nil
 }
 
-// trainOptions maps -fast onto the training knobs the way dfvar's
-// experiment suite does: fewer epochs and smaller sample caps.
-func trainOptions(o options) (core.ForecastOptions, core.DeviationOptions) {
-	var fo core.ForecastOptions
-	var do core.DeviationOptions
-	if o.fast {
-		fo.NN = nn.Config{EmbedDim: 8, HiddenDim: 16, Epochs: 10, BatchSize: 16,
-			LearningRate: 0.01, UseAttention: true, MaxSamples: 400}
-		do.MaxSamples = 800
-	}
-	return fo, do
-}
-
-// modelRefs are the store refs one serving configuration resolves.
-type modelRefs struct{ forecast, deviation, advisor string }
-
-// ids resolves the refs to the content ids they currently point at.
-func (r modelRefs) ids(st *modelstore.Store) (forecast, deviation, adv string, err error) {
-	if forecast, _, err = st.Resolve(r.forecast); err != nil {
-		return
-	}
-	if deviation, _, err = st.Resolve(r.deviation); err != nil {
-		return
-	}
-	adv, _, err = st.Resolve(r.advisor)
-	return
-}
-
-// load loads the models the refs point at, with their content ids.
-func (r modelRefs) load(st *modelstore.Store) (m serve.Models, err error) {
-	if m.ForecastID, m.GBRID, m.AdvisorID, err = r.ids(st); err != nil {
+// load loads the models sv's refs point at, with their content ids.
+func load(st *modelstore.Store, sv daemon.Serving) (m serve.Models, err error) {
+	ids, err := storedIDs(st, sv)
+	if err != nil {
 		return m, err
 	}
-	if m.Forecaster, m.ForecastMeta, err = st.GetForecaster(r.forecast); err != nil {
+	m.ForecastID, m.GBRID, m.AdvisorID = ids[0], ids[1], ids[2]
+	if m.Forecaster, m.ForecastMeta, err = st.GetForecaster(sv.Ref(modelstore.KindForecaster)); err != nil {
 		return m, err
 	}
-	if m.GBR, m.GBRMeta, err = st.GetGBR(r.deviation); err != nil {
+	if m.GBR, m.GBRMeta, err = st.GetGBR(sv.Ref(modelstore.KindGBR)); err != nil {
 		return m, err
 	}
-	m.Adv, _, err = st.GetAdvisor(r.advisor)
+	m.Adv, _, err = st.GetAdvisor(sv.Ref(modelstore.KindAdvisor))
 	return m, err
 }
 
 // provision returns a fully-populated serve.Config, training whatever the
 // store is missing (or everything, with -retrain) and loading the rest.
-func provision(ctx context.Context, o options, spec core.ForecastSpec, refs modelRefs, st *modelstore.Store, stderr io.Writer) (serve.Config, error) {
-	fRef, dRef, aRef := refs.forecast, refs.deviation, refs.advisor
-	cl := &campaignLoader{o: o, stderr: stderr}
-	fo, do := trainOptions(o)
+// When every model is already in the store, no campaign is touched.
+func provision(ctx context.Context, o options, sv daemon.Serving, st *modelstore.Store, stderr io.Writer) (serve.Config, error) {
 	cfg := o.serve
-
-	if o.retrain || !st.Has(fRef) {
-		ds, err := cl.getDataset(ctx, o.dataset)
+	var camp *dataset.Campaign
+	for _, kind := range daemon.ServedKinds {
+		ref := sv.Ref(kind)
+		if !o.retrain && st.Has(ref) {
+			continue
+		}
+		if camp == nil {
+			var err error
+			if camp, err = loadCampaign(ctx, o, stderr); err != nil {
+				return cfg, err
+			}
+		}
+		fmt.Fprintf(stderr, "dfserved: training %s %s...\n", kind, ref)
+		model, meta, err := sv.Train(camp, kind, o.seed)
 		if err != nil {
 			return cfg, err
 		}
-		fmt.Fprintf(stderr, "dfserved: training forecaster %s...\n", fRef)
-		model, windows, err := core.TrainServingForecaster(ds, spec, fo, o.seed)
+		id, err := st.Put(ref, meta, model)
 		if err != nil {
 			return cfg, err
 		}
-		meta := modelstore.Meta{Dataset: o.dataset, Seed: o.seed, Spec: spec.String(),
-			M: o.m, K: o.k, FeatureNames: spec.Features.Names()}
-		id, err := st.PutForecaster(fRef, meta, model)
-		if err != nil {
-			return cfg, err
-		}
-		fmt.Fprintf(stderr, "dfserved: stored %s -> %s (%d windows)\n", fRef, id[:12], windows)
+		fmt.Fprintf(stderr, "dfserved: stored %s -> %s\n", ref, id[:12])
 	}
-
-	if o.retrain || !st.Has(dRef) {
-		ds, err := cl.getDataset(ctx, o.dataset)
-		if err != nil {
-			return cfg, err
-		}
-		fmt.Fprintf(stderr, "dfserved: training deviation model %s...\n", dRef)
-		model, samples, err := core.TrainServingDeviation(ds, do, o.seed)
-		if err != nil {
-			return cfg, err
-		}
-		meta := modelstore.Meta{Dataset: o.dataset, Seed: o.seed,
-			FeatureNames: core.DeviationFeatureNames()}
-		id, err := st.PutGBR(dRef, meta, model)
-		if err != nil {
-			return cfg, err
-		}
-		fmt.Fprintf(stderr, "dfserved: stored %s -> %s (%d samples)\n", dRef, id[:12], samples)
-	}
-
-	if o.retrain || !st.Has(aRef) {
-		camp, err := cl.get(ctx)
-		if err != nil {
-			return cfg, err
-		}
-		fmt.Fprintf(stderr, "dfserved: training advisor %s...\n", aRef)
-		adv := advisor.Train(camp, advisor.Options{})
-		id, err := st.PutAdvisor(aRef, modelstore.Meta{Seed: o.seed}, adv)
-		if err != nil {
-			return cfg, err
-		}
-		fmt.Fprintf(stderr, "dfserved: stored %s -> %s (%d blamed users)\n", aRef, id[:12], len(adv.Blamed()))
-	}
-	m, err := refs.load(st)
+	m, err := load(st, sv)
 	if err != nil {
 		return cfg, err
 	}
@@ -294,7 +212,7 @@ func provision(ctx context.Context, o options, spec core.ForecastSpec, refs mode
 // on SIGHUP regardless of the interval. This is how a replica picks up
 // dfvard's retrains without a restart. The returned stop function is
 // idempotent to call once and blocks until the watcher goroutine exits.
-func startReloader(ctx context.Context, o options, st *modelstore.Store, srv *serve.Server, refs modelRefs, stderr io.Writer) func() {
+func startReloader(ctx context.Context, o options, st *modelstore.Store, srv *serve.Server, sv daemon.Serving, stderr io.Writer) func() {
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	done := make(chan struct{})
@@ -316,7 +234,7 @@ func startReloader(ctx context.Context, o options, st *modelstore.Store, srv *se
 			case <-tick:
 			case <-hup:
 			}
-			if err := maybeReload(st, srv, refs, stderr); err != nil {
+			if err := maybeReload(st, srv, sv, stderr); err != nil {
 				fmt.Fprintf(stderr, "dfserved: reload: %v\n", err)
 			}
 		}
@@ -332,16 +250,16 @@ func startReloader(ctx context.Context, o options, st *modelstore.Store, srv *se
 // ones and atomically swaps in a freshly loaded model set when any ref
 // advanced. A publish landing mid-load just means the next poll swaps
 // again — each swap is internally consistent.
-func maybeReload(st *modelstore.Store, srv *serve.Server, refs modelRefs, stderr io.Writer) error {
+func maybeReload(st *modelstore.Store, srv *serve.Server, sv daemon.Serving, stderr io.Writer) error {
 	curF, curD, curA := srv.ModelIDs()
-	newF, newD, newA, err := refs.ids(st)
+	ids, err := storedIDs(st, sv)
 	if err != nil {
 		return err
 	}
-	if newF == curF && newD == curD && newA == curA {
+	if ids == [...]string{curF, curD, curA} {
 		return nil
 	}
-	m, err := refs.load(st)
+	m, err := load(st, sv)
 	if err != nil {
 		return err
 	}
@@ -370,16 +288,15 @@ func runServe(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var refs modelRefs
-	refs.forecast, refs.deviation, refs.advisor = daemon.RefNames(o.dataset, o.seed, spec)
-	cfg, err := provision(ctx, o, spec, refs, st, stderr)
+	sv := daemon.Serving{Dataset: o.dataset, Seed: o.seed, Spec: spec, Fast: o.fast}
+	cfg, err := provision(ctx, o, sv, st, stderr)
 	if err != nil {
 		return err
 	}
 	srv := serve.New(cfg)
 	defer srv.Drain()
 
-	stopReload := startReloader(ctx, o, st, srv, refs, stderr)
+	stopReload := startReloader(ctx, o, st, srv, sv, stderr)
 	defer stopReload()
 
 	ln, err := net.Listen("tcp", o.addr)

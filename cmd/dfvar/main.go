@@ -41,7 +41,6 @@ import (
 	"dragonvar/internal/dist"
 	"dragonvar/internal/experiments"
 	"dragonvar/internal/export"
-	"dragonvar/internal/monitor"
 	"dragonvar/internal/routing"
 	"dragonvar/internal/slurm"
 	"dragonvar/internal/topology"
@@ -199,75 +198,29 @@ func (c *commonFlags) withCampaign(ctx context.Context, fs *flag.FlagSet, args [
 
 // loadCampaign loads the campaign the flags describe from the cache, or
 // simulates it, with the network-weather monitor attached when -monitor
-// was given. The monitor is finished on every return path, so an error or
-// an interrupt still closes its event stream and prints its report.
+// was given. Like telemetry the monitor is observation-only: campaign
+// bytes are identical with it on or off. It is finished on every return
+// path, so an error or an interrupt still closes its event stream and
+// prints its report.
 func (c commonFlags) loadCampaign(ctx context.Context, stderr io.Writer) (*dataset.Campaign, error) {
 	ccfg := c.clusterConfig(stderr)
-	finish, err := c.attachMonitor(&ccfg, stderr)
+	create := func(path string) (io.WriteCloser, error) { return os.Create(path) }
+	m, finish, err := cli.Monitor("dfvar", c.monitor, "campaign", c.small, create, stderr)
 	if err != nil {
 		return nil, err
 	}
-	defer finish()
-	return core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: ccfg, CachePath: c.cache})
-}
-
-// attachMonitor wires a live network-weather monitor into the campaign's
-// cluster config when -monitor was given. Like telemetry it is observation-
-// only: campaign bytes are identical with it on or off. The returned finish
-// prints the weather report to stderr and closes the event stream. Without
-// the flag both are cheap no-ops.
-func (c commonFlags) attachMonitor(cfg *cluster.Config, stderr io.Writer) (finish func(), err error) {
-	if c.monitor == "" {
-		return func() {}, nil
-	}
-	var events io.Writer
-	var closer io.Closer
-	if c.monitor == "-" {
-		events = stderr
-	} else {
-		f, err := os.Create(c.monitor)
-		if err != nil {
-			return nil, err
-		}
-		events = f
-		closer = f
-	}
-	topo := topology.Cori()
-	if c.small {
-		topo = topology.Small()
-	}
-	// DetectTimeGaps stays off: parallel campaign rounds interleave runs out
-	// of time order, so only explicit missing markers count as gaps.
-	m, err := monitor.New(monitor.Config{
-		NumRouters:      topo.NumRouters(),
-		SeriesPerRouter: cluster.LDMSSeriesPerRouter,
-		RoutersPerGroup: topo.RoutersPerGroup(),
-		HeatmapBin:      3600,
-		Events:          events,
-		Source:          "campaign",
-	})
-	if err != nil {
-		if closer != nil {
-			closer.Close()
-		}
-		return nil, err
-	}
-	cfg.Monitor = m
-	return func() {
-		if err := m.Finish(); err != nil {
-			fmt.Fprintf(stderr, "dfvar: monitor: %v\n", err)
-		}
-		if s := m.Summary(); s.Samples > 0 {
-			fmt.Fprint(stderr, m.Report(5))
-		} else {
-			fmt.Fprintln(stderr, "network-weather monitor: no rounds observed (campaign loaded from cache?)")
-		}
-		if closer != nil {
-			if err := closer.Close(); err != nil {
-				fmt.Fprintf(stderr, "dfvar: monitor: %v\n", err)
+	if m != nil {
+		ccfg.Monitor = m
+		defer func() {
+			finish()
+			if s := m.Summary(); s.Samples > 0 {
+				fmt.Fprint(stderr, m.Report(5))
+			} else {
+				fmt.Fprintln(stderr, "network-weather monitor: no rounds observed (campaign loaded from cache?)")
 			}
-		}
-	}, nil
+		}()
+	}
+	return core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: ccfg, CachePath: c.cache})
 }
 
 func (c commonFlags) clusterConfig(stderr io.Writer) cluster.Config {

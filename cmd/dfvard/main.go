@@ -113,7 +113,12 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if cfg.Store, err = modelstore.Open(*store); err != nil {
 		return err
 	}
-	mon, finishMonitor, err := attachMonitor(mf, *small, stderr)
+	rotating := func(path string) (io.WriteCloser, error) {
+		return monitor.NewRotatingWriter(path, mf.maxBytes, mf.maxAge)
+	}
+	// network weather plus the daemon's drift events; a file rotates by
+	// size and age, "-" streams to stderr unrotated
+	mon, finishMonitor, err := cli.Monitor("dfvard", mf.path, "dfvard", *small, rotating, stderr)
 	if err != nil {
 		return err
 	}
@@ -140,56 +145,4 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		return nil
 	}
 	return err
-}
-
-// attachMonitor builds the live monitor when -monitor was given: network
-// weather plus the daemon's drift events, written as JSONL through a
-// size/age-rotated file ("-" streams to stderr, unrotated).
-func attachMonitor(mf monitorFlags, small bool, stderr io.Writer) (*monitor.Monitor, func(), error) {
-	if mf.path == "" {
-		return nil, func() {}, nil
-	}
-	var events io.Writer
-	var closer io.Closer
-	if mf.path == "-" {
-		events = stderr
-	} else {
-		w, err := monitor.NewRotatingWriter(mf.path, mf.maxBytes, mf.maxAge)
-		if err != nil {
-			return nil, nil, err
-		}
-		events = w
-		closer = w
-	}
-	topo := topology.Cori()
-	if small {
-		topo = topology.Small()
-	}
-	// DetectTimeGaps stays off: parallel campaign rounds interleave runs
-	// out of time order, so only explicit missing markers count as gaps.
-	m, err := monitor.New(monitor.Config{
-		NumRouters:      topo.NumRouters(),
-		SeriesPerRouter: cluster.LDMSSeriesPerRouter,
-		RoutersPerGroup: topo.RoutersPerGroup(),
-		HeatmapBin:      3600,
-		Events:          events,
-		Source:          "dfvard",
-	})
-	if err != nil {
-		if closer != nil {
-			closer.Close()
-		}
-		return nil, nil, err
-	}
-	finish := func() {
-		if err := m.Finish(); err != nil {
-			fmt.Fprintf(stderr, "dfvard: monitor: %v\n", err)
-		}
-		if closer != nil {
-			if err := closer.Close(); err != nil {
-				fmt.Fprintf(stderr, "dfvard: monitor: %v\n", err)
-			}
-		}
-	}
-	return m, finish, nil
 }

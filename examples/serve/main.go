@@ -57,7 +57,7 @@ func main() {
 	}
 	meta := modelstore.Meta{Dataset: "toy", Seed: 42, Spec: "m=5 k=1 app", M: m, K: 1,
 		FeatureNames: []string{"f0", "f1", "f2"}}
-	id, err := store.PutForecaster("forecast/toy", meta, model)
+	id, err := store.Put("forecast/toy", meta, model)
 	if err != nil {
 		log.Fatal(err)
 	}

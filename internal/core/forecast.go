@@ -230,12 +230,7 @@ func ForecastLongRun(trainDS *dataset.Dataset, longRun *dataset.Run, spec Foreca
 	defer span.End()
 	opt = opt.withDefaults()
 	s := rng.NewLabeled(seed, "flong-"+trainDS.Name)
-	windows := trainDS.BuildWindowsGap(spec.Features, spec.M, spec.K, opt.Gaps)
-	train := make([]nn.Sample, len(windows))
-	for i, w := range windows {
-		train[i] = nn.Sample{Steps: w.Steps, Target: w.Target}
-	}
-	model := nn.Train(train, opt.NN, s.Split("train"))
+	model := nn.Train(ForecastSamples(trainDS, spec, opt.Gaps), opt.NN, s.Split("train"))
 
 	var out []SegmentForecast
 	for start := spec.M; start+spec.K <= longRun.Steps(); start += spec.K {

@@ -21,15 +21,36 @@ import (
 func TrainServingForecaster(ds *dataset.Dataset, spec ForecastSpec, opt ForecastOptions, seed int64) (*nn.Forecaster, int, error) {
 	opt = opt.withDefaults()
 	s := rng.NewLabeled(seed, "serve-forecast-"+ds.Name+"-"+spec.String())
-	windows := ds.BuildWindowsGap(spec.Features, spec.M, spec.K, opt.Gaps)
-	if len(windows) == 0 {
+	samples := ForecastSamples(ds, spec, opt.Gaps)
+	if len(samples) == 0 {
 		return nil, 0, fmt.Errorf("dataset %s has no %s windows", ds.Name, spec)
 	}
+	return nn.Train(samples, opt.NN, s.Split("train")), len(samples), nil
+}
+
+// ForecastSamples returns the forecast windows of ds under spec, with
+// dropout gaps handled per gaps, as forecaster samples in window order.
+func ForecastSamples(ds *dataset.Dataset, spec ForecastSpec, gaps dataset.GapPolicy) []nn.Sample {
+	windows := ds.BuildWindowsGap(spec.Features, spec.M, spec.K, gaps)
 	samples := make([]nn.Sample, len(windows))
 	for i, w := range windows {
 		samples[i] = nn.Sample{Steps: w.Steps, Target: w.Target}
 	}
-	return nn.Train(samples, opt.NN, s.Split("train")), len(windows), nil
+	return samples
+}
+
+// ServingOptions returns the training options of the served models: the
+// defaults, or with fast the reduced preset that dfserved's and dfvard's
+// -fast selects (fewer epochs, smaller sample caps).
+func ServingOptions(fast bool) (ForecastOptions, DeviationOptions) {
+	var fo ForecastOptions
+	var do DeviationOptions
+	if fast {
+		fo.NN = DefaultForecastNN()
+		fo.NN.Epochs, fo.NN.MaxSamples = 10, 400
+		do.MaxSamples = 800
+	}
+	return fo, do
 }
 
 // TrainServingDeviation fits a GBR on the dataset's per-step deviation

@@ -24,9 +24,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 
-	"dragonvar/internal/advisor"
 	"dragonvar/internal/apps"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/core"
@@ -37,6 +35,7 @@ import (
 	"dragonvar/internal/monitor"
 	"dragonvar/internal/nn"
 	"dragonvar/internal/rng"
+	"dragonvar/internal/stats"
 	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
@@ -176,15 +175,10 @@ func (c Config) identityDigest(meta dataset.StreamMeta) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RefNames derives the modelstore ref names the daemon publishes under —
-// the exact scheme dfserved resolves, so a daemon and a serving replica
-// pointed at the same store and spec meet on the same refs.
-func RefNames(ds string, seed int64, spec core.ForecastSpec) (forecast, deviation, adv string) {
-	slug := strings.ReplaceAll(spec.Features.String(), " + ", "+")
-	forecast = fmt.Sprintf("forecast/%s/m%d-k%d-%s", ds, spec.M, spec.K, slug)
-	deviation = fmt.Sprintf("deviation/%s", ds)
-	adv = fmt.Sprintf("advisor/seed%d", seed)
-	return
+// serving is the serving configuration the daemon retrains and publishes.
+func (c Config) serving() Serving {
+	return Serving{Dataset: c.Dataset, Seed: c.Seed, Fast: c.Fast,
+		Spec: core.ForecastSpec{M: c.M, K: c.K, Features: c.Features}}
 }
 
 // daemonMetrics bundles the daemon's telemetry handles, captured once in
@@ -206,12 +200,8 @@ func newDaemonMetrics() daemonMetrics {
 // Daemon is the continuous-operation loop. Not safe for concurrent use;
 // Run drives everything from one goroutine.
 type Daemon struct {
-	cfg  Config
-	spec core.ForecastSpec
-	fo   core.ForecastOptions
-	do   core.DeviationOptions
-
-	fRef, dRef, aRef string
+	cfg Config
+	sv  Serving
 
 	stream *dataset.StreamWriter
 	ck     *checkpoint
@@ -250,14 +240,7 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 
-	d := &Daemon{cfg: cfg, stream: stream, ck: ck, p: p, tm: newDaemonMetrics()}
-	d.spec = core.ForecastSpec{M: cfg.M, K: cfg.K, Features: cfg.Features}
-	if cfg.Fast {
-		d.fo.NN = nn.Config{EmbedDim: 8, HiddenDim: 16, Epochs: 10, BatchSize: 16,
-			LearningRate: 0.01, UseAttention: true, MaxSamples: 400}
-		d.do.MaxSamples = 800
-	}
-	d.fRef, d.dRef, d.aRef = RefNames(cfg.Dataset, cfg.Seed, d.spec)
+	d := &Daemon{cfg: cfg, sv: cfg.serving(), stream: stream, ck: ck, p: p, tm: newDaemonMetrics()}
 
 	if p.Retrains > 0 {
 		// Reload the serving forecaster the checkpoint says we published
@@ -265,10 +248,11 @@ func New(cfg Config) (*Daemon, error) {
 		// record, the ref may briefly be one retrain ahead; reconcile()
 		// re-runs that retrain deterministically and overwrites cur
 		// before anything reads it.
-		f, _, err := cfg.Store.GetForecaster(d.fRef)
+		ref := d.sv.Ref(modelstore.KindForecaster)
+		f, _, err := cfg.Store.GetForecaster(ref)
 		if err != nil {
 			d.Close()
-			return nil, fmt.Errorf("daemon: resume: serving forecaster %s: %w", d.fRef, err)
+			return nil, fmt.Errorf("daemon: resume: serving forecaster %s: %w", ref, err)
 		}
 		d.cur = f
 	}
@@ -428,7 +412,7 @@ func (d *Daemon) onSeal(ctx context.Context, seg *dataset.Segment) error {
 			if len(d.p.LiveMAPEs) > d.cfg.DriftWindow {
 				d.p.LiveMAPEs = d.p.LiveMAPEs[len(d.p.LiveMAPEs)-d.cfg.DriftWindow:]
 			}
-			live := mean(d.p.LiveMAPEs)
+			live := stats.Mean(d.p.LiveMAPEs)
 			if !d.p.DriftPending && len(d.p.LiveMAPEs) >= d.cfg.DriftWindow &&
 				d.p.TrainMAPE > 0 && live > d.cfg.DriftFactor*d.p.TrainMAPE {
 				d.p.DriftPending = true
@@ -487,8 +471,8 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 	if ds == nil {
 		return fmt.Errorf("daemon: dataset %q not in stream (have %d datasets)", d.cfg.Dataset, len(camp.Datasets))
 	}
-	windows := ds.BuildWindowsGap(d.spec.Features, d.spec.M, d.spec.K, d.fo.Gaps)
-	if len(ds.Runs) == 0 || len(windows) == 0 {
+	samples := d.sv.Samples(ds)
+	if len(ds.Runs) == 0 || len(samples) == 0 {
 		// Not enough sealed data for this dataset yet: postpone. The
 		// predicate stays armed, so the retrain fires on the first seal
 		// that provides windows — deterministically, since this check is
@@ -500,36 +484,24 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 	k := d.p.Retrains
 	tseed := rng.NewLabeled(d.cfg.Seed, fmt.Sprintf("dfvard-retrain-%d", k)).Int63()
 	d.cfg.Logf("daemon: retrain %d (%s) at seal %d: %d runs, %d windows",
-		k, reason, d.p.Sealed, len(ds.Runs), len(windows))
+		k, reason, d.p.Sealed, len(ds.Runs), len(samples))
 
-	model, nwin, err := core.TrainServingForecaster(ds, d.spec, d.fo, tseed)
-	if err != nil {
-		return fmt.Errorf("daemon: retrain %d: %w", k, err)
+	var models [len(ServedKinds)]any
+	var metas [len(ServedKinds)]modelstore.Meta
+	for i, kind := range ServedKinds {
+		if models[i], metas[i], err = d.sv.Train(camp, kind, tseed); err != nil {
+			return fmt.Errorf("daemon: retrain %d: %w", k, err)
+		}
 	}
-	trainMAPE := model.MAPE(forecastSamples(windows))
-	gm, _, err := core.TrainServingDeviation(ds, d.do, tseed)
-	if err != nil {
-		return fmt.Errorf("daemon: retrain %d: %w", k, err)
-	}
-	adv := advisor.Train(camp, advisor.Options{})
+	model := models[0].(*nn.Forecaster)
+	trainMAPE := model.MAPE(samples)
 
 	_, pubSpan := telemetry.Start(ctx, telemetry.SpanDaemonPublish)
-	fid, err := d.cfg.Store.PutForecasterCAS(d.fRef, modelstore.Meta{
-		Dataset: d.cfg.Dataset, Seed: d.cfg.Seed, Spec: d.spec.String(),
-		M: d.spec.M, K: d.spec.K, FeatureNames: d.spec.Features.Names(),
-	}, model, d.p.RefForecast)
-	if err == nil {
-		var did string
-		did, err = d.cfg.Store.PutGBRCAS(d.dRef, modelstore.Meta{
-			Dataset: d.cfg.Dataset, Seed: d.cfg.Seed,
-			FeatureNames: core.DeviationFeatureNames(),
-		}, gm, d.p.RefDeviation)
-		if err == nil {
-			var aid string
-			aid, err = d.cfg.Store.PutAdvisorCAS(d.aRef, modelstore.Meta{Seed: d.cfg.Seed}, adv, d.p.RefAdvisor)
-			if err == nil {
-				d.p.RefForecast, d.p.RefDeviation, d.p.RefAdvisor = fid, did, aid
-			}
+	prev := [...]string{d.p.RefForecast, d.p.RefDeviation, d.p.RefAdvisor}
+	var ids [len(ServedKinds)]string
+	for i, kind := range ServedKinds {
+		if ids[i], err = d.cfg.Store.PutCAS(d.sv.Ref(kind), metas[i], models[i], prev[i]); err != nil {
+			break
 		}
 	}
 	pubSpan.End()
@@ -540,6 +512,7 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 		}
 		return fmt.Errorf("daemon: retrain %d publish: %w", k, err)
 	}
+	d.p.RefForecast, d.p.RefDeviation, d.p.RefAdvisor = ids[0], ids[1], ids[2]
 
 	wasDrift := d.p.DriftPending
 	d.p.Retrains = k + 1
@@ -552,7 +525,7 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 	d.p.LiveMAPEs = nil
 	d.p.Published = append(d.p.Published, publication{
 		Retrain: k, Seal: d.p.Sealed, Reason: reason, TrainMAPE: trainMAPE,
-		Windows: nwin, Forecast: d.p.RefForecast, Deviation: d.p.RefDeviation,
+		Windows: len(samples), Forecast: d.p.RefForecast, Deviation: d.p.RefDeviation,
 		Advisor: d.p.RefAdvisor,
 	})
 	if err := d.writePublishLog(); err != nil {
@@ -566,8 +539,8 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 	if wasDrift {
 		d.tm.driftRetrains.Inc()
 	}
-	d.cfg.Logf("daemon: retrain %d published: forecast=%s train MAPE %.4f (%d windows, blamed %d users)",
-		k, short(d.p.RefForecast), trainMAPE, nwin, len(adv.Blamed()))
+	d.cfg.Logf("daemon: retrain %d published: forecast=%s train MAPE %.4f (%d windows)",
+		k, short(d.p.RefForecast), trainMAPE, len(samples))
 	return nil
 }
 
@@ -598,31 +571,11 @@ func (d *Daemon) liveMAPE(seg *dataset.Segment) float64 {
 	if len(runs) == 0 {
 		return math.NaN()
 	}
-	tmp := &dataset.Dataset{Name: d.cfg.Dataset, Runs: runs}
-	windows := tmp.BuildWindowsGap(d.spec.Features, d.spec.M, d.spec.K, d.fo.Gaps)
-	if len(windows) == 0 {
+	samples := d.sv.Samples(&dataset.Dataset{Name: d.cfg.Dataset, Runs: runs})
+	if len(samples) == 0 {
 		return math.NaN()
 	}
-	return d.cur.MAPE(forecastSamples(windows))
-}
-
-func forecastSamples(windows []dataset.Window) []nn.Sample {
-	samples := make([]nn.Sample, len(windows))
-	for i, w := range windows {
-		samples[i] = nn.Sample{Steps: w.Steps, Target: w.Target}
-	}
-	return samples
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
+	return d.cur.MAPE(samples)
 }
 
 func short(id string) string {

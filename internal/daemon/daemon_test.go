@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"dragonvar/internal/core"
 	"dragonvar/internal/modelstore"
 	"dragonvar/internal/topology"
 )
@@ -173,10 +172,9 @@ func TestKillResumeByteIdentity(t *testing.T) {
 	}
 
 	// The published model chain converged on identical content ids.
-	dc := cfg.withDefaults()
-	spec := core.ForecastSpec{M: dc.M, K: dc.K, Features: dc.Features}
-	fRef, dRef, aRef := RefNames(dc.Dataset, dc.Seed, spec)
-	for _, ref := range []string{fRef, dRef, aRef} {
+	sv := cfg.withDefaults().serving()
+	for _, kind := range ServedKinds {
+		ref := sv.Ref(kind)
 		w, _, err := refStore.Resolve(ref)
 		if err != nil {
 			t.Fatalf("reference store %s: %v", ref, err)

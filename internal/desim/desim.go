@@ -8,8 +8,9 @@
 //
 // It is deliberately small-scale: cycle-driven simulation of a full Cori
 // would be prohibitive, which is exactly why the campaign uses the flow
-// model. The cross-check lives in this package's tests and in the
-// BenchmarkAblationFlowVsPacket harness.
+// model. The cross-check lives in this package's tests:
+// TestFlowModelAgreesWithPacketModel runs both models over the same load
+// sweep.
 package desim
 
 import (

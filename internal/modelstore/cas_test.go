@@ -35,13 +35,13 @@ func TestPutCASBasics(t *testing.T) {
 	m, _ := trainTinyGBR(t)
 
 	// First publish: the ref must not exist yet, expect "".
-	id1, err := st.PutGBRCAS("deviation/TEST", Meta{Seed: 1}, m, "")
+	id1, err := st.PutCAS("deviation/TEST", Meta{Seed: 1}, m, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stale expect ("" again) is refused now that the ref exists...
 	m2 := tinyGBRSeed(9) // different training seed, different content
-	if _, err := st.PutGBRCAS("deviation/TEST", Meta{Seed: 2}, m2, ""); err == nil {
+	if _, err := st.PutCAS("deviation/TEST", Meta{Seed: 2}, m2, ""); err == nil {
 		t.Fatal("stale CAS publish succeeded, want RefMovedError")
 	} else {
 		var moved *RefMovedError
@@ -53,7 +53,7 @@ func TestPutCASBasics(t *testing.T) {
 		}
 	}
 	// ...but the correct expect advances the ref.
-	id2, err := st.PutGBRCAS("deviation/TEST", Meta{Seed: 2}, m2, id1)
+	id2, err := st.PutCAS("deviation/TEST", Meta{Seed: 2}, m2, id1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPutCASBasics(t *testing.T) {
 	// Republishing the identical model with a stale expect is a success:
 	// the ref already points at the content being published (the
 	// crashed-publisher retry case).
-	if id, err := st.PutGBRCAS("deviation/TEST", Meta{Seed: 2}, m2, "bogus"); err != nil || id != id2 {
+	if id, err := st.PutCAS("deviation/TEST", Meta{Seed: 2}, m2, "bogus"); err != nil || id != id2 {
 		t.Fatalf("idempotent republish = %s, %v; want %s, nil", id, err, id2)
 	}
 }
@@ -75,7 +75,7 @@ func TestPutCASConcurrentPublishers(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, _ := trainTinyGBR(t)
-	baseID, err := st.PutGBRCAS("deviation/RACE", Meta{Seed: 1}, base, "")
+	baseID, err := st.PutCAS("deviation/RACE", Meta{Seed: 1}, base, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPutCASConcurrentPublishers(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			m := tinyGBRSeed(int64(100 + i)) // distinct content per writer
-			_, errs[i] = st.PutGBRCAS("deviation/RACE", Meta{Seed: int64(i)}, m, baseID)
+			_, errs[i] = st.PutCAS("deviation/RACE", Meta{Seed: int64(i)}, m, baseID)
 		}(i)
 	}
 	wg.Wait()
@@ -132,7 +132,7 @@ func TestListSkipsLockFiles(t *testing.T) {
 	m, _ := trainTinyGBR(t)
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("deviation/DS-%d", i)
-		if _, err := st.PutGBR(name, Meta{Seed: int64(i)}, m); err != nil {
+		if _, err := st.Put(name, Meta{Seed: int64(i)}, m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -90,10 +90,10 @@ func goldenStore(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.PutGBR("dev/golden", Meta{Seed: 5, Dataset: "MILC-128", FeatureNames: goldenFeatures}, goldenGBR(t)); err != nil {
+	if _, err := st.Put("dev/golden", Meta{Seed: 5, Dataset: "MILC-128", FeatureNames: goldenFeatures}, goldenGBR(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.PutAdvisor("advisor/golden", Meta{Seed: 5}, goldenAdvisor(t)); err != nil {
+	if _, err := st.Put("advisor/golden", Meta{Seed: 5}, goldenAdvisor(t)); err != nil {
 		t.Fatal(err)
 	}
 }

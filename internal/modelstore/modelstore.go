@@ -1,9 +1,9 @@
 // Package modelstore is the versioned, content-addressed persistence layer
 // for trained artifacts: GBR ensembles, attention forecasters, and advisor
-// blame lists, together with the feature schema and normalization context
-// they were fitted against. Until this package existed every trained model
-// died with the process; the serving daemon (cmd/dfserved) now trains once
-// and loads forever.
+// blame lists, together with the feature schema they were fitted against.
+// The serving daemon (cmd/dfserved) trains once and loads forever; the
+// campaign daemon (cmd/dfvard) publishes its retrains here for serving
+// replicas to hot-reload.
 //
 // # Layout
 //
@@ -19,15 +19,24 @@
 // putting under an existing name atomically repoints the ref while the
 // old object remains addressable by id.
 //
+// # Publishing
+//
+// Put repoints a ref unconditionally; PutCAS repoints it only from the id
+// the writer last saw, so concurrent publishers cannot clobber each other.
+// Both share one body, and both label the object with the kind of the
+// model passed (Meta.Kind is set from its type, whatever the caller put
+// there), so a ref can only be loaded by the Get of that kind. A type no
+// Get decodes is refused before anything is written.
+//
 // # Determinism
 //
 // The envelope carries no timestamps or hostnames: encoding the same
 // trained model with the same metadata always produces the same bytes and
 // therefore the same id. Combined with the models' exact float64 gob
 // round-trips (see the gob tests in internal/gbr and internal/nn), a model
-// trained by dfvar, saved here, and loaded by dfserved predicts
-// byte-identically to in-process inference — the persistence extension of
-// the repository's determinism contract.
+// trained, saved here, and loaded by dfserved predicts byte-identically
+// to in-process inference — the persistence extension of the repository's
+// determinism contract.
 package modelstore
 
 import (
@@ -62,8 +71,9 @@ func init() { framelog.PinGob(envelope{}) }
 // message instead of misdecoding them.
 const Format = 1
 
-// Artifact kinds. Get validates the stored kind against the typed
-// accessor used, so a ref to a GBR model cannot be loaded as a forecaster.
+// Artifact kinds. Put sets the kind from the model's type, and Get
+// validates it against the typed accessor used, so a ref to a GBR model
+// cannot be loaded as a forecaster.
 const (
 	KindForecaster = "forecaster"
 	KindGBR        = "gbr"
@@ -74,7 +84,7 @@ const (
 // process to validate request payloads and for an operator to audit what
 // is deployed. FeatureNames is the model's column schema in input order.
 type Meta struct {
-	Kind         string   `json:"kind"`
+	Kind         string   `json:"kind"`              // set by Put from the model's type
 	Dataset      string   `json:"dataset,omitempty"` // e.g. "MILC-512"
 	Seed         int64    `json:"seed"`
 	Spec         string   `json:"spec,omitempty"` // e.g. "m=30 k=40 app"
@@ -262,50 +272,45 @@ func (s *Store) writeRef(name, id string, meta Meta) error {
 }
 
 // Put stores a model under name, unconditionally repointing the ref (the
-// last writer wins). The model must implement gob encoding (all
-// repository model types do); meta.Kind must be set. Returns the content
-// id (SHA-256 of the envelope bytes). Concurrent publishers that must not
-// clobber each other should use PutCAS instead.
+// last writer wins). The model is an *nn.Forecaster (meta needs M and K),
+// a *gbr.Model or an *advisor.Advisor; meta.Kind is set from that type,
+// whatever the caller put there. Returns the content id (SHA-256 of the
+// envelope bytes). Concurrent publishers that must not clobber each other
+// should use PutCAS instead.
 func (s *Store) Put(name string, meta Meta, model any) (string, error) {
-	if !validName(name) {
-		return "", fmt.Errorf("modelstore: invalid ref name %q", name)
-	}
-	if meta.Kind == "" {
-		return "", fmt.Errorf("modelstore: put %s: meta.Kind is empty", name)
-	}
-	id, blob, err := encodeObject(name, meta, model)
-	if err != nil {
-		return "", err
-	}
-	if err := writeAtomic(s.objectPath(id), blob); err != nil {
-		return "", fmt.Errorf("modelstore: write object %s: %w", id[:12], err)
-	}
-	unlock, err := s.lockRef(name)
-	if err != nil {
-		return "", err
-	}
-	defer unlock()
-	if err := s.writeRef(name, id, meta); err != nil {
-		return "", err
-	}
-	return id, nil
+	return s.put(name, meta, model, nil)
 }
 
-// PutCAS stores a model under name with compare-and-swap ref semantics:
-// the ref advances only if it still points at expectID ("" = the ref must
-// not exist yet). When the ref moved underneath the writer the object is
-// still stored (content-addressed, harmless) but the ref is left alone
-// and a *RefMovedError is returned — so two publishers can never silently
+// PutCAS is Put with compare-and-swap ref semantics: the ref advances
+// only if it still points at expectID ("" = the ref must not exist yet).
+// When the ref moved underneath the writer the object is still stored
+// (content-addressed, harmless) but the ref is left alone and a
+// *RefMovedError is returned — so two publishers can never silently
 // clobber each other's advance. Advancing a ref to the id it already
 // holds succeeds regardless of expectID: the store is already in the
 // requested state (this is what makes a crashed publisher's retry
 // idempotent).
 func (s *Store) PutCAS(name string, meta Meta, model any, expectID string) (string, error) {
+	return s.put(name, meta, model, &expectID)
+}
+
+// put is Put when expectID is nil and PutCAS otherwise.
+func (s *Store) put(name string, meta Meta, model any, expectID *string) (string, error) {
 	if !validName(name) {
 		return "", fmt.Errorf("modelstore: invalid ref name %q", name)
 	}
-	if meta.Kind == "" {
-		return "", fmt.Errorf("modelstore: put %s: meta.Kind is empty", name)
+	switch model.(type) {
+	case *nn.Forecaster:
+		if meta.M == 0 || meta.K == 0 {
+			return "", fmt.Errorf("modelstore: put %s: forecaster meta needs M and K", name)
+		}
+		meta.Kind = KindForecaster
+	case *gbr.Model:
+		meta.Kind = KindGBR
+	case *advisor.Advisor:
+		meta.Kind = KindAdvisor
+	default:
+		return "", fmt.Errorf("modelstore: put %s: unsupported model type %T", name, model)
 	}
 	id, blob, err := encodeObject(name, meta, model)
 	if err != nil {
@@ -319,15 +324,17 @@ func (s *Store) PutCAS(name string, meta Meta, model any, expectID string) (stri
 		return "", err
 	}
 	defer unlock()
-	current, err := s.currentRefID(name)
-	if err != nil {
-		return "", err
-	}
-	if current == id {
-		return id, nil
-	}
-	if current != expectID {
-		return "", &RefMovedError{Name: name, Expect: expectID, Found: current}
+	if expectID != nil {
+		current, err := s.currentRefID(name)
+		if err != nil {
+			return "", err
+		}
+		if current == id {
+			return id, nil
+		}
+		if current != *expectID {
+			return "", &RefMovedError{Name: name, Expect: *expectID, Found: current}
+		}
 	}
 	if err := s.writeRef(name, id, meta); err != nil {
 		return "", err
@@ -386,24 +393,6 @@ func (s *Store) get(name, wantKind string) (*envelope, error) {
 	return &env, nil
 }
 
-// PutForecaster stores a trained forecaster.
-func (s *Store) PutForecaster(name string, meta Meta, f *nn.Forecaster) (string, error) {
-	meta.Kind = KindForecaster
-	if meta.M == 0 || meta.K == 0 {
-		return "", fmt.Errorf("modelstore: put %s: forecaster meta needs M and K", name)
-	}
-	return s.Put(name, meta, f)
-}
-
-// PutForecasterCAS is PutForecaster with PutCAS ref semantics.
-func (s *Store) PutForecasterCAS(name string, meta Meta, f *nn.Forecaster, expectID string) (string, error) {
-	meta.Kind = KindForecaster
-	if meta.M == 0 || meta.K == 0 {
-		return "", fmt.Errorf("modelstore: put %s: forecaster meta needs M and K", name)
-	}
-	return s.PutCAS(name, meta, f, expectID)
-}
-
 // GetForecaster loads a forecaster and validates its window shape against
 // the stored schema.
 func (s *Store) GetForecaster(name string) (*nn.Forecaster, Meta, error) {
@@ -425,18 +414,6 @@ func (s *Store) GetForecaster(name string) (*nn.Forecaster, Meta, error) {
 	return &f, env.Meta, nil
 }
 
-// PutGBR stores a fitted boosted ensemble.
-func (s *Store) PutGBR(name string, meta Meta, m *gbr.Model) (string, error) {
-	meta.Kind = KindGBR
-	return s.Put(name, meta, m)
-}
-
-// PutGBRCAS is PutGBR with PutCAS ref semantics.
-func (s *Store) PutGBRCAS(name string, meta Meta, m *gbr.Model, expectID string) (string, error) {
-	meta.Kind = KindGBR
-	return s.PutCAS(name, meta, m, expectID)
-}
-
 // GetGBR loads a boosted ensemble.
 func (s *Store) GetGBR(name string) (*gbr.Model, Meta, error) {
 	env, err := s.get(name, KindGBR)
@@ -451,18 +428,6 @@ func (s *Store) GetGBR(name string) (*gbr.Model, Meta, error) {
 		return nil, Meta{}, fmt.Errorf("modelstore: gbr %s: %d importances, schema names %d", name, len(m.Importance()), n)
 	}
 	return &m, env.Meta, nil
-}
-
-// PutAdvisor stores a trained advisor.
-func (s *Store) PutAdvisor(name string, meta Meta, a *advisor.Advisor) (string, error) {
-	meta.Kind = KindAdvisor
-	return s.Put(name, meta, a)
-}
-
-// PutAdvisorCAS is PutAdvisor with PutCAS ref semantics.
-func (s *Store) PutAdvisorCAS(name string, meta Meta, a *advisor.Advisor, expectID string) (string, error) {
-	meta.Kind = KindAdvisor
-	return s.PutCAS(name, meta, a, expectID)
 }
 
 // GetAdvisor loads an advisor.

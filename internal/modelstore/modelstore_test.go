@@ -53,7 +53,7 @@ func TestForecasterRoundTripThroughStore(t *testing.T) {
 	f, samples := trainTinyForecaster(t)
 	meta := Meta{Dataset: "AMG-128", Seed: 42, Spec: "m=5 k=2 app", M: 5, K: 2,
 		FeatureNames: []string{"a", "b", "c"}}
-	id, err := st.PutForecaster("forecast/AMG-128/m5k2/app", meta, f)
+	id, err := st.Put("forecast/AMG-128/m5k2/app", meta, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestPutIsDeterministic(t *testing.T) {
 	}
 	f, _ := trainTinyForecaster(t)
 	meta := Meta{Dataset: "AMG-128", Seed: 42, M: 5, K: 2}
-	id1, err := st.PutForecaster("a", meta, f)
+	id1, err := st.Put("a", meta, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := st.PutForecaster("b", meta, f)
+	id2, err := st.Put("b", meta, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestGBRRoundTripThroughStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, x := trainTinyGBR(t)
-	if _, err := st.PutGBR("deviation/AMG-128", Meta{Dataset: "AMG-128", Seed: 42,
+	if _, err := st.Put("deviation/AMG-128", Meta{Dataset: "AMG-128", Seed: 42,
 		FeatureNames: []string{"f0", "f1", "f2"}}, m); err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +124,48 @@ func TestKindMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := trainTinyGBR(t)
-	if _, err := st.PutGBR("thing", Meta{Seed: 1}, m); err != nil {
+	if _, err := st.Put("thing", Meta{Seed: 1}, m); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.GetForecaster("thing"); err == nil ||
 		!strings.Contains(err.Error(), "gbr artifact") {
 		t.Fatalf("loading a gbr ref as forecaster: err = %v, want kind mismatch", err)
+	}
+}
+
+// TestKindFollowsModelType: the stored kind comes from the model's type.
+// A caller-set Meta.Kind cannot label a forecaster as a GBR ensemble, and
+// a type no Get can decode is refused before anything is written.
+func TestKindFollowsModelType(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := trainTinyForecaster(t)
+	if _, err := st.Put("thing", Meta{Kind: KindGBR, M: 5, K: 2}, f); err != nil {
+		t.Fatal(err)
+	}
+	if _, meta, err := st.GetForecaster("thing"); err != nil || meta.Kind != KindForecaster {
+		t.Fatalf("forecaster put with Kind %q: GetForecaster kind %q, err %v", KindGBR, meta.Kind, err)
+	}
+	if _, _, err := st.GetGBR("thing"); err == nil || !strings.Contains(err.Error(), "forecaster artifact") {
+		t.Fatalf("loading a forecaster ref as gbr: err = %v, want kind mismatch", err)
+	}
+	for _, model := range []any{"weights", []float64{1, 2}, f.PredictAll} {
+		if _, err := st.Put("other", Meta{Kind: KindGBR}, model); err == nil {
+			t.Errorf("Put accepted a %T", model)
+		}
+		if _, err := st.PutCAS("other", Meta{Kind: KindAdvisor}, model, ""); err == nil {
+			t.Errorf("PutCAS accepted a %T", model)
+		}
+	}
+	if st.Has("other") {
+		t.Fatal("a rejected put left a ref behind")
+	}
+	objs, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.gob"))
+	if err != nil || len(objs) != 1 {
+		t.Fatalf("objects after rejected puts: %v (%v), want only the forecaster", objs, err)
 	}
 }
 
@@ -140,7 +176,7 @@ func TestCorruptObjectDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := trainTinyGBR(t)
-	id, err := st.PutGBR("thing", Meta{Seed: 1}, m)
+	id, err := st.Put("thing", Meta{Seed: 1}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +209,7 @@ func TestCorruptObjectDetected(t *testing.T) {
 		t.Errorf("quarantined .corrupt file missing: %v", err)
 	}
 	// with the address free again, re-putting the artifact heals the store
-	if _, err := st.PutGBR("thing", Meta{Seed: 1}, m); err != nil {
+	if _, err := st.Put("thing", Meta{Seed: 1}, m); err != nil {
 		t.Fatalf("re-put after quarantine: %v", err)
 	}
 	if _, _, err := st.GetGBR("thing"); err != nil {
@@ -188,7 +224,7 @@ func TestInvalidRefNamesRejected(t *testing.T) {
 	}
 	m, _ := trainTinyGBR(t)
 	for _, name := range []string{"", "..", "a/../b", "a//b", "a b", "/abs"} {
-		if _, err := st.PutGBR(name, Meta{Seed: 1}, m); err == nil {
+		if _, err := st.Put(name, Meta{Seed: 1}, m); err == nil {
 			t.Errorf("name %q accepted", name)
 		}
 	}
@@ -200,10 +236,10 @@ func TestListAndRepoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := trainTinyGBR(t)
-	if _, err := st.PutGBR("deviation/AMG-128", Meta{Seed: 1}, m); err != nil {
+	if _, err := st.Put("deviation/AMG-128", Meta{Seed: 1}, m); err != nil {
 		t.Fatal(err)
 	}
-	id2, err := st.PutGBR("deviation/AMG-128", Meta{Seed: 2}, m)
+	id2, err := st.Put("deviation/AMG-128", Meta{Seed: 2}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
