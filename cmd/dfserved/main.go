@@ -142,7 +142,7 @@ func loadCampaign(ctx context.Context, o options, stderr io.Writer) (*dataset.Ca
 }
 
 // storedIDs returns the content ids sv's refs point at, in ServedKinds
-// order.
+// order: the reload poll compares them with the served ones.
 func storedIDs(st *modelstore.Store, sv daemon.Serving) (ids [len(daemon.ServedKinds)]string, err error) {
 	for i, kind := range daemon.ServedKinds {
 		if ids[i], _, err = st.Resolve(sv.Ref(kind)); err != nil {
@@ -152,20 +152,16 @@ func storedIDs(st *modelstore.Store, sv daemon.Serving) (ids [len(daemon.ServedK
 	return ids, nil
 }
 
-// load loads the models sv's refs point at, with their content ids.
+// load loads the models sv's refs point at, each with the content id its
+// ref resolved to when it was read.
 func load(st *modelstore.Store, sv daemon.Serving) (m serve.Models, err error) {
-	ids, err := storedIDs(st, sv)
-	if err != nil {
+	if m.Forecaster, m.ForecastMeta, m.ForecastID, err = st.GetForecaster(sv.Ref(modelstore.KindForecaster)); err != nil {
 		return m, err
 	}
-	m.ForecastID, m.GBRID, m.AdvisorID = ids[0], ids[1], ids[2]
-	if m.Forecaster, m.ForecastMeta, err = st.GetForecaster(sv.Ref(modelstore.KindForecaster)); err != nil {
+	if m.GBR, m.GBRMeta, m.GBRID, err = st.GetGBR(sv.Ref(modelstore.KindGBR)); err != nil {
 		return m, err
 	}
-	if m.GBR, m.GBRMeta, err = st.GetGBR(sv.Ref(modelstore.KindGBR)); err != nil {
-		return m, err
-	}
-	m.Adv, _, err = st.GetAdvisor(sv.Ref(modelstore.KindAdvisor))
+	m.Adv, _, m.AdvisorID, err = st.GetAdvisor(sv.Ref(modelstore.KindAdvisor))
 	return m, err
 }
 

@@ -8,8 +8,6 @@ import (
 
 	"dragonvar/internal/cli"
 	"dragonvar/internal/experiments"
-	"dragonvar/internal/routing"
-	"dragonvar/internal/slurm"
 )
 
 // cmdAB runs the A/B variability harness: the same seeded campaign rerun
@@ -79,19 +77,13 @@ func parseArms(spec string) ([]experiments.ABArm, error) {
 			continue
 		}
 		rp := strings.Split(part, "/")
-		if len(rp) != 2 {
+		if len(rp) != 2 || rp[0] == "" || rp[1] == "" {
 			return nil, fmt.Errorf("arm %q is not ROUTING/PLACEMENT", part)
 		}
-		arm := experiments.ABArm{Routing: rp[0], Placement: rp[1]}
-		if !routing.ValidPolicy(arm.Routing) {
-			return nil, fmt.Errorf("arm %q: unknown routing policy %q (have %s)",
-				part, arm.Routing, strings.Join(routing.PolicyNames(), ", "))
+		if err := cli.Policies(rp[0], rp[1]); err != nil {
+			return nil, fmt.Errorf("arm %q: %w", part, err)
 		}
-		if !slurm.ValidPlacementPolicy(arm.Placement) {
-			return nil, fmt.Errorf("arm %q: unknown placement policy %q (have %s)",
-				part, arm.Placement, strings.Join(slurm.PlacementPolicyNames(), ", "))
-		}
-		arms = append(arms, arm)
+		arms = append(arms, experiments.ABArm{Routing: rp[0], Placement: rp[1]})
 	}
 	if len(arms) < 2 {
 		return nil, fmt.Errorf("need at least 2 arms, got %d", len(arms))

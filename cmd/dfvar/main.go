@@ -166,15 +166,7 @@ func (c *commonFlags) parse(fs *flag.FlagSet, args []string) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	if c.routing != "" && !routing.ValidPolicy(c.routing) {
-		return cli.Usagef("unknown routing policy %q (have %s)",
-			c.routing, strings.Join(routing.PolicyNames(), ", "))
-	}
-	if c.placement != "" && !slurm.ValidPlacementPolicy(c.placement) {
-		return cli.Usagef("unknown placement policy %q (have %s)",
-			c.placement, strings.Join(slurm.PlacementPolicyNames(), ", "))
-	}
-	return nil
+	return cli.Policies(c.routing, c.placement)
 }
 
 // withCampaign parses args, starts telemetry and calls fn with the loaded
@@ -296,6 +288,11 @@ func printCampaign(w io.Writer, camp *dataset.Campaign, elapsed time.Duration, h
 	}
 }
 
+// coordHeartbeat is the heartbeat cadence a -distribute coordinator asks
+// of its workers; zero takes dist's default. Tests shorten it so that a
+// killed worker is declared dead within seconds.
+var coordHeartbeat time.Duration
+
 // runDistributed executes the campaign through the internal/dist
 // coordinator: workers lease units over HTTP, crashes re-dispatch, and the
 // merged result — byte-identical to a local run — lands in the same cache.
@@ -305,6 +302,7 @@ func runDistributed(ctx context.Context, c commonFlags, addr, checkpoint string,
 		Addr:           addr,
 		CheckpointPath: checkpoint,
 		Lease:          lease,
+		Heartbeat:      coordHeartbeat,
 		Log:            stderr,
 	})
 	if err != nil {

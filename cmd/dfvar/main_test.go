@@ -245,6 +245,10 @@ func sameBytes(t *testing.T, what string, got, want []byte) {
 // still finishes byte-identical to a serial run, and the coordinator's
 // telemetry records the death and the re-dispatched lease.
 func TestDistributedSurvivesWorkerKill(t *testing.T) {
+	// death is declared after 3.5 silent heartbeats: 1.75 s here, 17.5 s
+	// at the default cadence
+	coordHeartbeat = 500 * time.Millisecond
+	t.Cleanup(func() { coordHeartbeat = 0 })
 	want := serialCampaign(t)
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "dist.gob")

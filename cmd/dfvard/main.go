@@ -97,6 +97,9 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if cfg.Placement == "" {
 		cfg.Placement = os.Getenv(cluster.EnvPlacement)
 	}
+	if err := cli.Policies(cfg.Routing, cfg.Placement); err != nil {
+		return err
+	}
 	if *small {
 		cfg.Machine = topology.Small()
 	}

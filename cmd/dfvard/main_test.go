@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"dragonvar/internal/cli"
+	"dragonvar/internal/cluster"
 	"dragonvar/internal/telemetry"
 )
 
@@ -81,6 +82,32 @@ func TestPprofBindFailureIsFatal(t *testing.T) {
 	for _, d := range []string{"x-state", "x-models"} {
 		if _, err := os.Stat(filepath.Join(root, d)); !os.IsNotExist(err) {
 			t.Errorf("%s exists after the failed start (stat: %v)", d, err)
+		}
+	}
+}
+
+// TestBadPolicyWritesNoState: a misspelled -routing or $DRAGONVAR_PLACEMENT
+// is a usage error raised before the state directory is bound to it, so
+// the corrected rerun starts clean.
+func TestBadPolicyWritesNoState(t *testing.T) {
+	for _, c := range []struct {
+		flags []string
+		env   string
+	}{
+		{flags: []string{"-routing", "minmal"}},
+		{env: "firstfitt"},
+	} {
+		t.Setenv(cluster.EnvPlacement, c.env)
+		root := t.TempDir()
+		args := append(append(dirs(root, "x"), "-small", "-max-epochs", "1"), c.flags...)
+		if _, err := runCLI(args...); cli.ExitCode(err) != cli.ExitUsage {
+			t.Errorf("dfvard %v with $%s=%q: exit %d (%v), want %d",
+				c.flags, cluster.EnvPlacement, c.env, cli.ExitCode(err), err, cli.ExitUsage)
+		}
+		for _, d := range []string{"x-state", "x-models"} {
+			if _, err := os.Stat(filepath.Join(root, d)); !os.IsNotExist(err) {
+				t.Errorf("%s exists after the refused start (stat: %v)", d, err)
+			}
 		}
 	}
 }

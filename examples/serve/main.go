@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored forecast/toy -> %s\n", id[:12])
-	loaded, meta, err := store.GetForecaster("forecast/toy")
+	loaded, meta, _, err := store.GetForecaster("forecast/toy")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // the shutdown-signal contract, calls the binary's testable
 // run(ctx, args, stdout, stderr) and maps its error onto one exit-code
 // convention. The package also owns the flags whose meaning is the same in
-// every binary: -telemetry/-pprof and the simulation -workers count.
+// every binary: -telemetry/-pprof, the simulation -workers count and the
+// check of -routing/-placement policy names.
 package cli
 
 import (
@@ -12,8 +13,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"dragonvar/internal/engine"
+	"dragonvar/internal/routing"
+	"dragonvar/internal/slurm"
 )
 
 // Exit codes Main maps a run error onto.
@@ -96,4 +100,19 @@ func Parse(fs *flag.FlagSet, args []string) error {
 func Workers(fs *flag.FlagSet, p *int) {
 	fs.IntVar(p, "workers", 0,
 		"simulation worker count (0 = $"+engine.EnvWorkers+" or GOMAXPROCS); results are identical for any value")
+}
+
+// Policies checks a routing and a placement policy name ("" selects the
+// default) and returns a usage error listing the known names, so a typo
+// stops a binary before it simulates or writes any state.
+func Policies(routingPolicy, placementPolicy string) error {
+	if routingPolicy != "" && !routing.ValidPolicy(routingPolicy) {
+		return Usagef("unknown routing policy %q (have %s)",
+			routingPolicy, strings.Join(routing.PolicyNames(), ", "))
+	}
+	if placementPolicy != "" && !slurm.ValidPlacementPolicy(placementPolicy) {
+		return Usagef("unknown placement policy %q (have %s)",
+			placementPolicy, strings.Join(slurm.PlacementPolicyNames(), ", "))
+	}
+	return nil
 }

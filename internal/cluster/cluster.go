@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,8 +47,12 @@ type Config struct {
 	Net     netsim.Config   // defaults to netsim.DefaultConfig()
 	Days    float64         // campaign length; the paper ran ~130 days
 	Seed    int64
-	Models  []*apps.Model // defaults to apps.Registry()
-	Users   []*slurm.User // defaults to slurm.Roster()
+	// Models and Users are in-process pointers, left out of the JSON form a
+	// distributed coordinator hands its workers: a worker rebuilds the
+	// defaults, and the plan digest (which names every model and user)
+	// refuses a mismatch.
+	Models []*apps.Model `json:"-"` // defaults to apps.Registry()
+	Users  []*slurm.User `json:"-"` // defaults to slurm.Roster()
 
 	// MeanRunsPerDay is the per-dataset submission rate (paper: 1–2/day).
 	MeanRunsPerDay float64
@@ -74,10 +79,10 @@ type Config struct {
 	// Workers is the number of runs simulated concurrently by RunCampaign
 	// (0 means engine.Workers: $DRAGONVAR_WORKERS or GOMAXPROCS). Every
 	// worker count produces byte-identical campaigns; Workers only changes
-	// wall-clock time.
-	Workers int
+	// wall-clock time. A distributed worker picks its own.
+	Workers int `json:"-"`
 	// Progress, when non-nil, receives (completed, total) after each run.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 	// Monitor, when non-nil, receives every simulated round's per-router
 	// counter deltas (and dropout markers) as they are produced — the live
 	// feed of the streaming monitor (internal/monitor implements this).
@@ -86,7 +91,7 @@ type Config struct {
 	// observer is called concurrently from worker goroutines, and rounds
 	// of different runs interleave out of time order — implementations
 	// must lock, and must not infer sampler gaps from timestamp jumps.
-	Monitor RoundObserver
+	Monitor RoundObserver `json:"-"`
 	// OnRunMerged, when non-nil, receives every completed run during the
 	// serial merge phase, in deterministic (round, plan) order, with
 	// RunID and Requeues already final — the streaming ingest feed of the
@@ -95,7 +100,7 @@ type Config struct {
 	// Monitor: the campaign result is byte-identical with or without the
 	// hook, and the *Run is the campaign's own object (treat as
 	// read-only).
-	OnRunMerged func(run *dataset.Run)
+	OnRunMerged func(run *dataset.Run) `json:"-"`
 }
 
 // RoundObserver is the live monitoring hook of a campaign. ObserveRound
@@ -124,6 +129,11 @@ func (c Config) withDefaults() Config {
 	if c.Placement == "" {
 		c.Placement = "firstfit"
 	}
+	if s := strings.TrimSpace(c.FaultSpec); s == "" || s == "none" {
+		// both mean a perfect machine (faults.Parse); normalize so the
+		// campaign's identity doesn't depend on the spelling
+		c.FaultSpec = ""
+	}
 	if c.Days <= 0 {
 		c.Days = 130
 	}
@@ -142,12 +152,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// EffectivePolicies returns the routing and placement policy names the
-// campaign will run under after defaulting — the values recorded in the
-// campaign's cache identity (dataset.Campaign.Routing / .Placement).
-func (c Config) EffectivePolicies() (routingPolicy, placementPolicy string) {
+// Identity renders the resolved config in one fixed order: every field a
+// campaign's bytes depend on, and none of the observation-only ones
+// (Workers, Progress, Monitor, OnRunMerged). Two configs with equal
+// identities generate the same campaign. The campaign cache
+// (dataset.Campaign.Identity) and the distributed plan digest both
+// compare it. Models and Users enter by name; days, rate and noise by
+// their exact bit patterns.
+func (c Config) Identity() string {
 	c = c.withDefaults()
-	return c.Net.PolicyName(), c.Placement
+	c.Net.Routing = c.Net.PolicyName() // "" and "adaptive" run the same campaign
+	models := make([]string, len(c.Models))
+	for i, m := range c.Models {
+		models[i] = m.Name()
+	}
+	users := make([]string, len(c.Users))
+	for i, u := range c.Users {
+		users[i] = u.Name()
+	}
+	return fmt.Sprintf("dragonvar-campaign-v1 seed=%d days=%x faults=%q machine=%+v net=%+v rate=%x noise=%x placement=%s blamed=%q models=%q users=%q\n",
+		c.Seed, math.Float64bits(c.Days), c.FaultSpec, c.Machine, c.Net,
+		math.Float64bits(c.MeanRunsPerDay), math.Float64bits(c.CounterNoise),
+		c.Placement, c.BlamedUsers, models, users)
 }
 
 // Cluster is a wired machine with its background workload, ready to run
@@ -218,11 +244,6 @@ func New(cfg Config) (*Cluster, error) {
 	sched, err := faults.Parse(cfg.FaultSpec, topo, cfg.Days*86400, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if sched == nil {
-		// "none" and "" both mean a perfect machine; normalize so the
-		// campaign's cache identity doesn't depend on the spelling
-		cfg.FaultSpec = ""
 	}
 	if !routing.ValidPolicy(cfg.Net.PolicyName()) {
 		return nil, fmt.Errorf("cluster: unknown routing policy %q (have %v)", cfg.Net.PolicyName(), routing.PolicyNames())
@@ -490,6 +511,7 @@ func (c *Cluster) runCampaign(ctx context.Context, mkExec func(plans []*plan) Un
 	camp := &dataset.Campaign{
 		Seed: cfg.Seed, Days: cfg.Days, Faults: cfg.FaultSpec,
 		Routing: cfg.Net.PolicyName(), Placement: cfg.Placement,
+		Identity: cfg.Identity(),
 	}
 	byName := map[string]*dataset.Dataset{}
 	for _, m := range cfg.Models {

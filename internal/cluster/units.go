@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"dragonvar/internal/topology"
@@ -20,8 +21,8 @@ import (
 // which worker simulates it or in what order.
 
 // Resolved returns the config with every default filled in, exactly as New
-// applies them. A coordinator uses it to publish the effective campaign
-// spec to workers, so both sides schedule identical plan lists.
+// applies them. A coordinator hands it to joining workers, so both sides
+// schedule identical plan lists.
 func (c Config) Resolved() Config { return c.withDefaults() }
 
 // PlanInfo schedules the campaign's work units (a deterministic, repeatable
@@ -38,15 +39,11 @@ func (c *Cluster) PlanInfo() (numUnits int, digest string, err error) {
 }
 
 // planDigest hashes everything a unit's result depends on: the campaign
-// identity (seed, length, faults, machine and network calibration) and
-// every plan's schedule and placement, with float64 fields hashed by their
-// exact bit patterns.
+// identity (Config.Identity) and every plan's schedule and placement, with
+// float64 fields hashed by their exact bit patterns.
 func planDigest(cfg Config, plans []*plan) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "dragonvar-plan-v1 seed=%d days=%x faults=%q machine=%+v net=%+v rate=%x noise=%x units=%d placement=%s blamed=%q\n",
-		cfg.Seed, math.Float64bits(cfg.Days), cfg.FaultSpec, cfg.Machine, cfg.Net,
-		math.Float64bits(cfg.MeanRunsPerDay), math.Float64bits(cfg.CounterNoise), len(plans),
-		cfg.Placement, cfg.BlamedUsers)
+	io.WriteString(h, cfg.Identity())
 	for i, p := range plans {
 		fmt.Fprintf(h, "%d %s %d %x %x %v\n", i, p.model.Name(), p.day,
 			math.Float64bits(p.start), math.Float64bits(p.estEnd), p.nodes)
@@ -68,7 +65,7 @@ type UnitSim struct {
 }
 
 // NewUnitSim builds the cluster from cfg and schedules the plan list. The
-// cfg should come from the coordinator's published spec (Config.Resolved on
+// cfg should come from the coordinator's join response (Config.Resolved on
 // the coordinator side) so both processes resolve identical defaults.
 func NewUnitSim(cfg Config) (*UnitSim, error) {
 	c, err := New(cfg)

@@ -49,34 +49,30 @@ type CampaignConfig struct {
 	CachePath string // optional gob cache
 }
 
-// LoadOrGenerate returns the campaign from the cache when present (and
-// matching seed/days), generating and caching it otherwise.
+// LoadOrGenerate returns the campaign from the cache when it was
+// generated under the requested config, generating and caching it
+// otherwise.
 func LoadOrGenerate(cfg CampaignConfig) (*dataset.Campaign, error) {
 	return LoadOrGenerateCtx(context.Background(), cfg)
 }
 
 // LoadOrGenerateCtx is LoadOrGenerate with cancellation. A cached campaign
-// marked Partial never satisfies the lookup (it is regenerated in full).
-// When generation is interrupted, the completed runs are still flushed to
-// the cache as a Partial campaign — resuming costs a regeneration, but an
-// inspectable dataset beats losing hours of simulation — and the partial
-// campaign is returned alongside ctx's error.
+// satisfies the lookup only when its identity equals the requested
+// config's (cluster.Config.Identity); one marked Partial never does (it is
+// regenerated in full). When generation is interrupted, the completed runs
+// are still flushed to the cache as a Partial campaign — resuming costs a
+// regeneration, but an inspectable dataset beats losing hours of
+// simulation — and the partial campaign is returned alongside ctx's error.
 func LoadOrGenerateCtx(ctx context.Context, cfg CampaignConfig) (*dataset.Campaign, error) {
-	if cfg.Cluster.Days <= 0 {
-		cfg.Cluster.Days = 130 // keep the cache check consistent with cluster defaults
-	}
-	wantRouting, wantPlacement := cfg.Cluster.EffectivePolicies()
 	if cfg.CachePath != "" {
 		if camp, err := dataset.Load(cfg.CachePath); err == nil {
-			if !camp.Partial && camp.Seed == cfg.Cluster.Seed && camp.Days == cfg.Cluster.Days &&
-				camp.Faults == cfg.Cluster.FaultSpec &&
-				camp.Routing == wantRouting && camp.Placement == wantPlacement {
+			if !camp.Partial && camp.Identity == cfg.Cluster.Identity() {
 				return camp, nil
 			}
 			if camp.Partial {
 				fmt.Fprintf(os.Stderr, "core: cache %s is a partial campaign; regenerating\n", cfg.CachePath)
 			} else {
-				fmt.Fprintf(os.Stderr, "core: cache %s is for seed=%d days=%v faults=%q routing=%q placement=%q; regenerating\n",
+				fmt.Fprintf(os.Stderr, "core: cache %s holds a different campaign (seed=%d days=%v faults=%q routing=%q placement=%q); regenerating\n",
 					cfg.CachePath, camp.Seed, camp.Days, camp.Faults, camp.Routing, camp.Placement)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -301,6 +302,12 @@ func TestRelativePerformance(t *testing.T) {
 	}
 }
 
+// TestLoadOrGenerateCache: the cache serves exactly the campaign whose
+// config identity it stores. A second identical request is a hit (it
+// returns the marked copy written over the cache), and so is one that
+// spells the perfect machine differently; a request that differs in any
+// one identity field, the machine and the counter noise included,
+// regenerates.
 func TestLoadOrGenerateCache(t *testing.T) {
 	amg := *apps.Find(apps.AMG, 128)
 	amg.Steps = 4
@@ -318,21 +325,56 @@ func TestLoadOrGenerateCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadOrGenerate(cfg) // second call must hit the cache
+	// mark the cached copy with an extra empty dataset: a hit returns the
+	// mark, a regeneration does not
+	const mark = "MARK-0"
+	camp, err := dataset.Load(cfg.CachePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalRuns() != b.TotalRuns() {
-		t.Fatal("cache roundtrip changed the campaign")
+	camp.Datasets = append(camp.Datasets, &dataset.Dataset{Name: mark})
+	if err := camp.Save(cfg.CachePath); err != nil {
+		t.Fatal(err)
 	}
-	// different seed must regenerate, not reuse
-	cfg.Cluster.Seed = 32
-	c, err := LoadOrGenerate(cfg)
+	marked, err := os.ReadFile(cfg.CachePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Seed != 32 {
-		t.Fatalf("stale cache returned: seed %d", c.Seed)
+	b, err := LoadOrGenerate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Get(mark) == nil || b.TotalRuns() != a.TotalRuns() {
+		t.Fatalf("second identical request regenerated instead of hitting the cache (%d runs, want %d)",
+			b.TotalRuns(), a.TotalRuns())
+	}
+
+	// "none" spells the perfect machine too: still a hit
+	none := cfg
+	none.Cluster.FaultSpec = "none"
+	if c, err := LoadOrGenerate(none); err != nil || c.Get(mark) == nil {
+		t.Fatalf("faults %q missed the cache of a perfect-machine campaign (err %v)", "none", err)
+	}
+
+	otherMachine := topology.Small()
+	otherMachine.IORoutersPerGroup++
+	for name, change := range map[string]func(*cluster.Config){
+		"seed":    func(c *cluster.Config) { c.Seed = 32 },
+		"machine": func(c *cluster.Config) { c.Machine = otherMachine },
+		"noise":   func(c *cluster.Config) { c.CounterNoise = 0.08 },
+	} {
+		if err := os.WriteFile(cfg.CachePath, marked, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		req := cfg
+		change(&req.Cluster)
+		c, err := LoadOrGenerate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Get(mark) != nil {
+			t.Errorf("request differing only in %s returned the cached campaign", name)
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"dragonvar/internal/apps"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/core"
 	"dragonvar/internal/counters"
@@ -135,24 +134,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// epochConfig is the campaign config of the epoch seeded with seed; every
+// epoch's cluster and the run stream identity come from it.
+func (c Config) epochConfig(seed int64) cluster.Config {
+	cfg := cluster.Config{Machine: c.Machine, Days: c.EpochDays, Seed: seed,
+		FaultSpec: c.FaultSpec, Placement: c.Placement, Workers: c.Workers}
+	cfg.Net.Routing = c.Routing
+	if c.Monitor != nil {
+		cfg.Monitor = c.Monitor
+	}
+	return cfg
+}
+
 // streamMeta derives the run stream identity from the campaign
-// parameters. The dataset skeleton comes from the same registry every
-// epoch's cluster uses.
+// parameters: the policy names and the dataset skeleton every epoch's
+// cluster resolves to.
 func (c Config) streamMeta() dataset.StreamMeta {
-	ccfg := cluster.Config{Machine: c.Machine, Days: c.EpochDays, Seed: c.Seed,
-		FaultSpec: c.FaultSpec, Placement: c.Placement}
-	ccfg.Net.Routing = c.Routing
-	routing, placement := ccfg.EffectivePolicies()
+	r := c.epochConfig(c.Seed).Resolved()
 	meta := dataset.StreamMeta{
 		Seed:       c.Seed,
 		Days:       c.EpochDays,
 		Faults:     c.FaultSpec,
-		Routing:    routing,
-		Placement:  placement,
+		Routing:    r.Net.PolicyName(),
+		Placement:  r.Placement,
 		WindowRuns: c.WindowRuns,
 		WindowSpan: c.WindowSpan,
 	}
-	for _, m := range apps.Registry() {
+	for _, m := range r.Models {
 		meta.Datasets = append(meta.Datasets, dataset.DatasetInfo{
 			Name: m.Name(), App: m.App.String(), Nodes: m.Nodes,
 		})
@@ -249,7 +257,7 @@ func New(cfg Config) (*Daemon, error) {
 		// re-runs that retrain deterministically and overwrites cur
 		// before anything reads it.
 		ref := d.sv.Ref(modelstore.KindForecaster)
-		f, _, err := cfg.Store.GetForecaster(ref)
+		f, _, _, err := cfg.Store.GetForecaster(ref)
 		if err != nil {
 			d.Close()
 			return nil, fmt.Errorf("daemon: resume: serving forecaster %s: %w", ref, err)
@@ -342,41 +350,30 @@ func (d *Daemon) runEpoch(ctx context.Context) error {
 
 	var seen int64
 	var ingestErr error
-	ccfg := cluster.Config{
-		Machine:   d.cfg.Machine,
-		Days:      d.cfg.EpochDays,
-		Seed:      d.epochSeed(e),
-		FaultSpec: d.cfg.FaultSpec,
-		Placement: d.cfg.Placement,
-		Workers:   d.cfg.Workers,
-		OnRunMerged: func(run *dataset.Run) {
-			if ingestErr != nil {
-				return
-			}
-			seen++
-			if seen <= skip {
-				return
-			}
-			sealed, err := d.stream.Append(run)
-			if err != nil {
+	ccfg := d.cfg.epochConfig(d.epochSeed(e))
+	ccfg.OnRunMerged = func(run *dataset.Run) {
+		if ingestErr != nil {
+			return
+		}
+		seen++
+		if seen <= skip {
+			return
+		}
+		sealed, err := d.stream.Append(run)
+		if err != nil {
+			ingestErr = err
+			return
+		}
+		d.tm.runs.Inc()
+		for _, seg := range sealed {
+			if err := d.onSeal(ctx, seg); err != nil {
 				ingestErr = err
 				return
 			}
-			d.tm.runs.Inc()
-			for _, seg := range sealed {
-				if err := d.onSeal(ctx, seg); err != nil {
-					ingestErr = err
-					return
-				}
-			}
-			if d.cfg.afterIngest != nil {
-				d.cfg.afterIngest(d.stream.TotalRuns())
-			}
-		},
-	}
-	ccfg.Net.Routing = d.cfg.Routing
-	if d.cfg.Monitor != nil {
-		ccfg.Monitor = d.cfg.Monitor
+		}
+		if d.cfg.afterIngest != nil {
+			d.cfg.afterIngest(d.stream.TotalRuns())
+		}
 	}
 
 	cl, err := cluster.New(ccfg)

@@ -64,6 +64,21 @@ type Run struct {
 // Steps returns the number of recorded time steps.
 func (r *Run) Steps() int { return len(r.StepTimes) }
 
+// Validate checks the run's shape: one compute, counter, io and sys
+// observation per step, and a missing-marker slice that is absent or one
+// per step.
+func (r *Run) Validate() error {
+	t := len(r.StepTimes)
+	if len(r.Compute) != t || len(r.Counters) != t || len(r.IO) != t || len(r.Sys) != t {
+		return fmt.Errorf("observation lengths disagree (times=%d compute=%d counters=%d io=%d sys=%d)",
+			t, len(r.Compute), len(r.Counters), len(r.IO), len(r.Sys))
+	}
+	if r.Missing != nil && len(r.Missing) != t {
+		return fmt.Errorf("missing-marker length %d != %d steps", len(r.Missing), t)
+	}
+	return nil
+}
+
 // MissingAt reports whether step s's observations were lost to a sampler
 // dropout.
 func (r *Run) MissingAt(s int) bool { return s < len(r.Missing) && r.Missing[s] }
@@ -505,17 +520,18 @@ type Campaign struct {
 	Seed int64
 	Days float64
 	// Faults is the fault-spec string the campaign ran under (empty for a
-	// perfect machine). Part of the cache identity: a cache generated with
-	// different faults must not satisfy a request.
+	// perfect machine).
 	Faults string
 	// Routing and Placement name the policies the campaign ran under
-	// (netsim routing policy, slurm placement policy). Part of the cache
-	// identity for the same reason as Faults: the same seed produces
-	// different bytes under a different policy pair. Empty in pre-policy
-	// caches, which therefore regenerate once.
+	// (netsim routing policy, slurm placement policy).
 	Routing   string
 	Placement string
-	Datasets  []*Dataset
+	// Identity is the cluster.Config identity the campaign was generated
+	// under. A cache satisfies a request only when the request's identity
+	// equals it; caches that carry none regenerate once. It is left out of
+	// the JSON encoding, whose hash is the campaign's content anchor.
+	Identity string `json:"-"`
+	Datasets []*Dataset
 	// Partial marks a campaign cut short by cancellation: it carries only
 	// the runs that completed before the interrupt. Partial campaigns are
 	// saved (the work is not lost) but never satisfy a cache lookup.
@@ -554,8 +570,8 @@ func (c *Campaign) TotalRequeues() int {
 }
 
 // Validate checks the structural invariants every consumer indexes by:
-// non-nil datasets and runs, per-run observation slices of equal length,
-// and a consistent step count within each dataset. A stale or hand-edited
+// non-nil datasets and runs, well-shaped runs (Run.Validate), and a
+// consistent step count within each dataset. A stale or hand-edited
 // campaign cache fails here with a clear message instead of panicking
 // deep inside an analysis.
 func (c *Campaign) Validate() error {
@@ -568,16 +584,10 @@ func (c *Campaign) Validate() error {
 			if r == nil {
 				return fmt.Errorf("dataset %s: run %d is nil", d.Name, ri)
 			}
-			t := len(r.StepTimes)
-			if len(r.Compute) != t || len(r.Counters) != t || len(r.IO) != t || len(r.Sys) != t {
-				return fmt.Errorf("dataset %s: run %d: observation lengths disagree (times=%d compute=%d counters=%d io=%d sys=%d)",
-					d.Name, ri, t, len(r.Compute), len(r.Counters), len(r.IO), len(r.Sys))
+			if err := r.Validate(); err != nil {
+				return fmt.Errorf("dataset %s: run %d: %w", d.Name, ri, err)
 			}
-			if r.Missing != nil && len(r.Missing) != t {
-				return fmt.Errorf("dataset %s: run %d: missing-marker length %d != %d steps",
-					d.Name, ri, len(r.Missing), t)
-			}
-			if steps == -1 {
+			if t := r.Steps(); steps == -1 {
 				steps = t
 			} else if t != steps {
 				return fmt.Errorf("dataset %s: run %d has %d steps, run 0 has %d",

@@ -121,7 +121,6 @@ type workerState struct {
 type Coordinator struct {
 	cfg      Config
 	cl       *cluster.Cluster
-	spec     CampaignSpec
 	digest   string
 	numUnits int
 	ln       net.Listener
@@ -157,9 +156,9 @@ type Coordinator struct {
 // releases the listener if Run is never reached.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	spec, err := SpecFromCluster(cfg.Cluster)
-	if err != nil {
-		return nil, err
+	if cfg.Cluster.Models != nil || cfg.Cluster.Users != nil {
+		// in-process pointers a remote worker cannot reconstruct
+		return nil, fmt.Errorf("dist: distributed campaigns support the default model registry and user roster only")
 	}
 	cl, err := cluster.New(cfg.Cluster)
 	if err != nil {
@@ -172,7 +171,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	co := &Coordinator{
 		cfg:      cfg,
 		cl:       cl,
-		spec:     spec,
 		digest:   digest,
 		numUnits: numUnits,
 		backoff:  engine.Backoff{Base: 250 * time.Millisecond, Max: 15 * time.Second, Factor: 2, Jitter: 0.2},
@@ -474,7 +472,7 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(co.cfg.Log, "dist: worker %s joined (%s), %d alive\n", id, req.Name, n)
 	writeJSON(w, http.StatusOK, JoinResponse{
 		WorkerID:         id,
-		Spec:             co.spec,
+		Cluster:          co.cfg.Cluster.Resolved(),
 		PlanDigest:       co.digest,
 		NumUnits:         co.numUnits,
 		LeaseSeconds:     co.cfg.Lease.Seconds(),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -90,39 +91,53 @@ func startWorker(ctx context.Context, t *testing.T, coordAddr, name string, hook
 	return done
 }
 
+// TestSpecRejectsCustomModels: a custom model registry is an in-process
+// pointer no worker can rebuild from the join response.
 func TestSpecRejectsCustomModels(t *testing.T) {
 	cfg := testConfig(1)
 	amg := *apps.Find(apps.AMG, 128)
 	cfg.Models = []*apps.Model{&amg}
-	if _, err := SpecFromCluster(cfg); err == nil {
-		t.Fatal("spec accepted a custom model registry")
-	}
 	if _, err := NewCoordinator(Config{Cluster: cfg, Addr: "127.0.0.1:0"}); err == nil {
 		t.Fatal("coordinator accepted a custom model registry")
 	}
 }
 
+// TestSpecRoundTripsPlanDigest: a worker rebuilding the cluster from the
+// JSON join response derives the coordinator's plan digest under every
+// placement policy, blame list included.
 func TestSpecRoundTripsPlanDigest(t *testing.T) {
-	cfg := faultedTestConfig(t, 11)
-	spec, err := SpecFromCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, digest, err := c.PlanInfo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := cluster.NewUnitSim(spec.ClusterConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.PlanDigest() != digest || sim.NumUnits() != n {
-		t.Fatalf("worker derived (%d units, %.12s), coordinator (%d units, %.12s)",
-			sim.NumUnits(), sim.PlanDigest(), n, digest)
+	for _, placement := range []string{"firstfit", "compact", "interference"} {
+		t.Run(placement, func(t *testing.T) {
+			cfg := faultedTestConfig(t, 11)
+			cfg.Placement = placement
+			if placement == "interference" {
+				cfg.BlamedUsers = []string{"User-3", "User-11"}
+			}
+			c, err := cluster.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, digest, err := c.PlanInfo()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := json.Marshal(JoinResponse{Cluster: cfg.Resolved()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var join JoinResponse
+			if err := json.Unmarshal(blob, &join); err != nil {
+				t.Fatal(err)
+			}
+			sim, err := cluster.NewUnitSim(join.Cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sim.PlanDigest() != digest || sim.NumUnits() != n {
+				t.Fatalf("worker derived (%d units, %.12s), coordinator (%d units, %.12s)",
+					sim.NumUnits(), sim.PlanDigest(), n, digest)
+			}
+		})
 	}
 }
 
@@ -147,35 +162,65 @@ func TestDecodeRunRejectsDamage(t *testing.T) {
 // serial in-process campaign.
 func TestDistributedMatchesSerial(t *testing.T) {
 	cfg := faultedTestConfig(t, 41)
-	serial := serialHash(t, cfg)
+	if distributedHash(t, cfg, 2) != serialHash(t, cfg) {
+		t.Fatal("distributed campaign differs from serial campaign")
+	}
+}
 
+// TestDistributedCompactMatchesSerial: the placement policy reaches the
+// workers, so a compact campaign runs distributed and matches the serial
+// one byte for byte.
+func TestDistributedCompactMatchesSerial(t *testing.T) {
+	cfg := testConfig(47)
+	cfg.Placement = "compact"
+	if distributedHash(t, cfg, 1) != serialHash(t, cfg) {
+		t.Fatal("distributed compact campaign differs from serial campaign")
+	}
+}
+
+// distributedHash runs cfg through a coordinator and n worker loops and
+// returns the merged campaign's hash. Workers are waited for first, so one
+// that fails (a refused join, say) fails the test instead of leaving the
+// coordinator waiting for work nobody takes.
+func distributedHash(t *testing.T, cfg cluster.Config, n int) [32]byte {
+	t.Helper()
 	co, err := NewCoordinator(Config{Cluster: cfg, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	w1 := startWorker(ctx, t, co.Addr(), "w1", nil)
-	w2 := startWorker(ctx, t, co.Addr(), "w2", nil)
-	camp, err := co.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var camp *dataset.Campaign
+	var runErr error
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		camp, runErr = co.Run(ctx)
+	}()
+	workers := make([]chan error, n)
+	for i := range workers {
+		workers[i] = startWorker(ctx, t, co.Addr(), fmt.Sprintf("w%d", i+1), nil)
+	}
+	for i, done := range workers {
+		select {
+		case err = <-done:
+		case <-time.After(2 * time.Minute):
+			err = errors.New("did not exit")
+		}
+		if err != nil {
+			cancel()
+			<-ran
+			t.Fatalf("worker %d: %v (coordinator: %v)", i+1, err, runErr)
+		}
+	}
+	<-ran
+	if runErr != nil {
+		t.Fatal(runErr)
 	}
 	if err := camp.Validate(); err != nil {
 		t.Fatalf("distributed campaign invalid: %v", err)
 	}
-	if got := campaignHash(t, camp); got != serial {
-		t.Fatal("distributed campaign differs from serial campaign")
-	}
-	for i, done := range []chan error{w1, w2} {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("worker %d: %v", i+1, err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("worker %d did not exit", i+1)
-		}
-	}
+	return campaignHash(t, camp)
 }
 
 // TestLeaseExpiryRedispatch wedges a fake worker on a lease it never

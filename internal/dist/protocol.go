@@ -38,59 +38,12 @@ import (
 
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/dataset"
-	"dragonvar/internal/netsim"
-	"dragonvar/internal/topology"
 )
 
 // ProtocolVersion guards against mixed deployments: join requests carrying
-// a different version are refused.
-const ProtocolVersion = 1
-
-// CampaignSpec is the portable identity of a campaign: everything a worker
-// needs to rebuild the coordinator's cluster and derive the identical plan
-// list. Models and users are always the default registry/roster — the only
-// configuration the CLIs produce — which keeps the spec a value type.
-type CampaignSpec struct {
-	Machine        topology.Config `json:"machine"`
-	Net            netsim.Config   `json:"net"`
-	Days           float64         `json:"days"`
-	Seed           int64           `json:"seed"`
-	MeanRunsPerDay float64         `json:"mean_runs_per_day"`
-	CounterNoise   float64         `json:"counter_noise"`
-	FaultSpec      string          `json:"fault_spec,omitempty"`
-}
-
-// SpecFromCluster derives the portable spec from a cluster config. It
-// refuses configs with a custom model registry or user roster: those are
-// in-process pointers a remote worker cannot reconstruct.
-func SpecFromCluster(cfg cluster.Config) (CampaignSpec, error) {
-	if cfg.Models != nil || cfg.Users != nil {
-		return CampaignSpec{}, fmt.Errorf("dist: distributed campaigns support the default model registry and user roster only")
-	}
-	r := cfg.Resolved()
-	return CampaignSpec{
-		Machine:        r.Machine,
-		Net:            r.Net,
-		Days:           r.Days,
-		Seed:           r.Seed,
-		MeanRunsPerDay: r.MeanRunsPerDay,
-		CounterNoise:   r.CounterNoise,
-		FaultSpec:      r.FaultSpec,
-	}, nil
-}
-
-// ClusterConfig rebuilds the cluster config a worker should simulate with.
-func (s CampaignSpec) ClusterConfig() cluster.Config {
-	return cluster.Config{
-		Machine:        s.Machine,
-		Net:            s.Net,
-		Days:           s.Days,
-		Seed:           s.Seed,
-		MeanRunsPerDay: s.MeanRunsPerDay,
-		CounterNoise:   s.CounterNoise,
-		FaultSpec:      s.FaultSpec,
-	}
-}
+// a different version are refused. Version 2 hands workers the resolved
+// cluster.Config instead of a partial campaign spec.
+const ProtocolVersion = 2
 
 // JoinRequest registers a worker with the coordinator.
 type JoinRequest struct {
@@ -100,12 +53,15 @@ type JoinRequest struct {
 
 // JoinResponse hands the worker its identity and the campaign contract.
 type JoinResponse struct {
-	WorkerID         string       `json:"worker_id"`
-	Spec             CampaignSpec `json:"spec"`
-	PlanDigest       string       `json:"plan_digest"`
-	NumUnits         int          `json:"num_units"`
-	LeaseSeconds     float64      `json:"lease_seconds"`     // how long a granted lease lives
-	HeartbeatSeconds float64      `json:"heartbeat_seconds"` // expected heartbeat cadence while holding a lease
+	WorkerID string `json:"worker_id"`
+	// Cluster is the coordinator's resolved campaign config, less the
+	// fields cluster.Config keeps out of JSON: the worker rebuilds the
+	// cluster from it and must derive PlanDigest.
+	Cluster          cluster.Config `json:"cluster"`
+	PlanDigest       string         `json:"plan_digest"`
+	NumUnits         int            `json:"num_units"`
+	LeaseSeconds     float64        `json:"lease_seconds"`     // how long a granted lease lives
+	HeartbeatSeconds float64        `json:"heartbeat_seconds"` // expected heartbeat cadence while holding a lease
 	// Traceparent carries the coordinator's campaign span context (W3C
 	// traceparent format) so the worker's session span joins the campaign
 	// trace. Empty when the coordinator runs without telemetry; malformed
@@ -201,25 +157,21 @@ func EncodeRun(run *dataset.Run) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeRun deserializes and sanity-checks a wire run. The checks mirror
-// dataset.Campaign.Validate at run granularity, so a truncated or corrupt
-// payload is rejected here — and the unit re-dispatched — instead of
-// poisoning the merged campaign.
+// DecodeRun deserializes and sanity-checks a wire run with the check
+// dataset.Campaign.Validate applies to every run (dataset.Run.Validate),
+// plus a refusal of runs with no steps, so a truncated or corrupt payload
+// is rejected here — and the unit re-dispatched — instead of poisoning the
+// merged campaign.
 func DecodeRun(blob []byte) (*dataset.Run, error) {
 	var run dataset.Run
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&run); err != nil {
 		return nil, fmt.Errorf("dist: decode run: %w", err)
 	}
-	t := len(run.StepTimes)
-	if t == 0 {
+	if run.Steps() == 0 {
 		return nil, fmt.Errorf("dist: decoded run has no steps")
 	}
-	if len(run.Compute) != t || len(run.Counters) != t || len(run.IO) != t || len(run.Sys) != t {
-		return nil, fmt.Errorf("dist: decoded run observation lengths disagree (times=%d compute=%d counters=%d io=%d sys=%d)",
-			t, len(run.Compute), len(run.Counters), len(run.IO), len(run.Sys))
-	}
-	if run.Missing != nil && len(run.Missing) != t {
-		return nil, fmt.Errorf("dist: decoded run missing-marker length %d != %d steps", len(run.Missing), t)
+	if err := run.Validate(); err != nil {
+		return nil, fmt.Errorf("dist: decoded run: %w", err)
 	}
 	return &run, nil
 }

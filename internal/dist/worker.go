@@ -133,9 +133,9 @@ func (w *Worker) joinAndPrepare(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("dist: join: %w", err)
 	}
-	sim, err := cluster.NewUnitSim(join.Spec.ClusterConfig())
+	sim, err := cluster.NewUnitSim(join.Cluster)
 	if err != nil {
-		return fmt.Errorf("dist: build simulation from spec: %w", err)
+		return fmt.Errorf("dist: build simulation from the coordinator's config: %w", err)
 	}
 	if sim.PlanDigest() != join.PlanDigest {
 		return fmt.Errorf("dist: plan digest mismatch: coordinator %.12s…, worker %.12s… (differing binaries or configs)",

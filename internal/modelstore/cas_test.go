@@ -119,7 +119,7 @@ func TestPutCASConcurrentPublishers(t *testing.T) {
 	if cur == baseID {
 		t.Fatal("ref still at base id after a winning CAS")
 	}
-	if _, _, err := st.GetGBR("deviation/RACE"); err != nil {
+	if _, _, _, err := st.GetGBR("deviation/RACE"); err != nil {
 		t.Fatalf("winning ref unreadable: %v", err)
 	}
 }

@@ -117,7 +117,7 @@ func TestGoldenStoreLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, meta, err := st.GetGBR("dev/golden")
+	m, meta, _, err := st.GetGBR("dev/golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestGoldenStoreLoads(t *testing.T) {
 			t.Fatalf("golden gbr Predict(%v) = %v, want %v", x, got, want)
 		}
 	}
-	a, _, err := st.GetAdvisor("advisor/golden")
+	a, _, _, err := st.GetAdvisor("advisor/golden")
 	if err != nil {
 		t.Fatal(err)
 	}

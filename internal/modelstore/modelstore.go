@@ -363,84 +363,86 @@ func (s *Store) Resolve(name string) (string, Meta, error) {
 
 // get loads and validates the envelope for a ref name, checking the
 // content hash, format version, and expected kind before any payload
-// decoding.
-func (s *Store) get(name, wantKind string) (*envelope, error) {
+// decoding. It returns the content id the ref resolved to, read once: a
+// publish racing the load cannot pair one object with another's id.
+func (s *Store) get(name, wantKind string) (*envelope, string, error) {
 	id, _, err := s.Resolve(name)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	blob, err := os.ReadFile(s.objectPath(id))
 	if err != nil {
-		return nil, fmt.Errorf("modelstore: object %s: %w", id[:12], err)
+		return nil, "", fmt.Errorf("modelstore: object %s: %w", id[:12], err)
 	}
 	sum := sha256.Sum256(blob)
 	if got := hex.EncodeToString(sum[:]); got != id {
 		// move the damaged file out of the address space so a later Put of
 		// the true artifact lands on a clean path
-		return nil, &CorruptObjectError{ID: id, GotHash: got, Quarantined: framelog.Quarantine(s.objectPath(id))}
+		return nil, "", &CorruptObjectError{ID: id, GotHash: got, Quarantined: framelog.Quarantine(s.objectPath(id))}
 	}
 	var env envelope
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("modelstore: decode object %s: %w", id[:12], err)
+		return nil, "", fmt.Errorf("modelstore: decode object %s: %w", id[:12], err)
 	}
 	if env.Format != Format {
-		return nil, fmt.Errorf("modelstore: object %s: format %d, this build reads %d (regenerate the store)",
+		return nil, "", fmt.Errorf("modelstore: object %s: format %d, this build reads %d (regenerate the store)",
 			id[:12], env.Format, Format)
 	}
 	if env.Meta.Kind != wantKind {
-		return nil, fmt.Errorf("modelstore: ref %s is a %s artifact, want %s", name, env.Meta.Kind, wantKind)
+		return nil, "", fmt.Errorf("modelstore: ref %s is a %s artifact, want %s", name, env.Meta.Kind, wantKind)
 	}
-	return &env, nil
+	return &env, id, nil
 }
 
 // GetForecaster loads a forecaster and validates its window shape against
-// the stored schema.
-func (s *Store) GetForecaster(name string) (*nn.Forecaster, Meta, error) {
-	env, err := s.get(name, KindForecaster)
+// the stored schema. id is the content id the ref resolved to.
+func (s *Store) GetForecaster(name string) (f *nn.Forecaster, meta Meta, id string, err error) {
+	env, id, err := s.get(name, KindForecaster)
 	if err != nil {
-		return nil, Meta{}, err
+		return nil, Meta{}, "", err
 	}
-	var f nn.Forecaster
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&f); err != nil {
-		return nil, Meta{}, fmt.Errorf("modelstore: decode forecaster %s: %w", name, err)
+	f = new(nn.Forecaster)
+	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(f); err != nil {
+		return nil, Meta{}, "", fmt.Errorf("modelstore: decode forecaster %s: %w", name, err)
 	}
 	m, h := f.WindowShape()
 	if m != env.Meta.M {
-		return nil, Meta{}, fmt.Errorf("modelstore: forecaster %s: window length %d, meta says %d", name, m, env.Meta.M)
+		return nil, Meta{}, "", fmt.Errorf("modelstore: forecaster %s: window length %d, meta says %d", name, m, env.Meta.M)
 	}
 	if n := len(env.Meta.FeatureNames); n != 0 && n != h {
-		return nil, Meta{}, fmt.Errorf("modelstore: forecaster %s: %d features, schema names %d", name, h, n)
+		return nil, Meta{}, "", fmt.Errorf("modelstore: forecaster %s: %d features, schema names %d", name, h, n)
 	}
-	return &f, env.Meta, nil
+	return f, env.Meta, id, nil
 }
 
-// GetGBR loads a boosted ensemble.
-func (s *Store) GetGBR(name string) (*gbr.Model, Meta, error) {
-	env, err := s.get(name, KindGBR)
+// GetGBR loads a boosted ensemble. id is the content id the ref resolved
+// to.
+func (s *Store) GetGBR(name string) (m *gbr.Model, meta Meta, id string, err error) {
+	env, id, err := s.get(name, KindGBR)
 	if err != nil {
-		return nil, Meta{}, err
+		return nil, Meta{}, "", err
 	}
-	var m gbr.Model
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&m); err != nil {
-		return nil, Meta{}, fmt.Errorf("modelstore: decode gbr %s: %w", name, err)
+	m = new(gbr.Model)
+	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(m); err != nil {
+		return nil, Meta{}, "", fmt.Errorf("modelstore: decode gbr %s: %w", name, err)
 	}
 	if n := len(env.Meta.FeatureNames); n != 0 && len(m.Importance()) != 0 && n != len(m.Importance()) {
-		return nil, Meta{}, fmt.Errorf("modelstore: gbr %s: %d importances, schema names %d", name, len(m.Importance()), n)
+		return nil, Meta{}, "", fmt.Errorf("modelstore: gbr %s: %d importances, schema names %d", name, len(m.Importance()), n)
 	}
-	return &m, env.Meta, nil
+	return m, env.Meta, id, nil
 }
 
-// GetAdvisor loads an advisor.
-func (s *Store) GetAdvisor(name string) (*advisor.Advisor, Meta, error) {
-	env, err := s.get(name, KindAdvisor)
+// GetAdvisor loads an advisor. id is the content id the ref resolved to.
+func (s *Store) GetAdvisor(name string) (a *advisor.Advisor, meta Meta, id string, err error) {
+	env, id, err := s.get(name, KindAdvisor)
 	if err != nil {
-		return nil, Meta{}, err
+		return nil, Meta{}, "", err
 	}
-	var a advisor.Advisor
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&a); err != nil {
-		return nil, Meta{}, fmt.Errorf("modelstore: decode advisor %s: %w", name, err)
+	a = new(advisor.Advisor)
+	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(a); err != nil {
+		return nil, Meta{}, "", fmt.Errorf("modelstore: decode advisor %s: %w", name, err)
 	}
-	return &a, env.Meta, nil
+	return a, env.Meta, id, nil
 }
 
 // Entry is one row of List: a ref name with what it points at.

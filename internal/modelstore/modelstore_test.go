@@ -60,9 +60,12 @@ func TestForecasterRoundTripThroughStore(t *testing.T) {
 	if len(id) != 64 {
 		t.Fatalf("id %q is not a sha256 hex digest", id)
 	}
-	back, gotMeta, err := st.GetForecaster("forecast/AMG-128/m5k2/app")
+	back, gotMeta, gotID, err := st.GetForecaster("forecast/AMG-128/m5k2/app")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if gotID != id {
+		t.Fatalf("GetForecaster resolved id %.12s, Put stored %.12s", gotID, id)
 	}
 	if gotMeta.Kind != KindForecaster || gotMeta.Dataset != "AMG-128" || gotMeta.M != 5 {
 		t.Fatalf("meta did not round trip: %+v", gotMeta)
@@ -107,7 +110,7 @@ func TestGBRRoundTripThroughStore(t *testing.T) {
 		FeatureNames: []string{"f0", "f1", "f2"}}, m); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := st.GetGBR("deviation/AMG-128")
+	back, _, _, err := st.GetGBR("deviation/AMG-128")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestKindMismatchRejected(t *testing.T) {
 	if _, err := st.Put("thing", Meta{Seed: 1}, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.GetForecaster("thing"); err == nil ||
+	if _, _, _, err := st.GetForecaster("thing"); err == nil ||
 		!strings.Contains(err.Error(), "gbr artifact") {
 		t.Fatalf("loading a gbr ref as forecaster: err = %v, want kind mismatch", err)
 	}
@@ -146,10 +149,10 @@ func TestKindFollowsModelType(t *testing.T) {
 	if _, err := st.Put("thing", Meta{Kind: KindGBR, M: 5, K: 2}, f); err != nil {
 		t.Fatal(err)
 	}
-	if _, meta, err := st.GetForecaster("thing"); err != nil || meta.Kind != KindForecaster {
+	if _, meta, _, err := st.GetForecaster("thing"); err != nil || meta.Kind != KindForecaster {
 		t.Fatalf("forecaster put with Kind %q: GetForecaster kind %q, err %v", KindGBR, meta.Kind, err)
 	}
-	if _, _, err := st.GetGBR("thing"); err == nil || !strings.Contains(err.Error(), "forecaster artifact") {
+	if _, _, _, err := st.GetGBR("thing"); err == nil || !strings.Contains(err.Error(), "forecaster artifact") {
 		t.Fatalf("loading a forecaster ref as gbr: err = %v, want kind mismatch", err)
 	}
 	for _, model := range []any{"weights", []float64{1, 2}, f.PredictAll} {
@@ -190,7 +193,7 @@ func TestCorruptObjectDetected(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = st.GetGBR("thing")
+	_, _, _, err = st.GetGBR("thing")
 	if err == nil || !strings.Contains(err.Error(), "hash mismatch") {
 		t.Fatalf("corrupt object load: err = %v, want hash mismatch", err)
 	}
@@ -212,7 +215,7 @@ func TestCorruptObjectDetected(t *testing.T) {
 	if _, err := st.Put("thing", Meta{Seed: 1}, m); err != nil {
 		t.Fatalf("re-put after quarantine: %v", err)
 	}
-	if _, _, err := st.GetGBR("thing"); err != nil {
+	if _, _, _, err := st.GetGBR("thing"); err != nil {
 		t.Fatalf("load after heal: %v", err)
 	}
 }

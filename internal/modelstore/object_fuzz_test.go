@@ -35,13 +35,13 @@ func FuzzObjectDecode(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(st.Root(), "refs", "obj"), rj, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if m, _, err := st.GetForecaster("obj"); err == nil && m == nil {
+		if m, _, _, err := st.GetForecaster("obj"); err == nil && m == nil {
 			t.Fatal("GetForecaster: nil model without an error")
 		}
-		if m, _, err := st.GetGBR("obj"); err == nil && m == nil {
+		if m, _, _, err := st.GetGBR("obj"); err == nil && m == nil {
 			t.Fatal("GetGBR: nil model without an error")
 		}
-		if m, _, err := st.GetAdvisor("obj"); err == nil && m == nil {
+		if m, _, _, err := st.GetAdvisor("obj"); err == nil && m == nil {
 			t.Fatal("GetAdvisor: nil model without an error")
 		}
 	})
