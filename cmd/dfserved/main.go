@@ -138,7 +138,8 @@ func loadCampaign(ctx context.Context, o options, stderr io.Writer) (*dataset.Ca
 	if o.small {
 		ccfg.Cluster.Machine = topology.Small()
 	}
-	return core.LoadOrGenerateCtx(ctx, ccfg)
+	camp, _, err := core.LoadOrGenerateCtx(ctx, ccfg)
+	return camp, err
 }
 
 // storedIDs returns the content ids sv's refs point at, in ServedKinds

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dragonvar/internal/cli"
+	"dragonvar/internal/cluster"
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/report"
 	"dragonvar/internal/stats"
@@ -22,7 +23,7 @@ func cmdCalib(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	var c commonFlags
 	addCommon(fs, &c)
 	start := time.Now()
-	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign) error {
+	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign, _ *cluster.Cluster) error {
 		fmt.Fprintf(stderr, "campaign ready in %v\n", time.Since(start).Round(time.Second))
 		fmt.Fprint(stdout, calibTable(camp, c.days, c.seed))
 		fmt.Fprintln(stdout, "\npaper targets (§III-B): miniVite worst 3.76x, UMT worst 3.3x; MPI% = 76/82 (AMG), 89 (MILC), 98 (miniVite), 30 (UMT)")

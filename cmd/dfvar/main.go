@@ -170,9 +170,11 @@ func (c *commonFlags) parse(fs *flag.FlagSet, args []string) error {
 }
 
 // withCampaign parses args, starts telemetry and calls fn with the loaded
-// campaign; the telemetry files are written on every return path.
+// campaign and the cluster that generated it (nil when it came from the
+// cache; see clusterFor); the telemetry files are written on every return
+// path.
 func (c *commonFlags) withCampaign(ctx context.Context, fs *flag.FlagSet, args []string, stderr io.Writer,
-	fn func(*dataset.Campaign) error) error {
+	fn func(*dataset.Campaign, *cluster.Cluster) error) error {
 	if err := c.parse(fs, args); err != nil {
 		return err
 	}
@@ -181,11 +183,22 @@ func (c *commonFlags) withCampaign(ctx context.Context, fs *flag.FlagSet, args [
 		return err
 	}
 	defer flush()
-	camp, err := c.loadCampaign(ctx, stderr)
+	camp, cl, err := c.loadCampaign(ctx, stderr)
 	if err != nil {
 		return err
 	}
-	return fn(camp)
+	return fn(camp, cl)
+}
+
+// clusterFor returns cl, the cluster that generated the campaign in this
+// process, or builds the flags' cluster when the campaign came from the
+// cache (cl nil). Fig2 and fig12 re-simulate on it.
+func (c commonFlags) clusterFor(cl *cluster.Cluster, stderr io.Writer) (*cluster.Cluster, error) {
+	if cl != nil {
+		return cl, nil
+	}
+	fmt.Fprintln(stderr, "rebuilding cluster state for fig2/fig12...")
+	return cluster.New(c.clusterConfig(stderr))
 }
 
 // loadCampaign loads the campaign the flags describe from the cache, or
@@ -194,12 +207,12 @@ func (c *commonFlags) withCampaign(ctx context.Context, fs *flag.FlagSet, args [
 // bytes are identical with it on or off. It is finished on every return
 // path, so an error or an interrupt still closes its event stream and
 // prints its report.
-func (c commonFlags) loadCampaign(ctx context.Context, stderr io.Writer) (*dataset.Campaign, error) {
+func (c commonFlags) loadCampaign(ctx context.Context, stderr io.Writer) (*dataset.Campaign, *cluster.Cluster, error) {
 	ccfg := c.clusterConfig(stderr)
 	create := func(path string) (io.WriteCloser, error) { return os.Create(path) }
 	m, finish, err := cli.Monitor("dfvar", c.monitor, "campaign", c.small, create, stderr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if m != nil {
 		ccfg.Monitor = m
@@ -263,7 +276,7 @@ func cmdCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		return runDistributed(ctx, c, *distribute, *distCheckpoint, *distLease, stdout, stderr)
 	}
 	start := time.Now()
-	camp, err := c.loadCampaign(ctx, stderr)
+	camp, _, err := c.loadCampaign(ctx, stderr)
 	if err != nil {
 		return err
 	}
@@ -389,7 +402,7 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	fs := cli.NewFlagSet("report", stderr)
 	var c commonFlags
 	addCommon(fs, &c)
-	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign) error {
+	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign, cl *cluster.Cluster) error {
 		wanted := fs.Args()
 		if len(wanted) == 0 {
 			wanted = experiments.CheapArtifacts()
@@ -398,12 +411,10 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		}
 		suite := &experiments.Suite{Camp: camp, Seed: c.seed, Fast: c.fast, Workers: c.workers}
 		if experiments.NeedsCluster(wanted) {
-			fmt.Fprintln(stderr, "rebuilding cluster state for fig2/fig12...")
-			cl, err := cluster.New(c.clusterConfig(stderr))
-			if err != nil {
+			var err error
+			if suite.Clust, err = c.clusterFor(cl, stderr); err != nil {
 				return err
 			}
-			suite.Clust = cl
 		}
 		// independent artifacts render concurrently; output order (and
 		// bytes) match rendering them one at a time
@@ -423,7 +434,7 @@ func cmdExport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	var c commonFlags
 	addCommon(fs, &c)
 	out := fs.String("out", "csv", "output directory for CSV files")
-	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign) error {
+	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign, _ *cluster.Cluster) error {
 		if err := export.CampaignToDir(camp, *out); err != nil {
 			return err
 		}

@@ -23,14 +23,15 @@ func cmdPlot(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	var c commonFlags
 	addCommon(fs, &c)
 	out := fs.String("out", "plots", "output directory for SVG files")
-	fig12 := fs.Bool("fig12", false, "also simulate and plot the Figure 12 long run (slow: rebuilds the cluster)")
-	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign) error {
-		return plotFigures(camp, c, *out, *fig12, stdout, stderr)
+	fig12 := fs.Bool("fig12", false, "also simulate and plot the Figure 12 long run (slow; rebuilds the cluster after a cache hit)")
+	return c.withCampaign(ctx, fs, args, stderr, func(camp *dataset.Campaign, cl *cluster.Cluster) error {
+		return plotFigures(camp, cl, c, *out, *fig12, stdout, stderr)
 	})
 }
 
-// plotFigures writes the figure SVGs of camp into dir.
-func plotFigures(camp *dataset.Campaign, c commonFlags, dir string, fig12 bool, stdout, stderr io.Writer) error {
+// plotFigures writes the figure SVGs of camp into dir; cl is the cluster
+// that generated camp, or nil (see clusterFor).
+func plotFigures(camp *dataset.Campaign, cl *cluster.Cluster, c commonFlags, dir string, fig12 bool, stdout, stderr io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -139,12 +140,10 @@ func plotFigures(camp *dataset.Campaign, c commonFlags, dir string, fig12 bool, 
 	}
 
 	if fig12 {
-		fmt.Fprintln(stderr, "rebuilding cluster state for fig12...")
-		cl, err := cluster.New(c.clusterConfig(stderr))
-		if err != nil {
+		var err error
+		if suite.Clust, err = c.clusterFor(cl, stderr); err != nil {
 			return err
 		}
-		suite.Clust = cl
 		_, segs, err := suite.Figure12()
 		if err != nil {
 			return err

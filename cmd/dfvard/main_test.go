@@ -86,9 +86,9 @@ func TestPprofBindFailureIsFatal(t *testing.T) {
 	}
 }
 
-// TestBadPolicyWritesNoState: a misspelled -routing or $DRAGONVAR_PLACEMENT
-// is a usage error raised before the state directory is bound to it, so
-// the corrected rerun starts clean.
+// TestBadPolicyWritesNoState: a misspelled -routing, $DRAGONVAR_PLACEMENT
+// or -faults clause is a usage error raised before the state directory is
+// bound to it, so the corrected rerun starts clean.
 func TestBadPolicyWritesNoState(t *testing.T) {
 	for _, c := range []struct {
 		flags []string
@@ -96,6 +96,7 @@ func TestBadPolicyWritesNoState(t *testing.T) {
 	}{
 		{flags: []string{"-routing", "minmal"}},
 		{env: "firstfitt"},
+		{flags: []string{"-faults", "bogus"}},
 	} {
 		t.Setenv(cluster.EnvPlacement, c.env)
 		root := t.TempDir()

@@ -53,7 +53,8 @@ type CampaignConfig struct {
 // generated under the requested config, generating and caching it
 // otherwise.
 func LoadOrGenerate(cfg CampaignConfig) (*dataset.Campaign, error) {
-	return LoadOrGenerateCtx(context.Background(), cfg)
+	camp, _, err := LoadOrGenerateCtx(context.Background(), cfg)
+	return camp, err
 }
 
 // LoadOrGenerateCtx is LoadOrGenerate with cancellation. A cached campaign
@@ -63,11 +64,13 @@ func LoadOrGenerate(cfg CampaignConfig) (*dataset.Campaign, error) {
 // are still flushed to the cache as a Partial campaign — resuming costs a
 // regeneration, but an inspectable dataset beats losing hours of
 // simulation — and the partial campaign is returned alongside ctx's error.
-func LoadOrGenerateCtx(ctx context.Context, cfg CampaignConfig) (*dataset.Campaign, error) {
+// The cluster that generated the campaign is returned too, for callers
+// that go on to re-simulate on it; it is nil on a cache hit.
+func LoadOrGenerateCtx(ctx context.Context, cfg CampaignConfig) (*dataset.Campaign, *cluster.Cluster, error) {
 	if cfg.CachePath != "" {
 		if camp, err := dataset.Load(cfg.CachePath); err == nil {
 			if !camp.Partial && camp.Identity == cfg.Cluster.Identity() {
-				return camp, nil
+				return camp, nil, nil
 			}
 			if camp.Partial {
 				fmt.Fprintf(os.Stderr, "core: cache %s is a partial campaign; regenerating\n", cfg.CachePath)
@@ -82,7 +85,7 @@ func LoadOrGenerateCtx(ctx context.Context, cfg CampaignConfig) (*dataset.Campai
 	c, err := cluster.New(cfg.Cluster)
 	newSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	camp, err := c.RunCampaignCtx(ctx)
 	if err != nil {
@@ -94,12 +97,12 @@ func LoadOrGenerateCtx(ctx context.Context, cfg CampaignConfig) (*dataset.Campai
 					camp.TotalRuns(), cfg.CachePath)
 			}
 		}
-		return camp, err
+		return camp, c, err
 	}
 	if cfg.CachePath != "" {
 		if err := camp.Save(cfg.CachePath); err != nil {
 			fmt.Fprintf(os.Stderr, "core: could not cache campaign: %v\n", err)
 		}
 	}
-	return camp, nil
+	return camp, c, nil
 }

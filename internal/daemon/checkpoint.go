@@ -1,9 +1,7 @@
 package daemon
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 
 	"dragonvar/internal/framelog"
 )
@@ -80,73 +78,28 @@ type checkpointHeader struct {
 	Digest  string // StreamMeta-style config identity digest
 }
 
-// checkpoint is the open checkpoint file, positioned for appends.
-type checkpoint struct {
-	log *framelog.Log
-}
-
-// openCheckpoint opens (or creates) the checkpoint at path, validates its
-// identity digest, heals any torn tail, and returns the last recorded
-// progress. A fresh checkpoint returns the zero progress.
-func openCheckpoint(path, digest string) (*checkpoint, progress, error) {
+// openCheckpoint opens (or creates) the checkpoint at path, bound to the
+// identity digest, and returns it positioned for appends together with the
+// last recorded progress. A fresh checkpoint returns the zero progress.
+// Each append (framelog.Log.Append) is fsynced: once it returns, a resume
+// sees that record or a later one.
+func openCheckpoint(path, digest string) (*framelog.Log, progress, error) {
+	want := checkpointHeader{Version: checkpointVersion, Digest: digest}
 	var last progress
-	raw, err := os.ReadFile(path)
-	onDisk := raw // nil when there is no file yet
-	switch {
-	case os.IsNotExist(err):
-		var buf bytes.Buffer
-		if err := framelog.Encode(&buf, checkpointHeader{Version: checkpointVersion, Digest: digest}); err != nil {
-			return nil, last, fmt.Errorf("daemon: checkpoint header: %w", err)
-		}
-		raw = buf.Bytes()
-	case err != nil:
-		return nil, last, fmt.Errorf("daemon: checkpoint read: %w", err)
-	}
-
-	frames, valid := framelog.Parse(raw)
-	if len(frames) == 0 {
-		return nil, last, fmt.Errorf("daemon: checkpoint %s: no valid header frame", path)
-	}
-	var hdr checkpointHeader
-	if err := framelog.Decode(frames[0], &hdr); err != nil {
-		return nil, last, fmt.Errorf("daemon: checkpoint header: %w", err)
-	}
-	if hdr.Version != checkpointVersion {
-		return nil, last, fmt.Errorf("daemon: checkpoint %s: version %d, want %d", path, hdr.Version, checkpointVersion)
-	}
-	if hdr.Digest != digest {
-		return nil, last, fmt.Errorf("daemon: checkpoint %s was written by a different configuration (digest %s, want %s)", path, hdr.Digest, digest)
-	}
-	for _, fr := range frames[1:] {
-		var p progress
-		if err := framelog.Decode(fr, &p); err != nil {
-			return nil, last, fmt.Errorf("daemon: checkpoint record: %w", err)
-		}
-		last = p
-	}
-	// Create a fresh file, or cut a torn tail from a crash mid-append back
-	// to the valid prefix, before anything is appended.
-	log, err := framelog.Heal(path, onDisk, raw[:valid])
+	log, err := framelog.Open(path, want,
+		func(hdr checkpointHeader) error {
+			if hdr != want {
+				return fmt.Errorf("written by a different configuration (version %d digest %s, want version %d digest %s)",
+					hdr.Version, hdr.Digest, want.Version, want.Digest)
+			}
+			return nil
+		},
+		func(p progress) error {
+			last = p
+			return nil
+		})
 	if err != nil {
-		return nil, last, fmt.Errorf("daemon: checkpoint: %w", err)
+		return nil, progress{}, fmt.Errorf("daemon: checkpoint: %w", err)
 	}
-	return &checkpoint{log: log}, last, nil
-}
-
-// append durably records one progress frame. The fsync is the commit
-// point: once append returns, a resume sees this record (or a later one).
-func (c *checkpoint) append(p progress) error {
-	if err := c.log.Append(p); err != nil {
-		return fmt.Errorf("daemon: checkpoint: %w", err)
-	}
-	return nil
-}
-
-func (c *checkpoint) Close() error {
-	if c.log == nil {
-		return nil
-	}
-	err := c.log.Close()
-	c.log = nil
-	return err
+	return log, last, nil
 }

@@ -16,7 +16,7 @@ func TestCheckpointHugeLengthTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.append(progress{Epoch: 1, Sealed: 2}); err != nil {
+	if err := ck.Append(progress{Epoch: 1, Sealed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()

@@ -212,7 +212,7 @@ type Daemon struct {
 	sv  Serving
 
 	stream *dataset.StreamWriter
-	ck     *checkpoint
+	ck     *framelog.Log
 	p      progress
 
 	// cur is the serving forecaster of retrain p.Retrains (nil before
@@ -390,8 +390,8 @@ func (d *Daemon) runEpoch(ctx context.Context) error {
 
 	d.p.Epoch = e + 1
 	d.p.RunsBefore = d.stream.TotalRuns()
-	if err := d.ck.append(d.p); err != nil {
-		return err
+	if err := d.ck.Append(d.p); err != nil {
+		return fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	d.cfg.Logf("daemon: epoch %d done: %d runs total, %d segments sealed", e, d.p.RunsBefore, d.p.Sealed)
 	return nil
@@ -428,8 +428,8 @@ func (d *Daemon) onSeal(ctx context.Context, seg *dataset.Segment) error {
 			}
 		}
 	}
-	if err := d.ck.append(d.p); err != nil {
-		return err
+	if err := d.ck.Append(d.p); err != nil {
+		return fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	return d.maybeRetrain(ctx)
 }
@@ -528,8 +528,8 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 	if err := d.writePublishLog(); err != nil {
 		return err
 	}
-	if err := d.ck.append(d.p); err != nil {
-		return err
+	if err := d.ck.Append(d.p); err != nil {
+		return fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	d.cur = model
 	d.tm.retrains.Inc()

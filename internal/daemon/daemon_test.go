@@ -239,7 +239,7 @@ func TestCheckpointTornTailHealed(t *testing.T) {
 		t.Fatalf("fresh checkpoint progress = %+v, want zero", p)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := ck.append(progress{Epoch: i, Sealed: i * 2}); err != nil {
+		if err := ck.Append(progress{Epoch: i, Sealed: i * 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestCheckpointTornTailHealed(t *testing.T) {
 		t.Fatalf("healed progress = %+v, want epoch 2 sealed 4", p)
 	}
 	// The heal rewrote a clean file: appends keep working.
-	if err := ck.append(progress{Epoch: 3, Sealed: 6}); err != nil {
+	if err := ck.Append(progress{Epoch: 3, Sealed: 6}); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()

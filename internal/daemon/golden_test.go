@@ -50,7 +50,7 @@ func goldenCheckpoint(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 	for _, p := range goldenProgress() {
-		if err := ck.append(p); err != nil {
+		if err := ck.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}

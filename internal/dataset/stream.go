@@ -142,52 +142,32 @@ func OpenStream(dir string, meta StreamMeta) (*StreamWriter, error) {
 		return nil, fmt.Errorf("dataset: stream: %w", err)
 	}
 	w := &StreamWriter{dir: dir, meta: meta, digest: meta.Digest()}
-	walPath := w.walPath()
-	raw, err := os.ReadFile(walPath)
-	switch {
-	case os.IsNotExist(err):
-		if err := w.rewriteWAL(nil); err != nil {
-			return nil, err
-		}
-	case err != nil:
-		return nil, fmt.Errorf("dataset: stream: %w", err)
-	default:
-		frames, _ := framelog.Parse(raw)
-		if len(frames) == 0 {
-			return nil, fmt.Errorf("dataset: stream %s: WAL has no intact header", walPath)
-		}
-		var hdr streamHeader
-		if err := framelog.Decode(frames[0], &hdr); err != nil {
-			return nil, fmt.Errorf("dataset: stream %s: header: %w", walPath, err)
-		}
-		if hdr.Version != streamVersion {
-			return nil, fmt.Errorf("dataset: stream %s: version %d, want %d", walPath, hdr.Version, streamVersion)
-		}
-		if hdr.Digest != w.digest {
-			return nil, fmt.Errorf("dataset: stream %s: identity mismatch (dir %s, want %s): refusing to mix streams", walPath, hdr.Digest[:12], w.digest[:12])
-		}
-		w.nextSeg = hdr.FirstSeg
-		w.total = hdr.FirstRun
-		for _, fr := range frames[1:] {
-			var run Run
-			if err := framelog.Decode(fr, &run); err != nil {
-				return nil, fmt.Errorf("dataset: stream %s: run frame: %w", walPath, err)
+	wal, err := framelog.Open(w.walPath(), w.header(),
+		func(hdr streamHeader) error {
+			if hdr.Version != streamVersion {
+				return fmt.Errorf("version %d, want %d", hdr.Version, streamVersion)
 			}
+			if hdr.Digest != w.digest {
+				return fmt.Errorf("identity mismatch (dir %.12s, want %.12s): refusing to mix streams", hdr.Digest, w.digest)
+			}
+			w.nextSeg, w.total = hdr.FirstSeg, hdr.FirstRun
+			return nil
+		},
+		func(run Run) error {
 			w.open = append(w.open, &run)
 			w.total++
-		}
-		// Re-seal any window the WAL already completes (kill landed
-		// between segment write and compaction — or before the segment
-		// write at all). Sealing is idempotent: deterministic bytes,
-		// atomic rename.
-		if err := w.recoverSeals(); err != nil {
-			return nil, err
-		}
-		// Heal a torn tail, and fold in any recovery compaction, by
-		// rewriting the WAL to exactly header + open window.
-		if err := w.rewriteWAL(w.open); err != nil {
-			return nil, err
-		}
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("dataset: stream: %w", err)
+	}
+	w.wal = wal
+	// Re-seal any window the WAL already completes (kill landed between
+	// segment write and compaction — or before the segment write at all).
+	// Sealing is idempotent: deterministic bytes, atomic rename.
+	if err := w.recoverSeals(); err != nil {
+		w.Close()
+		return nil, err
 	}
 	return w, nil
 }
@@ -212,25 +192,29 @@ func (w *StreamWriter) SealedSegments() int { return w.nextSeg }
 // OpenRuns returns the number of runs in the still-open window.
 func (w *StreamWriter) OpenRuns() int { return len(w.open) }
 
-// rewriteWAL atomically replaces the WAL with header + the given runs and
-// reopens it for appending.
-func (w *StreamWriter) rewriteWAL(runs []*Run) error {
+// header is the WAL's frame 0 for a WAL holding exactly the open window.
+func (w *StreamWriter) header() streamHeader {
+	return streamHeader{
+		Version:  streamVersion,
+		Digest:   w.digest,
+		Meta:     w.meta,
+		FirstSeg: w.nextSeg,
+		FirstRun: w.total - int64(len(w.open)),
+	}
+}
+
+// rewriteWAL compacts the WAL: it atomically replaces it with header + the
+// open window and reopens it for appending.
+func (w *StreamWriter) rewriteWAL() error {
 	if w.wal != nil {
 		w.wal.Close()
 		w.wal = nil
 	}
 	var buf bytes.Buffer
-	hdr := streamHeader{
-		Version:  streamVersion,
-		Digest:   w.digest,
-		Meta:     w.meta,
-		FirstSeg: w.nextSeg,
-		FirstRun: w.total - int64(len(runs)),
-	}
-	if err := framelog.Encode(&buf, hdr); err != nil {
+	if err := framelog.Encode(&buf, w.header()); err != nil {
 		return fmt.Errorf("dataset: stream: %w", err)
 	}
-	for _, r := range runs {
+	for _, r := range w.open {
 		if err := framelog.Encode(&buf, r); err != nil {
 			return fmt.Errorf("dataset: stream: %w", err)
 		}
@@ -298,16 +282,17 @@ func (w *StreamWriter) sealOpen() (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w.rewriteWAL(nil); err != nil {
+	if err := w.rewriteWAL(); err != nil {
 		return nil, err
 	}
 	return seg, nil
 }
 
 // recoverSeals replays the open window after a reopen and seals every
-// complete window it contains, mirroring Append's boundary logic. The
-// caller compacts the WAL once at the end of recovery.
+// complete window it contains, mirroring Append's boundary logic, then
+// compacts the WAL once if it sealed any.
 func (w *StreamWriter) recoverSeals() error {
+	sealed := w.nextSeg
 	runs := w.open
 	w.open = nil
 	w.total -= int64(len(runs))
@@ -325,7 +310,10 @@ func (w *StreamWriter) recoverSeals() error {
 			}
 		}
 	}
-	return nil
+	if w.nextSeg == sealed {
+		return nil
+	}
+	return w.rewriteWAL()
 }
 
 // seal writes the open window as the next segment and empties it.
@@ -372,7 +360,7 @@ func (w *StreamWriter) Segment(i int) (*Segment, error) {
 		return nil, quarantine(path, err)
 	}
 	if seg.Digest != w.digest {
-		return nil, fmt.Errorf("dataset: segment %s belongs to stream %s, want %s", path, seg.Digest[:12], w.digest[:12])
+		return nil, fmt.Errorf("dataset: segment %s belongs to stream %.12s, want %.12s", path, seg.Digest, w.digest)
 	}
 	if seg.Index != i {
 		return nil, fmt.Errorf("dataset: segment %s carries index %d, want %d", path, seg.Index, i)

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -17,11 +16,12 @@ import (
 // are deterministic, resumes byte-identically.
 //
 // Layout: a framelog file — a header frame identifying the campaign (plan
-// digest + unit count), then one frame per completed unit outcome. A crash
-// can only truncate or corrupt the tail; the loader replays frames until
-// the first damaged one, discards the rest, and heals the file to the
-// valid prefix. A damaged header is treated as a fresh file; a header
-// mismatch — different campaign — is a hard error, not a silent restart.
+// digest + unit count), then one frame per completed unit outcome, opened
+// by framelog.Open. A torn tail, the only damage a crash leaves, is cut
+// back to the valid prefix. A damaged header is refused, with the file
+// left as it is, rather than treated as fresh: a silent rewrite would
+// discard every completed unit. A header for a different campaign is
+// refused too, not silently restarted.
 
 // The checkpoint's wire types are pinned so its bytes do not depend on the
 // gob work a coordinator did before opening it.
@@ -51,71 +51,38 @@ type checkpoint struct {
 	log  *framelog.Log
 }
 
-// openCheckpoint opens (or creates) the journal at path, validates its
-// header against the campaign identity, and returns the replayable
-// outcomes keyed by round then unit. A damaged tail is dropped and the
-// file healed in place; a header for a different campaign is an error.
+// openCheckpoint opens (or creates) the journal at path, bound to the
+// campaign identity, and returns the replayable outcomes keyed by round
+// then unit. A torn tail is dropped and the file healed in place; a file
+// whose header is damaged or names a different campaign, or that holds a
+// record which does not decode or names a unit out of range, is an error.
 func openCheckpoint(path, planDigest string, numUnits int) (*checkpoint, map[int]map[int]cluster.UnitOutcome, error) {
 	want := checkpointHeader{Version: 1, PlanDigest: planDigest, NumUnits: numUnits}
 	replay := map[int]map[int]cluster.UnitOutcome{}
-
-	raw, err := os.ReadFile(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// fresh campaign: write the header below
-		raw = nil
-	case err != nil:
-		return nil, nil, fmt.Errorf("dist: read checkpoint %s: %w", path, err)
-	}
-
-	var valid []byte // longest cleanly-framed prefix
-	if len(raw) > 0 {
-		frames, n := framelog.Parse(raw)
-		valid = raw[:n]
-		if len(frames) == 0 {
-			// header itself was damaged; treat as a fresh file
-			valid = nil
-		} else {
-			var hdr checkpointHeader
-			if err := framelog.Decode(frames[0], &hdr); err != nil {
-				valid = nil
-			} else if hdr != want {
-				return nil, nil, fmt.Errorf("dist: checkpoint %s belongs to a different campaign (digest %.12s…, %d units; want %.12s…, %d units)",
-					path, hdr.PlanDigest, hdr.NumUnits, want.PlanDigest, want.NumUnits)
-			} else {
-				for _, frame := range frames[1:] {
-					var rec checkpointRecord
-					if err := framelog.Decode(frame, &rec); err != nil {
-						break // damaged record: drop it and everything after
-					}
-					out, err := rec.outcome()
-					if err != nil {
-						break
-					}
-					if rec.Unit < 0 || rec.Unit >= numUnits {
-						break
-					}
-					if replay[rec.Round] == nil {
-						replay[rec.Round] = map[int]cluster.UnitOutcome{}
-					}
-					replay[rec.Round][rec.Unit] = out
-				}
+	log, err := framelog.Open(path, want,
+		func(hdr checkpointHeader) error {
+			if hdr != want {
+				return fmt.Errorf("belongs to a different campaign (digest %.12s…, %d units; want %.12s…, %d units)",
+					hdr.PlanDigest, hdr.NumUnits, want.PlanDigest, want.NumUnits)
 			}
-		}
-	}
-
-	if valid == nil {
-		var buf bytes.Buffer
-		if err := framelog.Encode(&buf, want); err != nil {
-			return nil, nil, fmt.Errorf("dist: encode checkpoint header: %w", err)
-		}
-		valid = buf.Bytes()
-		replay = map[int]map[int]cluster.UnitOutcome{}
-	}
-
-	log, err := framelog.Heal(path, raw, valid)
+			return nil
+		},
+		func(rec checkpointRecord) error {
+			if rec.Unit < 0 || rec.Unit >= numUnits {
+				return fmt.Errorf("unit %d out of range [0, %d)", rec.Unit, numUnits)
+			}
+			out, err := rec.outcome()
+			if err != nil {
+				return err
+			}
+			if replay[rec.Round] == nil {
+				replay[rec.Round] = map[int]cluster.UnitOutcome{}
+			}
+			replay[rec.Round][rec.Unit] = out
+			return nil
+		})
 	if err != nil {
-		return nil, nil, fmt.Errorf("dist: heal checkpoint %s: %w", path, err)
+		return nil, nil, fmt.Errorf("dist: checkpoint: %w", err)
 	}
 	return &checkpoint{path: path, log: log}, replay, nil
 }

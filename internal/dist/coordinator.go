@@ -48,11 +48,6 @@ type Config struct {
 	// in MaxAttempts leases aborts the campaign (default 8).
 	MaxAttempts int
 
-	// Grace is how long the coordinator keeps answering requests after
-	// the campaign completes, so workers hear StatusDone and exit
-	// cleanly instead of logging connection errors (default 2s).
-	Grace time.Duration
-
 	// Log receives human-oriented progress lines; nil discards them.
 	Log io.Writer
 }
@@ -67,16 +62,17 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 8
 	}
-	if c.Grace < 0 {
-		c.Grace = 0
-	} else if c.Grace == 0 {
-		c.Grace = 2 * time.Second
-	}
 	if c.Log == nil {
 		c.Log = io.Discard
 	}
 	return c
 }
+
+// doneWait caps how long Run keeps serving after a successful campaign
+// while registered workers have yet to hear StatusDone: a worker that
+// never asks again (wedged, or dead but not yet declared so) must not
+// hold the coordinator open.
+const doneWait = 2 * time.Second
 
 // unitState tracks one pending unit of the current round.
 type unitState struct {
@@ -133,8 +129,12 @@ type Coordinator struct {
 	tick      func() // driver's progress callback for the current round
 	unitErr   error  // a worker-reported simulation failure (aborts)
 	campDone  bool
-	workers   map[string]*workerState
-	seq       int64 // worker/lease id source
+	// workers holds the registered workers; once the campaign is done, a
+	// worker leaves it when it is told StatusDone, and allHeard closes
+	// when it is empty.
+	workers  map[string]*workerState
+	allHeard chan struct{}
+	seq      int64 // worker/lease id source
 	// roundCtx carries the driver's campaign→round span chain during a
 	// round (nil between rounds); per-lease spans are started from it.
 	// campTP is the campaign span's traceparent, handed to joining workers
@@ -175,6 +175,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		numUnits: numUnits,
 		backoff:  engine.Backoff{Base: 250 * time.Millisecond, Max: 15 * time.Second, Factor: 2, Jitter: 0.2},
 		workers:  map[string]*workerState{},
+		allHeard: make(chan struct{}),
 
 		expired:   telemetry.C(telemetry.MDistLeaseExpired),
 		redisp:    telemetry.C(telemetry.MDistLeaseRedispatch),
@@ -247,11 +248,17 @@ func (co *Coordinator) Run(ctx context.Context) (*dataset.Campaign, error) {
 	co.mu.Lock()
 	co.campDone = true
 	co.gLease.Set(0)
+	if len(co.workers) == 0 {
+		close(co.allHeard)
+	}
 	co.mu.Unlock()
 
 	// let polling workers hear StatusDone before tearing the server down
-	if err == nil && co.cfg.Grace > 0 {
-		engine.SleepFor(context.Background(), co.cfg.Grace)
+	if err == nil {
+		select {
+		case <-co.allHeard:
+		case <-time.After(doneWait):
+		}
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	srv.Shutdown(shutCtx)
@@ -499,6 +506,12 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if co.campDone {
+		if _, ok := co.workers[req.WorkerID]; ok {
+			delete(co.workers, req.WorkerID)
+			if len(co.workers) == 0 {
+				close(co.allHeard)
+			}
+		}
 		writeJSON(w, http.StatusOK, LeaseResponse{Status: StatusDone})
 		return
 	}

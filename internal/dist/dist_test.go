@@ -21,6 +21,7 @@ import (
 	"dragonvar/internal/apps"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/dataset"
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/netsim"
 	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
@@ -573,6 +574,56 @@ func TestCheckpointRejectsOtherCampaign(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesDamage: damage a crash cannot leave — a header
+// that fails its checksum or does not decode, a checksum-valid record that
+// does not decode, a unit out of range — is refused, and the file keeps
+// its bytes so no completed unit is silently discarded.
+func TestCheckpointRefusesDamage(t *testing.T) {
+	dir := t.TempDir()
+	cp, _, err := openCheckpoint(filepath.Join(dir, "intact.ckpt"), "d", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.append(1, 2, cluster.UnitOutcome{Drained: true, DrainAt: 7}); err != nil {
+		t.Fatal(err)
+	}
+	cp.close()
+	intact, err := os.ReadFile(filepath.Join(dir, "intact.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := framelog.Encode(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	flipped := append([]byte{}, intact...)
+	flipped[len(frame(checkpointHeader{Version: 1, PlanDigest: "d", NumUnits: 5}))-1] ^= 0xff // last header byte
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"header checksum", flipped},
+		{"header undecodable", frame("not a header")},
+		{"empty", nil},
+		{"record undecodable", append(append([]byte{}, intact...), frame(42)...)},
+		{"unit out of range", append(append([]byte{}, intact...), frame(checkpointRecord{Round: 1, Unit: 5, Drained: true})...)},
+	} {
+		path := filepath.Join(dir, tc.name+".ckpt")
+		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := openCheckpoint(path, "d", 5); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: open = %v, want a refusal naming %s", tc.name, err, path)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, tc.raw) {
+			t.Errorf("%s: refused checkpoint was rewritten (%d bytes, want %d; %v)", tc.name, len(got), len(tc.raw), err)
+		}
+	}
+}
+
 // TestCheckpointReplayRoundTrip exercises append/replay including drained
 // outcomes and tail healing at every truncation point.
 func TestCheckpointReplayRoundTrip(t *testing.T) {
@@ -583,6 +634,10 @@ func TestCheckpointReplayRoundTrip(t *testing.T) {
 	}
 	if len(replay) != 0 {
 		t.Fatalf("fresh checkpoint replays %d rounds", len(replay))
+	}
+	header, err := os.ReadFile(cpPath) // a fresh checkpoint is its header alone
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := cp.append(1, 2, cluster.UnitOutcome{Drained: true, DrainAt: 123.5}); err != nil {
 		t.Fatal(err)
@@ -603,8 +658,9 @@ func TestCheckpointReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replay[2][0] = %+v, %v", out, ok)
 	}
 
-	// every truncation of the file must load without error and replay a
-	// prefix of the records
+	// every truncation after the header must load without error and
+	// replay a prefix of the records; a torn header, which a crash cannot
+	// leave because the file is created whole, is refused untouched
 	full, err := os.ReadFile(cpPath)
 	if err != nil {
 		t.Fatal(err)
@@ -615,6 +671,15 @@ func TestCheckpointReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		cp, replay, err := openCheckpoint(p, "d", 5)
+		if cut < len(header) {
+			if err == nil {
+				t.Fatalf("cut=%d: torn header accepted", cut)
+			}
+			if got, _ := os.ReadFile(p); !bytes.Equal(got, full[:cut]) {
+				t.Fatalf("cut=%d: refused checkpoint was rewritten", cut)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}

@@ -238,9 +238,6 @@ func (v View) LinkDown(l topology.LinkID) bool { return v.LinkFactor(l) <= 0 }
 // RouterDown reports whether the router is down.
 func (v View) RouterDown(r topology.RouterID) bool { return v.routerDown[r] }
 
-// Dropout reports whether a sampler dropout window is active.
-func (v View) Dropout() bool { return v.dropout }
-
 // Clean reports whether the view carries no degradation at all.
 func (v View) Clean() bool {
 	return len(v.linkFactor) == 0 && len(v.routerDown) == 0 && !v.dropout

@@ -3,23 +3,26 @@
 // and heal (the dist and daemon checkpoints, the run stream WAL and its
 // segments), atomic whole-file replacement, quarantine of damaged files,
 // and the init-time pinning of gob type ids that keeps all of them
-// byte-identical across processes. Callers keep their own header and
-// record policy; this package only moves bytes.
+// byte-identical across processes. Open holds the one damage policy every
+// log shares; callers supply only their header check and record replay.
 //
 // A framed log is a sequence of frames, each
 //
 //	uvarint payload length | crc32c(payload), little-endian | payload
 //
 // where every payload is a self-contained gob stream. Appends are
-// fsynced, so a crash can only truncate or corrupt the tail: Parse stops
-// at the first damaged frame, and Heal rewrites the file to the valid
-// prefix before appending resumes.
+// fsynced and a new file appears whole (AtomicWrite), so a crash can only
+// truncate or corrupt the tail: Parse stops at the first damaged frame,
+// and Heal rewrites the file to the valid prefix before appending resumes.
+// Damage anywhere else, a missing or foreign header or a checksum-valid
+// frame that does not decode, did not come from a crash and is refused.
 package framelog
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -74,6 +77,49 @@ func Decode(payload []byte, v any) error {
 // Log is a framed file open for appending.
 type Log struct {
 	f *os.File
+}
+
+// Open opens the framed log at path, bound to header, for appending. An
+// absent file is created holding header alone. Otherwise frame 0 is decoded
+// as an H and handed to check, and every later frame is decoded as an R and
+// handed to replay, in order; then a torn tail is cut back to the valid
+// prefix. The file is refused, its bytes left untouched, when frame 0 is
+// missing, does not decode or fails check, and when a later frame passes
+// its checksum but does not decode or replay rejects it.
+func Open[H, R any](path string, header H, check func(H) error, replay func(R) error) (*Log, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		var buf bytes.Buffer
+		if err := Encode(&buf, header); err != nil {
+			return nil, err
+		}
+		return Heal(path, nil, buf.Bytes())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("framelog: %w", err)
+	}
+	frames, valid := Parse(raw)
+	if len(frames) == 0 {
+		return nil, fmt.Errorf("framelog: %s: no intact header frame", path)
+	}
+	var hdr H
+	if err := Decode(frames[0], &hdr); err != nil {
+		return nil, fmt.Errorf("framelog: %s: header: %w", path, err)
+	}
+	if err := check(hdr); err != nil {
+		return nil, fmt.Errorf("framelog: %s: %w", path, err)
+	}
+	for i, fr := range frames[1:] {
+		var rec R
+		err := Decode(fr, &rec)
+		if err == nil {
+			err = replay(rec)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("framelog: %s: frame %d: %w", path, i+1, err)
+		}
+	}
+	return Heal(path, raw, raw[:valid])
 }
 
 // Heal makes the file at path hold exactly keep — the valid prefix Parse

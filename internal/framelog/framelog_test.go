@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -140,9 +142,15 @@ func TestQuarantine(t *testing.T) {
 
 // FuzzLog checks the torn-tail contract on arbitrary bytes: Parse never
 // panics, its valid prefix re-parses to the same frames, healing is
-// idempotent, and a frame appended to a healed log replays.
+// idempotent, and a frame appended to a healed log replays. The same bytes
+// then go through Open, which either refuses them untouched or replays
+// exactly the records Parse finds after frame 0.
 func FuzzLog(f *testing.F) {
+	f.Add(encodeAll(f, record{N: -1, Name: "foreign header"}, record{1, "a"}))
+	f.Add(encodeAll(f, record{1, "a"}, "not a record", record{2, "b"}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkOpen(t, raw)
+
 		frames, valid := Parse(raw)
 		if valid < 0 || valid > len(raw) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(raw))
@@ -213,4 +221,91 @@ func FuzzLog(f *testing.F) {
 			t.Fatalf("appended frame replays as %+v, %v", got, err)
 		}
 	})
+}
+
+// openRecords opens the log at path with a record header whose N must not
+// be negative, collecting the records it replays.
+func openRecords(path string) (*Log, []record, error) {
+	var got []record
+	l, err := Open(path, record{Name: "header"},
+		func(h record) error {
+			if h.N < 0 {
+				return fmt.Errorf("header N %d", h.N)
+			}
+			return nil
+		},
+		func(r record) error {
+			got = append(got, r)
+			return nil
+		})
+	return l, got, err
+}
+
+// checkOpen runs raw through Open: a refusal leaves the bytes as they
+// were; an accepted file replays the records Parse finds after frame 0,
+// heals to the valid prefix, reopens unchanged, and replays an append.
+func checkOpen(t *testing.T, raw []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "opened")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	onDisk := func() []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	l, got, err := openRecords(path)
+	if err != nil {
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("refusal %q does not name the file", err)
+		}
+		if !bytes.Equal(onDisk(), raw) {
+			t.Fatal("refused file was changed")
+		}
+		return
+	}
+	frames, valid := Parse(raw)
+	if len(frames) == 0 || len(got) != len(frames)-1 {
+		t.Fatalf("Open replayed %d records, Parse found %d frames", len(got), len(frames))
+	}
+	for i, fr := range frames[1:] {
+		var want record
+		if err := Decode(fr, &want); err != nil || got[i] != want {
+			t.Fatalf("record %d replays as %+v, Parse decodes %+v, %v", i, got[i], want, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	healed := onDisk()
+	if !bytes.Equal(healed, raw[:valid]) {
+		t.Fatalf("Open left %d bytes, want the %d-byte valid prefix", len(healed), valid)
+	}
+
+	l, again, err := openRecords(path)
+	if err != nil || len(again) != len(got) {
+		t.Fatalf("reopen replayed %d records, %v; want %d", len(again), err, len(got))
+	}
+	appended := record{N: len(got), Name: "appended"}
+	if err := l.Append(appended); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(onDisk(), healed) {
+		t.Fatal("reopen changed the healed bytes")
+	}
+	l, final, err := openRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if len(final) != len(got)+1 || final[len(got)] != appended {
+		t.Fatalf("after append: %d records, want %d ending in %+v", len(final), len(got)+1, appended)
+	}
 }

@@ -200,13 +200,6 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
-// ScaleVec multiplies x by a in place.
-func ScaleVec(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	var s float64
@@ -214,16 +207,6 @@ func Norm2(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
-// CopyVec returns a copy of x.
-func CopyVec(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
 }
 
 // ArgMax returns the index of the maximum element (first on ties); -1 for

@@ -194,18 +194,6 @@ func (j *Job) ScaledLoadAt(t, duration float64) netsim.ScaledLoad {
 	return netsim.ScaledLoad{Set: j.Load, Scale: j.IntensityAt(t) * duration}
 }
 
-// Record is one sacct log row.
-type Record struct {
-	JobID    int
-	UserName string
-	JobName  string
-	NumNodes int
-	Start    float64
-	End      float64
-	State    string // COMPLETED, or NODE_FAIL for drain-killed jobs
-	Attempt  int    // requeue generation of this submission (0 = first)
-}
-
 // Timeline is the generated background schedule of the machine.
 type Timeline struct {
 	Topo *topology.Dragonfly
@@ -235,28 +223,6 @@ func (tl *Timeline) Overlapping(t0, t1 float64) []*Job {
 	return out
 }
 
-// Records returns the sacct-style log of all background jobs.
-func (tl *Timeline) Records() []Record {
-	out := make([]Record, len(tl.Jobs))
-	for i, j := range tl.Jobs {
-		state := j.State
-		if state == "" {
-			state = StateCompleted
-		}
-		out[i] = Record{
-			JobID:    j.ID,
-			UserName: j.User.Name(),
-			JobName:  j.User.AppName,
-			NumNodes: len(j.Nodes),
-			Start:    j.Start,
-			End:      j.End,
-			State:    state,
-			Attempt:  j.Attempt,
-		}
-	}
-	return out
-}
-
 // Requeues counts the jobs in the timeline that are resubmissions of a
 // node-failed attempt.
 func (tl *Timeline) Requeues() int {
@@ -267,26 +233,6 @@ func (tl *Timeline) Requeues() int {
 		}
 	}
 	return n
-}
-
-// NeighborUsers returns the distinct user names with at least one job of
-// minNodes or more nodes running during the entire window... more
-// precisely, per §V-A, with a job running at any point during [t0, t1).
-func (tl *Timeline) NeighborUsers(t0, t1 float64, minNodes int) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, j := range tl.Overlapping(t0, t1) {
-		if len(j.Nodes) < minNodes {
-			continue
-		}
-		name := j.User.Name()
-		if !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // BusyNodesAt returns the set of nodes owned by background jobs running in

@@ -355,36 +355,6 @@ func TestScaledLoadAt(t *testing.T) {
 	}
 }
 
-func TestRecordsAndNeighbors(t *testing.T) {
-	_, tl := genTimeline(t, 3, 47)
-	recs := tl.Records()
-	if len(recs) != len(tl.Jobs) {
-		t.Fatal("records/jobs mismatch")
-	}
-	for i, r := range recs {
-		if r.UserName == "" || r.JobName == "" || r.NumNodes == 0 {
-			t.Fatalf("incomplete record %+v", r)
-		}
-		if r.JobID != tl.Jobs[i].ID {
-			t.Fatal("record order mismatch")
-		}
-	}
-	mid := tl.Horizon() / 2
-	names := tl.NeighborUsers(mid, mid+1800, 1)
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatal("duplicate neighbor name")
-		}
-		seen[n] = true
-	}
-	// minNodes filters
-	big := tl.NeighborUsers(mid, mid+1800, 1<<30)
-	if len(big) != 0 {
-		t.Fatal("absurd minNodes should filter everyone")
-	}
-}
-
 func TestBusyNodesAt(t *testing.T) {
 	_, tl := genTimeline(t, 2, 53)
 	mid := tl.Horizon() / 2

@@ -50,62 +50,6 @@ func MutualInformationBinary(x, y []bool) float64 {
 	return mi
 }
 
-// MutualInformationDiscrete computes the mutual information, in nats,
-// between two integer-valued variables using the plug-in estimator. Labels
-// may be arbitrary ints.
-func MutualInformationDiscrete(x, y []int) float64 {
-	if len(x) != len(y) {
-		panic("stats: MutualInformationDiscrete length mismatch")
-	}
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	joint := make(map[[2]int]float64)
-	px := make(map[int]float64)
-	py := make(map[int]float64)
-	for i := range x {
-		joint[[2]int{x[i], y[i]}]++
-		px[x[i]]++
-		py[y[i]]++
-	}
-	nf := float64(n)
-	var mi float64
-	for k, c := range joint {
-		pxy := c / nf
-		mi += pxy * math.Log(pxy*nf*nf/(px[k[0]]*py[k[1]]))
-	}
-	if mi < 0 {
-		mi = 0
-	}
-	return mi
-}
-
-// Discretize maps each value of x to a bin index in [0, bins) using
-// equal-width binning over the observed range. Constant input maps to bin 0.
-func Discretize(x []float64, bins int) []int {
-	out := make([]int, len(x))
-	if len(x) == 0 || bins <= 1 {
-		return out
-	}
-	lo, hi := Min(x), Max(x)
-	if hi == lo {
-		return out
-	}
-	w := (hi - lo) / float64(bins)
-	for i, v := range x {
-		b := int((v - lo) / w)
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		out[i] = b
-	}
-	return out
-}
-
 // EntropyBinary returns the entropy, in nats, of a binary variable.
 func EntropyBinary(x []bool) float64 {
 	n := len(x)

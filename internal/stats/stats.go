@@ -100,9 +100,6 @@ func Quantile(x []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Median returns the median of x.
-func Median(x []float64) float64 { return Quantile(x, 0.5) }
-
 // MAPE returns the mean absolute percentage error between predictions and
 // observations, in percent, as reported in Figures 8 and 10 of the paper.
 // Pairs whose observed value is zero, or where either side is NaN or Inf

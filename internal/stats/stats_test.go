@@ -60,9 +60,6 @@ func TestQuantile(t *testing.T) {
 	if Quantile(x, 0) != 1 || Quantile(x, 1) != 5 {
 		t.Fatal("extreme quantiles wrong")
 	}
-	if Median(x) != 3 {
-		t.Fatalf("Median = %v", Median(x))
-	}
 	if Quantile(x, 0.25) != 2 {
 		t.Fatalf("Q1 = %v", Quantile(x, 0.25))
 	}
@@ -249,46 +246,6 @@ func TestMutualInformationBoundedByEntropy(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMutualInformationDiscreteMatchesBinary(t *testing.T) {
-	x := []bool{true, false, true, true, false, false, true, false}
-	y := []bool{true, true, false, true, false, true, false, false}
-	xi := make([]int, len(x))
-	yi := make([]int, len(y))
-	for i := range x {
-		if x[i] {
-			xi[i] = 1
-		}
-		if y[i] {
-			yi[i] = 1
-		}
-	}
-	a := MutualInformationBinary(x, y)
-	b := MutualInformationDiscrete(xi, yi)
-	if math.Abs(a-b) > 1e-9 {
-		t.Fatalf("binary %v != discrete %v", a, b)
-	}
-}
-
-func TestDiscretize(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	b := Discretize(x, 5)
-	if b[0] != 0 || b[9] != 4 {
-		t.Fatalf("Discretize endpoints = %d, %d", b[0], b[9])
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i] < b[i-1] {
-			t.Fatal("Discretize not monotone on sorted input")
-		}
-	}
-	// constant input goes to bin 0
-	c := Discretize([]float64{5, 5, 5}, 4)
-	for _, v := range c {
-		if v != 0 {
-			t.Fatal("constant input should map to bin 0")
-		}
 	}
 }
 
