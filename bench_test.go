@@ -453,7 +453,6 @@ func BenchmarkNetsimRound(b *testing.B) {
 			cfg := netsim.DefaultConfig()
 			cfg.Routing = pol
 			n := netsim.New(d, cfg, rng.New(1))
-			n.ReuseSlowdowns(true)
 			flows := benchRoundFlows(b, d)
 			routed := n.Resolve(flows)
 			b.ResetTimer()

@@ -85,15 +85,18 @@ func cmdRecord(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	if *small {
+		cfg.Machine = topology.Small()
+	}
+	if err := cli.Faults(cfg); err != nil {
+		return err
+	}
 	flush, err := tm.Start("dfldms", stderr)
 	if err != nil {
 		return err
 	}
 	defer flush()
 
-	if *small {
-		cfg.Machine = topology.Small()
-	}
 	fmt.Fprintln(stderr, "building machine and background timeline...")
 	c, err := cluster.New(cfg)
 	if err != nil {

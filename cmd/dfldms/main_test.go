@@ -27,6 +27,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"nosuch"}, cli.ExitUsage},
 		{[]string{"record", "-h"}, cli.ExitOK},
 		{[]string{"record", "-bogus"}, cli.ExitUsage},
+		{[]string{"record", "-small", "-faults", "bogus", "-out", filepath.Join(t.TempDir(), "l.bin")}, cli.ExitUsage},
 		{[]string{"summarize", "-bogus"}, cli.ExitUsage},
 		{[]string{"analyze", "-bogus"}, cli.ExitUsage},
 		{[]string{"summarize", "-in", filepath.Join(t.TempDir(), "missing.bin")}, cli.ExitFailure},

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"dragonvar/internal/cli"
+	"dragonvar/internal/cluster"
 	"dragonvar/internal/core"
 	"dragonvar/internal/counters"
 	"dragonvar/internal/daemon"
@@ -99,6 +100,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return cli.Usagef("unexpected argument %q", fs.Arg(0))
 	}
+	if err := cli.Faults(o.campaign()); err != nil {
+		return err
+	}
 	if o.list {
 		return runList(o, stdout)
 	}
@@ -128,17 +132,19 @@ func runList(o options, stdout io.Writer) error {
 	return nil
 }
 
+// campaign is the cluster config of the training campaign.
+func (o options) campaign() cluster.Config {
+	cfg := cluster.Config{Days: o.days, Seed: o.seed, FaultSpec: o.faults}
+	if o.small {
+		cfg.Machine = topology.Small()
+	}
+	return cfg
+}
+
 // loadCampaign loads (or generates) the training campaign.
 func loadCampaign(ctx context.Context, o options, stderr io.Writer) (*dataset.Campaign, error) {
 	fmt.Fprintf(stderr, "dfserved: loading campaign (days=%g seed=%d cache=%q)...\n", o.days, o.seed, o.cache)
-	ccfg := core.CampaignConfig{CachePath: o.cache}
-	ccfg.Cluster.Days = o.days
-	ccfg.Cluster.Seed = o.seed
-	ccfg.Cluster.FaultSpec = o.faults
-	if o.small {
-		ccfg.Cluster.Machine = topology.Small()
-	}
-	camp, _, err := core.LoadOrGenerateCtx(ctx, ccfg)
+	camp, _, err := core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: o.campaign(), CachePath: o.cache})
 	return camp, err
 }
 

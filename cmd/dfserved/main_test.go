@@ -39,6 +39,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-bogus"}, cli.ExitUsage},
 		{[]string{"stray"}, cli.ExitUsage},
 		{[]string{"-store", store, "-features", "bogus"}, cli.ExitUsage},
+		{[]string{"-store", store, "-small", "-faults", "bogus"}, cli.ExitUsage},
 	} {
 		_, _, err := runCLI(c.args...)
 		if got := cli.ExitCode(err); got != c.want {

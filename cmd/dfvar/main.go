@@ -160,13 +160,16 @@ func addCommon(fs *flag.FlagSet, c *commonFlags) {
 }
 
 // parse parses args into fs and validates -routing/-placement (or their
-// environment defaults) up front, so a typo is a usage error instead of a
-// runtime one.
+// environment defaults) and -faults up front, so a typo is a usage error
+// instead of a runtime one.
 func (c *commonFlags) parse(fs *flag.FlagSet, args []string) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	return cli.Policies(c.routing, c.placement)
+	if err := cli.Policies(c.routing, c.placement); err != nil {
+		return err
+	}
+	return cli.Faults(c.clusterConfig(io.Discard))
 }
 
 // withCampaign parses args, starts telemetry and calls fn with the loaded

@@ -43,25 +43,35 @@ func runCLI(ctx context.Context, args ...string) (stdout, stderr string, err err
 }
 
 func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	monitor := filepath.Join(dir, "mon.jsonl")
 	cases := []struct {
-		args []string
-		want int
+		args   []string
+		want   int
+		absent string // a file the command must not create
 	}{
-		{nil, cli.ExitUsage},
-		{[]string{"-h"}, cli.ExitOK},
-		{[]string{"nosuch"}, cli.ExitUsage},
-		{[]string{"campaign", "-h"}, cli.ExitOK},
-		{[]string{"campaign", "-bogus"}, cli.ExitUsage},
-		{[]string{"calib", "-bogus"}, cli.ExitUsage},
-		{[]string{"report", "-routing", "nosuch"}, cli.ExitUsage},
-		{[]string{"worker"}, cli.ExitUsage},
-		{[]string{"trace"}, cli.ExitUsage},
-		{[]string{"ab", "-arms", "minimal/firstfit"}, cli.ExitUsage},
+		{nil, cli.ExitUsage, ""},
+		{[]string{"-h"}, cli.ExitOK, ""},
+		{[]string{"nosuch"}, cli.ExitUsage, ""},
+		{[]string{"campaign", "-h"}, cli.ExitOK, ""},
+		{[]string{"campaign", "-bogus"}, cli.ExitUsage, ""},
+		{[]string{"calib", "-bogus"}, cli.ExitUsage, ""},
+		{[]string{"report", "-routing", "nosuch"}, cli.ExitUsage, ""},
+		{[]string{"worker"}, cli.ExitUsage, ""},
+		{[]string{"trace"}, cli.ExitUsage, ""},
+		{[]string{"ab", "-arms", "minimal/firstfit"}, cli.ExitUsage, ""},
+		{[]string{"campaign", "-small", "-days", "2", "-faults", "bogus",
+			"-cache", filepath.Join(dir, "c.gob"), "-monitor", monitor}, cli.ExitUsage, monitor},
 	}
 	for _, c := range cases {
 		_, _, err := runCLI(context.Background(), c.args...)
 		if got := cli.ExitCode(err); got != c.want {
 			t.Errorf("dfvar %v: exit %d (%v), want %d", c.args, got, err, c.want)
+		}
+		if c.absent != "" {
+			if _, err := os.Stat(c.absent); err == nil {
+				t.Errorf("dfvar %v created %s", c.args, c.absent)
+			}
 		}
 	}
 }

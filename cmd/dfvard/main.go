@@ -34,7 +34,6 @@ import (
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/counters"
 	"dragonvar/internal/daemon"
-	"dragonvar/internal/faults"
 	"dragonvar/internal/modelstore"
 	"dragonvar/internal/monitor"
 	"dragonvar/internal/topology"
@@ -104,7 +103,9 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if *small {
 		cfg.Machine = topology.Small()
 	}
-	if err := checkFaults(cfg); err != nil {
+	// every epoch's campaign parses the spec: a typo is a usage error
+	// before the state directory is bound to it
+	if err := cli.Faults(cluster.Config{Machine: cfg.Machine, Days: cfg.EpochDays, Seed: cfg.Seed, FaultSpec: cfg.FaultSpec}); err != nil {
 		return err
 	}
 	cfg.Logf = func(format string, args ...any) { fmt.Fprintf(stderr, "dfvard: "+format+"\n", args...) }
@@ -152,20 +153,4 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		return nil
 	}
 	return err
-}
-
-// checkFaults parses the -faults spec as cluster.New parses it for every
-// epoch, so a typo is a usage error before the state directory is bound to
-// it. Explicit clauses name links and routers, so the parse needs the
-// machine.
-func checkFaults(cfg daemon.Config) error {
-	epoch := cluster.Config{Machine: cfg.Machine, Days: cfg.EpochDays}.Resolved()
-	topo, err := topology.New(epoch.Machine)
-	if err != nil {
-		return err
-	}
-	if _, err := faults.Parse(cfg.FaultSpec, topo, epoch.Days*86400, cfg.Seed); err != nil {
-		return cli.Usagef("-faults: %w", err)
-	}
-	return nil
 }

@@ -3,7 +3,7 @@
 // run(ctx, args, stdout, stderr) and maps its error onto one exit-code
 // convention. The package also owns the flags whose meaning is the same in
 // every binary: -telemetry/-pprof, the simulation -workers count and the
-// check of -routing/-placement policy names.
+// checks of -routing/-placement policy names and -faults specs.
 package cli
 
 import (
@@ -15,9 +15,12 @@ import (
 	"os"
 	"strings"
 
+	"dragonvar/internal/cluster"
 	"dragonvar/internal/engine"
+	"dragonvar/internal/faults"
 	"dragonvar/internal/routing"
 	"dragonvar/internal/slurm"
+	"dragonvar/internal/topology"
 )
 
 // Exit codes Main maps a run error onto.
@@ -113,6 +116,25 @@ func Policies(routingPolicy, placementPolicy string) error {
 	if placementPolicy != "" && !slurm.ValidPlacementPolicy(placementPolicy) {
 		return Usagef("unknown placement policy %q (have %s)",
 			placementPolicy, strings.Join(slurm.PlacementPolicyNames(), ", "))
+	}
+	return nil
+}
+
+// Faults parses cfg's fault spec as cluster.New parses it, so a typo in
+// -faults is a usage error before a binary simulates or writes any state.
+// Explicit clauses name links and routers, so the parse needs cfg's
+// machine; an empty spec needs nothing.
+func Faults(cfg cluster.Config) error {
+	if cfg.FaultSpec == "" {
+		return nil
+	}
+	cfg = cfg.Resolved()
+	topo, err := topology.New(cfg.Machine)
+	if err != nil {
+		return err
+	}
+	if _, err := faults.Parse(cfg.FaultSpec, topo, cfg.Days*86400, cfg.Seed); err != nil {
+		return Usagef("-faults: %w", err)
 	}
 	return nil
 }

@@ -193,9 +193,8 @@ type Cluster struct {
 	// network of this cluster (Net and the per-worker networks) is split
 	// from the same root with the same label, so their candidate
 	// resolution is bit-identical and they can safely pool resolved
-	// paths: a pair any of them resolves is resolved once per
-	// (policy, dead-set) epoch for the whole campaign instead of once
-	// per worker.
+	// paths: a pair any of them resolves is resolved once per dead-link
+	// set for the whole campaign instead of once per worker.
 	pathCache *netsim.PathCache
 
 	// placer decides where controlled runs land; blamed is the advisor
@@ -329,10 +328,7 @@ func (c *Cluster) newSimWorker() *simWorker {
 		before:   counters.NewBoard(c.Topo.Cfg.NumRouters()),
 	}
 	// workers pool resolved candidate paths (identically seeded networks)
-	// and consume each round's slowdowns before the next, so the shared
-	// cache and the reused slowdown buffer are both safe
 	w.net.SharePathCache(c.pathCache)
-	w.net.ReuseSlowdowns(true)
 	if c.cfg.Monitor != nil {
 		w.monDeltas = make([]float64, c.Topo.Cfg.NumRouters()*LDMSSeriesPerRouter)
 	}
@@ -1003,6 +999,7 @@ func (c *Cluster) SimulateAt(model *apps.Model, steps int, start, compactLo, com
 	for try := 0; try < 64 && p.nodes == nil; try++ {
 		busy := c.Timeline.BusyNodesAt(p.start, p.estEnd)
 		busy.Union(c.haswell)
+		busy.Union(c.Faults.DrainedNodes(p.start)) // as place does
 		alloc := c.allocTmpl.Clone()
 		p.nodes = alloc.AllocAvoiding(job.Nodes, s.Uniform(compactLo, compactHi), busy, s)
 		if p.nodes == nil {

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dragonvar/internal/apps"
@@ -382,5 +384,29 @@ func TestSimulateAtStepOverride(t *testing.T) {
 	}
 	if run.Steps() != amg.Steps {
 		t.Fatalf("steps = %d, want model default %d", run.Steps(), amg.Steps)
+	}
+}
+
+// TestSimulateAtAvoidsDrainedNodes: like a campaign placement, a one-off
+// simulation never lands on nodes drained at its start. With every router
+// drained over [3000, 5000) a job asked for at t=3600 waits in the queue
+// until the drain lifts instead of dying at its first step.
+func TestSimulateAtAvoidsDrainedNodes(t *testing.T) {
+	cfg := tinyConfig(221)
+	clauses := make([]string, cfg.Machine.NumRouters())
+	for r := range clauses {
+		clauses[r] = fmt.Sprintf("drain:%d@3000-5000", r)
+	}
+	cfg.FaultSpec = strings.Join(clauses, ",")
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := c.SimulateAt(apps.Find(apps.AMG, 128), 0, 3600, 0.3, 0.7, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Start < 5000 {
+		t.Fatalf("run started at t=%v, inside the machine-wide drain [3000, 5000)", run.Start)
 	}
 }

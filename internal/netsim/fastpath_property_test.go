@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dragonvar/internal/rng"
+	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
@@ -37,8 +38,8 @@ func randFlows(s *rng.Stream, d *topology.Dragonfly, n int) []Flow {
 }
 
 // TestRoundLoopAllocFree pins the steady-state allocation count of the hot
-// round loop: with slowdown-slice reuse enabled, a warm RunRoundRouted must
-// not allocate at all.
+// round loop: a warm RunRoundRouted returns its slowdowns in the routes'
+// own buffer and must not allocate at all.
 func TestRoundLoopAllocFree(t *testing.T) {
 	for _, pol := range []string{"adaptive", "minimal"} {
 		t.Run(pol, func(t *testing.T) {
@@ -49,7 +50,6 @@ func TestRoundLoopAllocFree(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Routing = pol
 			n := New(d, cfg, rng.New(1))
-			n.ReuseSlowdowns(true)
 			flows := randFlows(rng.New(9), d, 64)
 			routed := n.Resolve(flows)
 			n.RunRoundRouted(flows, routed, nil, 1.0) // warm-up
@@ -121,5 +121,42 @@ func TestSharedPathCacheDeterminism(t *testing.T) {
 		if res1.Slowdown[i] != res2.Slowdown[i] {
 			t.Fatalf("slowdown[%d] differs: %v vs %v", i, res1.Slowdown[i], res2.Slowdown[i])
 		}
+	}
+}
+
+// TestSharedPathCacheMetrics: every candidate lookup counts as exactly one
+// hit or one miss, whether the network resolved the pair itself or a twin
+// sharing its cache did. A network resolving its twin's flows against the
+// twin's cache hits on every flow and misses on none.
+func TestSharedPathCacheMetrics(t *testing.T) {
+	d, err := topology.New(topology.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	telemetry.Enable(reg)
+	defer telemetry.Disable()
+	counts := func() (hits, misses int64) {
+		return reg.Counter(telemetry.MNetsimCacheHits).Value(), reg.Counter(telemetry.MNetsimCacheMisses).Value()
+	}
+	cfg := DefaultConfig()
+	flows := randFlows(rng.New(9), d, 128)
+	shared := NewPathCache()
+
+	a := New(d, cfg, rng.New(3))
+	a.SharePathCache(shared)
+	a.Resolve(flows)
+	hitsA, missesA := counts()
+	if hitsA+missesA != int64(len(flows)) {
+		t.Fatalf("A: %d hits + %d misses, want %d lookups", hitsA, missesA, len(flows))
+	}
+
+	b := New(d, cfg, rng.New(3))
+	b.SharePathCache(shared)
+	b.Resolve(flows)
+	hits, misses := counts()
+	if hits-hitsA != int64(len(flows)) || misses != missesA {
+		t.Fatalf("B: %d hits, %d misses on A's cache, want %d hits, 0 misses",
+			hits-hitsA, misses-missesA, len(flows))
 	}
 }

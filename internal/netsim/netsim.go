@@ -20,10 +20,13 @@
 //     reports.
 //
 // The round loop is the campaign's hot path; docs/PERFORMANCE.md records
-// the layout and caching decisions below (flat candidate arenas, epoch-
-// scoped path caches, static-split precomputation) together with the
-// determinism contract every further optimization must obey: serial,
-// parallel, and distributed execution stay byte-identical.
+// the layout and caching decisions below (flat candidate arenas, one
+// candidate-path cache keyed by dead-link set, static-split
+// precomputation) together with the determinism contract every further
+// optimization must obey: serial, parallel, and distributed execution stay
+// byte-identical. A Network's routing policy and path cache are fixed when
+// it is built, and each RoutedFlows owns the slowdown buffer its rounds
+// return; nothing switches them later.
 package netsim
 
 import (
@@ -169,39 +172,25 @@ type Network struct {
 	injPkts  []float64
 	ejPkts   []float64
 
-	// routing policy: candidate generation and split weighting are
-	// delegated to one routing.Policy per network (SetPolicy switches);
-	// staticSplit records that the split is load-independent
-	// (routing.StaticWeights), letting Resolve precompute the weights once
-	// per run
+	// routing policy, fixed by Config.Routing in New: candidate generation
+	// and split weighting are delegated to it; staticSplit records that the
+	// split is load-independent (routing.StaticWeights), letting Resolve
+	// precompute the weights once per run
 	policy      routing.Policy
 	staticSplit bool
 	// fb is the deterministic stall-feedback tracker feeding the
 	// "feedback" policy; nil for every other policy
 	fb *monitor.StallFeedback
 
-	// path cache: flows between the same router pair recur every step.
-	// Keyed per (policy, dead-link signature) epoch — different policies
-	// build different candidate sets for the same pair, and the dead-link
-	// set is the only fault state that changes candidates — with pathCache
-	// aliasing the active epoch's map. Health changes repoint the alias
-	// (edge-scoped invalidation) instead of dropping entries, so derate-
-	// only fault epochs and previously seen dead sets keep their caches.
-	pathCaches map[cacheKey]map[uint64][]routing.Path
-	pathCache  map[uint64][]routing.Path
-	deadSig    uint64
-	// shared is the optional second-level cache pooled across identically
-	// seeded Networks (SharePathCache); nil for standalone simulators.
-	shared *PathCache
+	// paths caches candidate sets per (dead-link set, router pair): the
+	// network's own from New, or the one SharePathCache attached. deadSig
+	// is the signature of the current dead-link set.
+	paths   *PathCache
+	deadSig uint64
 
 	// loadScratch pools BuildLoadSet's dense accumulators (*loadScratch)
 	// across calls and concurrent callers.
 	loadScratch sync.Pool
-
-	// reuseSlow lets RunRound reuse one Slowdown buffer across rounds
-	// (ReuseSlowdowns) instead of allocating per round.
-	reuseSlow   bool
-	slowScratch []float64
 
 	// telemetry handles, captured at construction; nil (no-op) when the
 	// process runs without telemetry. Observation-only: nothing in the
@@ -213,24 +202,27 @@ type Network struct {
 	tmRoundFlits  *telemetry.Histogram
 }
 
-// New creates a network simulator over machine d. The stream drives path
-// sampling and must be dedicated to this network.
+// New creates a network simulator over machine d, routing under the
+// policy cfg names. The stream drives path sampling and must be dedicated
+// to this network. The "feedback" policy additionally gets a deterministic
+// per-network stall tracker (see monitor.StallFeedback), reset per run via
+// ResetFeedback.
 func New(d *topology.Dragonfly, cfg Config, s *rng.Stream) *Network {
 	n := &Network{
-		topo:       d,
-		eng:        routing.NewEngine(d),
-		cfg:        cfg,
-		Board:      counters.NewBoard(d.Cfg.NumRouters()),
-		s:          s,
-		linkLoad:   make([]float64, len(d.Links)),
-		linkCap:    make([]float64, len(d.Links)),
-		prevLoad:   make([]float64, len(d.Links)),
-		bgLoad:     make([]float64, len(d.Links)),
-		injFlits:   make([]float64, d.Cfg.NumRouters()),
-		ejFlits:    make([]float64, d.Cfg.NumRouters()),
-		injPkts:    make([]float64, d.Cfg.NumRouters()),
-		ejPkts:     make([]float64, d.Cfg.NumRouters()),
-		pathCaches: make(map[cacheKey]map[uint64][]routing.Path),
+		topo:     d,
+		eng:      routing.NewEngine(d),
+		cfg:      cfg,
+		Board:    counters.NewBoard(d.Cfg.NumRouters()),
+		s:        s,
+		linkLoad: make([]float64, len(d.Links)),
+		linkCap:  make([]float64, len(d.Links)),
+		prevLoad: make([]float64, len(d.Links)),
+		bgLoad:   make([]float64, len(d.Links)),
+		injFlits: make([]float64, d.Cfg.NumRouters()),
+		ejFlits:  make([]float64, d.Cfg.NumRouters()),
+		injPkts:  make([]float64, d.Cfg.NumRouters()),
+		ejPkts:   make([]float64, d.Cfg.NumRouters()),
+		paths:    NewPathCache(),
 
 		tmCacheHits:   telemetry.C(telemetry.MNetsimCacheHits),
 		tmCacheMisses: telemetry.C(telemetry.MNetsimCacheMisses),
@@ -250,53 +242,34 @@ func New(d *topology.Dragonfly, cfg Config, s *rng.Stream) *Network {
 		}
 	}
 	copy(n.linkCap, n.baseCap)
-	if err := n.SetPolicy(cfg.PolicyName()); err != nil {
-		// configs are validated where they enter the system (cluster.New,
-		// the CLIs); by this point an unknown name is a programming error
-		panic(err)
-	}
-	return n
-}
-
-// SetPolicy switches the network to the named routing policy. Each
-// policy's candidate paths are cached separately, so switching back and
-// forth never mixes candidate sets. The "feedback" policy additionally
-// attaches a deterministic per-network stall tracker (see
-// monitor.StallFeedback), reset per run via ResetFeedback.
-func (n *Network) SetPolicy(name string) error {
+	name := cfg.PolicyName()
 	pcfg := routing.PolicyConfig{
-		MaxMinimal:     n.cfg.MaxMinimal,
-		MaxValiant:     n.cfg.MaxValiant,
-		NonMinimalBias: n.cfg.NonMinimalBias,
+		MaxMinimal:     cfg.MaxMinimal,
+		MaxValiant:     cfg.MaxValiant,
+		NonMinimalBias: cfg.NonMinimalBias,
 	}
 	if name == "feedback" {
-		if n.fb == nil {
-			n.fb = monitor.NewStallFeedback(n.topo.Cfg.Groups, 0)
-		}
-		fb := n.fb
+		fb := monitor.NewStallFeedback(d.Cfg.Groups, 0)
+		n.fb = fb
 		pcfg.GroupStall = func(g topology.GroupID) float64 { return fb.Ratio(int(g)) }
 	}
 	pol, err := routing.NewPolicy(name, pcfg)
 	if err != nil {
-		return fmt.Errorf("netsim: %w", err)
+		// configs are validated where they enter the system (cluster.New,
+		// the CLIs); by this point an unknown name is a programming error
+		panic(fmt.Errorf("netsim: %w", err))
 	}
 	n.policy = pol
 	n.staticSplit = routing.StaticWeights(pol)
-	if name != "feedback" {
-		n.fb = nil
-	}
-	n.repointCache()
-	return nil
+	return n
 }
 
-// Policy returns the name of the active routing policy.
-func (n *Network) Policy() string { return n.policy.Name() }
-
-// SharePathCache attaches a shared second-level candidate-path cache.
-// Local misses consult (and populate) the shared cache before recomputing.
-// Only attach the same cache to Networks whose candidate resolution is
-// bit-identical — same topology, Config, and seed (see PathCache).
-func (n *Network) SharePathCache(c *PathCache) { n.shared = c }
+// SharePathCache replaces the network's own candidate-path cache with c,
+// so identically seeded networks pool their resolutions. Only attach the
+// same cache to Networks whose candidate resolution is bit-identical —
+// same topology, Config, and seed (see PathCache) — and before the first
+// resolution, or the network's earlier entries are left behind.
+func (n *Network) SharePathCache(c *PathCache) { n.paths = c }
 
 // ResetFeedback clears the stall-feedback state read by the "feedback"
 // policy; a no-op under any other policy. Campaign workers call this next
@@ -308,23 +281,12 @@ func (n *Network) ResetFeedback() {
 	}
 }
 
-// repointCache aliases pathCache to the active (policy, dead-set) epoch.
-func (n *Network) repointCache() {
-	key := cacheKey{policy: n.policy.Name(), sig: n.deadSig}
-	cache, ok := n.pathCaches[key]
-	if !ok {
-		cache = make(map[uint64][]routing.Path)
-		n.pathCaches[key] = cache
-	}
-	n.pathCache = cache
-}
-
 // SetLinkHealth applies a fault view to the fabric: each link's capacity
 // becomes baseCap · factor(link), links with factor ≤ 0 are dead and are
-// avoided by all subsequent route resolution, and the path cache is
-// switched to the epoch of the new dead-link set (capacity derating alone
-// never changes candidate paths, so epochs with the same dead set — in
-// particular, every fault view that kills nothing — share one cache).
+// avoided by all subsequent route resolution, and candidate lookups switch
+// to the new dead-link set's entries (capacity derating alone never
+// changes candidate paths, so epochs with the same dead set — in
+// particular, every fault view that kills nothing — share entries).
 // Pass nil to restore the fault-free machine. The caller re-resolves
 // routes after changing health; stale RoutedFlows remain usable but their
 // traffic across dead links is priced at effectively infinite congestion
@@ -370,14 +332,14 @@ func (n *Network) SetLinkHealth(factor func(topology.LinkID) float64) {
 	n.setEpoch(sig)
 }
 
-// setEpoch switches the dead-link cache epoch (no-op if unchanged).
+// setEpoch switches candidate lookups to the dead-link set with
+// signature sig (no-op if unchanged).
 func (n *Network) setEpoch(sig uint64) {
 	if sig == n.deadSig {
 		return
 	}
 	n.tmCacheInval.Add(1)
 	n.deadSig = sig
-	n.repointCache()
 }
 
 // Topology returns the machine being simulated.
@@ -397,29 +359,17 @@ func pairKey(a, b topology.RouterID) uint64 {
 // seed and the pair — never on which pairs were resolved before it. This
 // is what lets runs be simulated in any order (or sharded across workers,
 // each with an identically-seeded Network) with bit-identical results:
-// a cache hit — local or shared — and a recomputation always return the
+// a cache hit — own or shared — and a recomputation always return the
 // same paths.
 func (n *Network) candidates(a, b topology.RouterID) []routing.Path {
 	key := pairKey(a, b)
-	if p, ok := n.pathCache[key]; ok {
+	if p, ok := n.paths.lookup(n.deadSig, key); ok {
 		n.tmCacheHits.Add(1)
-		return p
-	}
-	if n.shared != nil {
-		ck := cacheKey{policy: n.policy.Name(), sig: n.deadSig}
-		if p, ok := n.shared.lookup(ck, key); ok {
-			n.pathCache[key] = p
-			return p
-		}
-		n.tmCacheMisses.Add(1)
-		p := n.policy.Candidates(n.eng, a, b, n.s.Split(fmt.Sprintf("pair-%d-%d", a, b)))
-		n.pathCache[key] = p
-		n.shared.store(ck, key, p)
 		return p
 	}
 	n.tmCacheMisses.Add(1)
 	p := n.policy.Candidates(n.eng, a, b, n.s.Split(fmt.Sprintf("pair-%d-%d", a, b)))
-	n.pathCache[key] = p
+	n.paths.store(n.deadSig, key, p)
 	return p
 }
 
@@ -470,7 +420,9 @@ func (n *Network) touchRouter(r topology.RouterID) {
 
 // RoutedFlows holds the resolved routing candidate sets for a fixed list
 // of flows. An application's router-pair list does not change across time
-// steps, so callers resolve once per run and reuse.
+// steps, so callers resolve once per run and reuse. Every round over the
+// same RoutedFlows returns its slowdowns in one buffer, overwriting the
+// previous round's: consume a Result before the next round, or copy it.
 //
 // The candidate sets are flattened into one arena — links/pathEnd/hops/
 // minimal, flow- then path-major — so the round loop walks dense slices
@@ -490,11 +442,10 @@ type RoutedFlows struct {
 	weights []float64 // split weight per path
 
 	// static records that weights was precomputed at resolve time (the
-	// resolving policy's split is load-independent); policy is the name of
-	// the policy the flows were resolved under, so a SetPolicy switch
-	// after Resolve falls back to per-round splits like it always did.
+	// network's policy splits independently of load)
 	static bool
-	policy string
+	// slowdown is every round's Result.Slowdown, one entry per flow
+	slowdown []float64
 
 	// fgLinks caches the first-touch-ordered, deduplicated link list of
 	// the active (Src≠Dst, Flits>0) flows — the per-round "mark foreground
@@ -509,8 +460,8 @@ type RoutedFlows struct {
 // arena layout. healthy selects ResolveHealthy's partition check.
 func (n *Network) buildRouted(flows []Flow, healthy bool) (*RoutedFlows, error) {
 	r := &RoutedFlows{
-		flowEnd: make([]int32, len(flows)),
-		policy:  n.policy.Name(),
+		flowEnd:  make([]int32, len(flows)),
+		slowdown: make([]float64, len(flows)),
 	}
 	resolved := make([][]routing.Path, len(flows))
 	nPaths := 0
@@ -619,25 +570,20 @@ func (n *Network) refreshForeground(r *RoutedFlows, flows []Flow) {
 	r.fgBuilt = true
 }
 
-// ReuseSlowdowns controls whether RunRound results share one Slowdown
-// buffer across rounds. Off (the default) every round allocates a fresh
-// slice, so callers may retain results; on, each round overwrites the
-// previous round's slice — the campaign workers and benchmarks, which
-// consume a result before the next round, turn it on to keep the round
-// loop allocation-free.
-func (n *Network) ReuseSlowdowns(on bool) { n.reuseSlow = on }
-
 // RunRound simulates `duration` seconds of traffic: the adaptively routed
 // foreground flows plus any number of precomputed background footprints
 // (production jobs whose routing was fixed at placement). Returns the
 // per-flow slowdowns of the foreground flows; counters for all traffic
-// accumulate into n.Board.
+// accumulate into n.Board. It resolves the flows on every call, so each
+// result owns its Slowdown slice.
 func (n *Network) RunRound(flows []Flow, background []ScaledLoad, duration float64) Result {
 	return n.RunRoundRouted(flows, n.Resolve(flows), background, duration)
 }
 
 // RunRoundRouted is RunRound with pre-resolved foreground routes; flows
-// must match the list the routes were resolved for pair by pair.
+// must match the list the routes were resolved for pair by pair. The
+// result's Slowdown is the routes' buffer, overwritten by the next round
+// over the same routes, so a warm round allocates nothing.
 func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background []ScaledLoad, duration float64) Result {
 	if duration <= 0 {
 		duration = 1
@@ -690,15 +636,7 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 	// Final settle: one pass over the active links computes the round's
 	// utilizations and the max/mean summary; the mean sums in activeLinks
 	// order.
-	var res Result
-	if n.reuseSlow {
-		if cap(n.slowScratch) < len(flows) {
-			n.slowScratch = make([]float64, len(flows))
-		}
-		res.Slowdown = n.slowScratch[:len(flows)]
-	} else {
-		res.Slowdown = make([]float64, len(flows))
-	}
+	res := Result{Slowdown: routed.slowdown}
 	linkLoad, linkCap := n.linkLoad, n.linkCap
 	util := n.prevLoad // final per-link utilization
 	var utilSum float64
@@ -797,10 +735,8 @@ func (n *Network) relax(flows []Flow, routed *RoutedFlows, anyBG bool, invDur fl
 		rounds = 1
 	}
 	// static weights cannot react to load, so every relaxation iteration
-	// reproduces the same link loads — one pass is bit-identical to many.
-	// routed.static only counts when the flows were resolved (and their
-	// weights precomputed) under the policy that's still active.
-	static := routed.static && routed.policy == n.policy.Name()
+	// reproduces the same link loads — one pass is bit-identical to many
+	static := routed.static
 	if static {
 		rounds = 1
 	}
@@ -1032,17 +968,4 @@ func (n *Network) accumulateEndpointCounters(flows []Flow, duration float64) {
 		// Table II: PT_PKT_TOT is derived as PT_RB_STL_RQ + PT_RB_STL_RS.
 		rc[counters.PTPktTot] += stallRq + stallRs
 	}
-}
-
-// ResetCache drops every locally cached candidate path across all policies
-// and epochs (the shared second-level cache, if attached, is untouched —
-// it never goes stale: entries are keyed by the dead-set epoch they were
-// resolved under). Call between campaigns if memory is a concern — the
-// caches grow with the number of distinct router pairs seen.
-func (n *Network) ResetCache() {
-	n.tmCacheInval.Add(1)
-	for key := range n.pathCaches {
-		delete(n.pathCaches, key)
-	}
-	n.repointCache()
 }

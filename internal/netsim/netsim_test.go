@@ -255,19 +255,6 @@ func TestZeroDurationDefaults(t *testing.T) {
 	}
 }
 
-func TestResetCache(t *testing.T) {
-	n := newNet(t, DefaultConfig())
-	d := n.Topology()
-	n.RunRound([]Flow{{Src: d.RouterAt(0, 0, 1), Dst: d.RouterAt(1, 0, 1), Flits: 1e6, Packets: 10, RequestFraction: 1}}, nil, 1)
-	if len(n.pathCache) == 0 {
-		t.Fatal("cache should be populated after a round")
-	}
-	n.ResetCache()
-	if len(n.pathCache) != 0 {
-		t.Fatal("ResetCache should empty the cache")
-	}
-}
-
 func TestFarTrafficDoesNotStallLocalCounters(t *testing.T) {
 	// A job in groups 7..8 should see (almost) no counter activity from
 	// traffic contained in groups 0..1: that is what makes per-job counter

@@ -6,58 +6,52 @@ import (
 	"dragonvar/internal/routing"
 )
 
-// cacheKey identifies one path-cache epoch: a routing policy under one
-// dead-link signature. Candidate paths are a pure function of (network
-// seed, router pair, policy, dead-link set) — capacity derating without
-// death never changes candidates (only dead links are avoided during
-// resolution) — so caching per (policy, signature) makes fault-epoch
-// invalidation edge-scoped: a health change that kills no links keeps the
-// clean cache, and returning to a previously seen dead set reuses every
-// path resolved under it.
-type cacheKey struct {
-	policy string
-	sig    uint64 // deadSig of the fabric the paths were resolved under
-}
-
-// PathCache is a shared, concurrency-safe second-level candidate-path
-// cache. Identically seeded Networks over the same machine and config (the
-// campaign's per-worker simulators) compute byte-identical candidate sets
-// for every (policy, dead-set, pair), so they can pool resolutions: each
-// worker keeps its lock-free first-level map and falls back to the shared
-// cache before paying for a recomputation (path sampling seeds a dedicated
-// RNG stream per pair — the dominant cost of a miss).
+// PathCache is a concurrency-safe candidate-path cache: flows between the
+// same router pair recur every step, and path sampling (which seeds a
+// dedicated RNG stream per pair) is the dominant cost of resolving one.
+// Every Network holds one — its own from New, or one SharePathCache
+// attaches in its place.
+//
+// Entries are keyed by dead-link set, then router pair. Candidate paths
+// are a pure function of (network seed, Config, router pair, dead-link
+// set) — capacity derating without death never changes candidates (only
+// dead links are avoided during resolution) — so keying by the dead set
+// makes fault-epoch invalidation edge-scoped: a health change that kills
+// no links keeps the clean entries, and returning to a previously seen
+// dead set reuses every path resolved under it.
 //
 // Sharing is only sound between Networks whose candidate resolution is
 // bit-identical: same topology, same Config, and an RNG stream split from
-// the same seed with the same label. Entries are immutable once stored and
-// first-write-wins; since every writer stores the same value, the winner
-// is irrelevant and determinism is preserved.
+// the same seed with the same label (the campaign's per-worker
+// simulators). Entries are immutable once stored and first-write-wins;
+// since every writer stores the same value, the winner is irrelevant and
+// determinism is preserved.
 type PathCache struct {
 	mu sync.RWMutex
-	m  map[cacheKey]map[uint64][]routing.Path
+	m  map[uint64]map[uint64][]routing.Path // dead-set signature → pair → paths
 }
 
-// NewPathCache creates an empty shared path cache.
+// NewPathCache creates an empty path cache.
 func NewPathCache() *PathCache {
-	return &PathCache{m: make(map[cacheKey]map[uint64][]routing.Path)}
+	return &PathCache{m: make(map[uint64]map[uint64][]routing.Path)}
 }
 
-// lookup returns the cached candidate set for a pair under the given
-// epoch, or nil.
-func (c *PathCache) lookup(k cacheKey, pair uint64) ([]routing.Path, bool) {
+// lookup returns the cached candidate set for a pair under the dead-link
+// set with signature sig.
+func (c *PathCache) lookup(sig, pair uint64) ([]routing.Path, bool) {
 	c.mu.RLock()
-	p, ok := c.m[k][pair]
+	p, ok := c.m[sig][pair]
 	c.mu.RUnlock()
 	return p, ok
 }
 
 // store publishes a resolved candidate set; the first writer wins.
-func (c *PathCache) store(k cacheKey, pair uint64, paths []routing.Path) {
+func (c *PathCache) store(sig, pair uint64, paths []routing.Path) {
 	c.mu.Lock()
-	epoch, ok := c.m[k]
+	epoch, ok := c.m[sig]
 	if !ok {
 		epoch = make(map[uint64][]routing.Path)
-		c.m[k] = epoch
+		c.m[sig] = epoch
 	}
 	if _, ok := epoch[pair]; !ok {
 		epoch[pair] = paths

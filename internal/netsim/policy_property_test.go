@@ -66,40 +66,6 @@ func TestPropertyNoPolicyRoutesDeadLinks(t *testing.T) {
 	}
 }
 
-// TestPolicyCachesAreIsolated: switching policies never serves another
-// policy's cached candidate set, and ResetCache clears all of them.
-func TestPolicyCachesAreIsolated(t *testing.T) {
-	d, err := topology.New(topology.Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Routing = "adaptive"
-	n := New(d, cfg, rng.New(5))
-	a, b := topology.RouterID(0), topology.RouterID(20)
-
-	adaptive := n.candidates(a, b)
-	if err := n.SetPolicy("minimal"); err != nil {
-		t.Fatal(err)
-	}
-	minimal := n.candidates(a, b)
-	if len(minimal) >= len(adaptive) {
-		t.Fatalf("minimal candidate set (%d) not smaller than adaptive (%d) — cache crosstalk?",
-			len(minimal), len(adaptive))
-	}
-	if err := n.SetPolicy("adaptive"); err != nil {
-		t.Fatal(err)
-	}
-	again := n.candidates(a, b)
-	if len(again) != len(adaptive) {
-		t.Fatalf("adaptive candidates changed across a policy round-trip: %d != %d", len(again), len(adaptive))
-	}
-	n.ResetCache()
-	if len(n.pathCaches[cacheKey{policy: "adaptive"}]) != 0 || len(n.pathCaches[cacheKey{policy: "minimal"}]) != 0 {
-		t.Fatal("ResetCache left stale per-policy entries")
-	}
-}
-
 // TestFeedbackPolicyDeterministicAcrossNetworks: two identically-seeded
 // networks under the feedback policy, fed identical rounds, produce
 // identical split weights — the per-network stall tracker keeps the

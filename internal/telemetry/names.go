@@ -12,9 +12,9 @@ const (
 	MEngineShardRun = "engine/shard_run_seconds" // histogram: per-shard fn wall time
 
 	// internal/netsim — the flow-level congestion simulator.
-	MNetsimCacheHits   = "netsim/path_cache_hits"          // counter: candidate-path cache hits (local, per-network)
-	MNetsimCacheMisses = "netsim/path_cache_misses"        // counter: candidate-path recomputations
-	MNetsimCacheInval  = "netsim/path_cache_invalidations" // counter: cache-epoch switches (dead-set changes, ResetCache)
+	MNetsimCacheHits   = "netsim/path_cache_hits"          // counter: candidate-path lookups the path cache answered (own or shared entries)
+	MNetsimCacheMisses = "netsim/path_cache_misses"        // counter: candidate-path recomputations; hits + misses = lookups
+	MNetsimCacheInval  = "netsim/path_cache_invalidations" // counter: dead-link-set switches
 	MNetsimRounds      = "netsim/rounds_total"             // counter: simulation rounds run
 	MNetsimRoundFlits  = "netsim/round_flits"              // histogram: offered flits per round
 
