@@ -3,6 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -315,6 +318,11 @@ func TestRecordLDMS(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("samples = %d, want 10", n)
 	}
+	// the trace bytes, recorded before the replay's background set was
+	// shared with the campaign's; never regenerate
+	if got, want := hash8(buf.Bytes()), "ccef57377a736561"; got != want {
+		t.Fatalf("trace hash = %s, want %s", got, want)
+	}
 	times, samples, err := traceio.ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -369,6 +377,21 @@ func TestPlacementWhatIf(t *testing.T) {
 	if w.CompactSpeedup() <= 0 {
 		t.Fatalf("speedup = %v", w.CompactSpeedup())
 	}
+	// both runs' JSON content, recorded before SimulateAt's placement search
+	// was shared with the campaign's; never regenerate
+	blob, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hash8(blob), "8a8c81cf140f5d85"; got != want {
+		t.Fatalf("what-if content hash = %s, want %s", got, want)
+	}
+}
+
+// hash8 is the first eight bytes of b's SHA-256, in hex.
+func hash8(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
 }
 
 func TestSimulateAtStepOverride(t *testing.T) {

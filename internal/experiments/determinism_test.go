@@ -41,10 +41,12 @@ func TestArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
 
 // TestAllMatchesSerialRender checks the concurrent suite runner: All must
 // return the same artifacts, in input order, as rendering one at a time.
+// Figures 2 and 12 read the shared cluster (Figure 12 re-simulates on it),
+// so under -race this also checks that they render concurrently.
 func TestAllMatchesSerialRender(t *testing.T) {
 	s := *testSuite(t)
 	s.Workers = 4
-	names := []string{"table1", "fig1", "fig3", "table3"}
+	names := []string{"table1", "fig1", "fig2", "fig3", "table3", "fig12"}
 
 	outs, err := s.All(context.Background(), names)
 	if err != nil {
