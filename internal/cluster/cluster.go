@@ -8,10 +8,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -368,6 +370,9 @@ type plan struct {
 	// requeues counts how often this submission lost its nodes to a fault
 	// and was resubmitted
 	requeues int
+	// evicted are the background jobs a reservation sent elsewhere for
+	// this run (SimulateAt's last resort); nil for every campaign run
+	evicted map[*slurm.Job]bool
 }
 
 // planPattern returns the plan's traffic pattern, building and caching it
@@ -667,35 +672,106 @@ func (c *Cluster) schedule() ([]*plan, error) {
 	return placed, nil
 }
 
-// place allocates nodes for one controlled run, avoiding background jobs,
-// other controlled runs, Haswell nodes, and currently drained nodes. When
-// the machine is full the submission waits in the queue and retries; false
-// means it gave up (or ran off the end of the campaign). Sets p.nodes.
+// place allocates nodes for one controlled run with the campaign's
+// placement policy, avoiding background jobs, other controlled runs,
+// Haswell nodes, and currently drained nodes. When the machine is full the
+// submission waits in the queue and retries; false means it gave up (or ran
+// off the end of the campaign). Sets p.nodes.
 func (c *Cluster) place(p *plan, plans []*plan, self int, s *rng.Stream) bool {
+	if !c.queueSearch(p, plans, self, 6, 0.05, 0.95, c.Timeline.Horizon(), c.placer, s) {
+		return false
+	}
+	c.tm.placements.Add(1)
+	return true
+}
+
+// coRunners is who shares a run's window.
+type coRunners struct {
+	bg  []*slurm.Job // background jobs, in start order
+	own []*plan      // our other placed runs, in plan order
+}
+
+// coRunners decides who shares the window [t0, t1) with plans[self] (self
+// is -1 for a run outside plans): the background jobs overlapping it,
+// except those in evicted, and every other placed plan whose estimated
+// window overlaps it. Placement, simulation, the neighbourhood record and
+// the LDMS replay all take their job lists from here.
+func (c *Cluster) coRunners(t0, t1 float64, plans []*plan, self int, evicted map[*slurm.Job]bool) coRunners {
+	bg := c.Timeline.Overlapping(t0, t1)
+	co := coRunners{bg: bg[:0]}
+	for _, j := range bg {
+		if !evicted[j] {
+			co.bg = append(co.bg, j)
+		}
+	}
+	for i, q := range plans {
+		if i != self && q.nodes != nil && q.start < t1 && q.estEnd > t0 {
+			co.own = append(co.own, q)
+		}
+	}
+	return co
+}
+
+// nodes returns the set of nodes the co-runners hold.
+func (co coRunners) nodes(topo *topology.Dragonfly) *topology.NodeSet {
+	set := topology.NewNodeSet(topo)
+	for _, j := range co.bg {
+		for _, n := range j.Nodes {
+			set.Add(n)
+		}
+	}
+	for _, q := range co.own {
+		for _, n := range q.nodes {
+			set.Add(n)
+		}
+	}
+	return set
+}
+
+// loadsAt appends the co-runners' loads over [t, t+dur) to dst: each
+// active background job at its current intensity, each active run of ours
+// at its unit footprint.
+func (co coRunners) loadsAt(dst []netsim.ScaledLoad, t, dur float64) []netsim.ScaledLoad {
+	for _, j := range co.bg {
+		if j.Overlaps(t, t+dur) {
+			if sl := j.ScaledLoadAt(t, dur); sl.Scale > 0 {
+				dst = append(dst, sl)
+			}
+		}
+	}
+	for _, q := range co.own {
+		// a run whose pattern failed to build has no footprint
+		if q.footprint != nil && q.start < t+dur && q.estEnd > t {
+			dst = append(dst, netsim.ScaledLoad{Set: q.footprint, Scale: dur})
+		}
+	}
+	return dst
+}
+
+// queueSearch places p the way the queue places a production submission.
+// Each try marks busy every node of p's co-runners, the Haswell nodes and
+// the nodes drained at submission, draws a compactness in [lo, hi) and
+// asks pol for nodes on a copy of the empty machine's allocator; a miss
+// waits Uniform(1800, 7200) s and tries again. The search gives up after
+// tries misses, or once p's window would end past horizon. Sets p.nodes
+// (nil when no try fit).
+func (c *Cluster) queueSearch(p *plan, plans []*plan, self, tries int, lo, hi, horizon float64, pol slurm.PlacementPolicy, s *rng.Stream) bool {
 	est := p.estEnd - p.start
-	for try := 0; try < 6; try++ {
-		if p.estEnd > c.Timeline.Horizon() {
+	for try := 0; try < tries; try++ {
+		if p.estEnd > horizon {
 			return false
 		}
-		busy := c.Timeline.BusyNodesAt(p.start, p.estEnd)
+		co := c.coRunners(p.start, p.estEnd, plans, self, p.evicted)
+		busy := co.nodes(c.Topo)
 		// our jobs run on KNL nodes only (§II-A)
 		busy.Union(c.haswell)
 		// the scheduler sees the drain list at submission time but cannot
 		// foresee future drains — those still kill runs mid-flight
 		busy.Union(c.Faults.DrainedNodes(p.start))
-		for j, q := range plans {
-			if j != self && q.nodes != nil && q.start < p.estEnd && q.estEnd > p.start {
-				for _, n := range q.nodes {
-					busy.Add(n)
-				}
-			}
-		}
 		alloc := c.allocTmpl.Clone()
-		compact := s.Uniform(0.05, 0.95)
-		advise := func() *slurm.PlacementAdvice { return c.placementAdvice(p, plans, self) }
-		p.nodes = c.placer.Place(alloc, p.model.Nodes, compact, busy, advise, s)
-		if p.nodes != nil {
-			c.tm.placements.Add(1)
+		compact := s.Uniform(lo, hi)
+		advise := func() *slurm.PlacementAdvice { return c.placementAdvice(co) }
+		if p.nodes = pol.Place(alloc, p.model.Nodes, compact, busy, advise, s); p.nodes != nil {
 			return true
 		}
 		p.start += s.Uniform(1800, 7200)
@@ -706,12 +782,12 @@ func (c *Cluster) place(p *plan, plans []*plan, self int, s *rng.Stream) bool {
 
 // placementAdvice builds the deterministic congestion view the
 // interference-aware placement policy consults: expected per-group load
-// over the plan's window from the background timeline (advisor-blamed
-// users' jobs weigh double) plus our own overlapping runs' footprints,
+// over a window from its co-runners — the background jobs (advisor-blamed
+// users' jobs weigh double) plus our own overlapping runs' footprints —
 // with the monitor's cross-sectional hot-spot criterion flagging outlier
 // groups. Everything derives from schedule state — the live monitor feed
 // is observation-only by contract and is never read here.
-func (c *Cluster) placementAdvice(p *plan, plans []*plan, self int) *slurm.PlacementAdvice {
+func (c *Cluster) placementAdvice(co coRunners) *slurm.PlacementAdvice {
 	adv := &slurm.PlacementAdvice{GroupLoad: make([]float64, c.Topo.Cfg.Groups)}
 	addSet := func(set *netsim.LoadSet, w float64) {
 		if set == nil {
@@ -721,7 +797,7 @@ func (c *Cluster) placementAdvice(p *plan, plans []*plan, self int) *slurm.Place
 			adv.GroupLoad[c.Topo.Group(r)] += (set.InjFlits[i] + set.EjFlits[i]) * w
 		}
 	}
-	for _, j := range c.Timeline.Overlapping(p.start, p.estEnd) {
+	for _, j := range co.bg {
 		w := 1.0
 		if c.blamed[j.User.Name()] {
 			w = 2
@@ -729,10 +805,8 @@ func (c *Cluster) placementAdvice(p *plan, plans []*plan, self int) *slurm.Place
 		}
 		addSet(j.Load, w)
 	}
-	for i, q := range plans {
-		if i != self && q.nodes != nil && q.start < p.estEnd && q.estEnd > p.start {
-			addSet(c.footprint(q), 1)
-		}
+	for _, q := range co.own {
+		addSet(c.footprint(q), 1)
 	}
 	// hotZ 1.5: with ~10 groups a full 3-sigma outlier (the monitor's
 	// per-router default) almost never appears in a cross-section this
@@ -825,15 +899,8 @@ func (w *simWorker) simulate(p *plan, plans []*plan, self int) (*dataset.Run, er
 	}
 	ioRouters := c.Topo.IORouters()
 
-	// background candidates for the whole run window
-	bgJobs := c.Timeline.Overlapping(p.start, p.estEnd)
-	var ownBg []*plan
-	for j, q := range plans {
-		if j != self && q.nodes != nil && q.footprint != nil &&
-			q.start < p.estEnd && q.estEnd > p.start {
-			ownBg = append(ownBg, q)
-		}
-	}
+	// who shares the run's (estimated) window
+	co := c.coRunners(p.start, p.estEnd, plans, self, p.evicted)
 
 	noise := runStream.Split("counter-noise")
 	t := p.start
@@ -866,20 +933,7 @@ func (w *simWorker) simulate(p *plan, plans []*plan, self int) (*dataset.Run, er
 		}
 		flows = inst.StepFlows(step, flows[:0])
 
-		scaled = scaled[:0]
-		for _, j := range bgJobs {
-			if j.Overlaps(t, t+dur) {
-				if sl := j.ScaledLoadAt(t, dur); sl.Scale > 0 {
-					scaled = append(scaled, sl)
-				}
-			}
-		}
-		for _, q := range ownBg {
-			if q.start < t+dur && q.estEnd > t {
-				scaled = append(scaled, netsim.ScaledLoad{Set: q.footprint, Scale: dur})
-			}
-		}
-
+		scaled = co.loadsAt(scaled[:0], t, dur)
 		w.net.Board.SnapshotInto(before)
 		res := w.net.RunRoundRouted(flows, routed, scaled, dur)
 
@@ -952,22 +1006,18 @@ func (w *simWorker) simulate(p *plan, plans []*plan, self int) (*dataset.Run, er
 // neighbors lists every user with a job overlapping the run's actual
 // execution window, with the largest overlapping job size.
 func (c *Cluster) neighbors(p *plan, plans []*plan, self int, end float64) []dataset.NeighborJob {
+	co := c.coRunners(p.start, end, plans, self, p.evicted)
 	maxNodes := map[string]int{}
-	for _, j := range c.Timeline.Overlapping(p.start, end) {
+	for _, j := range co.bg {
 		name := j.User.Name()
 		if len(j.Nodes) > maxNodes[name] {
 			maxNodes[name] = len(j.Nodes)
 		}
 	}
 	selfName := fmt.Sprintf("User-%d", slurm.SelfUserID)
-	for j, q := range plans {
-		if j == self || q.nodes == nil {
-			continue
-		}
-		if q.start < end && q.estEnd > p.start {
-			if len(q.nodes) > maxNodes[selfName] {
-				maxNodes[selfName] = len(q.nodes)
-			}
+	for _, q := range co.own {
+		if len(q.nodes) > maxNodes[selfName] {
+			maxNodes[selfName] = len(q.nodes)
 		}
 	}
 	var names []string
@@ -987,33 +1037,70 @@ func (c *Cluster) neighbors(p *plan, plans []*plan, self int, end float64) []dat
 // starting at or near the given campaign time. compactLo/compactHi bound
 // the allocation compactness drawn for the placement. When the machine is
 // full, the job waits in the queue and retries, like any production
-// submission.
+// submission; when 64 tries find no room, it runs at the requested start on
+// a reservation (see reserve), which ignores the compactness bounds.
 func (c *Cluster) SimulateAt(model *apps.Model, steps int, start, compactLo, compactHi float64, seed int64) (*dataset.Run, error) {
 	job := *model
 	if steps > 0 {
 		job.Steps = steps
 	}
 	p := &plan{model: &job, start: start, estEnd: start + job.TotalBaseTime()*1.8}
-	s := rng.New(seed)
-	est := p.estEnd - p.start
-	for try := 0; try < 64 && p.nodes == nil; try++ {
-		busy := c.Timeline.BusyNodesAt(p.start, p.estEnd)
-		busy.Union(c.haswell)
-		busy.Union(c.Faults.DrainedNodes(p.start)) // as place does
-		alloc := c.allocTmpl.Clone()
-		p.nodes = alloc.AllocAvoiding(job.Nodes, s.Uniform(compactLo, compactHi), busy, s)
-		if p.nodes == nil {
-			// queue wait, like any production submission
-			p.start += s.Uniform(1800, 7200)
-			p.estEnd = p.start + est
+	asked := *p
+	if !c.queueSearch(p, nil, -1, 64, compactLo, compactHi, math.Inf(1), slurm.FirstFit, rng.New(seed)) {
+		p = &asked
+		if !c.reserve(p) {
+			return nil, fmt.Errorf("cluster: no room for %s near t=%v", job.Name(), start)
 		}
-	}
-	if p.nodes == nil {
-		return nil, fmt.Errorf("cluster: no room for %s near t=%v", job.Name(), start)
 	}
 	// a fresh worker context keeps one-off simulations independent of (and
 	// safe to run concurrently with) any other simulation on this cluster
 	return c.newSimWorker().simulate(p, nil, -1)
+}
+
+// reserve places p the way a Slurm reservation would: on the
+// p.model.Nodes KNL nodes, not drained at p.start, that background jobs
+// hold for the least time during p's window (ties by ascending node ID).
+// The background jobs holding any of those nodes in the window are evicted
+// from p's co-runners only, as if the reservation had sent them elsewhere;
+// the timeline itself is never changed, so concurrent simulations on the
+// cluster see it intact. False means too few KNL nodes are undrained.
+func (c *Cluster) reserve(p *plan) bool {
+	bg := c.coRunners(p.start, p.estEnd, nil, -1, nil).bg
+	held := make([]float64, c.Topo.Cfg.NumNodes())
+	for _, j := range bg {
+		d := math.Min(j.End, p.estEnd) - math.Max(j.Start, p.start)
+		for _, n := range j.Nodes {
+			held[n] += d
+		}
+	}
+	drained := c.Faults.DrainedNodes(p.start)
+	var free []topology.NodeID
+	for _, n := range c.Topo.ComputeNodes(topology.KNL) {
+		if !drained.Has(n) {
+			free = append(free, n)
+		}
+	}
+	if len(free) < p.model.Nodes {
+		return false
+	}
+	// free is in ascending node order, which the stable sort keeps for ties
+	slices.SortStableFunc(free, func(a, b topology.NodeID) int { return cmp.Compare(held[a], held[b]) })
+	p.nodes = free[:p.model.Nodes]
+	slices.Sort(p.nodes)
+	mine := topology.NewNodeSet(c.Topo)
+	for _, n := range p.nodes {
+		mine.Add(n)
+	}
+	p.evicted = map[*slurm.Job]bool{}
+	for _, j := range bg {
+		for _, n := range j.Nodes {
+			if mine.Has(n) {
+				p.evicted[j] = true
+				break
+			}
+		}
+	}
+	return true
 }
 
 // SimulateLongRun simulates a single long-running job of the given model

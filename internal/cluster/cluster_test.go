@@ -14,6 +14,7 @@ import (
 	"dragonvar/internal/apps"
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/netsim"
+	"dragonvar/internal/slurm"
 	"dragonvar/internal/topology"
 	"dragonvar/internal/traceio"
 )
@@ -431,5 +432,138 @@ func TestSimulateAtAvoidsDrainedNodes(t *testing.T) {
 	}
 	if run.Start < 5000 {
 		t.Fatalf("run started at t=%v, inside the machine-wide drain [3000, 5000)", run.Start)
+	}
+}
+
+// TestCoRunnersBusyNodes: a window's co-runners are the background jobs
+// overlapping it and every other placed plan overlapping it; their busy
+// set holds each of their nodes exactly once (no two of them share a node),
+// and an evicted job drops out of both.
+func TestCoRunnersBusyNodes(t *testing.T) {
+	c, err := New(tinyConfig(53))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := c.schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// the first plan that overlaps another (plans are in start order)
+	self := 0
+	for self+1 < len(plans) && plans[self+1].start >= plans[self].estEnd {
+		self++
+	}
+	if self+1 == len(plans) {
+		t.Fatal("no two plans overlap")
+	}
+	t0, t1 := plans[self].start, plans[self].estEnd
+	co := c.coRunners(t0, t1, plans, self, nil)
+	if want := c.Timeline.Overlapping(t0, t1); len(co.bg) != len(want) || len(want) == 0 {
+		t.Fatalf("%d background co-runners, want the %d overlapping jobs", len(co.bg), len(want))
+	}
+	var own []*plan
+	for i, q := range plans {
+		if i != self && q.start < t1 && q.estEnd > t0 {
+			own = append(own, q)
+		}
+	}
+	if len(co.own) != len(own) {
+		t.Fatalf("%d own co-runners, want %d", len(co.own), len(own))
+	}
+	for i := range own {
+		if co.own[i] != own[i] {
+			t.Fatalf("own co-runner %d differs", i)
+		}
+	}
+
+	busy := co.nodes(c.Topo)
+	count := 0
+	for _, j := range co.bg {
+		count += len(j.Nodes)
+		for _, n := range j.Nodes {
+			if !busy.Has(n) {
+				t.Fatalf("node %d of job %d missing from the busy set", n, j.ID)
+			}
+		}
+	}
+	for _, q := range co.own {
+		count += len(q.nodes)
+		for _, n := range q.nodes {
+			if !busy.Has(n) {
+				t.Fatalf("node %d of a placed run missing from the busy set", n)
+			}
+		}
+	}
+	if busy.Len() != count {
+		t.Fatalf("busy nodes %d != sum of co-runner nodes %d", busy.Len(), count)
+	}
+
+	gone := co.bg[0]
+	co = c.coRunners(t0, t1, plans, self, map[*slurm.Job]bool{gone: true})
+	for _, j := range co.bg {
+		if j == gone {
+			t.Fatal("evicted job still a co-runner")
+		}
+	}
+	if busy = co.nodes(c.Topo); busy.Has(gone.Nodes[0]) {
+		t.Fatalf("node %d of the evicted job still busy", gone.Nodes[0])
+	}
+}
+
+// TestSimulateLongRunReservation: on the small 30-day seed-42 machine the
+// background queue keeps the KNL partition full, so Figure 12's 620-step
+// MILC run finds no room in 64 queue tries. It then runs on a reservation
+// at the requested start, and the background jobs the reservation evicted
+// are no co-runners of it: the recorded neighbourhood is the one of the
+// remaining jobs.
+func TestSimulateLongRunReservation(t *testing.T) {
+	c, err := New(Config{Machine: topology.Small(), Days: 30, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	milc := apps.Find(apps.MILC, 128)
+	const start = 15 * 86400
+	run, err := c.SimulateLongRun(milc, 620, start, 42+620)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Steps() != 620 || run.Start != start {
+		t.Fatalf("%d steps from t=%v, want 620 from the requested start %v", run.Steps(), run.Start, float64(start))
+	}
+
+	// the reservation SimulateAt fell back to
+	job := *milc
+	job.Steps = 620
+	p := &plan{model: &job, start: start, estEnd: start + job.TotalBaseTime()*1.8}
+	if !c.reserve(p) {
+		t.Fatal("no reservation")
+	}
+	if len(p.evicted) == 0 {
+		t.Fatal("the reservation evicted no background job")
+	}
+	t.Logf("reservation evicted %d background jobs", len(p.evicted))
+
+	end := run.Start
+	for _, st := range run.StepTimes {
+		end += st
+	}
+	neighbours := func(evicted map[*slurm.Job]bool) map[string]int {
+		out := map[string]int{}
+		for _, j := range c.Timeline.Overlapping(run.Start, end) {
+			if !evicted[j] && len(j.Nodes) > out[j.User.Name()] {
+				out[j.User.Name()] = len(j.Nodes)
+			}
+		}
+		return out
+	}
+	got := map[string]int{}
+	for _, nb := range run.Neighbors {
+		got[nb.User] = nb.MaxNodes
+	}
+	if want := neighbours(p.evicted); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("neighbours %v, want those of the non-evicted jobs %v", got, want)
+	}
+	if all := neighbours(nil); fmt.Sprint(got) == fmt.Sprint(all) {
+		t.Fatal("evicting changed no neighbour; the check above cannot see an evicted job")
 	}
 }

@@ -61,7 +61,7 @@ func (c *Cluster) RecordLDMSCtx(ctx context.Context, w *traceio.Writer, t0, t1, 
 	}
 	havePrev := false
 
-	jobs := c.Timeline.Overlapping(t0, t1)
+	co := c.coRunners(t0, t1, nil, -1, nil)
 	var scaled []netsim.ScaledLoad
 	for t := t0; t < t1; t += interval {
 		if err := ctx.Err(); err != nil {
@@ -70,14 +70,7 @@ func (c *Cluster) RecordLDMSCtx(ctx context.Context, w *traceio.Writer, t0, t1, 
 			}
 			return samples, err
 		}
-		scaled = scaled[:0]
-		for _, j := range jobs {
-			if j.Overlaps(t, t+interval) {
-				if sl := j.ScaledLoadAt(t, interval); sl.Scale > 0 {
-					scaled = append(scaled, sl)
-				}
-			}
-		}
+		scaled = co.loadsAt(scaled[:0], t, interval)
 		c.applyFaultsAt(t)
 		c.Net.RunRound(nil, scaled, interval)
 		if c.Faults.DropoutAt(t) {

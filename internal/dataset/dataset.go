@@ -505,14 +505,6 @@ func KFoldSplits(n, k int, s *rng.Stream) []FoldSplit {
 	return out
 }
 
-// KFold partitions [0, n) into k shuffled folds; fold i is returned as
-// (test, train) index pairs via the callback.
-func KFold(n, k int, s *rng.Stream, fn func(fold int, train, test []int)) {
-	for f, sp := range KFoldSplits(n, k, s) {
-		fn(f, sp.Train, sp.Test)
-	}
-}
-
 // Campaign is the full experiment output: the six datasets plus campaign
 // metadata, as written to disk by the generator and consumed by every
 // analysis and benchmark.

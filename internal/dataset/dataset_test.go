@@ -216,7 +216,8 @@ func TestKFold(t *testing.T) {
 	n, k := 23, 5
 	seen := make([]int, n)
 	folds := 0
-	KFold(n, k, s, func(fold int, train, test []int) {
+	for fold, sp := range KFoldSplits(n, k, s) {
+		train, test := sp.Train, sp.Test
 		folds++
 		if len(train)+len(test) != n {
 			t.Fatalf("fold %d sizes %d+%d != %d", fold, len(train), len(test), n)
@@ -231,7 +232,7 @@ func TestKFold(t *testing.T) {
 				t.Fatal("index in both train and test")
 			}
 		}
-	})
+	}
 	if folds != k {
 		t.Fatalf("folds = %d", folds)
 	}
@@ -245,12 +246,12 @@ func TestKFold(t *testing.T) {
 func TestKFoldDegenerate(t *testing.T) {
 	s := rng.New(7)
 	count := 0
-	KFold(3, 10, s, func(fold int, train, test []int) {
+	for _, sp := range KFoldSplits(3, 10, s) {
 		count++
-		if len(test) != 1 {
-			t.Fatalf("k>n should reduce to leave-one-out, test = %v", test)
+		if len(sp.Test) != 1 {
+			t.Fatalf("k>n should reduce to leave-one-out, test = %v", sp.Test)
 		}
-	})
+	}
 	if count != 3 {
 		t.Fatalf("folds = %d", count)
 	}

@@ -97,40 +97,6 @@ func Relevance(w io.Writer, results []core.DeviationResult) error {
 	return cw.Error()
 }
 
-// Forecasts writes Figure 8/10 data: one row per (dataset, spec).
-func Forecasts(w io.Writer, results []core.ForecastResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "m", "k", "features", "mape_pct", "windows"}); err != nil {
-		return err
-	}
-	for _, res := range results {
-		if err := cw.Write([]string{
-			res.Dataset,
-			strconv.Itoa(res.Spec.M), strconv.Itoa(res.Spec.K),
-			res.Spec.Features.String(), f(res.MAPE), strconv.Itoa(res.Windows),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// Segments writes the Figure 12 series: one row per segment.
-func Segments(w io.Writer, segs []core.SegmentForecast) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"start_step", "observed_s", "predicted_s"}); err != nil {
-		return err
-	}
-	for _, sg := range segs {
-		if err := cw.Write([]string{strconv.Itoa(sg.StartStep), f(sg.Observed), f(sg.Predicted)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // CampaignToDir writes the whole campaign: per dataset a runs CSV and a
 // totals CSV in dir (created if needed).
 func CampaignToDir(camp *dataset.Campaign, dir string) error {

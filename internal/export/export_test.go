@@ -97,34 +97,6 @@ func TestRelevanceCSV(t *testing.T) {
 	}
 }
 
-func TestForecastsCSV(t *testing.T) {
-	res := []core.ForecastResult{{
-		Dataset: "X-128",
-		Spec:    core.ForecastSpec{M: 3, K: 5, Features: counters.FeatureSet{Placement: true}},
-		MAPE:    7.5, Windows: 42,
-	}}
-	var b strings.Builder
-	if err := Forecasts(&b, res); err != nil {
-		t.Fatal(err)
-	}
-	recs := parseCSV(t, b.String())
-	if recs[1][3] != "app + placement" || recs[1][5] != "42" {
-		t.Fatalf("recs = %v", recs)
-	}
-}
-
-func TestSegmentsCSV(t *testing.T) {
-	segs := []core.SegmentForecast{{StartStep: 30, Observed: 100, Predicted: 95}}
-	var b strings.Builder
-	if err := Segments(&b, segs); err != nil {
-		t.Fatal(err)
-	}
-	recs := parseCSV(t, b.String())
-	if recs[1][0] != "30" || recs[1][2] != "95" {
-		t.Fatalf("recs = %v", recs)
-	}
-}
-
 func TestCampaignToDir(t *testing.T) {
 	camp := &dataset.Campaign{Datasets: []*dataset.Dataset{sampleDataset()}}
 	dir := filepath.Join(t.TempDir(), "csv")

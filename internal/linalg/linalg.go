@@ -209,36 +209,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// ArgMax returns the index of the maximum element (first on ties); -1 for
-// an empty slice.
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the minimum element (first on ties); -1 for
-// an empty slice.
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Softmax writes the softmax of x into dst (allocated if nil) using the
 // max-subtraction trick for numerical stability.
 func Softmax(x, dst []float64) []float64 {

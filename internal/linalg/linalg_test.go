@@ -155,19 +155,6 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestArgMaxArgMin(t *testing.T) {
-	x := []float64{3, 1, 4, 1, 5}
-	if ArgMax(x) != 4 {
-		t.Fatalf("ArgMax = %d", ArgMax(x))
-	}
-	if ArgMin(x) != 1 {
-		t.Fatalf("ArgMin = %d", ArgMin(x))
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Fatal("empty slice should return -1")
-	}
-}
-
 func TestSoftmaxProperties(t *testing.T) {
 	x := []float64{1, 2, 3}
 	s := Softmax(x, nil)

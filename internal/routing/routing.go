@@ -13,15 +13,15 @@ package routing
 
 import (
 	"errors"
-	"fmt"
 
 	"dragonvar/internal/rng"
 	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
-// ErrPartitioned is returned (wrapped) by Route when no healthy path exists
-// between two routers, i.e. link failures have partitioned the fabric.
+// ErrPartitioned reports (wrapped) that no healthy path exists between two
+// routers, i.e. link failures have partitioned the fabric: Candidates
+// returns no path for such a pair.
 var ErrPartitioned = errors.New("routing: topology partitioned")
 
 // Path is a route between two routers as an ordered list of traversed
@@ -327,16 +327,6 @@ func (e *Engine) Candidates(a, b topology.RouterID, opt CandidateOptions, s *rng
 	}
 	e.tmSets.Add(1)
 	return paths
-}
-
-// Route returns the candidate set for a → b, or a wrapped ErrPartitioned
-// when link failures have disconnected the two routers.
-func (e *Engine) Route(a, b topology.RouterID, opt CandidateOptions, s *rng.Stream) ([]Path, error) {
-	paths := e.Candidates(a, b, opt, s)
-	if len(paths) == 0 && a != b {
-		return nil, fmt.Errorf("no healthy path from router %d to router %d: %w", a, b, ErrPartitioned)
-	}
-	return paths, nil
 }
 
 // bfsHealthy finds a shortest path over healthy links only, ignoring the

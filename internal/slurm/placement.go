@@ -63,7 +63,7 @@ func ValidPlacementPolicy(name string) bool {
 func NewPlacementPolicy(name string) (PlacementPolicy, error) {
 	switch name {
 	case "firstfit":
-		return firstFitPolicy{}, nil
+		return FirstFit, nil
 	case "compact":
 		return compactPolicy{}, nil
 	case "interference":
@@ -73,8 +73,11 @@ func NewPlacementPolicy(name string) (PlacementPolicy, error) {
 	}
 }
 
-// firstFitPolicy is the historical behavior: allocate with the scheduler's
-// drawn compactness, exactly as Allocator.AllocAvoiding always has.
+// FirstFit is the "firstfit" policy, the historical behavior: allocate with
+// the scheduler's drawn compactness, exactly as Allocator.AllocAvoiding
+// always has.
+var FirstFit PlacementPolicy = firstFitPolicy{}
+
 type firstFitPolicy struct{}
 
 func (firstFitPolicy) Name() string { return "firstfit" }

@@ -235,18 +235,6 @@ func (tl *Timeline) Requeues() int {
 	return n
 }
 
-// BusyNodesAt returns the set of nodes owned by background jobs running in
-// the window [t0, t1).
-func (tl *Timeline) BusyNodesAt(t0, t1 float64) *topology.NodeSet {
-	busy := topology.NewNodeSet(tl.Topo)
-	for _, j := range tl.Overlapping(t0, t1) {
-		for _, n := range j.Nodes {
-			busy.Add(n)
-		}
-	}
-	return busy
-}
-
 // PlacementFeatures derives the paper's placement features from an
 // allocation: NUM_ROUTERS is the number of distinct routers the nodes
 // attach to, NUM_GROUPS the number of distinct dragonfly groups.

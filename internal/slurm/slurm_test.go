@@ -355,26 +355,6 @@ func TestScaledLoadAt(t *testing.T) {
 	}
 }
 
-func TestBusyNodesAt(t *testing.T) {
-	_, tl := genTimeline(t, 2, 53)
-	mid := tl.Horizon() / 2
-	busy := tl.BusyNodesAt(mid, mid+1)
-	count := 0
-	for _, j := range tl.Overlapping(mid, mid+1) {
-		count += len(j.Nodes)
-	}
-	if busy.Len() != count {
-		t.Fatalf("busy nodes %d != sum of job nodes %d", busy.Len(), count)
-	}
-	for _, j := range tl.Overlapping(mid, mid+1) {
-		for _, n := range j.Nodes {
-			if !busy.Has(n) {
-				t.Fatalf("node %d of job %d missing from the busy set", n, j.ID)
-			}
-		}
-	}
-}
-
 func TestMachineReasonablyUtilized(t *testing.T) {
 	net, tl := genTimeline(t, 4, 59)
 	totalNodes := float64(net.Topology().Cfg.NumNodes())
@@ -382,7 +362,13 @@ func TestMachineReasonablyUtilized(t *testing.T) {
 	probes := 0
 	// skip the first day (ramp-up from an empty machine)
 	for probe := 86400.0; probe < tl.Horizon(); probe += 3600 {
-		sum += float64(tl.BusyNodesAt(probe, probe+1).Len()) / totalNodes
+		busy := topology.NewNodeSet(net.Topology())
+		for _, j := range tl.Overlapping(probe, probe+1) {
+			for _, n := range j.Nodes {
+				busy.Add(n)
+			}
+		}
+		sum += float64(busy.Len()) / totalNodes
 		probes++
 	}
 	mean := sum / float64(probes)

@@ -126,23 +126,6 @@ func MAPE(pred, obs []float64) float64 {
 	return 100 * s / float64(n)
 }
 
-// RMSE returns the root mean squared error between predictions and
-// observations.
-func RMSE(pred, obs []float64) float64 {
-	if len(pred) != len(obs) {
-		panic("stats: RMSE length mismatch")
-	}
-	if len(obs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range obs {
-		d := pred[i] - obs[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(obs)))
-}
-
 // Pearson returns the Pearson linear correlation coefficient between x and
 // y; 0 when either is constant.
 func Pearson(x, y []float64) float64 {
@@ -231,26 +214,3 @@ func (w *Welford) Variance() float64 {
 
 // Std returns the unbiased running standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// AutoCorr returns the lag-k sample autocorrelation of x (the standard
-// biased estimator). Background traffic autocorrelation is what makes
-// history-based forecasting possible, so the analyses check it explicitly.
-func AutoCorr(x []float64, lag int) float64 {
-	n := len(x)
-	if lag < 0 || lag >= n {
-		return 0
-	}
-	m := Mean(x)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := x[i] - m
-		den += d * d
-		if i+lag < n {
-			num += d * (x[i+lag] - m)
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}

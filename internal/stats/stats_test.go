@@ -111,12 +111,6 @@ func TestMAPEPerfectPrediction(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if RMSE([]float64{0, 0}, []float64{3, 4}) != math.Sqrt(12.5) {
-		t.Fatalf("RMSE = %v", RMSE([]float64{0, 0}, []float64{3, 4}))
-	}
-}
-
 func TestPearson(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{2, 4, 6, 8}
@@ -256,33 +250,5 @@ func TestEntropyBinaryExtremes(t *testing.T) {
 	h := EntropyBinary([]bool{true, false})
 	if math.Abs(h-math.Log(2)) > 1e-12 {
 		t.Fatalf("fair coin entropy = %v", h)
-	}
-}
-
-func TestAutoCorr(t *testing.T) {
-	// lag 0 is always 1 for non-constant series
-	x := []float64{1, 2, 3, 2, 1, 2, 3, 2}
-	if math.Abs(AutoCorr(x, 0)-1) > 1e-12 {
-		t.Fatalf("lag-0 autocorr = %v", AutoCorr(x, 0))
-	}
-	// a slow ramp is strongly autocorrelated at small lags
-	ramp := make([]float64, 100)
-	for i := range ramp {
-		ramp[i] = float64(i)
-	}
-	if AutoCorr(ramp, 1) < 0.9 {
-		t.Fatalf("ramp lag-1 autocorr = %v", AutoCorr(ramp, 1))
-	}
-	// alternating series is negatively correlated at lag 1
-	alt := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if AutoCorr(alt, 1) > -0.5 {
-		t.Fatalf("alternating lag-1 autocorr = %v", AutoCorr(alt, 1))
-	}
-	// edge cases
-	if AutoCorr(x, -1) != 0 || AutoCorr(x, len(x)) != 0 {
-		t.Fatal("out-of-range lag should give 0")
-	}
-	if AutoCorr([]float64{5, 5, 5}, 1) != 0 {
-		t.Fatal("constant series should give 0")
 	}
 }
