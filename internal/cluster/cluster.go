@@ -264,8 +264,7 @@ func New(cfg Config) (*Cluster, error) {
 	shared := netsim.NewPathCache()
 	net := netsim.New(topo, cfg.Net, root.Split("netsim"))
 	net.SharePathCache(shared)
-	tl := slurm.Generate(net, slurm.GenerateConfig{Days: cfg.Days, Users: cfg.Users, Faults: sched, Workers: cfg.Workers},
-		root.Split("timeline"))
+	tl := slurm.Generate(net, slurm.GenerateConfig{Days: cfg.Days, Users: cfg.Users, Faults: sched}, root.Split("timeline"))
 	haswell := topology.NewNodeSet(topo)
 	for _, n := range topo.ComputeNodes(topology.Haswell) {
 		haswell.Add(n)
@@ -803,7 +802,7 @@ func (c *Cluster) placementAdvice(co coRunners) *slurm.PlacementAdvice {
 			w = 2
 			adv.BlamedActive = true
 		}
-		addSet(j.Load, w)
+		addSet(j.Footprint(), w)
 	}
 	for _, q := range co.own {
 		addSet(c.footprint(q), 1)

@@ -8,6 +8,7 @@ import (
 
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/telemetry"
+	"dragonvar/internal/topology"
 )
 
 // campaignHash gob-encodes a campaign and hashes the bytes. Campaign holds
@@ -74,6 +75,12 @@ func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 	telemetry.Disable()
 	baseline := campaignHash(t, campaignAtWorkers(t, cfg, 1))
 
+	// the serial campaign again, recorded, for the work counters
+	serialReg := telemetry.New()
+	telemetry.Enable(serialReg)
+	campaignAtWorkers(t, cfg, 1)
+	telemetry.Disable()
+
 	r := telemetry.New()
 	telemetry.Enable(r)
 	defer telemetry.Disable()
@@ -82,10 +89,21 @@ func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 		t.Fatal("telemetry-on parallel campaign differs from telemetry-off serial campaign")
 	}
 
+	// work counters count work, not workers: the shared path cache
+	// resolves each entry once, and a footprint is built once per job
+	serial := serialReg.Snapshot()
 	snap := r.Snapshot()
 	for _, name := range []string{
+		telemetry.MNetsimRounds, telemetry.MNetsimCacheHits, telemetry.MNetsimCacheMisses,
+		telemetry.MRoutingCandidateSets, telemetry.MClusterRuns, telemetry.MSlurmFootprints,
+	} {
+		if got, want := snap.Counters[name], serial.Counters[name]; got != want {
+			t.Errorf("counter %s = %d at 4 workers, %d at 1", name, got, want)
+		}
+	}
+	for _, name := range []string{
 		telemetry.MEngineMaps, telemetry.MClusterRuns, telemetry.MClusterRounds,
-		telemetry.MNetsimCacheMisses, telemetry.MNetsimRounds,
+		telemetry.MNetsimCacheMisses, telemetry.MNetsimRounds, telemetry.MSlurmFootprints,
 	} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %s = 0; instrumentation not recording", name)
@@ -119,6 +137,38 @@ func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 	}
 	if !sawCampaign || !sawRound {
 		t.Errorf("missing spans: campaign=%v round=%v", sawCampaign, sawRound)
+	}
+}
+
+// TestFootprintsBuiltOnFirstRead pins how many background footprints the
+// anchored campaign (small machine, 30 days, seed 42, adaptive routing,
+// firstfit placement) builds: only the jobs that load a controlled run's
+// rounds are ever built, fewer than a fifth of the timeline, and the same
+// ones at any worker count. 492 jobs overlap a round; one of them starts
+// inside its only round and so never carries load.
+func TestFootprintsBuiltOnFirstRead(t *testing.T) {
+	cfg := Config{Machine: topology.Small(), Days: 30, Seed: 42}
+	cfg.Net.Routing = "adaptive"
+	defer telemetry.Disable()
+	for _, workers := range []int{1, 4} {
+		r := telemetry.New()
+		telemetry.Enable(r)
+		cfg.Workers = workers
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunCampaign(); err != nil {
+			t.Fatal(err)
+		}
+		telemetry.Disable()
+		built := r.Snapshot().Counters[telemetry.MSlurmFootprints]
+		if built != 491 {
+			t.Errorf("workers=%d: %d footprints built, want 491", workers, built)
+		}
+		if jobs := len(c.Timeline.Jobs); built*5 >= int64(jobs) {
+			t.Errorf("workers=%d: %d footprints built for %d background jobs, want under a fifth", workers, built, jobs)
+		}
 	}
 }
 

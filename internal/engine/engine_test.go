@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dragonvar/internal/rng"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -146,62 +144,6 @@ func TestMapOrderedResultsLandInShardOrder(t *testing.T) {
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
-// drain reads k values from a stream.
-func drain(s *rng.Stream, k int) []float64 {
-	out := make([]float64, k)
-	for i := range out {
-		out[i] = s.Float64()
-	}
-	return out
-}
-
-func TestShardsIndependentOfParentConsumption(t *testing.T) {
-	a := rng.New(99)
-	sa := Shards(a, "work", 4)
-
-	b := rng.New(99)
-	drain(b, 1000) // consuming the parent must not shift the derived streams
-	sb := Shards(b, "work", 4)
-
-	for i := range sa {
-		x, y := drain(sa[i], 16), drain(sb[i], 16)
-		for k := range x {
-			if x[k] != y[k] {
-				t.Fatalf("shard %d stream diverged at draw %d", i, k)
-			}
-		}
-	}
-}
-
-func TestMapSeededIdenticalAtEveryWorkerCount(t *testing.T) {
-	const n = 24
-	run := func(workers int) []float64 {
-		out := make([]float64, n)
-		err := MapSeeded(context.Background(), workers, n, rng.New(7), "shard",
-			func(_ context.Context, i int, s *rng.Stream) error {
-				v := 0.0
-				for k := 0; k < 100; k++ {
-					v += s.Float64()
-				}
-				out[i] = v
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	serial := run(1)
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
-		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: shard %d = %v, serial %v", workers, i, got[i], serial[i])
 			}
 		}
 	}

@@ -467,20 +467,6 @@ func (b *PatternBuilder) AddIrregular(m *RankMapper, fanout int, weight float64)
 	}
 }
 
-// AddUniform adds an all-to-all style uniform exchange over the job's
-// routers, each directed pair with equal weight. Used for background jobs
-// whose detailed pattern we do not model.
-func (b *PatternBuilder) AddUniform(m *RankMapper, weight float64) {
-	routers := m.Routers()
-	for _, a := range routers {
-		for _, c := range routers {
-			if a != c {
-				b.Add(a, c, weight, weight)
-			}
-		}
-	}
-}
-
 // AddIOTraffic adds flows from every job router to the machine's I/O
 // routers (checkpoint/filesystem traffic). Weight is split evenly over the
 // I/O routers.

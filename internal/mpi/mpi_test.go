@@ -284,17 +284,6 @@ func TestIrregularDeterministic(t *testing.T) {
 	}
 }
 
-func TestUniformAllPairs(t *testing.T) {
-	m := testMapper(t, 8, 4)
-	b := NewPatternBuilder()
-	b.AddUniform(m, 1)
-	routers := m.Routers()
-	want := len(routers) * (len(routers) - 1)
-	if got := b.Build().NumPairs(); got != want {
-		t.Fatalf("uniform pairs = %d, want %d", got, want)
-	}
-}
-
 func TestIOTrafficTargetsIORouters(t *testing.T) {
 	m := testMapper(t, 4, 4)
 	b := NewPatternBuilder()

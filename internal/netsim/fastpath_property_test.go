@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dragonvar/internal/rng"
@@ -158,5 +160,53 @@ func TestSharedPathCacheMetrics(t *testing.T) {
 	if hits-hitsA != int64(len(flows)) || misses != missesA {
 		t.Fatalf("B: %d hits, %d misses on A's cache, want %d hits, 0 misses",
 			hits-hitsA, misses-missesA, len(flows))
+	}
+}
+
+// TestSharedPathCacheResolvesOnce: twins resolving the same flows at once
+// against one shared cache sample each pair once between them — a twin
+// that finds a pair in flight waits for it — so the misses equal those of
+// a single network resolving alone, and every twin gets the same paths.
+func TestSharedPathCacheResolvesOnce(t *testing.T) {
+	d, err := topology.New(topology.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	telemetry.Enable(reg)
+	defer telemetry.Disable()
+	misses := func() int64 { return reg.Counter(telemetry.MNetsimCacheMisses).Value() }
+	cfg := DefaultConfig()
+	flows := randFlows(rng.New(9), d, 128)
+
+	alone := New(d, cfg, rng.New(3))
+	alone.Resolve(flows)
+	want := misses()
+
+	shared := NewPathCache()
+	twins := make([]*Network, 4)
+	for i := range twins {
+		twins[i] = New(d, cfg, rng.New(3))
+		twins[i].SharePathCache(shared)
+	}
+	var wg sync.WaitGroup
+	for _, n := range twins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n.Resolve(flows)
+		}()
+	}
+	wg.Wait()
+	if got := misses() - want; got != want {
+		t.Fatalf("4 twins missed %d times between them, one network alone %d", got, want)
+	}
+	for _, f := range flows {
+		ref := alone.candidates(f.Src, f.Dst)
+		for i, n := range twins {
+			if got := n.candidates(f.Src, f.Dst); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("twin %d: candidates %d→%d differ from the lone network's", i, f.Src, f.Dst)
+			}
+		}
 	}
 }

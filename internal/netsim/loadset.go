@@ -7,11 +7,12 @@ import (
 	"dragonvar/internal/topology"
 )
 
-// LoadSet is the precomputed network footprint of a traffic pattern at
-// unit intensity: per-link flit loads and per-router endpoint loads. A
+// LoadSet is the network footprint of a traffic pattern at unit
+// intensity: per-link flit loads and per-router endpoint loads. A
 // background job's pattern and routing do not change over its lifetime, so
-// the simulator computes its LoadSet once at placement (with an even split
-// over minimal path candidates) and then adds Scale×LoadSet per round. This
+// its LoadSet is computed once, on the first round that reads it (with an
+// even split over minimal path candidates), and each round adds
+// Scale×LoadSet. This
 // makes a round's cost linear in the number of active background jobs'
 // footprints instead of re-routing every flow of every job.
 type LoadSet struct {

@@ -362,14 +362,14 @@ func pairKey(a, b topology.RouterID) uint64 {
 // a cache hit — own or shared — and a recomputation always return the
 // same paths.
 func (n *Network) candidates(a, b topology.RouterID) []routing.Path {
-	key := pairKey(a, b)
-	if p, ok := n.paths.lookup(n.deadSig, key); ok {
+	p, resolved := n.paths.resolve(n.deadSig, pairKey(a, b), func() []routing.Path {
+		return n.policy.Candidates(n.eng, a, b, n.s.Split(fmt.Sprintf("pair-%d-%d", a, b)))
+	})
+	if resolved {
+		n.tmCacheMisses.Add(1)
+	} else {
 		n.tmCacheHits.Add(1)
-		return p
 	}
-	n.tmCacheMisses.Add(1)
-	p := n.policy.Candidates(n.eng, a, b, n.s.Split(fmt.Sprintf("pair-%d-%d", a, b)))
-	n.paths.store(n.deadSig, key, p)
 	return p
 }
 
@@ -571,8 +571,8 @@ func (n *Network) refreshForeground(r *RoutedFlows, flows []Flow) {
 }
 
 // RunRound simulates `duration` seconds of traffic: the adaptively routed
-// foreground flows plus any number of precomputed background footprints
-// (production jobs whose routing was fixed at placement). Returns the
+// foreground flows plus any number of background footprints (production
+// jobs whose routing is fixed for their lifetime). Returns the
 // per-flow slowdowns of the foreground flows; counters for all traffic
 // accumulate into n.Board. It resolves the flows on every call, so each
 // result owns its Slowdown slice.

@@ -23,38 +23,53 @@ import (
 // Sharing is only sound between Networks whose candidate resolution is
 // bit-identical: same topology, same Config, and an RNG stream split from
 // the same seed with the same label (the campaign's per-worker
-// simulators). Entries are immutable once stored and first-write-wins;
-// since every writer stores the same value, the winner is irrelevant and
-// determinism is preserved.
+// simulators). Each entry is resolved once: the first caller to miss it
+// marks it in flight and resolves it, and a caller that finds it in flight
+// waits for that result instead of sampling the pair again. Entries are
+// immutable once resolved.
 type PathCache struct {
 	mu sync.RWMutex
-	m  map[uint64]map[uint64][]routing.Path // dead-set signature → pair → paths
+	m  map[uint64]map[uint64]*pathEntry // dead-set signature → pair → entry
+}
+
+// pathEntry is one cached candidate set; done is held from the entry's
+// creation until its paths are stored.
+type pathEntry struct {
+	done  sync.WaitGroup
+	paths []routing.Path
 }
 
 // NewPathCache creates an empty path cache.
 func NewPathCache() *PathCache {
-	return &PathCache{m: make(map[uint64]map[uint64][]routing.Path)}
+	return &PathCache{m: make(map[uint64]map[uint64]*pathEntry)}
 }
 
-// lookup returns the cached candidate set for a pair under the dead-link
-// set with signature sig.
-func (c *PathCache) lookup(sig, pair uint64) ([]routing.Path, bool) {
+// resolve returns the candidate set for a pair under the dead-link set
+// with signature sig. The caller that finds no entry calls fill and stores
+// its result (resolved is then true); every other caller gets that result,
+// waiting for it while it is in flight.
+func (c *PathCache) resolve(sig, pair uint64, fill func() []routing.Path) (paths []routing.Path, resolved bool) {
 	c.mu.RLock()
-	p, ok := c.m[sig][pair]
+	e := c.m[sig][pair]
 	c.mu.RUnlock()
-	return p, ok
-}
-
-// store publishes a resolved candidate set; the first writer wins.
-func (c *PathCache) store(sig, pair uint64, paths []routing.Path) {
-	c.mu.Lock()
-	epoch, ok := c.m[sig]
-	if !ok {
-		epoch = make(map[uint64][]routing.Path)
-		c.m[sig] = epoch
+	if e == nil {
+		c.mu.Lock()
+		epoch, ok := c.m[sig]
+		if !ok {
+			epoch = make(map[uint64]*pathEntry)
+			c.m[sig] = epoch
+		}
+		if e = epoch[pair]; e == nil {
+			e = &pathEntry{}
+			e.done.Add(1)
+			epoch[pair] = e
+			c.mu.Unlock()
+			e.paths = fill()
+			e.done.Done()
+			return e.paths, true
+		}
+		c.mu.Unlock()
 	}
-	if _, ok := epoch[pair]; !ok {
-		epoch[pair] = paths
-	}
-	c.mu.Unlock()
+	e.done.Wait()
+	return e.paths, false
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"dragonvar/internal/netsim"
@@ -197,29 +198,45 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestGenerateIdenticalAcrossWorkers: the footprint worker pool must not
-// leak into the timeline — one worker and four give identical jobs and
-// bit-identical footprints.
-func TestGenerateIdenticalAcrossWorkers(t *testing.T) {
-	gen := func(workers int) *Timeline {
-		return Generate(testNet(t), GenerateConfig{Days: 2, Workers: workers}, rng.New(31))
+// TestFootprintIdenticalInAnyBuildOrder: a footprint depends only on its
+// own job, so two timelines from the same seed — one with its footprints
+// built serially in job order, the other from four goroutines that each
+// walk the jobs in reverse and read every footprint twice — hold equal
+// jobs and bit-identical footprints.
+func TestFootprintIdenticalInAnyBuildOrder(t *testing.T) {
+	gen := func() *Timeline { return Generate(testNet(t), GenerateConfig{Days: 2}, rng.New(31)) }
+	serial, parallel := gen(), gen()
+	if len(serial.Jobs) == 0 || len(serial.Jobs) != len(parallel.Jobs) {
+		t.Fatalf("jobs: %d and %d from the same seed", len(serial.Jobs), len(parallel.Jobs))
 	}
-	one, four := gen(1), gen(4)
-	if len(one.Jobs) == 0 || len(one.Jobs) != len(four.Jobs) {
-		t.Fatalf("jobs: %d with 1 worker, %d with 4", len(one.Jobs), len(four.Jobs))
+	for _, j := range serial.Jobs {
+		j.Footprint()
 	}
-	for i, a := range one.Jobs {
-		b := four.Jobs[i]
-		if a.Load == nil || b.Load == nil {
-			t.Fatalf("job %d has no footprint", a.ID)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := len(parallel.Jobs) - 1; i >= 0; i-- {
+				j := parallel.Jobs[i]
+				if first, second := j.Footprint(), j.Footprint(); first == nil || first != second {
+					t.Errorf("job %d: footprint reads %p then %p", j.ID, first, second)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, a := range serial.Jobs {
+		b := parallel.Jobs[i]
+		if !sameLoadSetBits(a.Footprint(), b.Footprint()) {
+			t.Fatalf("job %d: footprints differ between the serial and the parallel build", a.ID)
 		}
-		if !sameLoadSetBits(a.Load, b.Load) {
-			t.Fatalf("job %d: footprints differ between 1 and 4 workers", a.ID)
-		}
-		ja, jb := *a, *b
-		ja.Load, jb.Load = nil, nil
-		if !reflect.DeepEqual(ja, jb) {
-			t.Fatalf("job %d differs between 1 and 4 workers", a.ID)
+		// field by field: a Job holds a sync.Once and must not be copied
+		if a.ID != b.ID || !reflect.DeepEqual(a.User, b.User) || !reflect.DeepEqual(a.Nodes, b.Nodes) ||
+			a.Start != b.Start || a.End != b.End || a.State != b.State || a.Attempt != b.Attempt ||
+			!reflect.DeepEqual(a.intensity, b.intensity) {
+			t.Fatalf("job %d differs between two timelines from the same seed", a.ID)
 		}
 	}
 }

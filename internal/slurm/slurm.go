@@ -14,16 +14,16 @@
 package slurm
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
-	"dragonvar/internal/engine"
 	"dragonvar/internal/faults"
 	"dragonvar/internal/mpi"
 	"dragonvar/internal/netsim"
 	"dragonvar/internal/rng"
+	"dragonvar/internal/telemetry"
 	"dragonvar/internal/topology"
 )
 
@@ -137,13 +137,11 @@ func Roster() []*User {
 
 // Job is one placed background job.
 type Job struct {
-	ID     int
-	User   *User
-	Nodes  []topology.NodeID
-	Start  float64 // seconds since campaign epoch
-	End    float64
-	Load   *netsim.LoadSet // unit-intensity network footprint
-	booked float64         // per-second unit scale (flits/s at intensity 1)
+	ID    int
+	User  *User
+	Nodes []topology.NodeID
+	Start float64 // seconds since campaign epoch
+	End   float64
 
 	// State is the sacct completion state (StateCompleted unless the job
 	// was killed by a node drain/failure) and Attempt counts requeues of
@@ -152,6 +150,25 @@ type Job struct {
 	Attempt int
 
 	intensity []float64 // per-minute AR(1) intensity factors
+
+	// the unit-intensity network footprint, built by Footprint on its
+	// first read over the network of the timeline tl
+	built     sync.Once
+	footprint *netsim.LoadSet
+	tl        *Timeline
+}
+
+// Footprint returns the job's unit-intensity network footprint, building
+// it on the first call. A footprint draws no randomness and depends only
+// on the job's own nodes and workload, so whichever goroutine builds it
+// gets the same bits; most background jobs never overlap a controlled run
+// and are never built.
+func (j *Job) Footprint() *netsim.LoadSet {
+	j.built.Do(func() {
+		j.footprint = j.buildFootprint(j.tl.net)
+		j.tl.tmFootprints.Inc()
+	})
+	return j.footprint
 }
 
 // Routers returns the distinct routers the job's nodes attach to.
@@ -189,9 +206,15 @@ func (j *Job) IntensityAt(t float64) float64 {
 
 // ScaledLoadAt returns the job's network footprint for a window of the
 // given duration starting at t. The scale folds together the per-second
-// unit volume, the window length, and the job's current intensity.
+// unit volume, the window length, and the job's current intensity; the
+// footprint is built only when that scale is positive, and Set is nil
+// otherwise.
 func (j *Job) ScaledLoadAt(t, duration float64) netsim.ScaledLoad {
-	return netsim.ScaledLoad{Set: j.Load, Scale: j.IntensityAt(t) * duration}
+	scale := j.IntensityAt(t) * duration
+	if scale <= 0 {
+		return netsim.ScaledLoad{}
+	}
+	return netsim.ScaledLoad{Set: j.Footprint(), Scale: scale}
 }
 
 // Timeline is the generated background schedule of the machine.
@@ -200,6 +223,9 @@ type Timeline struct {
 	Jobs []*Job // sorted by Start
 
 	days float64
+	// net routes the jobs' footprints; tmFootprints counts the builds
+	net          *netsim.Network
+	tmFootprints *telemetry.Counter
 }
 
 // Days returns the campaign length the timeline was generated for.
@@ -262,14 +288,12 @@ type GenerateConfig struct {
 	// drain or fail mid-run (sacct state NODE_FAIL), and requeues them
 	// with bounded exponential backoff in campaign wall-clock time.
 	Faults *faults.Schedule
-	// Workers bounds the footprint-building worker pool (0 = automatic).
-	// The timeline is identical for any value.
-	Workers int
 }
 
 // Generate builds a background timeline: Poisson arrivals per user,
-// lognormal durations, first-fit allocation with queue-wait retries, and a
-// precomputed unit network footprint per job.
+// lognormal durations and first-fit allocation with queue-wait retries.
+// Each job's unit network footprint is routed over net on its first read
+// (Job.Footprint), not here.
 func Generate(net *netsim.Network, cfg GenerateConfig, s *rng.Stream) *Timeline {
 	topo := net.Topology()
 	users := cfg.Users
@@ -310,7 +334,7 @@ func Generate(net *netsim.Network, cfg GenerateConfig, s *rng.Stream) *Timeline 
 
 	// running jobs as a simple min-heap on End
 	var running jobHeap
-	tl := &Timeline{Topo: topo, days: cfg.Days}
+	tl := &Timeline{Topo: topo, days: cfg.Days, net: net, tmFootprints: telemetry.C(telemetry.MSlurmFootprints)}
 	nextID := 1000
 
 	for len(arrivals) > 0 {
@@ -361,6 +385,7 @@ func Generate(net *netsim.Network, cfg GenerateConfig, s *rng.Stream) *Timeline 
 			End:     end,
 			State:   StateCompleted,
 			Attempt: a.attempt,
+			tl:      tl,
 		}
 		nextID++
 		// the intensity series spans the PLANNED duration, before any
@@ -384,22 +409,13 @@ func Generate(net *netsim.Network, cfg GenerateConfig, s *rng.Stream) *Timeline 
 		running.push(j)
 	}
 	sort.Slice(tl.Jobs, func(i, j int) bool { return tl.Jobs[i].Start < tl.Jobs[j].Start })
-	// Footprints consume no randomness and depend only on each job's own
-	// nodes and workload, so they build in parallel after the (serial,
-	// stream-ordered) event loop. Each worker writes only its own job, and
-	// BuildLoadSet uses a private routing engine over the shared read-only
-	// topology.
-	engine.Map(context.Background(), cfg.Workers, len(tl.Jobs), func(_ context.Context, _, i int) error {
-		tl.Jobs[i].buildFootprint(net)
-		return nil
-	})
 	return tl
 }
 
 // buildFootprint computes the job's unit-intensity LoadSet: an irregular
 // node-level exchange plus filesystem traffic, scaled so that a round of
 // duration D at intensity 1 injects BytesPerNodePerSec*D per node.
-func (j *Job) buildFootprint(net *netsim.Network) {
+func (j *Job) buildFootprint(net *netsim.Network) *netsim.LoadSet {
 	topo := net.Topology()
 	w := j.User.Workload
 	mapper := &mpi.RankMapper{Topo: topo, Nodes: j.Nodes, RanksPerNode: 1}
@@ -422,9 +438,7 @@ func (j *Job) buildFootprint(net *netsim.Network) {
 	bytesPerSec := w.BytesPerNodePerSec * float64(len(j.Nodes))
 	flits := mpi.FlitsFor(bytesPerSec)
 	msgs := bytesPerSec / math.Max(w.MsgBytes, 1)
-	flows := pattern.Instantiate(flits, msgs, w.ReqFraction, nil)
-	j.Load = net.BuildLoadSet(flows)
-	j.booked = flits
+	return net.BuildLoadSet(pattern.Instantiate(flits, msgs, w.ReqFraction, nil))
 }
 
 // buildIntensity precomputes the per-minute AR(1) intensity series.

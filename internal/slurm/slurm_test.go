@@ -227,7 +227,7 @@ func TestGenerateTimeline(t *testing.T) {
 		if len(j.Nodes) == 0 {
 			t.Fatal("job without nodes")
 		}
-		if j.Load == nil {
+		if j.Footprint() == nil {
 			t.Fatal("job without footprint")
 		}
 		if len(j.Nodes) > net.Topology().Cfg.NumNodes()/3 {
@@ -342,7 +342,7 @@ func TestScaledLoadAt(t *testing.T) {
 	j := tl.Jobs[0]
 	mid := (j.Start + j.End) / 2
 	sl := j.ScaledLoadAt(mid, 10)
-	if sl.Set != j.Load {
+	if sl.Set != j.Footprint() {
 		t.Fatal("ScaledLoadAt should reference the job's footprint")
 	}
 	if sl.Scale <= 0 {

@@ -21,6 +21,7 @@ const (
 	// internal/routing + internal/slurm — pluggable policy decisions.
 	MRoutingCandidateSets = "routing/candidate_sets_total" // counter: candidate sets built (one per path-cache miss)
 	MSlurmPlacements      = "slurm/placements_total"       // counter: successful policy placements
+	MSlurmFootprints      = "slurm/footprints_built_total" // counter: background-job footprints built (each on its first read)
 
 	// internal/cluster — the campaign driver.
 	MClusterRuns     = "cluster/runs_total"     // counter: controlled runs completed
@@ -122,7 +123,7 @@ const (
 var AllMetricNames = []string{
 	MEngineMaps, MEngineShardRun,
 	MNetsimCacheHits, MNetsimCacheMisses, MNetsimCacheInval, MNetsimRounds, MNetsimRoundFlits,
-	MRoutingCandidateSets, MSlurmPlacements,
+	MRoutingCandidateSets, MSlurmPlacements, MSlurmFootprints,
 	MClusterRuns, MClusterRequeues, MClusterRounds, MClusterRunSecs,
 	MGBRFits, MNNFits, MRFERounds,
 	MServeRequests, MServeErrors, MServeShed,
