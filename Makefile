@@ -37,7 +37,8 @@ FUZZ_TARGETS = \
 	./internal/dist:FuzzDecodeRun \
 	./internal/modelstore:FuzzObjectDecode \
 	./internal/traceio:FuzzReader \
-	./internal/rng:FuzzSourceMatchesMathRand
+	./internal/rng:FuzzSourceMatchesMathRand \
+	./internal/serve:FuzzServeRequest
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -438,18 +438,21 @@ func benchRoundFlows(b *testing.B, d *topology.Dragonfly) []netsim.Flow {
 	return flows
 }
 
-// BenchmarkNetsimRound times one simulation round per routing policy over
-// pre-resolved routes — the campaign's hot path, on the fixed 256-flow
-// workload whose history docs/PERFORMANCE.md tables. It carries no
-// background, so it says nothing about a whole campaign; perfbench's
-// `campaign` workload does.
+// BenchmarkNetsimRound times one simulation round over pre-resolved
+// routes — the campaign's hot path. The adaptive and minimal cases run the
+// fixed 256-flow, background-free workload whose history
+// docs/PERFORMANCE.md tables. The campaign case is shaped like a campaign
+// round instead: a MILC-128 step on a random 128-node KNL placement under
+// 11 scaled AMG-128 background footprints, adaptively routed; it reports
+// the flows, candidate paths and path links a round walks. perfbench's
+// `campaign` workload times whole campaigns.
 func BenchmarkNetsimRound(b *testing.B) {
+	d, err := topology.New(topology.Small())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, pol := range []string{"adaptive", "minimal"} {
 		b.Run(pol, func(b *testing.B) {
-			d, err := topology.New(topology.Small())
-			if err != nil {
-				b.Fatal(err)
-			}
 			cfg := netsim.DefaultConfig()
 			cfg.Routing = pol
 			n := netsim.New(d, cfg, rng.New(1))
@@ -462,6 +465,50 @@ func BenchmarkNetsimRound(b *testing.B) {
 			reportMetric(b, float64(len(flows)), "flows")
 		})
 	}
+	b.Run("campaign", func(b *testing.B) {
+		n := netsim.New(d, netsim.DefaultConfig(), rng.New(1))
+		s := rng.New(7)
+		// MILC holds the first 128 nodes of a shuffled KNL pool; each
+		// background job takes 128 of the rest, reshuffled per job (the
+		// small machine has too few nodes for 12 disjoint jobs)
+		knl := d.ComputeNodes(topology.KNL)
+		place := func(m *apps.Model, k int, pool []topology.NodeID) *apps.Instance {
+			s.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+			bp, err := m.BuildPattern(d, pool[:m.Nodes])
+			if err != nil {
+				b.Fatal(err)
+			}
+			return m.InstantiateWith(bp, s.Split(fmt.Sprintf("inst-%d", k)))
+		}
+		milc := apps.Find(apps.MILC, 128)
+		run := place(milc, 0, knl)
+		rest := knl[milc.Nodes:]
+		step := milc.Steps / 2
+		flows := run.StepFlows(step, nil)
+		dur := run.StepDuration(step)
+		// each background job's footprint is its mid-run step at
+		// per-second rates, scaled to the round like a campaign's co-runner
+		amg := apps.Find(apps.AMG, 128)
+		var bg []netsim.ScaledLoad
+		for k := 1; k <= 11; k++ {
+			fp := place(amg, k, rest).StepFlows(amg.Steps/2, nil)
+			rate := float64(amg.Steps) / amg.TotalBaseTime()
+			for i := range fp {
+				fp[i].Flits *= rate
+				fp[i].Packets *= rate
+			}
+			bg = append(bg, netsim.ScaledLoad{Set: n.BuildLoadSet(fp), Scale: dur * (0.5 + s.Float64())})
+		}
+		routed := n.Resolve(flows)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.RunRoundRouted(flows, routed, bg, dur)
+		}
+		paths, links := routed.Size()
+		reportMetric(b, float64(len(flows)), "flows")
+		reportMetric(b, float64(paths), "paths")
+		reportMetric(b, float64(links), "path-links")
+	})
 }
 
 // campaignAnchors are the JSON content hashes of the small 30-day seed-42

@@ -802,7 +802,7 @@ func (c *Cluster) placementAdvice(co coRunners) *slurm.PlacementAdvice {
 			w = 2
 			adv.BlamedActive = true
 		}
-		addSet(j.Footprint(), w)
+		addSet(j.EndpointLoads(), w)
 	}
 	for _, q := range co.own {
 		addSet(c.footprint(q), 1)

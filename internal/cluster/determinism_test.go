@@ -141,19 +141,29 @@ func TestCampaignIdenticalWithTelemetry(t *testing.T) {
 }
 
 // TestFootprintsBuiltOnFirstRead pins how many background footprints the
-// anchored campaign (small machine, 30 days, seed 42, adaptive routing,
-// firstfit placement) builds: only the jobs that load a controlled run's
-// rounds are ever built, fewer than a fifth of the timeline, and the same
-// ones at any worker count. 492 jobs overlap a round; one of them starts
-// inside its only round and so never carries load.
+// anchored campaign (small machine, 30 days, seed 42, adaptive routing)
+// builds: only the jobs that load a controlled run's rounds are ever
+// built, fewer than a fifth of the timeline, and the same ones at any
+// worker count. Under firstfit placement 492 jobs overlap a round; one of
+// them starts inside its only round and so never carries load. The
+// interference placement reads only its co-runners' endpoint loads, which
+// build no footprint, so it builds 491 as well (2,498 when it read whole
+// footprints).
 func TestFootprintsBuiltOnFirstRead(t *testing.T) {
-	cfg := Config{Machine: topology.Small(), Days: 30, Seed: 42}
-	cfg.Net.Routing = "adaptive"
 	defer telemetry.Disable()
-	for _, workers := range []int{1, 4} {
+	for _, tc := range []struct {
+		placement string
+		workers   int
+		want      int64
+	}{
+		{"firstfit", 1, 491},
+		{"firstfit", 4, 491},
+		{"interference", 1, 491},
+	} {
+		cfg := Config{Machine: topology.Small(), Days: 30, Seed: 42, Placement: tc.placement, Workers: tc.workers}
+		cfg.Net.Routing = "adaptive"
 		r := telemetry.New()
 		telemetry.Enable(r)
-		cfg.Workers = workers
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -163,11 +173,11 @@ func TestFootprintsBuiltOnFirstRead(t *testing.T) {
 		}
 		telemetry.Disable()
 		built := r.Snapshot().Counters[telemetry.MSlurmFootprints]
-		if built != 491 {
-			t.Errorf("workers=%d: %d footprints built, want 491", workers, built)
+		if built != tc.want {
+			t.Errorf("%s, workers=%d: %d footprints built, want %d", tc.placement, tc.workers, built, tc.want)
 		}
 		if jobs := len(c.Timeline.Jobs); built*5 >= int64(jobs) {
-			t.Errorf("workers=%d: %d footprints built for %d background jobs, want under a fifth", workers, built, jobs)
+			t.Errorf("%s, workers=%d: %d footprints built for %d background jobs, want under a fifth", tc.placement, tc.workers, built, jobs)
 		}
 	}
 }

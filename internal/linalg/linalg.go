@@ -83,16 +83,6 @@ func (m *Matrix) Scale(a float64) {
 	}
 }
 
-// AddInPlace adds other element-wise into m.
-func (m *Matrix) AddInPlace(other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("linalg: AddInPlace shape mismatch")
-	}
-	for i, v := range other.Data {
-		m.Data[i] += v
-	}
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
@@ -120,30 +110,6 @@ func (m *Matrix) MatVec(x, dst []float64) []float64 {
 			s += v * x[j]
 		}
 		dst[i] = s
-	}
-	return dst
-}
-
-// MatVecT computes dst = mᵀ * x (x has length m.Rows, dst m.Cols).
-func (m *Matrix) MatVecT(x, dst []float64) []float64 {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("linalg: MatVecT dim mismatch: x has %d, want %d", len(x), m.Rows))
-	}
-	if dst == nil {
-		dst = make([]float64, m.Cols)
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			dst[j] += v * xi
-		}
 	}
 	return dst
 }

@@ -84,14 +84,6 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestMatVecT(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	y := m.MatVecT([]float64{1, 1}, nil)
-	if y[0] != 4 || y[1] != 6 {
-		t.Fatalf("MatVecT = %v", y)
-	}
-}
-
 func TestMatMul(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
@@ -215,15 +207,6 @@ func TestScaleAndFill(t *testing.T) {
 		if v != 7 {
 			t.Fatal("Fill failed")
 		}
-	}
-}
-
-func TestAddInPlace(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{10, 20}})
-	a.AddInPlace(b)
-	if a.At(0, 0) != 11 || a.At(0, 1) != 22 {
-		t.Fatalf("AddInPlace = %v", a.Data)
 	}
 }
 

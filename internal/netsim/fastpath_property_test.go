@@ -109,13 +109,8 @@ func TestSharedPathCacheDeterminism(t *testing.T) {
 	warm.SharePathCache(shared)
 	rWarm := warm.Resolve(flows)
 
-	if len(rCold.links) != len(rWarm.links) {
-		t.Fatalf("link arenas differ in size: %d vs %d", len(rCold.links), len(rWarm.links))
-	}
-	for i := range rCold.links {
-		if rCold.links[i] != rWarm.links[i] {
-			t.Fatalf("link %d differs: %v vs %v", i, rCold.links[i], rWarm.links[i])
-		}
+	if !reflect.DeepEqual(rCold.arena, rWarm.arena) {
+		t.Fatal("candidate arenas differ between the cold and the shared cache")
 	}
 	res1 := cold.RunRoundRouted(flows, rCold, nil, 1.0)
 	res2 := warm.RunRoundRouted(flows, rWarm, nil, 1.0)

@@ -41,7 +41,16 @@ type ScaledLoad struct {
 // is safe for concurrent use: each call accumulates into dense scratch
 // taken from the network's pool, so a warm call allocates only the
 // returned LoadSet.
-func (n *Network) BuildLoadSet(flows []Flow) *LoadSet {
+func (n *Network) BuildLoadSet(flows []Flow) *LoadSet { return n.buildLoadSet(flows, true) }
+
+// EndpointLoads is BuildLoadSet without routing: a LoadSet with no links
+// whose per-router endpoint loads are BuildLoadSet's, bit for bit and in
+// the same router order, because both come from one accumulation.
+func (n *Network) EndpointLoads(flows []Flow) *LoadSet { return n.buildLoadSet(flows, false) }
+
+// buildLoadSet accumulates the flows' endpoint loads and, when route is
+// set, their minimal-path link loads.
+func (n *Network) buildLoadSet(flows []Flow, route bool) *LoadSet {
 	sc, _ := n.loadScratch.Get().(*loadScratch)
 	if sc == nil {
 		sc = &loadScratch{
@@ -65,15 +74,17 @@ func (n *Network) BuildLoadSet(flows []Flow) *LoadSet {
 		// adaptively routed foreground flows. Paths are walked directly
 		// rather than through the adaptive path cache: footprints are built
 		// once per job, and caching their pairs would bloat the cache.
-		var paths int
-		sc.walk, paths = sc.eng.AppendMinimalLinks(sc.walk[:0], f.Src, f.Dst, 2)
-		share := f.Flits / float64(paths)
-		for _, l := range sc.walk {
-			if !sc.linkOn[l] {
-				sc.linkOn[l] = true
-				sc.links = append(sc.links, l)
+		if route {
+			var paths int
+			sc.walk, paths = sc.eng.AppendMinimalLinks(sc.walk[:0], f.Src, f.Dst, 2)
+			share := f.Flits / float64(paths)
+			for _, l := range sc.walk {
+				if !sc.linkOn[l] {
+					sc.linkOn[l] = true
+					sc.links = append(sc.links, l)
+				}
+				sc.linkFlits[l] += share
 			}
-			sc.linkFlits[l] += share
 		}
 		src, dst := sc.endpoint(f.Src), sc.endpoint(f.Dst)
 		src.injF += f.Flits

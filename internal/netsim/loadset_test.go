@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -258,5 +259,24 @@ func TestBuildLoadSetAllocs(t *testing.T) {
 	n.BuildLoadSet(flows) // warm the pooled scratch
 	if allocs := testing.AllocsPerRun(50, func() { n.BuildLoadSet(flows) }); allocs != 4 {
 		t.Fatalf("warm BuildLoadSet allocated %v times per call, want 4", allocs)
+	}
+}
+
+// TestEndpointLoadsMatchBuildLoadSet: EndpointLoads holds no links and
+// exactly BuildLoadSet's routers and endpoint floats.
+func TestEndpointLoadsMatchBuildLoadSet(t *testing.T) {
+	n := newNet(t, DefaultConfig())
+	s := rng.New(23)
+	for trial := 0; trial < 20; trial++ {
+		flows := randFlows(s, n.Topology(), 1+s.Intn(300))
+		full, ends := n.BuildLoadSet(flows), n.EndpointLoads(flows)
+		if len(ends.LinkIDs) != 0 || len(ends.LinkFlits) != 0 {
+			t.Fatalf("trial %d: EndpointLoads holds %d links", trial, len(ends.LinkIDs))
+		}
+		full.LinkIDs, full.LinkFlits = nil, nil
+		ends.LinkIDs, ends.LinkFlits = nil, nil
+		if !reflect.DeepEqual(full, ends) {
+			t.Fatalf("trial %d: endpoint loads differ from BuildLoadSet's", trial)
+		}
 	}
 }

@@ -166,6 +166,14 @@ type Network struct {
 	routerOnList  []bool
 	fgSeen        []bool // scratch for RoutedFlows foreground-link dedup
 
+	// round scratch, reused across rounds and runs: linkIndex numbers an
+	// arena's distinct links while it is built (all -1 between builds),
+	// split holds the load-aware split's tables and then the slowdown
+	// pass's, and share holds each path's flits in one relaxation iteration
+	linkIndex []int32
+	split     routing.Scratch
+	share     []float64
+
 	// per-router endpoint state, reused across rounds
 	injFlits []float64 // flits injected at each router this round
 	ejFlits  []float64 // flits ejected at each router this round
@@ -233,6 +241,10 @@ func New(d *topology.Dragonfly, cfg Config, s *rng.Stream) *Network {
 	n.linkOnList = make([]bool, len(d.Links))
 	n.routerOnList = make([]bool, d.Cfg.NumRouters())
 	n.fgSeen = make([]bool, len(d.Links))
+	n.linkIndex = make([]int32, len(d.Links))
+	for i := range n.linkIndex {
+		n.linkIndex[i] = -1
+	}
 	n.baseCap = make([]float64, len(d.Links))
 	for i, l := range d.Links {
 		if l.Type == topology.Blue {
@@ -424,21 +436,16 @@ func (n *Network) touchRouter(r topology.RouterID) {
 // same RoutedFlows returns its slowdowns in one buffer, overwriting the
 // previous round's: consume a Result before the next round, or copy it.
 //
-// The candidate sets are flattened into one arena — links/pathEnd/hops/
-// minimal, flow- then path-major — so the round loop walks dense slices
-// instead of chasing [][]Path pointers, and the split weights live in one
-// flat buffer (weights). Load-independent policies (routing.StaticWeights)
-// have their weights computed once at resolve time; everything else is
-// recomputed per relaxation iteration by one policy split call.
+// The candidate sets are flattened into one routing.Arena, so the round
+// loop walks dense slices instead of chasing [][]Path pointers: path sums
+// (the split's costs, the slowdowns' delays) run hop-major over a per-link
+// table, and each link's load is gathered from the paths that cross it.
+// The split weights live in one flat buffer (weights). Load-independent
+// policies (routing.StaticWeights) have their weights computed once at
+// resolve time; everything else is recomputed per relaxation iteration by
+// one policy split call.
 type RoutedFlows struct {
-	// flat candidate arena: path p of the RoutedFlows spans
-	// links[pathEnd[p-1]:pathEnd[p]]; the paths of flow i span
-	// pathEnd[flowEnd[i-1]:flowEnd[i]].
-	links   []topology.LinkID
-	pathEnd []int32
-	flowEnd []int32
-	hops    []float64 // float64(hop count) per path, for the slowdown divide
-	minimal []bool    // Path.Minimal per path
+	arena   *routing.Arena
 	weights []float64 // split weight per path
 
 	// static records that weights was precomputed at resolve time (the
@@ -456,52 +463,49 @@ type RoutedFlows struct {
 	fgBuilt bool
 }
 
-// buildRouted resolves candidates for the flows and flattens them into the
-// arena layout. healthy selects ResolveHealthy's partition check.
+// buildRouted resolves candidates for the flows and flattens them into an
+// arena. healthy selects ResolveHealthy's partition check.
 func (n *Network) buildRouted(flows []Flow, healthy bool) (*RoutedFlows, error) {
-	r := &RoutedFlows{
-		flowEnd:  make([]int32, len(flows)),
-		slowdown: make([]float64, len(flows)),
-	}
 	resolved := make([][]routing.Path, len(flows))
-	nPaths := 0
-	nLinks := 0
 	for i, f := range flows {
 		paths := n.candidates(f.Src, f.Dst)
 		if healthy && len(paths) == 0 && f.Src != f.Dst {
 			return nil, fmt.Errorf("netsim: flow %d (router %d → %d): %w", i, f.Src, f.Dst, routing.ErrPartitioned)
 		}
 		resolved[i] = paths
-		nPaths += len(paths)
-		for _, p := range paths {
-			nLinks += len(p.Links)
-		}
-		r.flowEnd[i] = int32(nPaths)
 	}
-	r.links = make([]topology.LinkID, 0, nLinks)
-	r.pathEnd = make([]int32, 0, nPaths)
-	r.hops = make([]float64, 0, nPaths)
-	r.minimal = make([]bool, 0, nPaths)
-	r.weights = make([]float64, nPaths)
-	for _, paths := range resolved {
-		for _, p := range paths {
-			r.links = append(r.links, p.Links...)
-			r.pathEnd = append(r.pathEnd, int32(len(r.links)))
-			r.hops = append(r.hops, float64(len(p.Links)))
-			r.minimal = append(r.minimal, p.Minimal)
-		}
+	return n.route(resolved), nil
+}
+
+// route builds the RoutedFlows of the flows whose candidate sets are
+// resolved, one per flow.
+func (n *Network) route(resolved [][]routing.Path) *RoutedFlows {
+	a := routing.NewArena(resolved, n.linkIndex)
+	r := &RoutedFlows{
+		arena:    a,
+		weights:  make([]float64, len(a.PathEnd)),
+		slowdown: make([]float64, len(resolved)),
 	}
 	if n.staticSplit {
 		// load-independent split: compute every flow's weights once, here;
 		// the round loop never recomputes them
-		all := make([]bool, len(flows))
+		all := make([]bool, len(resolved))
 		for i := range all {
 			all[i] = true
 		}
-		n.policy.SplitWeights(n.eng, r.links, r.pathEnd, r.flowEnd, r.minimal, all, n.prevLoad, r.weights)
+		n.policy.SplitWeights(n.eng, a, all, n.prevLoad, &n.split, r.weights)
 		r.static = true
 	}
-	return r, nil
+	return r
+}
+
+// Size reports how many candidate paths the routes hold and how many links
+// those paths cross in all, counting each crossing.
+func (r *RoutedFlows) Size() (paths, links int) {
+	if pe := r.arena.PathEnd; len(pe) > 0 {
+		return len(pe), int(pe[len(pe)-1])
+	}
+	return 0, 0
 }
 
 // Resolve computes (and caches) the candidate paths for each flow.
@@ -540,29 +544,30 @@ func (n *Network) refreshForeground(r *RoutedFlows, flows []Flow) {
 	}
 	r.fgLinks = r.fgLinks[:0]
 	seen := n.fgSeen
+	a := r.arena
 	ps, ls := int32(0), int32(0)
 	for i := range flows {
 		f := &flows[i]
-		pe := r.flowEnd[i]
-		le := ls
-		if pe > ps {
-			le = r.pathEnd[pe-1]
-		}
 		active := f.Src != f.Dst && f.Flits > 0
 		r.fgMask[i] = active
-		if active {
-			// dedup is foreground-internal only: the round loop re-checks
-			// linkOnList per link, so background-first touch order — and
-			// with it the order-dependent mean-utilization sum — is
-			// exactly what the per-flow walk produced
-			for _, l := range r.links[ls:le] {
-				if !seen[l] {
-					seen[l] = true
-					r.fgLinks = append(r.fgLinks, l)
+		for j := ps; j < a.FlowEnd[i]; j++ {
+			le := a.PathEnd[j]
+			if active {
+				// the links of the flow's paths in path order; dedup is
+				// foreground-internal only: the round loop re-checks
+				// linkOnList per link, so background-first touch order —
+				// and with it the order-dependent mean-utilization sum — is
+				// exactly what a per-flow walk produces
+				for h := range int(le - ls) {
+					if l := a.Distinct[a.Hop(int(j), h)]; !seen[l] {
+						seen[l] = true
+						r.fgLinks = append(r.fgLinks, l)
+					}
 				}
 			}
+			ls = le
 		}
-		ps, ls = pe, le
+		ps = a.FlowEnd[i]
 	}
 	for _, l := range r.fgLinks {
 		seen[l] = false
@@ -596,8 +601,19 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		}
 		n.tmRoundFlits.Observe(offered)
 	}
+	invDur := 1 / duration
+	anyBG := n.beginRound(flows, routed, background, invDur)
+	n.relax(flows, routed, anyBG, invDur)
+	res := n.settle(flows, routed, duration)
+	n.slowdowns(flows, routed, duration, res.Slowdown)
+	return res
+}
 
-	// reset the previous round's active state
+// beginRound clears the previous round's active state, folds in the
+// background, marks the foreground's links active, and seeds the first
+// relaxation iteration's utilizations with the background alone. It
+// reports whether any background footprint was applied.
+func (n *Network) beginRound(flows []Flow, routed *RoutedFlows, background []ScaledLoad, invDur float64) bool {
 	for _, l := range n.activeLinks {
 		n.linkLoad[l] = 0
 		n.bgLoad[l] = 0
@@ -622,7 +638,6 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		n.touchLink(l)
 	}
 	// the adaptive foreground reacts to the background from iteration 0
-	invDur := 1 / duration
 	for _, l := range n.activeLinks {
 		if n.linkCap[l] <= 0 {
 			n.prevLoad[l] = deadUtil
@@ -630,12 +645,15 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		}
 		n.prevLoad[l] = n.bgLoad[l] / n.linkCap[l] * invDur
 	}
+	return anyBG
+}
 
-	n.relax(flows, routed, anyBG, invDur)
-
-	// Final settle: one pass over the active links computes the round's
-	// utilizations and the max/mean summary; the mean sums in activeLinks
-	// order.
+// settle computes the round's final utilizations and their max/mean
+// summary in one pass over the active links (the mean sums in activeLinks
+// order), then the endpoint loads and the round's counters. The returned
+// Result's Slowdown is the routes' buffer, not yet filled.
+func (n *Network) settle(flows []Flow, routed *RoutedFlows, duration float64) Result {
+	invDur := 1 / duration
 	res := Result{Slowdown: routed.slowdown}
 	linkLoad, linkCap := n.linkLoad, n.linkCap
 	util := n.prevLoad // final per-link utilization
@@ -684,8 +702,6 @@ func (n *Network) RunRoundRouted(flows []Flow, routed *RoutedFlows, background [
 		// function of its inputs
 		n.fb.Commit()
 	}
-
-	n.slowdowns(flows, routed, duration, res.Slowdown)
 	return res
 }
 
@@ -727,8 +743,9 @@ func (n *Network) foldBackground(background []ScaledLoad) bool {
 // relax distributes the foreground flows over their candidate paths: each
 // relaxation iteration splits every active flow under the previous
 // iteration's utilizations (starting from the background alone), then
-// scatters the shares onto the links. On return linkLoad holds the final
-// iteration's loads; the caller settles the utilizations.
+// gathers each link's load from the paths that cross it. On return
+// linkLoad holds the final iteration's loads; settle turns them into
+// utilizations.
 func (n *Network) relax(flows []Flow, routed *RoutedFlows, anyBG bool, invDur float64) {
 	rounds := n.cfg.RelaxationRounds
 	if rounds < 1 {
@@ -740,9 +757,13 @@ func (n *Network) relax(flows []Flow, routed *RoutedFlows, anyBG bool, invDur fl
 	if static {
 		rounds = 1
 	}
+	a := routed.arena
 	linkLoad, bgLoad, prevLoad, linkCap := n.linkLoad, n.bgLoad, n.prevLoad, n.linkCap
-	arenaLinks, arenaPathEnd, arenaWeights := routed.links, routed.pathEnd, routed.weights
-	flowEnd := routed.flowEnd
+	weights, active := routed.weights, routed.fgMask
+	if cap(n.share) < len(weights) {
+		n.share = make([]float64, len(weights))
+	}
+	share := n.share[:len(weights)]
 	for it := 0; it < rounds; it++ {
 		if anyBG {
 			for _, l := range n.activeLinks {
@@ -757,44 +778,42 @@ func (n *Network) relax(flows []Flow, routed *RoutedFlows, anyBG bool, invDur fl
 		if !static {
 			// one call computes every active flow's split under the
 			// previous iteration's utilizations
-			n.policy.SplitWeights(n.eng, arenaLinks, arenaPathEnd, flowEnd, routed.minimal, routed.fgMask, prevLoad, arenaWeights)
+			n.policy.SplitWeights(n.eng, a, active, prevLoad, &n.split, weights)
 		}
-		// scatter each active flow's shares onto its paths' links
-		pathStart, linkStart := int32(0), int32(0)
-		for i := range flows {
-			f := &flows[i]
-			ps, ls := pathStart, linkStart
-			pe := flowEnd[i]
-			pathStart = pe
-			if pe > ps {
-				linkStart = arenaPathEnd[pe-1]
+		// each path's flits; an inactive flow's paths carry none
+		ps := int32(0)
+		for i, pe := range a.FlowEnd {
+			if active[i] {
+				flits := flows[i].Flits
+				for j := ps; j < pe; j++ {
+					share[j] = flits * weights[j]
+				}
+			} else {
+				clear(share[ps:pe])
 			}
-			if f.Src == f.Dst || f.Flits <= 0 {
+			ps = pe
+		}
+		// gather each link's load from the paths crossing it, in arena
+		// order: the additions a path-by-path scatter makes, in its order
+		// (a zero share adds nothing to a non-negative load); a dead link
+		// carries nothing
+		cs := int32(0)
+		for u, l := range a.Distinct {
+			ce := a.CrossEnd[u]
+			if n.anyDead && linkCap[l] <= 0 {
+				cs = ce
 				continue
 			}
-			start := ls
-			for j := ps; j < pe; j++ {
-				end := arenaPathEnd[j]
-				share := f.Flits * arenaWeights[j]
-				if share != 0 {
-					if n.anyDead {
-						for _, l := range arenaLinks[start:end] {
-							if linkCap[l] > 0 { // a dead link carries nothing
-								linkLoad[l] += share
-							}
-						}
-					} else {
-						for _, l := range arenaLinks[start:end] {
-							linkLoad[l] += share
-						}
-					}
-				}
-				start = end
+			load := linkLoad[l]
+			for _, j := range a.Crossing[cs:ce] {
+				load += share[j]
 			}
+			linkLoad[l] = load
+			cs = ce
 		}
 		if it < rounds-1 {
 			// feed utilizations back for the next iteration; the final
-			// iteration's update is fused into RunRoundRouted's settling pass
+			// iteration's update is fused into settle's pass
 			for _, l := range n.activeLinks {
 				if linkCap[l] <= 0 {
 					prevLoad[l] = deadUtil
@@ -814,37 +833,35 @@ func (n *Network) slowdowns(flows []Flow, routed *RoutedFlows, duration float64,
 	injCap := n.cfg.InjectionBandwidth * duration
 	pktCap := n.cfg.PacketRate * duration
 	util := n.prevLoad
-	arenaLinks, arenaPathEnd, arenaWeights := routed.links, routed.pathEnd, routed.weights
-	flowEnd, hops := routed.flowEnd, routed.hops
-	pathStart, linkStart := int32(0), int32(0)
-	for i := range flows {
+	a := routed.arena
+	// every path's summed queueing delay, each link's delay computed once
+	n.split.Fit(a)
+	delay, pathDelay := n.split.Link, n.split.Path
+	for u, l := range a.Distinct {
+		delay[u] = queueDelay(util[l])
+	}
+	a.PathSums(delay, pathDelay)
+	weights, rank, pathEnd := routed.weights, a.Rank, a.PathEnd
+	ps, ls := int32(0), int32(0)
+	for i, pe := range a.FlowEnd {
 		f := &flows[i]
-		ps, ls := pathStart, linkStart
-		pe := flowEnd[i]
-		pathStart = pe
-		if pe > ps {
-			linkStart = arenaPathEnd[pe-1]
-		}
+		fs := ps
+		ps = pe
 		if f.Src == f.Dst || f.Flits <= 0 {
 			dst[i] = 1
+			if pe > fs {
+				ls = pathEnd[pe-1]
+			}
 			continue
 		}
 		var transit float64
-		start := ls
-		for j := ps; j < pe; j++ {
-			end := arenaPathEnd[j]
-			w := arenaWeights[j]
-			if w == 0 {
-				start = end
-				continue
+		for j := fs; j < pe; j++ {
+			le := pathEnd[j]
+			if w := weights[j]; w != 0 {
+				// normalize by hops so the value is delay per traversed link
+				transit += w * pathDelay[rank[j]] / float64(le-ls)
 			}
-			var pathDelay float64
-			for k := start; k < end; k++ {
-				pathDelay += queueDelay(util[arenaLinks[k]])
-			}
-			// normalize by hops so the value is delay per traversed link
-			transit += w * pathDelay / hops[j]
-			start = end
+			ls = le
 		}
 		endFlit := queueDelay(n.injFlits[f.Src]/injCap) + queueDelay(n.ejFlits[f.Dst]/injCap)
 		endPkt := queueDelay(n.injPkts[f.Src]/pktCap) + queueDelay(n.ejPkts[f.Dst]/pktCap)

@@ -81,32 +81,6 @@ func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
 // Shuffle shuffles n elements using the provided swap function.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
-// Choice returns a random index in [0,len(weights)) drawn proportionally to
-// the (non-negative) weights. If all weights are zero it returns a uniform
-// index.
-func (s *Stream) Choice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return s.r.Intn(len(weights))
-	}
-	x := s.r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // AR1 is a first-order autoregressive process used to model slowly varying
 // background traffic intensity. Successive values are correlated with
 // coefficient Rho and revert to Mean with stationary standard deviation Std.

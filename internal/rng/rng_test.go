@@ -103,39 +103,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestChoiceRespectsWeights(t *testing.T) {
-	s := New(5)
-	w := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	n := 30000
-	for i := 0; i < n; i++ {
-		counts[s.Choice(w)]++
-	}
-	if counts[0] != 0 {
-		t.Errorf("zero-weight index chosen %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Errorf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestChoiceAllZeroWeightsUniform(t *testing.T) {
-	s := New(5)
-	w := []float64{0, 0, 0, 0}
-	seen := make(map[int]bool)
-	for i := 0; i < 200; i++ {
-		idx := s.Choice(w)
-		if idx < 0 || idx >= 4 {
-			t.Fatalf("Choice out of range: %d", idx)
-		}
-		seen[idx] = true
-	}
-	if len(seen) < 3 {
-		t.Errorf("uniform fallback hit only %d/4 indices", len(seen))
-	}
-}
-
 func TestAR1Stationarity(t *testing.T) {
 	s := New(21)
 	p := &AR1{Mean: 5, Std: 1, Rho: 0.9}

@@ -22,16 +22,14 @@ type Policy interface {
 	// stream is dedicated to the pair (split from the network's seed by
 	// pair label), so the same pair always yields the same candidates.
 	Candidates(e *Engine, a, b topology.RouterID, s *rng.Stream) []Path
-	// SplitWeights computes every active flow's split over the flat
-	// candidate arena the simulator builds per resolved flow list: path j
-	// spans links[pathEnd[j-1]:pathEnd[j]] (from 0 for j == 0), flow i's
-	// paths are pathEnd[flowEnd[i-1]:flowEnd[i]], and minimal[j] mirrors
-	// Path.Minimal. load is the congestion view indexed by LinkID, in
-	// stall-inducing utilization units (0 = idle). For each flow with
-	// active[i] set, dst receives the share of its traffic assigned to each
-	// candidate, normalized to sum to 1; inactive flows' entries are left
-	// untouched.
-	SplitWeights(e *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64)
+	// SplitWeights computes every active flow's split over the candidate
+	// arena the simulator builds per resolved flow list. load is the
+	// congestion view indexed by LinkID, in stall-inducing utilization
+	// units (0 = idle), and s is the caller's reusable working memory. For
+	// each flow with active[i] set, dst receives the share of its traffic
+	// assigned to each candidate (indexed like a's paths), normalized to
+	// sum to 1; inactive flows' entries are left untouched.
+	SplitWeights(e *Engine, a *Arena, active []bool, load []float64, s *Scratch, dst []float64)
 }
 
 // PolicyConfig carries the knobs shared by the built-in policies.
@@ -122,9 +120,9 @@ func (minimalPolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Stream
 }
 
 // SplitWeights puts every active flow on its first candidate.
-func (minimalPolicy) SplitWeights(_ *Engine, _ []topology.LinkID, _, flowEnd []int32, _, active []bool, _ []float64, dst []float64) {
+func (minimalPolicy) SplitWeights(_ *Engine, a *Arena, active []bool, _ []float64, _ *Scratch, dst []float64) {
 	fs := int32(0)
-	for fi, pe := range flowEnd {
+	for fi, pe := range a.FlowEnd {
 		if active[fi] && pe > fs {
 			firstOnly(dst[fs:pe])
 		}
@@ -159,11 +157,11 @@ func (p valiantPolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Stre
 
 // SplitWeights spreads every active flow uniformly over its non-minimal
 // candidates, or puts it on its first candidate when it has none.
-func (valiantPolicy) SplitWeights(_ *Engine, _ []topology.LinkID, _, flowEnd []int32, minimal, active []bool, _ []float64, dst []float64) {
+func (valiantPolicy) SplitWeights(_ *Engine, a *Arena, active []bool, _ []float64, _ *Scratch, dst []float64) {
 	fs := int32(0)
-	for fi, pe := range flowEnd {
+	for fi, pe := range a.FlowEnd {
 		if active[fi] && pe > fs {
-			uniformOverDetours(minimal[fs:pe], dst[fs:pe])
+			uniformOverDetours(a.Minimal[fs:pe], dst[fs:pe])
 		}
 		fs = pe
 	}
@@ -205,40 +203,14 @@ func (p adaptivePolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Str
 	return e.Candidates(a, b, CandidateOptions{MaxMinimal: p.cfg.MaxMinimal, MaxValiant: p.cfg.MaxValiant}, s)
 }
 
-// SplitWeights gives each candidate of an active flow a weight inversely
-// proportional to its cost — Σ over hops of (1 + load), times the bias
-// for non-minimal paths — normalized over the flow's candidates.
-func (p adaptivePolicy) SplitWeights(_ *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64) {
-	bias := p.cfg.bias()
-	ps, ls := int32(0), int32(0)
-	for fi := range flowEnd {
-		fs, fl := ps, ls
-		pe := flowEnd[fi]
-		ps = pe
-		if pe > fs {
-			ls = pathEnd[pe-1]
-		}
-		if !active[fi] || pe == fs {
-			continue
-		}
-		var total float64
-		start := fl
-		for j := fs; j < pe; j++ {
-			end := pathEnd[j]
-			cost := 0.0
-			for _, l := range links[start:end] {
-				cost += 1 + load[l]
-			}
-			if !minimal[j] && bias != 1 {
-				cost *= bias
-			}
-			w := 1 / (cost + 1e-9)
-			dst[j] = w
-			total += w
-			start = end
-		}
-		normalize(dst[fs:pe], total)
+// SplitWeights prices every hop at 1 + load and runs the inverse-cost
+// split.
+func (p adaptivePolicy) SplitWeights(_ *Engine, a *Arena, active []bool, load []float64, s *Scratch, dst []float64) {
+	s.Fit(a)
+	for u, l := range a.Distinct {
+		s.Link[u] = 1 + load[l]
 	}
+	inverseCostSplit(a, active, p.cfg.bias(), s, dst)
 }
 
 // feedbackGain prices a sustained group stall ratio of 0.25 as a doubling
@@ -261,44 +233,46 @@ func (p feedbackPolicy) Candidates(e *Engine, a, b topology.RouterID, s *rng.Str
 // SplitWeights is the adaptive split with every hop's cost scaled by
 // 1 + gain·(mean stall ratio of the link's two groups); without a stall
 // signal it is exactly the adaptive split.
-func (p feedbackPolicy) SplitWeights(e *Engine, links []topology.LinkID, pathEnd, flowEnd []int32, minimal, active []bool, load []float64, dst []float64) {
+func (p feedbackPolicy) SplitWeights(e *Engine, a *Arena, active []bool, load []float64, s *Scratch, dst []float64) {
 	gs := p.cfg.GroupStall
 	if gs == nil {
-		adaptivePolicy{cfg: p.cfg}.SplitWeights(e, links, pathEnd, flowEnd, minimal, active, load, dst)
+		adaptivePolicy(p).SplitWeights(e, a, active, load, s, dst)
 		return
 	}
-	bias := p.cfg.bias()
 	d := e.Machine()
-	ps, ls := int32(0), int32(0)
-	for fi := range flowEnd {
-		fs, fl := ps, ls
-		pe := flowEnd[fi]
-		ps = pe
-		if pe > fs {
-			ls = pathEnd[pe-1]
-		}
-		if !active[fi] || pe == fs {
-			continue
-		}
-		var total float64
-		start := fl
-		for j := fs; j < pe; j++ {
-			end := pathEnd[j]
-			cost := 0.0
-			for _, l := range links[start:end] {
-				link := d.Links[l]
-				stall := 0.5 * (gs(d.Group(link.A)) + gs(d.Group(link.B)))
-				cost += (1 + load[l]) * (1 + feedbackGain*stall)
+	s.Fit(a)
+	for u, l := range a.Distinct {
+		link := d.Links[l]
+		stall := 0.5 * (gs(d.Group(link.A)) + gs(d.Group(link.B)))
+		s.Link[u] = (1 + load[l]) * (1 + feedbackGain*stall)
+	}
+	inverseCostSplit(a, active, p.cfg.bias(), s, dst)
+}
+
+// inverseCostSplit is the load-aware split adaptive and feedback share,
+// given each distinct link's hop cost in s.Link: a path costs the sum of its
+// hops' costs (times the bias if it is non-minimal), and an active flow's
+// candidates get weights 1/(cost + 1e-9), normalized in path order.
+func inverseCostSplit(a *Arena, active []bool, bias float64, s *Scratch, dst []float64) {
+	sums := s.Path
+	a.PathSums(s.Link, sums)
+	rank, minimal := a.Rank, a.Minimal
+	fs := int32(0)
+	for fi, pe := range a.FlowEnd {
+		if active[fi] && pe > fs {
+			var total float64
+			for j := fs; j < pe; j++ {
+				cost := sums[rank[j]]
+				if !minimal[j] && bias != 1 {
+					cost *= bias
+				}
+				w := 1 / (cost + 1e-9)
+				dst[j] = w
+				total += w
 			}
-			if !minimal[j] && bias != 1 {
-				cost *= bias
-			}
-			w := 1 / (cost + 1e-9)
-			dst[j] = w
-			total += w
-			start = end
+			normalize(dst[fs:pe], total)
 		}
-		normalize(dst[fs:pe], total)
+		fs = pe
 	}
 }
 

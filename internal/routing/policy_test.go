@@ -231,16 +231,18 @@ func TestBulkSplitAllocFree(t *testing.T) {
 	for _, name := range PolicyNames() {
 		p := mustPolicy(t, name, PolicyConfig{GroupStall: func(topology.GroupID) float64 { return 0.1 }})
 		s := rng.New(7)
-		var a arena
+		var fl flowList
 		for f := 0; f < 16; f++ {
 			src := d.RouterAt(topology.GroupID(s.Intn(9)), s.Intn(4), s.Intn(6))
 			dst := d.RouterAt(topology.GroupID((int(d.Group(src))+1+s.Intn(8))%9), s.Intn(4), s.Intn(6))
-			a.add(p.Candidates(e, src, dst, s.Split(fmt.Sprintf("p-%d", f))), true)
+			fl.add(p.Candidates(e, src, dst, s.Split(fmt.Sprintf("p-%d", f))), true)
 		}
+		a := fl.arena(d)
 		load := make([]float64, len(d.Links))
-		w := make([]float64, len(a.pathEnd))
+		w := make([]float64, len(a.Rank))
+		var sc Scratch
 		allocs := testing.AllocsPerRun(100, func() {
-			p.SplitWeights(e, a.links, a.pathEnd, a.flowEnd, a.minimal, a.active, load, w)
+			p.SplitWeights(e, a, fl.active, load, &sc, w)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s SplitWeights allocated %.1f times per run, want 0", name, allocs)
@@ -257,33 +259,35 @@ func mustPolicy(t *testing.T, name string, cfg PolicyConfig) Policy {
 	return p
 }
 
-// arena is the flat candidate layout SplitWeights reads, built flow by flow.
-type arena struct {
-	links   []topology.LinkID
-	pathEnd []int32
-	flowEnd []int32
-	minimal []bool
-	active  []bool
+// flowList collects per-flow candidate sets and activity flags for an
+// Arena.
+type flowList struct {
+	paths  [][]Path
+	active []bool
 }
 
-func (a *arena) add(paths []Path, active bool) {
-	for _, p := range paths {
-		a.links = append(a.links, p.Links...)
-		a.pathEnd = append(a.pathEnd, int32(len(a.links)))
-		a.minimal = append(a.minimal, p.Minimal)
+func (fl *flowList) add(paths []Path, active bool) {
+	fl.paths = append(fl.paths, paths)
+	fl.active = append(fl.active, active)
+}
+
+// arena builds the Arena of the collected flows on machine d.
+func (fl *flowList) arena(d *topology.Dragonfly) *Arena {
+	index := make([]int32, len(d.Links))
+	for l := range index {
+		index[l] = -1
 	}
-	a.flowEnd = append(a.flowEnd, int32(len(a.pathEnd)))
-	a.active = append(a.active, active)
+	return NewArena(fl.paths, index)
 }
 
 // split runs p's split over one flow's candidate paths, with load evaluated
 // into the per-link view the split reads.
 func split(e *Engine, p Policy, paths []Path, load func(topology.LinkID) float64, dst []float64) {
-	var a arena
-	a.add(paths, true)
+	var fl flowList
+	fl.add(paths, true)
 	view := make([]float64, len(e.Machine().Links))
 	for l := range view {
 		view[l] = load(topology.LinkID(l))
 	}
-	p.SplitWeights(e, a.links, a.pathEnd, a.flowEnd, a.minimal, a.active, view, dst)
+	p.SplitWeights(e, fl.arena(e.Machine()), fl.active, view, &Scratch{}, dst)
 }

@@ -25,7 +25,7 @@ const (
 	testH = 3 // features per step
 )
 
-func trainForecaster(t *testing.T) *nn.Forecaster {
+func trainForecaster(t testing.TB) *nn.Forecaster {
 	t.Helper()
 	s := rng.New(7)
 	samples := make([]nn.Sample, 60)
@@ -43,7 +43,7 @@ func trainForecaster(t *testing.T) *nn.Forecaster {
 	return nn.Train(samples, nn.Config{Epochs: 3}, s)
 }
 
-func trainGBR(t *testing.T) *gbr.Model {
+func trainGBR(t testing.TB) *gbr.Model {
 	t.Helper()
 	s := rng.New(8)
 	x := linalg.NewMatrix(200, 3)
@@ -70,7 +70,7 @@ func randomWindow(s *rng.Stream) [][]float64 {
 	return w
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())

@@ -151,10 +151,12 @@ type Job struct {
 
 	intensity []float64 // per-minute AR(1) intensity factors
 
-	// the unit-intensity network footprint, built by Footprint on its
-	// first read over the network of the timeline tl
+	// the unit-intensity network footprint and its endpoint half, each
+	// built on its first read over the network of the timeline tl
 	built     sync.Once
 	footprint *netsim.LoadSet
+	endsBuilt sync.Once
+	ends      *netsim.LoadSet
 	tl        *Timeline
 }
 
@@ -165,10 +167,21 @@ type Job struct {
 // and are never built.
 func (j *Job) Footprint() *netsim.LoadSet {
 	j.built.Do(func() {
-		j.footprint = j.buildFootprint(j.tl.net)
+		j.footprint = j.tl.net.BuildLoadSet(j.unitFlows())
 		j.tl.tmFootprints.Inc()
 	})
 	return j.footprint
+}
+
+// EndpointLoads returns the per-router endpoint loads of the job's
+// footprint (netsim.Network.EndpointLoads), building them on the first call
+// without routing a flow: the same routers and floats Footprint would
+// hold, for readers that need no link loads.
+func (j *Job) EndpointLoads() *netsim.LoadSet {
+	j.endsBuilt.Do(func() {
+		j.ends = j.tl.net.EndpointLoads(j.unitFlows())
+	})
+	return j.ends
 }
 
 // Routers returns the distinct routers the job's nodes attach to.
@@ -412,11 +425,11 @@ func Generate(net *netsim.Network, cfg GenerateConfig, s *rng.Stream) *Timeline 
 	return tl
 }
 
-// buildFootprint computes the job's unit-intensity LoadSet: an irregular
+// unitFlows is the job's traffic at unit intensity: an irregular
 // node-level exchange plus filesystem traffic, scaled so that a round of
 // duration D at intensity 1 injects BytesPerNodePerSec*D per node.
-func (j *Job) buildFootprint(net *netsim.Network) *netsim.LoadSet {
-	topo := net.Topology()
+func (j *Job) unitFlows() []netsim.Flow {
+	topo := j.tl.net.Topology()
 	w := j.User.Workload
 	mapper := &mpi.RankMapper{Topo: topo, Nodes: j.Nodes, RanksPerNode: 1}
 	b := mpi.NewPatternBuilder()
@@ -438,7 +451,7 @@ func (j *Job) buildFootprint(net *netsim.Network) *netsim.LoadSet {
 	bytesPerSec := w.BytesPerNodePerSec * float64(len(j.Nodes))
 	flits := mpi.FlitsFor(bytesPerSec)
 	msgs := bytesPerSec / math.Max(w.MsgBytes, 1)
-	return net.BuildLoadSet(pattern.Instantiate(flits, msgs, w.ReqFraction, nil))
+	return pattern.Instantiate(flits, msgs, w.ReqFraction, nil)
 }
 
 // buildIntensity precomputes the per-minute AR(1) intensity series.
