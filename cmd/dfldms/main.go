@@ -30,6 +30,7 @@ import (
 
 	"dragonvar/internal/cli"
 	"dragonvar/internal/cluster"
+	"dragonvar/internal/counters"
 	"dragonvar/internal/export"
 	"dragonvar/internal/monitor"
 	"dragonvar/internal/topology"
@@ -66,7 +67,7 @@ func usage(w io.Writer) {
   dfldms record    [-small] [-days N] [-seed S] [-hours H] [-interval SEC] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] -out FILE
   dfldms summarize -in FILE [-top K]
   dfldms analyze   -in FILE [-events FILE|-] [-heatmap FILE.svg] [-csv FILE] [-top K]
-                   [-rpg N] [-hot-z Z] [-stall-onset R] [-stall-clear R] [-bin SEC] [-interval SEC]`)
+                   [-rpg N] [-hot-z Z] [-stall-onset R] [-stall-clear R] [-bin SEC]`)
 }
 
 func cmdRecord(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -109,7 +110,7 @@ func cmdRecord(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	}
 	defer fh.Close()
 	nr := c.Topo.Cfg.NumRouters()
-	w, err := traceio.NewWriter(fh, nr*cluster.LDMSSeriesPerRouter)
+	w, err := traceio.NewWriter(fh, nr*counters.NumLDMS)
 	if err != nil {
 		return err
 	}
@@ -136,10 +137,10 @@ func cmdRecord(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return err
 	}
 	fmt.Fprintf(stdout, "recorded %d samples of %d routers × %d series in %v\n",
-		n, nr, cluster.LDMSSeriesPerRouter, time.Since(start).Round(time.Millisecond))
+		n, nr, counters.NumLDMS, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(stdout, "log: %s (%.1f MiB, %.2f bytes per counter sample)\n",
 		*out, float64(info.Size())/(1<<20),
-		float64(info.Size())/float64(n*nr*cluster.LDMSSeriesPerRouter))
+		float64(info.Size())/float64(n*nr*counters.NumLDMS))
 	perDay := float64(info.Size()) / (*hours) * 24 / (1 << 30)
 	fmt.Fprintf(stdout, "at this rate a full day is %.2f GiB (Cori's real 1 Hz feed was ~5 TB/day)\n", perDay)
 	return nil
@@ -163,7 +164,7 @@ func cmdSummarize(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	series := r.NumSeries()
-	routers := series / cluster.LDMSSeriesPerRouter
+	routers := series / counters.NumLDMS
 
 	// deltas are taken between the first and last HEALTHY samples: missing
 	// markers carry no counter values, only the gap itself
@@ -190,8 +191,8 @@ func cmdSummarize(args []string, stdout, stderr io.Writer) error {
 		}
 		healthy := true
 		for ri := 0; ri < routers; ri++ {
-			base := ri * cluster.LDMSSeriesPerRouter
-			for s := 0; s < cluster.LDMSSeriesPerRouter; s++ {
+			base := ri * counters.NumLDMS
+			for s := 0; s < counters.NumLDMS; s++ {
 				if math.IsNaN(v[base+s]) {
 					gaps[ri]++
 					healthy = false
@@ -227,11 +228,12 @@ func cmdSummarize(args []string, stdout, stderr io.Writer) error {
 	}
 	var loads []load
 	for ri := 0; ri < routers; ri++ {
-		base := ri * cluster.LDMSSeriesPerRouter
+		flit := ri*counters.NumLDMS + int(counters.LDMSRTFlitTot)
+		stall := ri*counters.NumLDMS + int(counters.LDMSRTRBStl)
 		loads = append(loads, load{
 			router: ri,
-			flits:  last[base] - first[base],
-			stalls: last[base+1] - first[base+1],
+			flits:  last[flit] - first[flit],
+			stalls: last[stall] - first[stall],
 		})
 	}
 	sort.Slice(loads, func(i, j int) bool { return loads[i].flits > loads[j].flits })
@@ -308,7 +310,6 @@ func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 	stallOnset := fs.Float64("stall-onset", 0, "group congestion onset threshold on smoothed stall ratio (0 = default)")
 	stallClear := fs.Float64("stall-clear", 0, "congestion clear threshold (0 = onset/2)")
 	bin := fs.Float64("bin", 0, "heatmap time-bin width, seconds (0 = default)")
-	interval := fs.Float64("interval", 0, "expected sampling interval for time-jump gap detection (0 = infer)")
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
@@ -323,11 +324,11 @@ func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	series := rd.NumSeries()
-	if series%cluster.LDMSSeriesPerRouter != 0 {
+	if series%counters.NumLDMS != 0 {
 		return fmt.Errorf("%s holds %d series, not a multiple of %d per router",
-			*in, series, cluster.LDMSSeriesPerRouter)
+			*in, series, counters.NumLDMS)
 	}
-	routers := series / cluster.LDMSSeriesPerRouter
+	routers := series / counters.NumLDMS
 	if *rpg <= 0 {
 		*rpg = inferGroupSize(routers)
 	}
@@ -346,10 +347,7 @@ func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 
 	m, err := monitor.New(monitor.Config{
 		NumRouters:      routers,
-		SeriesPerRouter: cluster.LDMSSeriesPerRouter,
 		RoutersPerGroup: *rpg,
-		Interval:        *interval,
-		DetectTimeGaps:  true, // replay is time-ordered
 		HotZ:            *hotZ,
 		StallOnset:      *stallOnset,
 		StallClear:      *stallClear,

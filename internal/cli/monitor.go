@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"dragonvar/internal/cluster"
 	"dragonvar/internal/monitor"
 	"dragonvar/internal/topology"
 )
@@ -32,11 +31,8 @@ func Monitor(name, path, source string, small bool, open func(string) (io.WriteC
 	if small {
 		topo = topology.Small()
 	}
-	// DetectTimeGaps stays off: parallel campaign rounds interleave runs out
-	// of time order, so only explicit missing markers count as gaps.
 	m, err := monitor.New(monitor.Config{
 		NumRouters:      topo.NumRouters(),
-		SeriesPerRouter: cluster.LDMSSeriesPerRouter,
 		RoutersPerGroup: topo.RoutersPerGroup(),
 		HeatmapBin:      3600,
 		Events:          events,

@@ -85,14 +85,16 @@ type Config struct {
 	Workers int `json:"-"`
 	// Progress, when non-nil, receives (completed, total) after each run.
 	Progress func(done, total int) `json:"-"`
-	// Monitor, when non-nil, receives every simulated round's per-router
-	// counter deltas (and dropout markers) as they are produced — the live
-	// feed of the streaming monitor (internal/monitor implements this).
-	// Strictly observation-only: the campaign result is byte-identical
-	// with or without a monitor attached. In a parallel campaign the
-	// observer is called concurrently from worker goroutines, and rounds
-	// of different runs interleave out of time order — implementations
-	// must lock, and must not infer sampler gaps from timestamp jumps.
+	// Monitor, when non-nil, receives every simulated campaign round's
+	// per-router counter deltas (and dropout markers) as they are produced
+	// — the live feed of the streaming monitor (internal/monitor implements
+	// this). Strictly observation-only: the campaign result is
+	// byte-identical with or without a monitor attached. In a parallel
+	// campaign the observer is called concurrently from worker goroutines,
+	// and rounds of different runs interleave out of time order —
+	// implementations must lock, and must not infer sampler gaps from
+	// timestamp jumps. RecordLDMSCtx does not feed it: a recording reaches
+	// the monitor through monitor.Replay.
 	Monitor RoundObserver `json:"-"`
 	// OnRunMerged, when non-nil, receives every completed run during the
 	// serial merge phase, in deterministic (round, plan) order, with
@@ -106,10 +108,10 @@ type Config struct {
 }
 
 // RoundObserver is the live monitoring hook of a campaign. ObserveRound
-// receives one round's per-router counter deltas over dt seconds, laid out
-// router-major with LDMSSeriesPerRouter series per router (the layout of
-// counters.Board.DeltaInto with the LDMS source list); the slice is scratch
-// reused between calls, so implementations must copy what they keep.
+// receives one round's per-router counter deltas over dt seconds in the
+// LDMS layout of counters.Board.DeltaInto (counters.NumLDMS series per
+// router, router-major); the slice is scratch reused between calls, so
+// implementations must copy what they keep.
 // ObserveMissing reports a round whose counter reads fell in a sampler
 // dropout window.
 type RoundObserver interface {
@@ -331,7 +333,7 @@ func (c *Cluster) newSimWorker() *simWorker {
 	// workers pool resolved candidate paths (identically seeded networks)
 	w.net.SharePathCache(c.pathCache)
 	if c.cfg.Monitor != nil {
-		w.monDeltas = make([]float64, c.Topo.Cfg.NumRouters()*LDMSSeriesPerRouter)
+		w.monDeltas = make([]float64, c.Topo.Cfg.NumRouters()*counters.NumLDMS)
 	}
 	return w
 }
@@ -981,7 +983,7 @@ func (w *simWorker) simulate(p *plan, plans []*plan, self int) (*dataset.Run, er
 			if missing {
 				mon.ObserveMissing(t)
 			} else {
-				w.net.Board.DeltaInto(before, ldmsSources[:], w.monDeltas)
+				w.net.Board.DeltaInto(before, w.monDeltas)
 				mon.ObserveRound(t, dur, w.monDeltas)
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dragonvar/internal/apps"
+	"dragonvar/internal/counters"
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/netsim"
 	"dragonvar/internal/slurm"
@@ -308,7 +309,7 @@ func TestRecordLDMS(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	nr := c.Topo.Cfg.NumRouters()
-	w, err := traceio.NewWriter(&buf, nr*LDMSSeriesPerRouter)
+	w, err := traceio.NewWriter(&buf, nr*counters.NumLDMS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func TestRecordLDMSWithDropout(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	nr := c.Topo.Cfg.NumRouters()
-	w, err := traceio.NewWriter(&buf, nr*LDMSSeriesPerRouter)
+	w, err := traceio.NewWriter(&buf, nr*counters.NumLDMS)
 	if err != nil {
 		t.Fatal(err)
 	}

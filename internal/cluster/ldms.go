@@ -10,21 +10,13 @@ import (
 	"dragonvar/internal/traceio"
 )
 
-// ldmsSources are the per-router counters the system-wide monitor samples,
-// matching the LDMS feature definitions of §III-C / §V-C.
-var ldmsSources = [4]counters.Index{
-	counters.RTFlitTot, counters.RTRBStl, counters.PTFlitTot, counters.PTPktTot,
-}
-
-// LDMSSeriesPerRouter is the number of counter series recorded per router.
-const LDMSSeriesPerRouter = len(ldmsSources)
-
 // RecordLDMSCtx replays the background timeline over [t0, t1) at the given
-// sampling interval and streams system-wide counter samples — four series
-// per router — to the writer, mimicking the LDMS pipeline that sampled
-// every Aries router on Cori once per second (§III-C). Values are the
-// cumulative hardware counters, which the log's delta encoding compresses
-// well. Returns the number of samples written.
+// sampling interval and streams system-wide counter samples — the
+// counters.NumLDMS series of every router, in the layout of
+// counters.Board.SampleInto — to the writer, mimicking the LDMS pipeline
+// that sampled every Aries router on Cori once per second (§III-C). Values
+// are the cumulative hardware counters, which the log's delta encoding
+// compresses well. Returns the number of samples written.
 //
 // The replay drives the same network simulator the campaign uses, so the
 // recorded stream is consistent with what instrumented runs would have
@@ -45,21 +37,8 @@ func (c *Cluster) RecordLDMSCtx(ctx context.Context, w *traceio.Writer, t0, t1, 
 	}
 	_, span := telemetry.Start(ctx, telemetry.SpanLDMSRecord)
 	defer span.End()
-	nr := c.Topo.Cfg.NumRouters()
-	values := make([]float64, nr*LDMSSeriesPerRouter)
+	values := make([]float64, c.Topo.Cfg.NumRouters()*counters.NumLDMS)
 	samples := 0
-
-	// live monitor feed state: deltas against the previous healthy sample
-	// (the counters keep counting through a dropout, so the first healthy
-	// delta after a gap spans it)
-	mon := c.cfg.Monitor
-	var monPrev, monDeltas []float64
-	monPrevT := 0.0
-	if mon != nil {
-		monPrev = make([]float64, len(values))
-		monDeltas = make([]float64, len(values))
-	}
-	havePrev := false
 
 	co := c.coRunners(t0, t1, nil, -1, nil)
 	var scaled []netsim.ScaledLoad
@@ -77,26 +56,12 @@ func (c *Cluster) RecordLDMSCtx(ctx context.Context, w *traceio.Writer, t0, t1, 
 			if err := w.WriteMissing(t); err != nil {
 				return samples, err
 			}
-			if mon != nil {
-				mon.ObserveMissing(t)
-			}
 			samples++
 			continue
 		}
-		c.Net.Board.SampleInto(ldmsSources[:], values)
+		c.Net.Board.SampleInto(values)
 		if err := w.WriteSample(t, values); err != nil {
 			return samples, err
-		}
-		if mon != nil {
-			if havePrev && t > monPrevT {
-				for i := range monDeltas {
-					monDeltas[i] = values[i] - monPrev[i]
-				}
-				mon.ObserveRound(t, t-monPrevT, monDeltas)
-			}
-			copy(monPrev, values)
-			monPrevT = t
-			havePrev = true
 		}
 		samples++
 	}

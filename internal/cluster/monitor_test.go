@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"dragonvar/internal/counters"
 	"dragonvar/internal/monitor"
 	"dragonvar/internal/telemetry"
 	"dragonvar/internal/traceio"
@@ -16,7 +17,6 @@ func tinyMonitor(t *testing.T, c *Cluster, events io.Writer) *monitor.Monitor {
 	t.Helper()
 	m, err := monitor.New(monitor.Config{
 		NumRouters:      c.Topo.Cfg.NumRouters(),
-		SeriesPerRouter: LDMSSeriesPerRouter,
 		RoutersPerGroup: c.Topo.Cfg.RoutersPerGroup(),
 		Events:          events,
 		Source:          "test",
@@ -70,9 +70,10 @@ func TestCampaignIdenticalWithMonitor(t *testing.T) {
 	}
 }
 
-// TestRecordLDMSFeedsMonitor checks the live recording feed: a recording
-// with a dropout window drives the attached monitor, and an offline replay
-// of the very log it wrote sees the same stream shape.
+// TestRecordLDMSFeedsMonitor checks the recording feed: a recording with
+// a dropout window, replayed into a monitor, surfaces as healthy deltas
+// against the previous healthy sample, one missing marker per dropped
+// sample, and one coalesced sampler_gap event.
 func TestRecordLDMSFeedsMonitor(t *testing.T) {
 	cfg := tinyConfig(310)
 	cfg.FaultSpec = "dropout@3780-4020" // drops the middle 4 of 10 samples
@@ -80,12 +81,8 @@ func TestRecordLDMSFeedsMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events bytes.Buffer
-	live := tinyMonitor(t, c, &events)
-	c.cfg.Monitor = live
-
 	var logBuf bytes.Buffer
-	w, err := traceio.NewWriter(&logBuf, c.Topo.Cfg.NumRouters()*LDMSSeriesPerRouter)
+	w, err := traceio.NewWriter(&logBuf, c.Topo.Cfg.NumRouters()*counters.NumLDMS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,34 +93,23 @@ func TestRecordLDMSFeedsMonitor(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("samples = %d, want 10", n)
 	}
-	if err := live.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	ls := live.Summary()
-	// 6 healthy samples → 5 deltas; 4 explicit missing markers.
-	if ls.Samples != 5 || ls.Missing != 4 {
-		t.Fatalf("live monitor saw %d samples / %d missing, want 5 / 4", ls.Samples, ls.Missing)
-	}
-	if ls.Events[monitor.EventSamplerGap] != 1 {
-		t.Errorf("live monitor emitted %d sampler_gap events, want 1", ls.Events[monitor.EventSamplerGap])
-	}
 
-	// Offline replay of the same log must reconstruct the same stream shape.
 	rd, err := traceio.NewReader(bytes.NewReader(logBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline := tinyMonitor(t, c, nil)
-	st, err := monitor.Replay(rd, offline)
+	m := tinyMonitor(t, c, nil)
+	st, err := monitor.Replay(rd, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os := offline.Summary()
-	if st.Samples != ls.Samples || st.Missing != ls.Missing {
-		t.Errorf("replay saw %d/%d, live saw %d/%d", st.Samples, st.Missing, ls.Samples, ls.Missing)
+	s := m.Summary()
+	// 6 healthy samples → 5 deltas; 4 explicit missing markers.
+	if st.Samples != 5 || st.Missing != 4 || s.Samples != 5 || s.Missing != 4 {
+		t.Fatalf("replay fed %d samples / %d missing, monitor saw %d / %d, want 5 / 4",
+			st.Samples, st.Missing, s.Samples, s.Missing)
 	}
-	if os.Events[monitor.EventSamplerGap] != ls.Events[monitor.EventSamplerGap] {
-		t.Errorf("replay gap events = %d, live = %d",
-			os.Events[monitor.EventSamplerGap], ls.Events[monitor.EventSamplerGap])
+	if s.Events[monitor.EventSamplerGap] != 1 {
+		t.Errorf("monitor emitted %d sampler_gap events, want 1", s.Events[monitor.EventSamplerGap])
 	}
 }

@@ -189,7 +189,9 @@ func (b *Board) DeltaSum(since *Board, routers []topology.RouterID) RouterCounte
 // LDMSFeature identifies the four counters the LDMS-derived io/sys feature
 // groups expose (§V-C): RT flit totals, RT stalls, PT flit totals, and PT
 // packet totals, aggregated over I/O routers ("io") or over all routers
-// disjoint from the job ("sys").
+// disjoint from the job ("sys"). The same four, in this order, are the
+// per-router series of a system-wide DFLDMS sample (SampleInto), the feed
+// of the streaming monitor.
 type LDMSFeature int
 
 const (
@@ -202,7 +204,8 @@ const (
 	NumLDMS int = iota
 )
 
-// ldmsSource maps each LDMS feature to the underlying router counter.
+// ldmsSource maps each LDMS feature to the underlying router counter: the
+// one LDMS layout.
 var ldmsSource = [NumLDMS]Index{
 	LDMSRTFlitTot: RTFlitTot,
 	LDMSRTRBStl:   RTRBStl,
@@ -237,32 +240,30 @@ func (b *Board) LDMSSample(since *Board, routers []topology.RouterID) [NumLDMS]f
 	return out
 }
 
-// SampleInto fills dst with the cumulative value of each source counter at
-// every router, laid out row-major (router-major): dst[r*len(sources)+k] =
-// counter sources[k] at router r. dst must have NumRouters()*len(sources)
-// elements. This is the wire layout of a DFLDMS sample row.
-func (b *Board) SampleInto(sources []Index, dst []float64) {
-	k := len(sources)
+// SampleInto fills dst with the cumulative value of each LDMS counter at
+// every router, laid out router-major: dst[r*NumLDMS+i] = LDMS feature i
+// at router r. dst must have NumRouters()*NumLDMS elements. This is the
+// wire layout of a DFLDMS sample row.
+func (b *Board) SampleInto(dst []float64) {
 	nr := b.NumRouters()
 	for r := 0; r < nr; r++ {
 		rc := b.Data[r*NumJob : r*NumJob+NumJob]
-		for i, src := range sources {
-			dst[r*k+i] = rc[src]
+		for i, src := range ldmsSource {
+			dst[r*NumLDMS+i] = rc[src]
 		}
 	}
 }
 
-// DeltaInto fills dst with the per-router increase of each source counter
+// DeltaInto fills dst with the per-router increase of each LDMS counter
 // since the snapshot, in the same router-major layout as SampleInto. dst
-// must have NumRouters()*len(sources) elements.
-func (b *Board) DeltaInto(since *Board, sources []Index, dst []float64) {
-	k := len(sources)
+// must have NumRouters()*NumLDMS elements.
+func (b *Board) DeltaInto(since *Board, dst []float64) {
 	nr := b.NumRouters()
 	for r := 0; r < nr; r++ {
 		cur := b.Data[r*NumJob : r*NumJob+NumJob]
 		old := since.Data[r*NumJob : r*NumJob+NumJob]
-		for i, src := range sources {
-			dst[r*k+i] = cur[src] - old[src]
+		for i, src := range ldmsSource {
+			dst[r*NumLDMS+i] = cur[src] - old[src]
 		}
 	}
 }

@@ -188,10 +188,9 @@ func TestSampleIntoAndDeltaInto(t *testing.T) {
 	b.Add(0, RTRBStl, 7)
 	b.Add(2, PTFlitTot, 50)
 	b.Add(2, PTPktTot, 5)
-	sources := []Index{RTFlitTot, RTRBStl, PTFlitTot, PTPktTot}
 
-	dst := make([]float64, 3*len(sources))
-	b.SampleInto(sources, dst)
+	dst := make([]float64, 3*NumLDMS)
+	b.SampleInto(dst)
 	want := []float64{
 		100, 7, 0, 0, // router 0
 		0, 0, 0, 0, // router 1
@@ -207,7 +206,7 @@ func TestSampleIntoAndDeltaInto(t *testing.T) {
 	b.Add(0, RTFlitTot, 10)
 	b.Add(1, RTRBStl, 3)
 	b.Add(2, PTPktTot, 1)
-	b.DeltaInto(before, sources, dst)
+	b.DeltaInto(before, dst)
 	wantDelta := []float64{
 		10, 0, 0, 0,
 		0, 3, 0, 0,

@@ -2,39 +2,32 @@ package monitor
 
 import "dragonvar/internal/stats"
 
-// StallFeedback is the deterministic, single-owner sibling of the
-// Monitor's per-group congestion rollup: the same per-round stall-ratio
-// EWMA (Δstall / Δflit per group, smoothed with the monitor's default
-// alpha), but fed by one simulator from its own counter deltas instead of
-// by concurrently interleaved campaign rounds. That distinction is what
-// lets the feedback routing policy read it mid-simulation without breaking
-// the serial ≡ parallel byte-identity contract: a live shared Monitor sees
-// rounds of different runs in a worker-dependent order, while a
-// StallFeedback owned by one netsim.Network (and reset per run, next to
-// its counter board) evolves identically no matter which worker simulates
-// the run or what that worker simulated before.
+// StallFeedback is the per-group stall-ratio EWMA: each round's Δstall /
+// Δflit per group, smoothed with ewmaAlpha. The Monitor's congestion
+// rollup is one, fed by every observed round. The feedback routing policy
+// reads another, owned by one netsim.Network and fed by that simulator
+// from its own counter deltas. That ownership is what lets the policy read
+// it mid-simulation without breaking the serial ≡ parallel byte-identity
+// contract: a live shared Monitor sees rounds of different runs in a
+// worker-dependent order, while a StallFeedback owned by one network (and
+// reset per run, next to its counter board) evolves identically no matter
+// which worker simulates the run or what that worker simulated before.
 //
 // Usage per simulation round: Accumulate per-group stall and flit deltas
 // while the round's counters are written, then Commit once at the end of
 // the round to fold the round's ratios into the EWMAs. Ratio reads the
 // smoothed value; Reset clears everything for the next run.
 type StallFeedback struct {
-	alpha float64
-	ewma  []float64
+	ewma []float64
 	// round accumulators, cleared by Commit
 	accStall []float64
 	accFlit  []float64
 	rounds   int
 }
 
-// NewStallFeedback returns a tracker over numGroups groups. alpha ≤ 0 uses
-// the Monitor's default EWMA smoothing factor.
-func NewStallFeedback(numGroups int, alpha float64) *StallFeedback {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3 // Monitor's default EWMAAlpha
-	}
+// NewStallFeedback returns a tracker over numGroups groups.
+func NewStallFeedback(numGroups int) *StallFeedback {
 	return &StallFeedback{
-		alpha:    alpha,
 		ewma:     make([]float64, numGroups),
 		accStall: make([]float64, numGroups),
 		accFlit:  make([]float64, numGroups),
@@ -47,9 +40,8 @@ func (f *StallFeedback) Accumulate(g int, stall, flit float64) {
 	f.accFlit[g] += flit
 }
 
-// Commit folds the accumulated round into the per-group EWMAs (the same
-// update the Monitor applies per observed round) and clears the
-// accumulators.
+// Commit folds the accumulated round into the per-group EWMAs and clears
+// the accumulators.
 func (f *StallFeedback) Commit() {
 	for g := range f.ewma {
 		ratio := 0.0
@@ -59,7 +51,7 @@ func (f *StallFeedback) Commit() {
 		if f.rounds == 0 {
 			f.ewma[g] = ratio
 		} else {
-			f.ewma[g] += f.alpha * (ratio - f.ewma[g])
+			f.ewma[g] += ewmaAlpha * (ratio - f.ewma[g])
 		}
 		f.accStall[g] = 0
 		f.accFlit[g] = 0

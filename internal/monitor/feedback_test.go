@@ -6,7 +6,7 @@ import (
 )
 
 func TestStallFeedbackEWMA(t *testing.T) {
-	f := NewStallFeedback(2, 0.5)
+	f := NewStallFeedback(2)
 	f.Accumulate(0, 50, 100)
 	f.Accumulate(0, 10, 100) // same group twice in one round: deltas add
 	f.Accumulate(1, 0, 100)
@@ -19,35 +19,30 @@ func TestStallFeedbackEWMA(t *testing.T) {
 	}
 	f.Accumulate(0, 100, 100)
 	f.Commit()
-	// ewma = 0.3 + 0.5*(1.0-0.3) = 0.65
-	if got := f.Ratio(0); math.Abs(got-0.65) > 1e-12 {
-		t.Fatalf("EWMA update: got %v, want 0.65", got)
+	// alpha 0.3: ewma = 0.3 + 0.3*(1.0-0.3) = 0.51
+	if got := f.Ratio(0); math.Abs(got-0.51) > 1e-12 {
+		t.Fatalf("EWMA update: got %v, want 0.51", got)
 	}
-	// a zero-flit round reads as ratio 0, decaying the EWMA
+	// a zero-flit round reads as ratio 0, decaying the EWMA:
+	// 0.51 + 0.3*(0-0.51) = 0.357
 	f.Commit()
-	if got := f.Ratio(0); math.Abs(got-0.325) > 1e-12 {
-		t.Fatalf("zero-flit round: got %v, want 0.325", got)
+	if got := f.Ratio(0); math.Abs(got-0.357) > 1e-12 {
+		t.Fatalf("zero-flit round: got %v, want 0.357", got)
 	}
 	f.Reset()
 	if f.Ratio(0) != 0 || f.Ratio(1) != 0 {
 		t.Fatal("Reset left state behind")
 	}
-	f.Accumulate(0, 30, 100)
-	f.Commit()
-	if got := f.Ratio(0); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("post-Reset round must set directly again: got %v, want 0.3", got)
-	}
-}
-
-func TestStallFeedbackDefaultAlpha(t *testing.T) {
-	f := NewStallFeedback(1, 0)
 	f.Accumulate(0, 100, 100)
 	f.Commit()
+	if got := f.Ratio(0); got != 1 {
+		t.Fatalf("post-Reset round must set directly again: got %v, want 1", got)
+	}
 	f.Accumulate(0, 0, 100)
 	f.Commit()
-	// default alpha 0.3: 1.0 + 0.3*(0-1.0) = 0.7
+	// 1.0 + 0.3*(0-1.0) = 0.7
 	if got := f.Ratio(0); math.Abs(got-0.7) > 1e-12 {
-		t.Fatalf("default alpha: got %v, want 0.7", got)
+		t.Fatalf("decay from 1: got %v, want 0.7", got)
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package monitor is the streaming network-weather analytics engine: it
 // consumes per-router counter samples — live from the campaign driver's
-// per-round deltas, or offline by replaying a DFLDMS log — and maintains
+// per-round deltas, or offline by replaying a DFLDMS log — in the LDMS
+// layout of internal/counters (counters.NumLDMS series per router, flits at
+// counters.LDMSRTFlitTot, stalls at counters.LDMSRTRBStl), and maintains
 // single-pass windowed state over them: Welford online mean/variance per
 // series, per-group congestion rollups (stall-ratio from RT_RB_STL over
 // RT_FLIT_TOT), EWMA-based anomaly detection emitting structured JSONL
@@ -10,7 +12,8 @@
 // This is the monitoring half of the paper's measurement stack: LDMS gave
 // Cori a 1 Hz system-wide counter feed (§III-C), and the follow-up
 // longitudinal-analytics work turns such feeds into queryable aggregates.
-// cluster.RecordLDMSCtx produces the feed; this package watches it.
+// cluster.RecordLDMSCtx records the feed; Replay and the campaign's
+// per-round hook (cluster.Config.Monitor) bring it here.
 //
 // # Observation-only contract
 //
@@ -18,9 +21,8 @@
 // it only reads counter deltas the simulation already produced, so a
 // monitored campaign is byte-identical to an unmonitored one (enforced by
 // TestCampaignIdenticalWithMonitor in internal/cluster). All exported
-// methods are safe for concurrent use; the campaign's serial merge phase
-// calls ObserveRound from one goroutine at a time, but the lock makes the
-// monitor safe under any calling discipline.
+// methods are safe for concurrent use: a parallel campaign calls
+// ObserveRound from its worker goroutines as they simulate.
 package monitor
 
 import (
@@ -32,6 +34,7 @@ import (
 	"strings"
 	"sync"
 
+	"dragonvar/internal/counters"
 	"dragonvar/internal/stats"
 )
 
@@ -41,7 +44,7 @@ const (
 	EventHotRouterClear  = "hot_router_clear" // a hot router dropped back below HotZ/2
 	EventCongestionOnset = "congestion_onset" // a group's smoothed stall ratio crossed StallOnset
 	EventCongestionClear = "congestion_clear" // a congested group dropped back below StallClear
-	EventSamplerGap      = "sampler_gap"      // a run of missing samples (or a timestamp jump) closed
+	EventSamplerGap      = "sampler_gap"      // a run of missing samples (or a replayed timestamp jump) closed
 	EventModelDrift      = "model_drift"      // rolling live forecast MAPE breached the drift threshold (emitted by the daemon via Emit)
 )
 
@@ -68,30 +71,11 @@ type Event struct {
 // is required; every other field has a sensible default applied by New.
 type Config struct {
 	NumRouters      int // required: routers in the machine
-	SeriesPerRouter int // counter series per router (default 4, cluster.LDMSSeriesPerRouter)
 	RoutersPerGroup int // dragonfly group size for rollups (default: all routers in one group)
 
-	FlitSeries int // series index of the flit-total counter within a router's block (default 0)
-	// StallSeries is the series index of the stall-cycle counter. 0 means
-	// the default, 1 (the LDMS layout); a monitor whose stall counter truly
-	// sits at index 0 must put the flit counter elsewhere.
-	StallSeries int
-
-	// Interval is the expected sampling interval in seconds; 0 infers it
-	// from the first observed dt. Only used for time-jump gap detection.
-	Interval float64
-	// DetectTimeGaps infers sampler gaps from timestamp jumps larger than
-	// GapFactor×Interval. Enable only for time-ordered streams (offline
-	// replay); campaign rounds interleave runs out of order.
-	DetectTimeGaps bool
-	GapFactor      float64 // default 2.5
-
-	EWMAAlpha     float64 // smoothing factor for rate/ratio EWMAs (default 0.3)
-	HotZ          float64 // hot-router onset threshold in cross-sectional std devs (default 3)
-	HotMinSamples int     // warm-up samples before hot detection may fire (default 8)
-	StallOnset    float64 // group congestion onset threshold on smoothed stall ratio (default 0.25)
-	StallClear    float64 // clear threshold (default StallOnset/2)
-
+	HotZ       float64 // hot-router onset threshold in cross-sectional std devs (default 3)
+	StallOnset float64 // group congestion onset threshold on smoothed stall ratio (default 0.25)
+	StallClear float64 // clear threshold (default StallOnset/2)
 	HeatmapBin float64 // heatmap time-bin width in seconds (default 900)
 
 	// Events receives one JSON object per line as anomalies are detected;
@@ -100,6 +84,26 @@ type Config struct {
 	// Source tags every emitted event (e.g. "campaign", "replay").
 	Source string
 }
+
+const (
+	// gapFactor: on a replayed (time-ordered) feed, a forward timestamp
+	// jump beyond gapFactor sampling intervals is a sampler gap.
+	gapFactor = 2.5
+	// ewmaAlpha smooths the per-router flit rates and the per-group stall
+	// ratios (StallFeedback).
+	ewmaAlpha = 0.3
+	// hotMinSamples is how many observations a router needs before hot
+	// detection may fire.
+	hotMinSamples = 8
+)
+
+// The per-router series layout of every feed: counters.NumLDMS series,
+// flits and stalls at their named indices.
+const (
+	seriesPerRouter = counters.NumLDMS
+	flitSeries      = int(counters.LDMSRTFlitTot)
+	stallSeries     = int(counters.LDMSRTRBStl)
+)
 
 // heatCell accumulates one group's stall ratio within one time bin.
 type heatCell struct {
@@ -124,7 +128,7 @@ type Monitor struct {
 	mu sync.Mutex
 
 	// Per-series Welford accumulators over rates (router-major layout, same
-	// as the sample rows: series s of router r is index r*SeriesPerRouter+s).
+	// as the sample rows: series s of router r is index r*seriesPerRouter+s).
 	series []stats.Welford
 
 	// Hot-router detection state.
@@ -133,7 +137,7 @@ type Monitor struct {
 	hot      []bool
 
 	// Group congestion state.
-	groupEWMA  []float64 // smoothed stall ratio per group
+	groups     *StallFeedback // smoothed stall ratio per group
 	congested  []bool
 	groupStall []float64 // lifetime Δstall sums per group (for the report)
 	groupFlit  []float64 // lifetime Δflit sums per group
@@ -142,7 +146,7 @@ type Monitor struct {
 
 	gap      gapState
 	lastT    float64
-	interval float64 // resolved sampling interval (cfg.Interval or inferred)
+	interval float64 // sampling interval, inferred from the first dt
 
 	samples    int // healthy observations
 	missing    int // missing-sample observations
@@ -155,35 +159,11 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.NumRouters <= 0 {
 		return nil, fmt.Errorf("monitor: NumRouters must be positive, got %d", cfg.NumRouters)
 	}
-	if cfg.SeriesPerRouter == 0 {
-		cfg.SeriesPerRouter = 4
-	}
-	if cfg.SeriesPerRouter < 0 {
-		return nil, fmt.Errorf("monitor: negative SeriesPerRouter %d", cfg.SeriesPerRouter)
-	}
 	if cfg.RoutersPerGroup <= 0 {
 		cfg.RoutersPerGroup = cfg.NumRouters
 	}
-	if cfg.FlitSeries < 0 || cfg.FlitSeries >= cfg.SeriesPerRouter {
-		return nil, fmt.Errorf("monitor: FlitSeries %d out of range [0, %d)", cfg.FlitSeries, cfg.SeriesPerRouter)
-	}
-	if cfg.StallSeries == 0 && cfg.SeriesPerRouter > 1 {
-		cfg.StallSeries = 1 // the LDMS layout: RT_FLIT_TOT at 0, RT_RB_STL at 1
-	}
-	if cfg.StallSeries < 0 || cfg.StallSeries >= cfg.SeriesPerRouter {
-		return nil, fmt.Errorf("monitor: StallSeries %d out of range [0, %d)", cfg.StallSeries, cfg.SeriesPerRouter)
-	}
-	if cfg.GapFactor <= 0 {
-		cfg.GapFactor = 2.5
-	}
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = 0.3
-	}
 	if cfg.HotZ <= 0 {
 		cfg.HotZ = 3
-	}
-	if cfg.HotMinSamples <= 0 {
-		cfg.HotMinSamples = 8
 	}
 	if cfg.StallOnset <= 0 {
 		cfg.StallOnset = 0.25
@@ -198,16 +178,15 @@ func New(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		cfg:        cfg,
 		numGroups:  ng,
-		series:     make([]stats.Welford, cfg.NumRouters*cfg.SeriesPerRouter),
+		series:     make([]stats.Welford, cfg.NumRouters*seriesPerRouter),
 		flitEWMA:   make([]float64, cfg.NumRouters),
 		seen:       make([]int, cfg.NumRouters),
 		hot:        make([]bool, cfg.NumRouters),
-		groupEWMA:  make([]float64, ng),
+		groups:     NewStallFeedback(ng),
 		congested:  make([]bool, ng),
 		groupStall: make([]float64, ng),
 		groupFlit:  make([]float64, ng),
 		heat:       map[int64][]heatCell{},
-		interval:   cfg.Interval,
 		eventCount: map[string]int{},
 	}
 	return m, nil
@@ -217,14 +196,21 @@ func New(cfg Config) (*Monitor, error) {
 func (m *Monitor) NumGroups() int { return m.numGroups }
 
 // ObserveRound feeds one healthy observation: deltas holds the per-router
-// counter increases over the last dt seconds, router-major (series s of
-// router r at index r*SeriesPerRouter+s), the layout counters.Board.DeltaInto
-// produces. len(deltas) must be NumRouters×SeriesPerRouter and dt positive;
-// violations are programmer errors and panic.
+// counter increases over the last dt seconds in the LDMS layout
+// counters.Board.DeltaInto produces (series s of router r at index
+// r*counters.NumLDMS+s). len(deltas) must be NumRouters×counters.NumLDMS
+// and dt positive; violations are programmer errors and panic. Campaign
+// rounds arrive out of time order, so ObserveRound never infers a sampler
+// gap from a timestamp jump; only Replay's time-ordered feed does.
 func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
-	spr := m.cfg.SeriesPerRouter
-	if len(deltas) != m.cfg.NumRouters*spr {
-		panic(fmt.Sprintf("monitor: ObserveRound with %d deltas, want %d", len(deltas), m.cfg.NumRouters*spr))
+	m.observe(t, dt, deltas, false)
+}
+
+// observe is ObserveRound; ordered marks Replay's time-ordered feed, on
+// which a timestamp jump is a sampler gap.
+func (m *Monitor) observe(t, dt float64, deltas []float64, ordered bool) {
+	if len(deltas) != m.cfg.NumRouters*seriesPerRouter {
+		panic(fmt.Sprintf("monitor: ObserveRound with %d deltas, want %d", len(deltas), m.cfg.NumRouters*seriesPerRouter))
 	}
 	if dt <= 0 {
 		panic(fmt.Sprintf("monitor: ObserveRound with non-positive dt %v", dt))
@@ -235,13 +221,13 @@ func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
 	if m.interval <= 0 {
 		m.interval = dt
 	}
-	// Timestamp-jump gap inference (ordered streams only): a forward jump
-	// well beyond the sampling interval means samples were never written.
-	// A gap already opened by explicit missing markers covers the same span,
-	// so skip inference then — closeGapLocked below reports it once.
-	if m.cfg.DetectTimeGaps && !m.gap.open && m.samples > 0 && m.interval > 0 {
+	// Timestamp-jump gap inference: a forward jump well beyond the
+	// sampling interval means samples were never written. A gap already
+	// opened by explicit missing markers covers the same span, so skip
+	// inference then — closeGapLocked below reports it once.
+	if ordered && !m.gap.open && m.samples > 0 {
 		jump := t - m.lastT
-		if jump > m.cfg.GapFactor*m.interval {
+		if jump > gapFactor*m.interval {
 			missed := int(jump/m.interval) - 1
 			if missed < 1 {
 				missed = 1
@@ -255,20 +241,19 @@ func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
 	// A healthy sample closes any explicit-marker gap.
 	m.closeGapLocked(t)
 
-	alpha := m.cfg.EWMAAlpha
 	// Pass 1: per-series stats and per-router flit-rate EWMAs, with a
 	// cross-sectional Welford over the updated EWMAs for the z-scores.
 	var cross stats.Welford
 	for r := 0; r < m.cfg.NumRouters; r++ {
-		base := r * spr
-		for s := 0; s < spr; s++ {
+		base := r * seriesPerRouter
+		for s := 0; s < seriesPerRouter; s++ {
 			m.series[base+s].Add(deltas[base+s] / dt)
 		}
-		rate := deltas[base+m.cfg.FlitSeries] / dt
+		rate := deltas[base+flitSeries] / dt
 		if m.seen[r] == 0 {
 			m.flitEWMA[r] = rate
 		} else {
-			m.flitEWMA[r] += alpha * (rate - m.flitEWMA[r])
+			m.flitEWMA[r] += ewmaAlpha * (rate - m.flitEWMA[r])
 		}
 		m.seen[r]++
 		cross.Add(m.flitEWMA[r])
@@ -277,7 +262,7 @@ func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
 	if std := cross.Std(); std > 0 {
 		mean := cross.Mean()
 		for r := 0; r < m.cfg.NumRouters; r++ {
-			if m.seen[r] < m.cfg.HotMinSamples {
+			if m.seen[r] < hotMinSamples {
 				continue
 			}
 			z := (m.flitEWMA[r] - mean) / std
@@ -293,7 +278,8 @@ func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
 			}
 		}
 	}
-	// Pass 3: group stall-ratio rollups, congestion hysteresis, heatmap.
+	// Pass 3: group stall-ratio rollups and heatmap, then the round's
+	// stall-ratio EWMA update and congestion hysteresis.
 	bin := int64(math.Floor(t / m.cfg.HeatmapBin))
 	cells, ok := m.heat[bin]
 	if !ok {
@@ -302,36 +288,33 @@ func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
 	}
 	for g := 0; g < m.numGroups; g++ {
 		r0 := g * m.cfg.RoutersPerGroup
-		r1 := r0 + m.cfg.RoutersPerGroup
-		if r1 > m.cfg.NumRouters {
-			r1 = m.cfg.NumRouters
-		}
+		r1 := min(r0+m.cfg.RoutersPerGroup, m.cfg.NumRouters)
 		var stall, flit float64
 		for r := r0; r < r1; r++ {
-			base := r * spr
-			stall += deltas[base+m.cfg.StallSeries]
-			flit += deltas[base+m.cfg.FlitSeries]
+			base := r * seriesPerRouter
+			stall += deltas[base+stallSeries]
+			flit += deltas[base+flitSeries]
 		}
 		m.groupStall[g] += stall
 		m.groupFlit[g] += flit
+		m.groups.Accumulate(g, stall, flit)
 		ratio := 0.0
 		if flit > 0 {
 			ratio = stall / flit
 		}
 		cells[g].sum += ratio
 		cells[g].n++
-		if m.samples == 0 {
-			m.groupEWMA[g] = ratio
-		} else {
-			m.groupEWMA[g] += alpha * (ratio - m.groupEWMA[g])
-		}
+	}
+	m.groups.Commit()
+	for g := 0; g < m.numGroups; g++ {
+		ewma := m.groups.Ratio(g)
 		switch {
-		case !m.congested[g] && m.groupEWMA[g] >= m.cfg.StallOnset:
+		case !m.congested[g] && ewma >= m.cfg.StallOnset:
 			m.congested[g] = true
-			m.emitLocked(Event{T: t, Type: EventCongestionOnset, Router: -1, Group: g, StallRatio: m.groupEWMA[g]})
-		case m.congested[g] && m.groupEWMA[g] <= m.cfg.StallClear:
+			m.emitLocked(Event{T: t, Type: EventCongestionOnset, Router: -1, Group: g, StallRatio: ewma})
+		case m.congested[g] && ewma <= m.cfg.StallClear:
 			m.congested[g] = false
-			m.emitLocked(Event{T: t, Type: EventCongestionClear, Router: -1, Group: g, StallRatio: m.groupEWMA[g]})
+			m.emitLocked(Event{T: t, Type: EventCongestionClear, Router: -1, Group: g, StallRatio: ewma})
 		}
 	}
 
@@ -430,7 +413,6 @@ type Summary struct {
 	Samples     int            // healthy observations
 	Missing     int            // missing-sample markers
 	GapFraction float64        // Missing / (Samples+Missing)
-	FirstT      float64        // not meaningful before the first sample
 	LastT       float64        // time of the most recent healthy sample
 	HotRouters  int            // currently hot
 	Congested   int            // currently congested groups
@@ -471,7 +453,7 @@ func (m *Monitor) TopRouters(k int) []RouterStat {
 	defer m.mu.Unlock()
 	out := make([]RouterStat, m.cfg.NumRouters)
 	for r := range out {
-		w := &m.series[r*m.cfg.SeriesPerRouter+m.cfg.FlitSeries]
+		w := &m.series[r*seriesPerRouter+flitSeries]
 		out[r] = RouterStat{Router: r, MeanRate: w.Mean(), StdRate: w.Std(), Hot: m.hot[r]}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -504,7 +486,7 @@ func (m *Monitor) GroupReport() []GroupStat {
 		if m.groupFlit[g] > 0 {
 			ratio = m.groupStall[g] / m.groupFlit[g]
 		}
-		out[g] = GroupStat{Group: g, StallRatio: ratio, EWMA: m.groupEWMA[g], Congested: m.congested[g]}
+		out[g] = GroupStat{Group: g, StallRatio: ratio, EWMA: m.groups.Ratio(g), Congested: m.congested[g]}
 	}
 	return out
 }

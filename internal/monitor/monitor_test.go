@@ -41,9 +41,6 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted zero NumRouters")
 	}
-	if _, err := New(Config{NumRouters: 4, SeriesPerRouter: 2, StallSeries: 2}); err == nil {
-		t.Fatal("New accepted out-of-range StallSeries")
-	}
 	m, err := New(Config{NumRouters: 33, RoutersPerGroup: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -55,13 +52,13 @@ func TestNewValidatesConfig(t *testing.T) {
 
 func TestHotRouterDetection(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{NumRouters: 64, SeriesPerRouter: 4, RoutersPerGroup: 16, Events: &buf, Source: "test"}
+	cfg := Config{NumRouters: 64, RoutersPerGroup: 16, Events: &buf, Source: "test"}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg = m.cfg // defaults applied
-	deltas := make([]float64, cfg.NumRouters*cfg.SeriesPerRouter)
+	deltas := make([]float64, cfg.NumRouters*seriesPerRouter)
 	hotRouter := 5
 	// Base rates carry a per-router spread (100+r flits/s) so the
 	// cross-sectional std has a floor; a lone outlier over identical peers
@@ -74,7 +71,7 @@ func TestHotRouterDetection(t *testing.T) {
 				if r == hotRouter && hotRate > 0 {
 					rate = hotRate
 				}
-				deltas[r*cfg.SeriesPerRouter+cfg.FlitSeries] = rate
+				deltas[r*seriesPerRouter+flitSeries] = rate
 			}
 			m.ObserveRound(tt, 1, deltas)
 			tt++
@@ -112,24 +109,24 @@ func TestHotRouterDetection(t *testing.T) {
 
 func TestCongestionOnsetAndClear(t *testing.T) {
 	var buf bytes.Buffer
-	m, err := New(Config{NumRouters: 8, SeriesPerRouter: 4, RoutersPerGroup: 4, Events: &buf})
+	m, err := New(Config{NumRouters: 8, RoutersPerGroup: 4, Events: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := m.cfg
 	// Group 0 stalls at ratio 0.5 (above onset 0.25); group 1 stays at 0.01.
-	deltas := make([]float64, cfg.NumRouters*cfg.SeriesPerRouter)
+	deltas := make([]float64, cfg.NumRouters*seriesPerRouter)
 	tt := 0.0
 	feedRatio := func(n int, g0 float64) {
 		for i := 0; i < n; i++ {
 			for r := 0; r < cfg.NumRouters; r++ {
-				base := r * cfg.SeriesPerRouter
-				deltas[base+cfg.FlitSeries] = 1000
+				base := r * seriesPerRouter
+				deltas[base+flitSeries] = 1000
 				ratio := 0.01
 				if r < 4 {
 					ratio = g0
 				}
-				deltas[base+cfg.StallSeries] = 1000 * ratio
+				deltas[base+stallSeries] = 1000 * ratio
 			}
 			m.ObserveRound(tt, 1, deltas)
 			tt++
@@ -160,11 +157,11 @@ func TestCongestionOnsetAndClear(t *testing.T) {
 
 func TestGapCoalescing(t *testing.T) {
 	var buf bytes.Buffer
-	m, err := New(Config{NumRouters: 2, SeriesPerRouter: 4, Events: &buf})
+	m, err := New(Config{NumRouters: 2, Events: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas := make([]float64, 2*4)
+	deltas := make([]float64, 2*seriesPerRouter)
 	m.ObserveRound(1, 1, deltas)
 	m.ObserveMissing(2)
 	m.ObserveMissing(3)
@@ -198,16 +195,49 @@ func TestGapCoalescing(t *testing.T) {
 	}
 }
 
-func TestTimestampJumpGapDetection(t *testing.T) {
-	var buf bytes.Buffer
-	m, err := New(Config{NumRouters: 2, SeriesPerRouter: 4, DetectTimeGaps: true, Events: &buf})
+// replayLog replays a log of two routers whose counters never move, with
+// a healthy sample at each time in ts and a missing marker at each time in
+// missing (ts and missing merged in time order), through a new monitor
+// writing its events to buf.
+func replayLog(t *testing.T, buf *bytes.Buffer, ts, missing []float64) {
+	t.Helper()
+	const nr = 2
+	var logBuf bytes.Buffer
+	w, err := traceio.NewWriter(&logBuf, nr*seriesPerRouter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas := make([]float64, 2*4)
-	m.ObserveRound(1, 1, deltas)
-	m.ObserveRound(2, 1, deltas)
-	m.ObserveRound(10, 1, deltas) // jump of 8 intervals
+	row := make([]float64, nr*seriesPerRouter)
+	for len(ts)+len(missing) > 0 {
+		if len(missing) > 0 && (len(ts) == 0 || missing[0] < ts[0]) {
+			err, missing = w.WriteMissing(missing[0]), missing[1:]
+		} else {
+			err, ts = w.WriteSample(ts[0], row), ts[1:]
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := traceio.NewReader(bytes.NewReader(logBuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{NumRouters: nr, Events: buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(rd, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTimestampJumpGapDetection(t *testing.T) {
+	var buf bytes.Buffer
+	// the sample at 0 is the delta baseline; the interval is the first dt
+	replayLog(t, &buf, []float64{0, 1, 2, 10}, nil) // jump of 8 intervals
 	evs := ofType(decodeEvents(t, &buf), EventSamplerGap)
 	if len(evs) != 1 {
 		t.Fatalf("got %d sampler_gap events, want 1", len(evs))
@@ -216,16 +246,17 @@ func TestTimestampJumpGapDetection(t *testing.T) {
 		t.Errorf("inferred gap missed = %d, want 7", evs[0].Missed)
 	}
 
-	// Off by default: the same jump emits nothing.
+	// Campaign rounds arrive out of time order: ObserveRound infers nothing.
 	var buf2 bytes.Buffer
-	m2, err := New(Config{NumRouters: 2, SeriesPerRouter: 4, Events: &buf2})
+	m2, err := New(Config{NumRouters: 2, Events: &buf2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	deltas := make([]float64, 2*seriesPerRouter)
 	m2.ObserveRound(1, 1, deltas)
 	m2.ObserveRound(10, 1, deltas)
 	if buf2.Len() != 0 {
-		t.Errorf("DetectTimeGaps=false still emitted: %s", buf2.String())
+		t.Errorf("ObserveRound inferred a gap from a timestamp jump: %s", buf2.String())
 	}
 }
 
@@ -234,17 +265,8 @@ func TestTimestampJumpGapDetection(t *testing.T) {
 // cause both describe the same outage, which must yield ONE event.
 func TestExplicitGapNotDoubleCounted(t *testing.T) {
 	var buf bytes.Buffer
-	m, err := New(Config{NumRouters: 2, SeriesPerRouter: 4, DetectTimeGaps: true, Events: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas := make([]float64, 2*4)
-	m.ObserveRound(1, 1, deltas)
-	m.ObserveRound(2, 1, deltas)
-	m.ObserveMissing(3)
-	m.ObserveMissing(4)
-	m.ObserveMissing(5)
-	m.ObserveRound(6, 4, deltas) // healthy sample after the marked outage
+	// healthy sample after the marked outage
+	replayLog(t, &buf, []float64{0, 1, 2, 6}, []float64{3, 4, 5})
 	evs := ofType(decodeEvents(t, &buf), EventSamplerGap)
 	if len(evs) != 1 {
 		t.Fatalf("got %d sampler_gap events, want 1: %+v", len(evs), evs)
@@ -255,16 +277,15 @@ func TestExplicitGapNotDoubleCounted(t *testing.T) {
 }
 
 func TestSeriesStatsAndTopRouters(t *testing.T) {
-	cfg := Config{NumRouters: 4, SeriesPerRouter: 2, FlitSeries: 0, StallSeries: 1}
-	m, err := New(cfg)
+	m, err := New(Config{NumRouters: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Router r receives flit deltas 100·(r+1) per 2-second round → rate 50·(r+1).
-	deltas := make([]float64, 4*2)
+	deltas := make([]float64, 4*seriesPerRouter)
 	for i := 0; i < 6; i++ {
 		for r := 0; r < 4; r++ {
-			deltas[r*2] = 100 * float64(r+1)
+			deltas[r*seriesPerRouter+flitSeries] = 100 * float64(r+1)
 		}
 		m.ObserveRound(float64(i)*2, 2, deltas)
 	}
@@ -284,13 +305,12 @@ func TestSeriesStatsAndTopRouters(t *testing.T) {
 }
 
 func TestHeatmapData(t *testing.T) {
-	m, err := New(Config{NumRouters: 2, SeriesPerRouter: 2, FlitSeries: 0, StallSeries: 1,
-		RoutersPerGroup: 1, HeatmapBin: 10})
+	m, err := New(Config{NumRouters: 2, RoutersPerGroup: 1, HeatmapBin: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Router 0 ratio 0.5, router 1 ratio 0.1, samples at t = 0..29.
-	deltas := []float64{1000, 500, 1000, 100}
+	deltas := []float64{1000, 500, 0, 0, 1000, 100, 0, 0}
 	for i := 0; i < 30; i++ {
 		m.ObserveRound(float64(i), 1, deltas)
 	}
@@ -314,9 +334,9 @@ func TestHeatmapData(t *testing.T) {
 }
 
 func TestReplayRoundTrip(t *testing.T) {
-	// Build a synthetic log: 3 routers × 2 series, cumulative counters
-	// growing at known rates, with a dropout gap in the middle.
-	const nr, spr = 3, 2
+	// Build a synthetic log: 3 routers, cumulative counters growing at
+	// known rates, with a dropout gap in the middle.
+	const nr, spr = 3, seriesPerRouter
 	var logBuf bytes.Buffer
 	w, err := traceio.NewWriter(&logBuf, nr*spr)
 	if err != nil {
@@ -359,7 +379,7 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events bytes.Buffer
-	m, err := New(Config{NumRouters: nr, SeriesPerRouter: spr, Events: &events, Source: "replay"})
+	m, err := New(Config{NumRouters: nr, Events: &events, Source: "replay"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +425,7 @@ func TestReplaySeriesMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Config{NumRouters: 3, SeriesPerRouter: 4})
+	m, err := New(Config{NumRouters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,11 +435,11 @@ func TestReplaySeriesMismatch(t *testing.T) {
 }
 
 func TestReportRendering(t *testing.T) {
-	m, err := New(Config{NumRouters: 4, SeriesPerRouter: 2, RoutersPerGroup: 2, Source: "unit"})
+	m, err := New(Config{NumRouters: 4, RoutersPerGroup: 2, Source: "unit"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas := []float64{100, 50, 100, 5, 100, 5, 100, 5}
+	deltas := []float64{100, 50, 0, 0, 100, 5, 0, 0, 100, 5, 0, 0, 100, 5, 0, 0}
 	for i := 0; i < 4; i++ {
 		m.ObserveRound(float64(i), 1, deltas)
 	}

@@ -21,13 +21,15 @@ type ReplayStats struct {
 // missing markers are naturally bridged — the hardware kept counting, only
 // the reads were lost, so the post-gap delta spread over the elapsed time
 // is the best available rate estimate), and missing markers are forwarded
-// as ObserveMissing. The log's series count must equal the monitor's
-// NumRouters×SeriesPerRouter.
+// as ObserveMissing. The log is time-ordered, so a forward timestamp jump
+// beyond gapFactor sampling intervals (the first dt) with no missing
+// markers is reported as a sampler gap too. The log's series count must
+// equal the monitor's NumRouters×counters.NumLDMS.
 func Replay(rd *traceio.Reader, m *Monitor) (ReplayStats, error) {
-	want := m.cfg.NumRouters * m.cfg.SeriesPerRouter
+	want := m.cfg.NumRouters * seriesPerRouter
 	if rd.NumSeries() != want {
 		return ReplayStats{}, fmt.Errorf("monitor: log has %d series, monitor expects %d (%d routers × %d series)",
-			rd.NumSeries(), want, m.cfg.NumRouters, m.cfg.SeriesPerRouter)
+			rd.NumSeries(), want, m.cfg.NumRouters, seriesPerRouter)
 	}
 	var st ReplayStats
 	cur := make([]float64, want)
@@ -60,7 +62,7 @@ func Replay(rd *traceio.Reader, m *Monitor) (ReplayStats, error) {
 				for i := range deltas {
 					deltas[i] = row[i] - prev[i]
 				}
-				m.ObserveRound(t, dt, deltas)
+				m.observe(t, dt, deltas, true)
 				st.Samples++
 			}
 		}

@@ -261,7 +261,7 @@ func New(d *topology.Dragonfly, cfg Config, s *rng.Stream) *Network {
 		NonMinimalBias: cfg.NonMinimalBias,
 	}
 	if name == "feedback" {
-		fb := monitor.NewStallFeedback(d.Cfg.Groups, 0)
+		fb := monitor.NewStallFeedback(d.Cfg.Groups)
 		n.fb = fb
 		pcfg.GroupStall = func(g topology.GroupID) float64 { return fb.Ratio(int(g)) }
 	}
