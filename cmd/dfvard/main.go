@@ -59,8 +59,10 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	fs.BoolVar(&cfg.Fast, "fast", false, "reduced training knobs (fewer epochs, smaller sample caps)")
 	fs.Float64Var(&cfg.EpochDays, "days", 7, "simulated days per campaign epoch")
 	fs.StringVar(&cfg.FaultSpec, "faults", "", `fault spec for every epoch ("links=3,dropouts=2", ...)`)
-	fs.StringVar(&cfg.Routing, "routing", "", "routing policy name (default: the engine default; $"+cluster.EnvRouting+" overrides)")
-	fs.StringVar(&cfg.Placement, "placement", "", "placement policy name (default firstfit; $"+cluster.EnvPlacement+" overrides)")
+	fs.StringVar(&cfg.Routing, "routing", os.Getenv(cluster.EnvRouting),
+		"routing policy name (default $"+cluster.EnvRouting+" or the engine default, adaptive)")
+	fs.StringVar(&cfg.Placement, "placement", os.Getenv(cluster.EnvPlacement),
+		"placement policy name (default $"+cluster.EnvPlacement+" or firstfit)")
 	cli.Workers(fs, &cfg.Workers)
 
 	fs.IntVar(&cfg.WindowRuns, "window-runs", 16, "runs per ingest window (a window seals at this count)")
@@ -89,13 +91,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	var err error
 	if cfg.Features, err = counters.ParseFeatureSet(*features); err != nil {
 		return cli.Usagef("-features: %w", err)
-	}
-	// Policy env defaults, resolved here like every other CLI.
-	if cfg.Routing == "" {
-		cfg.Routing = os.Getenv(cluster.EnvRouting)
-	}
-	if cfg.Placement == "" {
-		cfg.Placement = os.Getenv(cluster.EnvPlacement)
 	}
 	if err := cli.Policies(cfg.Routing, cfg.Placement); err != nil {
 		return err
