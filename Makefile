@@ -35,6 +35,7 @@ FUZZ_TARGETS = \
 	./internal/telemetry:FuzzParseTraceparent \
 	./internal/telemetry:FuzzStitchSnapshot \
 	./internal/dist:FuzzDecodeRun \
+	./internal/dataset:FuzzLoadCampaign \
 	./internal/modelstore:FuzzObjectDecode \
 	./internal/traceio:FuzzReader \
 	./internal/rng:FuzzSourceMatchesMathRand \

@@ -629,12 +629,22 @@ func Load(path string) (*Campaign, error) {
 		return nil, fmt.Errorf("dataset: load: %w", err)
 	}
 	defer f.Close()
+	c, err := decodeCampaign(f)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: %s: %w (stale or corrupt campaign cache; delete it and regenerate)", path, err)
+	}
+	return c, nil
+}
+
+// decodeCampaign is Load's decode step: one gob-encoded campaign from r,
+// checked with Validate.
+func decodeCampaign(r io.Reader) (*Campaign, error) {
 	var c Campaign
-	if err := gob.NewDecoder(f).Decode(&c); err != nil {
-		return nil, fmt.Errorf("dataset: decode %s: %w (stale or corrupt campaign cache; delete it and regenerate)", path, err)
+	if err := gob.NewDecoder(r).Decode(&c); err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
 	}
 	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("dataset: validate %s: %w (stale or corrupt campaign cache; delete it and regenerate)", path, err)
+		return nil, fmt.Errorf("validate: %w", err)
 	}
 	return &c, nil
 }

@@ -98,16 +98,28 @@ func Open[H, R any](path string, header H, check func(H) error, replay func(R) e
 	if err != nil {
 		return nil, fmt.Errorf("framelog: %w", err)
 	}
+	valid, err := decodeLog(raw, check, replay)
+	if err != nil {
+		return nil, fmt.Errorf("framelog: %s: %w", path, err)
+	}
+	return Heal(path, raw, raw[:valid])
+}
+
+// decodeLog is Open's rule on a log's bytes, in memory: frame 0 decodes as
+// an H that check accepts, then every later frame decodes as an R that
+// replay accepts, in order. It returns the byte length of the valid prefix
+// to keep, or the reason the log is refused.
+func decodeLog[H, R any](raw []byte, check func(H) error, replay func(R) error) (int, error) {
 	frames, valid := Parse(raw)
 	if len(frames) == 0 {
-		return nil, fmt.Errorf("framelog: %s: no intact header frame", path)
+		return 0, errors.New("no intact header frame")
 	}
 	var hdr H
 	if err := Decode(frames[0], &hdr); err != nil {
-		return nil, fmt.Errorf("framelog: %s: header: %w", path, err)
+		return 0, fmt.Errorf("header: %w", err)
 	}
 	if err := check(hdr); err != nil {
-		return nil, fmt.Errorf("framelog: %s: %w", path, err)
+		return 0, err
 	}
 	for i, fr := range frames[1:] {
 		var rec R
@@ -116,10 +128,10 @@ func Open[H, R any](path string, header H, check func(H) error, replay func(R) e
 			err = replay(rec)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("framelog: %s: frame %d: %w", path, i+1, err)
+			return 0, fmt.Errorf("frame %d: %w", i+1, err)
 		}
 	}
-	return Heal(path, raw, raw[:valid])
+	return valid, nil
 }
 
 // Heal makes the file at path hold exactly keep — the valid prefix Parse

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -140,17 +141,19 @@ func TestQuarantine(t *testing.T) {
 	}
 }
 
-// FuzzLog checks the torn-tail contract on arbitrary bytes: Parse never
-// panics, its valid prefix re-parses to the same frames, healing is
-// idempotent, and a frame appended to a healed log replays. The same bytes
-// then go through Open, which either refuses them untouched or replays
-// exactly the records Parse finds after frame 0.
+// FuzzLog checks the torn-tail contract on arbitrary bytes, in memory:
+// Parse never panics and its valid prefix re-parses to the same frames,
+// and Open's rule (decodeLog) refuses exactly the logs whose header or a
+// later frame does not decode or is rejected, and otherwise replays the
+// records Parse finds after frame 0 and keeps the valid prefix. The
+// file-system half (Open and Heal on disk, healing idempotent, an append
+// replays) writes and fsyncs files, so it runs on the seed corpus under
+// plain go test and is skipped while fuzzing.
 func FuzzLog(f *testing.F) {
 	f.Add(encodeAll(f, record{N: -1, Name: "foreign header"}, record{1, "a"}))
 	f.Add(encodeAll(f, record{1, "a"}, "not a record", record{2, "b"}))
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		checkOpen(t, raw)
-
 		frames, valid := Parse(raw)
 		if valid < 0 || valid > len(raw) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(raw))
@@ -164,76 +167,131 @@ func FuzzLog(f *testing.F) {
 				t.Fatalf("frame %d differs on re-parse", i)
 			}
 		}
+		checkDecodeLog(t, raw, frames, valid)
+		if fuzzing {
+			return
+		}
+		checkOpen(t, raw)
+		checkHeal(t, raw, len(frames), valid)
+	})
+}
 
-		path := filepath.Join(t.TempDir(), "log")
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
+// checkDecodeLog runs raw through Open's rule in memory: it accepts
+// exactly when frame 0 decodes as a header checkHeader accepts and every
+// later frame decodes as a record, and then replays those records in
+// order and keeps the valid prefix.
+func checkDecodeLog(t *testing.T, raw []byte, frames [][]byte, valid int) {
+	t.Helper()
+	var got []record
+	keep, err := decodeLog(raw, checkHeader, func(r record) error {
+		got = append(got, r)
+		return nil
+	})
+	var want []record
+	ok := len(frames) > 0
+	if ok {
+		var h record
+		ok = Decode(frames[0], &h) == nil && checkHeader(h) == nil
+	}
+	for i := 1; ok && i < len(frames); i++ {
+		var r record
+		ok = Decode(frames[i], &r) == nil
+		want = append(want, r)
+	}
+	if (err == nil) != ok {
+		t.Fatalf("decodeLog error %v; %d frames, header and records decode: %v", err, len(frames), ok)
+	}
+	if err != nil {
+		return
+	}
+	if keep != valid {
+		t.Fatalf("decodeLog keeps %d bytes, Parse's valid prefix is %d", keep, valid)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decodeLog replayed %d records, Parse found %d after the header", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d replays as %+v, Parse decodes %+v", i, got[i], want[i])
 		}
-		heal := func() []byte {
-			t.Helper()
-			onDisk, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, valid := Parse(onDisk)
-			l, err := Heal(path, onDisk, onDisk[:valid])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			healed, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return healed
-		}
-		healed := heal()
-		if !bytes.Equal(healed, raw[:valid]) {
-			t.Fatalf("heal left %d bytes, want the %d-byte valid prefix", len(healed), valid)
-		}
-		if twice := heal(); !bytes.Equal(twice, healed) {
-			t.Fatal("healing a healed log changed it")
-		}
+	}
+}
 
-		l, err := Heal(path, healed, healed)
+// checkHeal writes raw to a file, heals it to its valid prefix twice (the
+// second heal changes nothing), and appends a record that replays.
+func checkHeal(t *testing.T, raw []byte, frames, valid int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "log")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	heal := func() []byte {
+		t.Helper()
+		onDisk, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := record{N: len(frames), Name: "appended"}
-		if err := l.Append(want); err != nil {
+		_, valid := Parse(onDisk)
+		l, err := Heal(path, onDisk, onDisk[:valid])
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		final, err := os.ReadFile(path)
+		healed, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, n := Parse(final)
-		if n != len(final) || len(replay) != len(frames)+1 {
-			t.Fatalf("after append: %d frames over %d of %d bytes, want %d over all", len(replay), n, len(final), len(frames)+1)
-		}
-		var got record
-		if err := Decode(replay[len(frames)], &got); err != nil || got != want {
-			t.Fatalf("appended frame replays as %+v, %v", got, err)
-		}
-	})
+		return healed
+	}
+	healed := heal()
+	if !bytes.Equal(healed, raw[:valid]) {
+		t.Fatalf("heal left %d bytes, want the %d-byte valid prefix", len(healed), valid)
+	}
+	if twice := heal(); !bytes.Equal(twice, healed) {
+		t.Fatal("healing a healed log changed it")
+	}
+
+	l, err := Heal(path, healed, healed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := record{N: frames, Name: "appended"}
+	if err := l.Append(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	final, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, n := Parse(final)
+	if n != len(final) || len(replay) != frames+1 {
+		t.Fatalf("after append: %d frames over %d of %d bytes, want %d over all", len(replay), n, len(final), frames+1)
+	}
+	var got record
+	if err := Decode(replay[frames], &got); err != nil || got != want {
+		t.Fatalf("appended frame replays as %+v, %v", got, err)
+	}
+}
+
+// checkHeader is the header check of the record logs in these tests: a
+// header's N must not be negative.
+func checkHeader(h record) error {
+	if h.N < 0 {
+		return fmt.Errorf("header N %d", h.N)
+	}
+	return nil
 }
 
 // openRecords opens the log at path with a record header whose N must not
 // be negative, collecting the records it replays.
 func openRecords(path string) (*Log, []record, error) {
 	var got []record
-	l, err := Open(path, record{Name: "header"},
-		func(h record) error {
-			if h.N < 0 {
-				return fmt.Errorf("header N %d", h.N)
-			}
-			return nil
-		},
+	l, err := Open(path, record{Name: "header"}, checkHeader,
 		func(r record) error {
 			got = append(got, r)
 			return nil
