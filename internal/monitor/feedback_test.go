@@ -46,6 +46,21 @@ func TestStallFeedbackEWMA(t *testing.T) {
 	}
 }
 
+func TestStallFeedbackDefaultAlpha(t *testing.T) {
+	f := NewStallFeedback(1)
+	f.Accumulate(0, 100, 100)
+	f.Commit()
+	f.Accumulate(0, 0, 100)
+	f.Commit()
+	// the monitor's alpha 0.3: 1.0 + 0.3*(0-1.0) = 0.7
+	if got := f.Ratio(0); math.Abs(got-0.7) > 1e-12 {
+		t.Fatalf("default alpha: got %v, want 0.7", got)
+	}
+	if ewmaAlpha != 0.3 {
+		t.Fatalf("ewmaAlpha = %v, want the monitor's default 0.3", ewmaAlpha)
+	}
+}
+
 func TestCrossSectionHot(t *testing.T) {
 	if hot := CrossSectionHot([]float64{1, 1, 1, 1}, 2); hot != nil {
 		t.Fatalf("no spread should flag nothing, got %v", hot)
