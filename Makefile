@@ -37,6 +37,7 @@ FUZZ_TARGETS = \
 	./internal/dist:FuzzDecodeRun \
 	./internal/dataset:FuzzLoadCampaign \
 	./internal/modelstore:FuzzObjectDecode \
+	./internal/modelstore:FuzzResolveRef \
 	./internal/traceio:FuzzReader \
 	./internal/rng:FuzzSourceMatchesMathRand \
 	./internal/serve:FuzzServeRequest

@@ -1,8 +1,9 @@
 // Command dfserved is the forecast-serving daemon: it trains (or loads
 // from a modelstore) the campaign's forecaster, deviation model, and
-// scheduling advisor, and serves them over HTTP/JSON with request
-// batching, prediction caching, load shedding, and graceful drain
-// (internal/serve).
+// scheduling advisor, and serves them over HTTP/JSON with prediction
+// caching, load shedding, and graceful drain (internal/serve). A forecast
+// is answered as soon as the model is free; requests that arrive while a
+// model call runs are answered together by the next one.
 //
 // Usage:
 //
@@ -80,8 +81,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.BoolVar(&o.retrain, "retrain", false, "retrain and repoint refs even when the store already has the models")
 	fs.IntVar(&o.serve.MaxInflight, "max-inflight", 0, "concurrent executing requests (0 = default)")
 	fs.IntVar(&o.serve.MaxQueue, "max-queue", 0, "waiting requests before 429 shedding (0 = default)")
-	fs.IntVar(&o.serve.MaxBatch, "max-batch", 0, "forecast requests coalesced per model call (0 = default)")
-	fs.DurationVar(&o.serve.BatchWindow, "batch-window", 0, "batch collection window (0 = default)")
 	fs.IntVar(&o.serve.CacheSize, "cache-size", 0, "prediction cache entries (0 = default)")
 	fs.DurationVar(&o.reloadInterval, "reload-interval", 0,
 		"poll the model store refs this often and hot-swap the served models when one advances (0 = poll only on SIGHUP)")

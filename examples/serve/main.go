@@ -1,6 +1,6 @@
 // Serving (the operational end of §V/§VII): train a small forecaster,
 // persist it to a content-addressed model store, load it back, serve it
-// over HTTP with batching + caching, and act as a client — forecast
+// over HTTP with its prediction cache, and act as a client — forecast
 // twice (the second answer comes from the LRU cache), then drain
 // gracefully. Everything runs in this one process; point the same client
 // code at a long-running `dfserved` daemon in real use.

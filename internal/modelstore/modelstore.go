@@ -261,14 +261,34 @@ func (s *Store) currentRefID(name string) (string, error) {
 }
 
 func (s *Store) writeRef(name, id string, meta Meta) error {
-	rj, err := json.MarshalIndent(ref{ID: id, Meta: meta}, "", "  ")
+	rj, err := encodeRef(ref{ID: id, Meta: meta})
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(filepath.Join(s.root, "refs", name), append(rj, '\n')); err != nil {
+	if err := writeAtomic(filepath.Join(s.root, "refs", name), rj); err != nil {
 		return fmt.Errorf("modelstore: write ref %s: %w", name, err)
 	}
 	return nil
+}
+
+// encodeRef renders a ref file: indented JSON and a trailing newline.
+func encodeRef(r ref) ([]byte, error) {
+	rj, err := json.MarshalIndent(r, "", "  ")
+	return append(rj, '\n'), err
+}
+
+// decodeRef is Resolve's decode and check. The id must be what
+// encodeObject writes, 64 lowercase hex digits: any other (a slash or a
+// dot among them) could take objectPath outside the objects directory.
+func decodeRef(blob []byte) (ref, error) {
+	var r ref
+	if err := json.Unmarshal(blob, &r); err != nil {
+		return ref{}, err
+	}
+	if len(r.ID) != 64 || strings.Trim(r.ID, "0123456789abcdef") != "" {
+		return ref{}, fmt.Errorf("malformed id %q", r.ID)
+	}
+	return r, nil
 }
 
 // Put stores a model under name, unconditionally repointing the ref (the
@@ -351,12 +371,9 @@ func (s *Store) Resolve(name string) (string, Meta, error) {
 	if err != nil {
 		return "", Meta{}, fmt.Errorf("modelstore: ref %s: %w", name, err)
 	}
-	var r ref
-	if err := json.Unmarshal(blob, &r); err != nil {
+	r, err := decodeRef(blob)
+	if err != nil {
 		return "", Meta{}, fmt.Errorf("modelstore: ref %s: %w", name, err)
-	}
-	if len(r.ID) != 64 {
-		return "", Meta{}, fmt.Errorf("modelstore: ref %s: malformed id %q", name, r.ID)
 	}
 	return r.ID, r.Meta, nil
 }

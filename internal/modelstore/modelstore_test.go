@@ -233,6 +233,45 @@ func TestInvalidRefNamesRejected(t *testing.T) {
 	}
 }
 
+// escapeID is a 64-character ref id that objectPath would resolve to
+// <store>/../victim.gob: "xx/", 43 slashes, then four parent steps.
+var escapeID = "xx/" + strings.Repeat("/", 43) + "../../../../victim"
+
+// TestRefIDEscapeRefused: a ref whose id is not a content id is refused
+// before any object path is built, so loading it can neither read nor
+// quarantine a file outside the store.
+func TestRefIDEscapeRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(dir, "victim.gob")
+	want := []byte("not a model, and not the store's")
+	if err := os.WriteFile(victim, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rj, err := encodeRef(ref{ID: escapeID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.Root(), "refs", "escape"), rj, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Resolve("escape"); err == nil || !strings.Contains(err.Error(), "malformed id") {
+		t.Fatalf("Resolve = %v, want a malformed id error", err)
+	}
+	if _, _, _, err := st.GetForecaster("escape"); err == nil {
+		t.Fatal("GetForecaster loaded a ref whose id escapes the store")
+	}
+	if got, err := os.ReadFile(victim); err != nil || string(got) != string(want) {
+		t.Fatalf("file beside the store after the load: %q, %v; want it untouched", got, err)
+	}
+	if _, err := os.Stat(victim + ".corrupt"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("file beside the store was quarantined: stat .corrupt = %v", err)
+	}
+}
+
 func TestListAndRepoint(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {

@@ -2,16 +2,10 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"time"
 
 	"dragonvar/internal/nn"
 	"dragonvar/internal/telemetry"
 )
-
-// errStopped is returned by predict when the batcher has been stopped
-// (the server is past drain and cannot serve model calls anymore).
-var errStopped = errors.New("serve: batcher stopped")
 
 // forecastReq is one caller waiting for a prediction. reply is buffered
 // (capacity 1) so the batch loop never blocks on a caller that gave up.
@@ -20,39 +14,33 @@ type forecastReq struct {
 	reply chan float64
 }
 
-// batcher coalesces concurrent forecast requests into single model calls:
-// the first request of a batch opens a short collection window, everything
-// that arrives within it (up to maxBatch) is predicted in one
-// nn.PredictAll pass, and the results fan back out. Inference is read-only
-// on the trained model, so one batched call is equivalent to n sequential
-// Predicts — batching changes latency and throughput, never values.
+// batcher answers forecast requests from one loop: it blocks for a
+// request, takes every request already queued behind it, predicts them
+// all in one nn.PredictAll pass, and fans the results back out. It never
+// waits for more requests, so a lone request is answered at once, and a
+// batch larger than one forms only from requests that queued while the
+// previous model call ran. Inference is read-only on the trained model,
+// so one batched call is equivalent to n sequential Predicts — batching
+// changes latency and throughput, never values.
 type batcher struct {
-	model    *nn.Forecaster
-	in       chan forecastReq
-	stopped  chan struct{} // closed by the loop on exit
-	maxBatch int
-	window   time.Duration
+	model         *nn.Forecaster
+	in            chan forecastReq
+	stopped       chan struct{} // closed by the loop on exit
+	beforePredict func(n int)   // Config.beforePredict
 
 	batches   *telemetry.Counter
 	batchSize *telemetry.Histogram
 }
 
-// newBatcher starts the collection loop.
-func newBatcher(model *nn.Forecaster, maxBatch int, window time.Duration) *batcher {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	if window <= 0 {
-		window = 2 * time.Millisecond
-	}
+// newBatcher starts the loop with a queue of the given depth.
+func newBatcher(model *nn.Forecaster, queue int, beforePredict func(n int)) *batcher {
 	b := &batcher{
-		model:     model,
-		in:        make(chan forecastReq, maxBatch),
-		stopped:   make(chan struct{}),
-		maxBatch:  maxBatch,
-		window:    window,
-		batches:   telemetry.C(telemetry.MServeBatches),
-		batchSize: telemetry.H(telemetry.MServeBatchSize, telemetry.CountBuckets),
+		model:         model,
+		in:            make(chan forecastReq, queue),
+		stopped:       make(chan struct{}),
+		beforePredict: beforePredict,
+		batches:       telemetry.C(telemetry.MServeBatches),
+		batchSize:     telemetry.H(telemetry.MServeBatchSize, telemetry.CountBuckets),
 	}
 	go b.loop()
 	return b
@@ -60,41 +48,32 @@ func newBatcher(model *nn.Forecaster, maxBatch int, window time.Duration) *batch
 
 // predict submits one window and waits for its batch to complete. The
 // context bounds the wait; an abandoned request still gets its slot in the
-// batch but nobody reads the buffered reply.
+// batch but nobody reads the buffered reply. Callers hold the batcher's
+// model generation (Server.acquire), so stop never runs under them.
 func (b *batcher) predict(ctx context.Context, steps [][]float64) (float64, error) {
 	req := forecastReq{steps: steps, reply: make(chan float64, 1)}
 	select {
 	case b.in <- req:
-	case <-b.stopped:
-		return 0, errStopped
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}
 	select {
 	case v := <-req.reply:
 		return v, nil
-	case <-b.stopped:
-		// the loop flushes every accepted request before exiting, so a
-		// close can still race a late reply: prefer the reply
-		select {
-		case v := <-req.reply:
-			return v, nil
-		default:
-			return 0, errStopped
-		}
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}
 }
 
 // stop shuts the intake down and waits for the loop to flush accepted
-// requests. Call only after in-flight HTTP handlers have drained.
+// requests. Call only once no handler holds the batcher's generation:
+// a predict after stop would send on a closed channel.
 func (b *batcher) stop() {
 	close(b.in)
 	<-b.stopped
 }
 
-// loop is the collection goroutine.
+// loop is the batching goroutine.
 func (b *batcher) loop() {
 	defer close(b.stopped)
 	for {
@@ -102,25 +81,19 @@ func (b *batcher) loop() {
 		if !ok {
 			return
 		}
-		batch := append(make([]forecastReq, 0, b.maxBatch), first)
-		timer := time.NewTimer(b.window)
-	collect:
-		for len(batch) < b.maxBatch {
-			select {
-			case r, ok := <-b.in:
-				if !ok {
-					break collect
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				break collect
-			}
+		// the loop is the only receiver, so a non-empty queue (closed or
+		// not) yields a request without blocking
+		batch := []forecastReq{first}
+		for len(b.in) > 0 {
+			batch = append(batch, <-b.in)
 		}
-		timer.Stop()
 
 		samples := make([]nn.Sample, len(batch))
 		for i, r := range batch {
 			samples[i] = nn.Sample{Steps: r.steps}
+		}
+		if b.beforePredict != nil {
+			b.beforePredict(len(batch))
 		}
 		preds := b.model.PredictAll(samples)
 		for i, r := range batch {

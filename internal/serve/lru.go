@@ -44,9 +44,6 @@ type lruEntry struct {
 }
 
 func newLRU(capacity int) *lru {
-	if capacity <= 0 {
-		capacity = 1024
-	}
 	return &lru{cap: capacity, order: list.New(), items: make(map[uint64]*list.Element, capacity)}
 }
 

@@ -8,10 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"dragonvar/internal/advisor"
 	"dragonvar/internal/modelstore"
+	"dragonvar/internal/nn"
 )
 
 // fuzzEndpoints are the POST endpoints that decode a request body.
@@ -21,7 +21,8 @@ var fuzzEndpoints = []string{"/v1/forecast", "/v1/deviation", "/v1/advisor/blame
 // blame handlers of a server with every model loaded. No body may panic a
 // handler, and a 200 must answer exactly the bodies that decode and pass
 // that handler's checks: a window of the model's shape, a feature vector of
-// the model's width, every value finite.
+// the model's width, every value finite, and a finite forecast for the
+// window.
 func FuzzServeRequest(f *testing.F) {
 	for _, seed := range []struct {
 		endpoint uint8
@@ -39,22 +40,23 @@ func FuzzServeRequest(f *testing.F) {
 		{0, `{`},
 		{1, `null`},
 		{2, `[]`},
+		{0, `{"window": [[0,0,0],[0,0,0],[0,0,0],[0,0,0],[1e308,0,1e308]]}`}, // finite window, infinite forecast
 	} {
 		f.Add(seed.endpoint, []byte(seed.body))
 	}
+	fc := trainForecaster(f)
 	srv, _ := newTestServer(f, Config{
-		Forecaster:  trainForecaster(f),
-		GBR:         trainGBR(f),
-		GBRMeta:     modelstore.Meta{FeatureNames: []string{"f0", "f1", "f2"}},
-		Adv:         fuzzAdvisor(f, "u1", "u3"),
-		BatchWindow: time.Microsecond,
+		Forecaster: fc,
+		GBR:        trainGBR(f),
+		GBRMeta:    modelstore.Meta{FeatureNames: []string{"f0", "f1", "f2"}},
+		Adv:        fuzzAdvisor(f, "u1", "u3"),
 	})
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
 		path := fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)]
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		if ok, valid := rec.Code == http.StatusOK, validBody(path, body); ok != valid {
+		if ok, valid := rec.Code == http.StatusOK, validBody(fc, path, body); ok != valid {
 			t.Fatalf("%s answered %d to a body that is valid=%v, %q: %s", path, rec.Code, valid, body, rec.Body.Bytes())
 		}
 		var reply map[string]any
@@ -66,7 +68,7 @@ func FuzzServeRequest(f *testing.F) {
 
 // validBody decodes body as the handler for path does and applies its
 // checks against the fuzz server's models.
-func validBody(path string, body []byte) bool {
+func validBody(fc *nn.Forecaster, path string, body []byte) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	switch path {
 	case "/v1/forecast":
@@ -79,7 +81,7 @@ func validBody(path string, body []byte) bool {
 				return false
 			}
 		}
-		return true
+		return finite([]float64{fc.Predict(req.Window)})
 	case "/v1/deviation":
 		var req deviationRequest
 		return dec.Decode(&req) == nil && len(req.Features) == 3 && finite(req.Features)

@@ -7,8 +7,8 @@
 //
 // The serving path is built for sustained traffic:
 //
-//   - a request-batching loop coalesces concurrent forecast requests into
-//     single matrix-sized model calls (batch.go);
+//   - one model loop answers each forecast call together with every
+//     request queued behind it, never waiting for more (batch.go);
 //   - an LRU prediction cache short-circuits repeated queries for the same
 //     input window (lru.go);
 //   - a concurrency limiter with a bounded wait queue sheds overload with
@@ -58,11 +58,13 @@ type Config struct {
 	Adv       *advisor.Advisor
 	AdvisorID string
 
-	MaxInflight int           // concurrent executing requests; default 64
-	MaxQueue    int           // waiting requests beyond MaxInflight before 429; default 256
-	MaxBatch    int           // forecast requests per coalesced model call; default 64
-	BatchWindow time.Duration // batch collection window; default 2ms
-	CacheSize   int           // LRU prediction-cache entries; default 4096
+	MaxInflight int // concurrent executing requests; default 64
+	MaxQueue    int // waiting requests beyond MaxInflight before 429; default 256
+	CacheSize   int // LRU prediction-cache entries; default 4096
+
+	// beforePredict, when set (tests only), runs on the batching loop
+	// before each model call with the number of requests it answers.
+	beforePredict func(n int)
 }
 
 // Models is the hot-swappable part of a Config: the loaded models with
@@ -104,7 +106,8 @@ func newModelSet(m Models, cfg Config) *modelSet {
 	ms := &modelSet{Models: m, cache: newLRU(cfg.CacheSize)}
 	if m.Forecaster != nil {
 		ms.m, ms.h = m.Forecaster.WindowShape()
-		ms.batcher = newBatcher(m.Forecaster, cfg.MaxBatch, cfg.BatchWindow)
+		// only admitted requests reach the batcher: MaxInflight bounds its queue
+		ms.batcher = newBatcher(m.Forecaster, cfg.MaxInflight, cfg.beforePredict)
 	}
 	return ms
 }
@@ -115,12 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
@@ -493,6 +490,12 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.errs.Inc()
 		apiError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	if math.IsNaN(pred) || math.IsInf(pred, 0) {
+		// JSON cannot carry it: a 200 would go out with an empty body
+		s.errs.Inc()
+		apiError(w, http.StatusUnprocessableEntity, "window is outside the model's range: prediction is not finite")
 		return
 	}
 	ms.cache.put(key, pred)

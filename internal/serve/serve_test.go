@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -81,22 +82,71 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// gate parks the batching loop's first model call until open, so a test
+// can hold a forecast in flight for as long as it needs.
+type gate struct {
+	first   sync.Once
+	held    chan struct{} // receives once the first call is parked
+	release chan struct{}
+	opened  sync.Once
+}
+
+func (g *gate) beforePredict(int) {
+	g.first.Do(func() {
+		g.held <- struct{}{}
+		<-g.release
+	})
+}
+
+func (g *gate) open() { g.opened.Do(func() { close(g.release) }) }
+
+// newGatedServer is newTestServer with a gate on the first model call.
+// The gate also opens on cleanup, before the server closes, so a failing
+// test never leaves a request parked.
+func newGatedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *gate) {
+	t.Helper()
+	g := &gate{held: make(chan struct{}, 1), release: make(chan struct{})}
+	cfg.beforePredict = g.beforePredict
+	srv, ts := newTestServer(t, cfg)
+	t.Cleanup(g.open)
+	return srv, ts, g
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
-	payload, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	resp, out, err := tryPostJSON(url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// tryPostJSON is postJSON for goroutines other than the test's own, which
+// must report a failure with t.Error rather than t.Fatal.
+func tryPostJSON(url string, body any) (*http.Response, []byte, error) {
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	return resp, out, err
 }
 
 // TestForecastMatchesDirectPrediction: the HTTP path (batching, caching,
@@ -219,16 +269,14 @@ func TestDeviationEndpoint(t *testing.T) {
 }
 
 // TestQueueFullSheds429: with one execution slot and a one-deep queue, a
-// third concurrent request must be shed with 429 while the first is
-// parked inside a long batch window.
+// third concurrent request must be shed with 429 while the first holds the
+// slot inside its model call and the second waits in the queue.
 func TestQueueFullSheds429(t *testing.T) {
 	f := trainForecaster(t)
-	_, ts := newTestServer(t, Config{
+	srv, ts, g := newGatedServer(t, Config{
 		Forecaster:  f,
 		MaxInflight: 1,
 		MaxQueue:    1,
-		MaxBatch:    64,
-		BatchWindow: 400 * time.Millisecond, // first request parks here
 	})
 	s := rng.New(13)
 
@@ -238,25 +286,39 @@ func TestQueueFullSheds429(t *testing.T) {
 	}
 	statuses := make(chan shedResult, 3)
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	post := func() {
 		w := randomWindow(s) // distinct windows: no cache short-circuit
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, _ := postJSON(t, ts.URL+"/v1/forecast", forecastRequest{Window: w})
+			resp, _, err := tryPostJSON(ts.URL+"/v1/forecast", forecastRequest{Window: w})
+			if err != nil {
+				t.Error(err)
+				statuses <- shedResult{}
+				return
+			}
 			statuses <- shedResult{resp.StatusCode, resp.Header.Get("Retry-After")}
 		}()
-		// let request i occupy its slot before launching i+1
-		time.Sleep(100 * time.Millisecond)
 	}
+	post()
+	<-g.held // request 1 holds the only slot
+	post()
+	waitFor(t, "request 2 to queue", func() bool { return srv.waiting.Load() == 1 })
+	post()
+	// request 3 is answered while the other two are still held
+	shed := <-statuses
+	g.open()
 	wg.Wait()
 	close(statuses)
-	counts := map[int]int{}
+	counts := map[int]int{shed.status: 1}
 	for r := range statuses {
 		counts[r.status]++
-		if r.status == http.StatusTooManyRequests && r.retryAfter == "" {
-			t.Error("429 shed response carries no Retry-After header")
-		}
+	}
+	if shed.status != http.StatusTooManyRequests {
+		t.Fatalf("request shed while the queue was full answered %d, want 429", shed.status)
+	}
+	if shed.retryAfter == "" {
+		t.Error("429 shed response carries no Retry-After header")
 	}
 	if counts[http.StatusOK] != 2 || counts[http.StatusTooManyRequests] != 1 {
 		t.Fatalf("status mix %v, want two 200s and one 429", counts)
@@ -267,33 +329,32 @@ func TestQueueFullSheds429(t *testing.T) {
 // and the in-flight request completes with a real prediction.
 func TestGracefulDrain(t *testing.T) {
 	f := trainForecaster(t)
-	srv, ts := newTestServer(t, Config{
-		Forecaster:  f,
-		BatchWindow: 300 * time.Millisecond,
-	})
+	srv, ts, g := newGatedServer(t, Config{Forecaster: f})
 	s := rng.New(14)
 
 	inflight := make(chan forecastResponse, 1)
 	inflightStatus := make(chan int, 1)
 	go func() {
-		resp, body := postJSON(t, ts.URL+"/v1/forecast", forecastRequest{Window: randomWindow(s)})
+		resp, body, err := tryPostJSON(ts.URL+"/v1/forecast", forecastRequest{Window: randomWindow(s)})
+		if err != nil {
+			t.Error(err)
+			inflightStatus <- 0
+			inflight <- forecastResponse{}
+			return
+		}
 		inflightStatus <- resp.StatusCode
 		var fr forecastResponse
 		json.Unmarshal(body, &fr)
 		inflight <- fr
 	}()
-	time.Sleep(100 * time.Millisecond) // request is now parked in the batch window
+	<-g.held // the request is now inside its model call
 
 	drained := make(chan struct{})
 	go func() {
 		srv.Drain()
 		close(drained)
 	}()
-	time.Sleep(50 * time.Millisecond) // Drain is now waiting on the in-flight request
-
-	if !srv.Draining() {
-		t.Fatal("Draining() = false during drain")
-	}
+	waitFor(t, "the drain to begin", srv.Draining)
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -318,6 +379,12 @@ func TestGracefulDrain(t *testing.T) {
 
 	select {
 	case <-drained:
+		t.Fatal("Drain returned while a request was in flight")
+	default:
+	}
+	g.open()
+	select {
+	case <-drained:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Drain did not finish")
 	}
@@ -332,8 +399,8 @@ func TestGracefulDrain(t *testing.T) {
 	srv.Drain()
 }
 
-// TestBatchingCoalesces: concurrent distinct requests inside one window
-// must be answered by fewer model calls than requests, with every answer
+// TestBatchingCoalesces: distinct requests that queue while a model call
+// runs must be answered together by the next call, with every answer
 // byte-identical to a direct PredictAll.
 func TestBatchingCoalesces(t *testing.T) {
 	reg := telemetry.New()
@@ -341,10 +408,7 @@ func TestBatchingCoalesces(t *testing.T) {
 	defer telemetry.Disable()
 
 	f := trainForecaster(t)
-	_, ts := newTestServer(t, Config{
-		Forecaster:  f,
-		BatchWindow: 150 * time.Millisecond,
-	})
+	srv, ts, g := newGatedServer(t, Config{Forecaster: f})
 	s := rng.New(15)
 	const n = 8
 	windows := make([][][]float64, n)
@@ -354,18 +418,32 @@ func TestBatchingCoalesces(t *testing.T) {
 
 	preds := make([]float64, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
+	post := func(i int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, body := postJSON(t, ts.URL+"/v1/forecast", forecastRequest{Window: windows[i]})
+			_, body, err := tryPostJSON(ts.URL+"/v1/forecast", forecastRequest{Window: windows[i]})
 			var fr forecastResponse
-			if err := json.Unmarshal(body, &fr); err == nil {
-				preds[i] = fr.Prediction
+			if err == nil {
+				err = json.Unmarshal(body, &fr)
 			}
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			preds[i] = fr.Prediction
 		}()
 	}
+	post(0)
+	<-g.held // request 0 is inside the first model call
+	for i := 1; i < n; i++ {
+		post(i)
+	}
+	ms, release := srv.acquire()
+	queue := ms.batcher.in
+	release()
+	waitFor(t, "the other requests to queue", func() bool { return len(queue) == n-1 })
+	g.open()
 	wg.Wait()
 
 	samples := make([]nn.Sample, n)
@@ -378,8 +456,41 @@ func TestBatchingCoalesces(t *testing.T) {
 			t.Fatalf("request %d: batched %v, direct %v", i, preds[i], want[i])
 		}
 	}
-	if batches := reg.Counter(telemetry.MServeBatches).Value(); batches >= n {
-		t.Fatalf("%d model calls for %d concurrent requests: nothing coalesced", batches, n)
+	if batches := reg.Counter(telemetry.MServeBatches).Value(); batches != 2 {
+		t.Fatalf("%d model calls for %d requests, want 2: the held one, then the %d queued behind it", batches, n, n-1)
+	}
+}
+
+// TestSequentialForecastsDoNotWait: the batching loop never waits for
+// more requests, so a lone forecast costs about one model call. A 2 ms
+// collection window made each of these take at least 2 ms.
+func TestSequentialForecastsDoNotWait(t *testing.T) {
+	f := trainForecaster(t)
+	srv, _ := newTestServer(t, Config{Forecaster: f})
+	h := srv.Handler()
+	s := rng.New(17)
+	const n = 50
+	took := make([]time.Duration, n)
+	for i := range took {
+		body, err := json.Marshal(forecastRequest{Window: randomWindow(s)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/forecast", bytes.NewReader(body)))
+		took[i] = time.Since(start)
+		var fr forecastResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &fr) != nil || fr.Cached {
+			t.Fatalf("request %d: status %d, body %s; want an uncached 200", i, rec.Code, rec.Body.Bytes())
+		}
+	}
+	slices.Sort(took)
+	// the median shrugs off a GC pause or a descheduled test goroutine;
+	// a forecast on this model takes tens of microseconds, hundreds under
+	// -race
+	if med := took[n/2]; med >= time.Millisecond {
+		t.Fatalf("median forecast took %v, want well under 1 ms (sorted: %v)", med, took)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"dragonvar/internal/nn"
 	"dragonvar/internal/rng"
@@ -94,46 +93,62 @@ func TestHotSwap(t *testing.T) {
 	}
 }
 
-// TestSwapDrainSafe: a request parked in the batch window when Swap
-// lands still completes successfully, and the next request is served by
-// the new model. The swap never drops or errors in-flight work.
+// TestSwapDrainSafe: a request inside its model call when Swap lands
+// still completes on the model it started with, and the next request is
+// served by the new model. The swap never drops or errors in-flight work.
 func TestSwapDrainSafe(t *testing.T) {
 	a := trainForecasterSeed(t, 7)
 	b := trainForecasterSeed(t, 99)
-	srv, ts := newTestServer(t, Config{
-		Forecaster:  a,
-		ForecastID:  "model-a",
-		BatchWindow: 300 * time.Millisecond,
-	})
+	srv, ts, g := newGatedServer(t, Config{Forecaster: a, ForecastID: "model-a"})
 	s := rng.New(14)
+	w := randomWindow(s)
 
 	inflightStatus := make(chan int, 1)
 	inflight := make(chan forecastResponse, 1)
 	go func() {
-		resp, body := postJSON(t, ts.URL+"/v1/forecast", forecastRequest{Window: randomWindow(s)})
+		resp, body, err := tryPostJSON(ts.URL+"/v1/forecast", forecastRequest{Window: w})
+		if err != nil {
+			t.Error(err)
+			inflightStatus <- 0
+			inflight <- forecastResponse{}
+			return
+		}
 		inflightStatus <- resp.StatusCode
 		var fr forecastResponse
 		json.Unmarshal(body, &fr)
 		inflight <- fr
 	}()
-	time.Sleep(100 * time.Millisecond) // request is now parked in the batch window
+	<-g.held // the request is now inside model A's call
 
-	if err := srv.Swap(Models{Forecaster: b, ForecastID: "model-b"}); err != nil {
+	swapped := make(chan error, 1)
+	go func() { swapped <- srv.Swap(Models{Forecaster: b, ForecastID: "model-b"}) }()
+	// Swap installs model B once the in-flight request lets go of model A:
+	// wait until it is waiting for the write lock
+	waitFor(t, "the swap to wait on the in-flight request", func() bool {
+		if srv.modelsMu.TryRLock() {
+			srv.modelsMu.RUnlock()
+			return false
+		}
+		return true
+	})
+	g.open()
+	if err := <-swapped; err != nil {
 		t.Fatal(err)
 	}
 
 	if st := <-inflightStatus; st != http.StatusOK {
 		t.Fatalf("in-flight request during swap: status %d, want 200", st)
 	}
-	if fr := <-inflight; fr.Prediction == 0 {
-		t.Fatal("in-flight request got no prediction")
+	if fr, want := <-inflight, a.Predict(w); fr.Prediction != want {
+		t.Fatalf("in-flight request got %v, model A predicts %v", fr.Prediction, want)
 	}
 
+	next := randomWindow(s)
 	var after forecastResponse
-	_, body := postJSON(t, ts.URL+"/v1/forecast", forecastRequest{Window: randomWindow(s)})
+	_, body := postJSON(t, ts.URL+"/v1/forecast", forecastRequest{Window: next})
 	json.Unmarshal(body, &after)
-	if after.Prediction == 0 {
-		t.Fatal("post-swap request got no prediction")
+	if want := b.Predict(next); after.Prediction != want {
+		t.Fatalf("post-swap request got %v, model B predicts %v", after.Prediction, want)
 	}
 	if fid, _, _ := srv.ModelIDs(); fid != "model-b" {
 		t.Fatalf("ModelIDs after swap = %q, want model-b", fid)
