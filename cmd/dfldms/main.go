@@ -11,10 +11,11 @@
 //	    Read a log back and report its busiest routers and gap fractions
 //	    (global and per-router, so dropout faults are attributable).
 //
-//	dfldms analyze -in FILE [-events FILE|-] [-heatmap FILE.svg] [-csv FILE] ...
+//	dfldms analyze -in FILE [-events FILE|-] [-heatmap FILE.svg] [-csv FILE] [-top K]
 //	    Replay a log through the streaming network-weather monitor: anomaly
-//	    events as JSONL, a per-group × time congestion heatmap, and a
-//	    human-readable weather report.
+//	    events as JSONL, a per-group × time congestion heatmap (900 s
+//	    bins), and a human-readable weather report. The dragonfly group
+//	    size is inferred from the router count.
 package main
 
 import (
@@ -66,8 +67,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   dfldms record    [-small] [-days N] [-seed S] [-hours H] [-interval SEC] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] -out FILE
   dfldms summarize -in FILE [-top K]
-  dfldms analyze   -in FILE [-events FILE|-] [-heatmap FILE.svg] [-csv FILE] [-top K]
-                   [-rpg N] [-hot-z Z] [-stall-onset R] [-stall-clear R] [-bin SEC]`)
+  dfldms analyze   -in FILE [-events FILE|-] [-heatmap FILE.svg] [-csv FILE] [-top K]`)
 }
 
 func cmdRecord(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -305,11 +305,6 @@ func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 	heatOut := fs.String("heatmap", "", "write the per-group congestion heatmap to this SVG file")
 	csvOut := fs.String("csv", "", "write the heatmap matrix to this CSV file")
 	top := fs.Int("top", 10, "routers to list in the report")
-	rpg := fs.Int("rpg", 0, "routers per dragonfly group (0 = infer from router count)")
-	hotZ := fs.Float64("hot-z", 0, "hot-router onset threshold in cross-sectional std devs (0 = default)")
-	stallOnset := fs.Float64("stall-onset", 0, "group congestion onset threshold on smoothed stall ratio (0 = default)")
-	stallClear := fs.Float64("stall-clear", 0, "congestion clear threshold (0 = onset/2)")
-	bin := fs.Float64("bin", 0, "heatmap time-bin width, seconds (0 = default)")
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
@@ -329,9 +324,7 @@ func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 			*in, series, counters.NumLDMS)
 	}
 	routers := series / counters.NumLDMS
-	if *rpg <= 0 {
-		*rpg = inferGroupSize(routers)
-	}
+	rpg := inferGroupSize(routers)
 
 	var events io.Writer
 	if *eventsOut == "-" {
@@ -347,11 +340,7 @@ func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 
 	m, err := monitor.New(monitor.Config{
 		NumRouters:      routers,
-		RoutersPerGroup: *rpg,
-		HotZ:            *hotZ,
-		StallOnset:      *stallOnset,
-		StallClear:      *stallClear,
-		HeatmapBin:      *bin,
+		RoutersPerGroup: rpg,
 		Events:          events,
 		Source:          "replay",
 	})
@@ -363,7 +352,7 @@ func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("analyzing %s: %w", *in, err)
 	}
 	fmt.Fprintf(stderr, "replayed %d samples (%d missing) over [%.0fs, %.0fs], %d routers in groups of %d\n",
-		st.Samples, st.Missing, st.FirstT, st.LastT, routers, *rpg)
+		st.Samples, st.Missing, st.FirstT, st.LastT, routers, rpg)
 	fmt.Fprint(stdout, m.Report(*top))
 
 	if *heatOut != "" || *csvOut != "" {

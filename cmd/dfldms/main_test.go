@@ -30,6 +30,13 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"record", "-small", "-faults", "bogus", "-out", filepath.Join(t.TempDir(), "l.bin")}, cli.ExitUsage},
 		{[]string{"summarize", "-bogus"}, cli.ExitUsage},
 		{[]string{"analyze", "-bogus"}, cli.ExitUsage},
+		// the monitor's thresholds, heatmap bin and group size are fixed,
+		// not flags
+		{[]string{"analyze", "-hot-z", "3"}, cli.ExitUsage},
+		{[]string{"analyze", "-stall-onset", "0.3"}, cli.ExitUsage},
+		{[]string{"analyze", "-stall-clear", "0.1"}, cli.ExitUsage},
+		{[]string{"analyze", "-bin", "60"}, cli.ExitUsage},
+		{[]string{"analyze", "-rpg", "16"}, cli.ExitUsage},
 		{[]string{"summarize", "-in", filepath.Join(t.TempDir(), "missing.bin")}, cli.ExitFailure},
 	}
 	for _, c := range cases {

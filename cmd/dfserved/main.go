@@ -81,7 +81,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.BoolVar(&o.retrain, "retrain", false, "retrain and repoint refs even when the store already has the models")
 	fs.IntVar(&o.serve.MaxInflight, "max-inflight", 0, "concurrent executing requests (0 = default)")
 	fs.IntVar(&o.serve.MaxQueue, "max-queue", 0, "waiting requests before 429 shedding (0 = default)")
-	fs.IntVar(&o.serve.CacheSize, "cache-size", 0, "prediction cache entries (0 = default)")
 	fs.DurationVar(&o.reloadInterval, "reload-interval", 0,
 		"poll the model store refs this often and hot-swap the served models when one advances (0 = poll only on SIGHUP)")
 	o.tm.Register(fs)

@@ -40,6 +40,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"stray"}, cli.ExitUsage},
 		{[]string{"-store", store, "-features", "bogus"}, cli.ExitUsage},
 		{[]string{"-store", store, "-small", "-faults", "bogus"}, cli.ExitUsage},
+		// the prediction cache's size is fixed, not a flag
+		{[]string{"-list", "-store", store, "-cache-size", "1"}, cli.ExitUsage},
 	} {
 		_, _, err := runCLI(c.args...)
 		if got := cli.ExitCode(err); got != c.want {

@@ -346,9 +346,23 @@ func (e drainError) Error() string {
 	return fmt.Sprintf("cluster: nodes lost to a fault at t=%v", e.at)
 }
 
-// requeueLimit bounds how many times one controlled run is requeued after
-// losing its nodes to a fault.
-const requeueLimit = 3
+// unitOutcome translates simWorker.simulate's result: a run killed by a
+// fault is a drained outcome (the driver makes the requeue decision), any
+// other error a genuine failure.
+func unitOutcome(run *dataset.Run, err error) (UnitOutcome, error) {
+	var de drainError
+	if errors.As(err, &de) {
+		return UnitOutcome{Drained: true, DrainAt: de.at}, nil
+	}
+	if err != nil {
+		return UnitOutcome{}, err
+	}
+	return UnitOutcome{Run: run}, nil
+}
+
+// estDuration is the scheduler's estimate of a run's wall time, the
+// length of its window [start, estEnd): 1.8× the model's base time.
+func estDuration(m *apps.Model) float64 { return m.TotalBaseTime() * 1.8 }
 
 // plan is one scheduled controlled run.
 type plan struct {
@@ -444,19 +458,16 @@ func (e *localExecutor) ExecuteRound(ctx context.Context, pending []int, _ []Pla
 		}
 		i := pending[k]
 		simStart := time.Now()
-		run, err := e.sws[wkr].simulate(e.plans[i], e.plans, i)
+		out, err := unitOutcome(e.sws[wkr].simulate(e.plans[i], e.plans, i))
 		c.tm.runSecs.ObserveSince(simStart)
-		var de drainError
-		if errors.As(err, &de) {
-			outs[k] = UnitOutcome{Drained: true, DrainAt: de.at}
-			return nil
-		}
 		if err != nil {
 			return err
 		}
-		c.tm.runs.Add(1)
-		outs[k] = UnitOutcome{Run: run}
-		completed()
+		outs[k] = out
+		if out.Run != nil {
+			c.tm.runs.Add(1)
+			completed()
+		}
 		return nil
 	})
 	return outs, err
@@ -575,11 +586,11 @@ func (c *Cluster) runCampaign(ctx context.Context, mkExec func(plans []*plan) Un
 			// the run lost its nodes mid-flight; requeue the submission
 			// after a deterministic backoff, like slurm --requeue would
 			p := plans[i]
-			if p.requeues < requeueLimit {
+			if p.requeues < slurm.MaxRequeues {
 				p.requeues++
 				rs := c.root.Split(fmt.Sprintf("requeue-%d-%d", i, p.requeues))
 				est := p.estEnd - p.start
-				p.start = o.DrainAt + 900*math.Pow(2, float64(p.requeues-1))
+				p.start = o.DrainAt + slurm.RequeueBackoff(p.requeues-1)
 				p.estEnd = p.start + est
 				p.nodes = nil
 				p.pat = nil // pattern follows the placement
@@ -640,7 +651,7 @@ func (c *Cluster) schedule() ([]*plan, error) {
 				submit := float64(day)*86400 + batch[s.Intn(len(batch))] + s.Uniform(0, 1800)
 				wait := s.Exp(3600) // queue wait decided by the scheduler
 				start := submit + wait
-				est := m.TotalBaseTime() * 1.8
+				est := estDuration(m)
 				if start+est > c.Timeline.Horizon() {
 					continue
 				}
@@ -753,7 +764,7 @@ func (co coRunners) loadsAt(dst []netsim.ScaledLoad, t, dur float64) []netsim.Sc
 // Each try marks busy every node of p's co-runners, the Haswell nodes and
 // the nodes drained at submission, draws a compactness in [lo, hi) and
 // asks pol for nodes on a copy of the empty machine's allocator; a miss
-// waits Uniform(1800, 7200) s and tries again. The search gives up after
+// waits slurm.QueueRetryWait and tries again. The search gives up after
 // tries misses, or once p's window would end past horizon. Sets p.nodes
 // (nil when no try fit).
 func (c *Cluster) queueSearch(p *plan, plans []*plan, self, tries int, lo, hi, horizon float64, pol slurm.PlacementPolicy, s *rng.Stream) bool {
@@ -775,7 +786,7 @@ func (c *Cluster) queueSearch(p *plan, plans []*plan, self, tries int, lo, hi, h
 		if p.nodes = pol.Place(alloc, p.model.Nodes, compact, busy, advise, s); p.nodes != nil {
 			return true
 		}
-		p.start += s.Uniform(1800, 7200)
+		p.start += slurm.QueueRetryWait(s)
 		p.estEnd = p.start + est
 	}
 	return false
@@ -1045,7 +1056,7 @@ func (c *Cluster) SimulateAt(model *apps.Model, steps int, start, compactLo, com
 	if steps > 0 {
 		job.Steps = steps
 	}
-	p := &plan{model: &job, start: start, estEnd: start + job.TotalBaseTime()*1.8}
+	p := &plan{model: &job, start: start, estEnd: start + estDuration(&job)}
 	asked := *p
 	if !c.queueSearch(p, nil, -1, 64, compactLo, compactHi, math.Inf(1), slurm.FirstFit, rng.New(seed)) {
 		p = &asked

@@ -3,7 +3,6 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -124,13 +123,5 @@ func (u *UnitSim) Simulate(unit int) (UnitOutcome, error) {
 	if unit < 0 || unit >= len(u.plans) {
 		return UnitOutcome{}, fmt.Errorf("cluster: simulate unit %d, campaign has %d", unit, len(u.plans))
 	}
-	run, err := u.sw.simulate(u.plans[unit], u.plans, unit)
-	var de drainError
-	if errors.As(err, &de) {
-		return UnitOutcome{Drained: true, DrainAt: de.at}, nil
-	}
-	if err != nil {
-		return UnitOutcome{}, err
-	}
-	return UnitOutcome{Run: run}, nil
+	return unitOutcome(u.sw.simulate(u.plans[unit], u.plans, unit))
 }

@@ -482,7 +482,6 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		Cluster:          co.cfg.Cluster.Resolved(),
 		PlanDigest:       co.digest,
 		NumUnits:         co.numUnits,
-		LeaseSeconds:     co.cfg.Lease.Seconds(),
 		HeartbeatSeconds: co.cfg.Heartbeat.Seconds(),
 		Traceparent:      campTP,
 	})
@@ -563,7 +562,6 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		Round:               co.round,
 		Attempt:             st.attempts,
 		Overrides:           co.overrides,
-		LeaseSeconds:        co.cfg.Lease.Seconds(),
 		Traceparent:         leaseTP,
 		CampaignTraceparent: co.campTP,
 	})

@@ -60,7 +60,6 @@ type JoinResponse struct {
 	Cluster          cluster.Config `json:"cluster"`
 	PlanDigest       string         `json:"plan_digest"`
 	NumUnits         int            `json:"num_units"`
-	LeaseSeconds     float64        `json:"lease_seconds"`     // how long a granted lease lives
 	HeartbeatSeconds float64        `json:"heartbeat_seconds"` // expected heartbeat cadence while holding a lease
 	// Traceparent carries the coordinator's campaign span context (W3C
 	// traceparent format) so the worker's session span joins the campaign
@@ -95,7 +94,6 @@ type LeaseResponse struct {
 	Round             int                    `json:"round"`
 	Attempt           int                    `json:"attempt,omitempty"` // 1-based dispatch count for this unit this round
 	Overrides         []cluster.PlanOverride `json:"overrides,omitempty"`
-	LeaseSeconds      float64                `json:"lease_seconds,omitempty"`
 	RetryAfterSeconds float64                `json:"retry_after_seconds,omitempty"`
 	// Traceparent carries the coordinator's per-lease dist/unit span
 	// context; the worker parents its unit-execution span under it so the

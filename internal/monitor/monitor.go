@@ -3,11 +3,11 @@
 // per-round deltas, or offline by replaying a DFLDMS log — in the LDMS
 // layout of internal/counters (counters.NumLDMS series per router, flits at
 // counters.LDMSRTFlitTot, stalls at counters.LDMSRTRBStl), and maintains
-// single-pass windowed state over them: Welford online mean/variance per
-// series, per-group congestion rollups (stall-ratio from RT_RB_STL over
-// RT_FLIT_TOT), EWMA-based anomaly detection emitting structured JSONL
-// events (hot router, congestion onset/clear, sampler gap), and a
-// per-group × time congestion heatmap.
+// single-pass windowed state over them: Welford online mean/variance of
+// each router's flit rate, per-group congestion rollups (stall-ratio from
+// RT_RB_STL over RT_FLIT_TOT), EWMA-based anomaly detection emitting
+// structured JSONL events (hot router, congestion onset/clear, sampler
+// gap), and a per-group × time congestion heatmap.
 //
 // This is the monitoring half of the paper's measurement stack: LDMS gave
 // Cori a 1 Hz system-wide counter feed (§III-C), and the follow-up
@@ -40,10 +40,10 @@ import (
 
 // Event types emitted to the JSONL stream.
 const (
-	EventHotRouter       = "hot_router"       // a router's smoothed flit rate crossed HotZ cross-sectional std devs
-	EventHotRouterClear  = "hot_router_clear" // a hot router dropped back below HotZ/2
-	EventCongestionOnset = "congestion_onset" // a group's smoothed stall ratio crossed StallOnset
-	EventCongestionClear = "congestion_clear" // a congested group dropped back below StallClear
+	EventHotRouter       = "hot_router"       // a router's smoothed flit rate crossed hotZ cross-sectional std devs
+	EventHotRouterClear  = "hot_router_clear" // a hot router dropped back below hotZ/2
+	EventCongestionOnset = "congestion_onset" // a group's smoothed stall ratio crossed stallOnset
+	EventCongestionClear = "congestion_clear" // a congested group dropped back below stallClear
 	EventSamplerGap      = "sampler_gap"      // a run of missing samples (or a replayed timestamp jump) closed
 	EventModelDrift      = "model_drift"      // rolling live forecast MAPE breached the drift threshold (emitted by the daemon via Emit)
 )
@@ -70,13 +70,9 @@ type Event struct {
 // Config parameterizes a Monitor. The zero value is not usable: NumRouters
 // is required; every other field has a sensible default applied by New.
 type Config struct {
-	NumRouters      int // required: routers in the machine
-	RoutersPerGroup int // dragonfly group size for rollups (default: all routers in one group)
-
-	HotZ       float64 // hot-router onset threshold in cross-sectional std devs (default 3)
-	StallOnset float64 // group congestion onset threshold on smoothed stall ratio (default 0.25)
-	StallClear float64 // clear threshold (default StallOnset/2)
-	HeatmapBin float64 // heatmap time-bin width in seconds (default 900)
+	NumRouters      int     // required: routers in the machine
+	RoutersPerGroup int     // dragonfly group size for rollups (default: all routers in one group)
+	HeatmapBin      float64 // heatmap time-bin width in seconds (default 900)
 
 	// Events receives one JSON object per line as anomalies are detected;
 	// nil discards them (aggregates are still maintained).
@@ -95,6 +91,13 @@ const (
 	// hotMinSamples is how many observations a router needs before hot
 	// detection may fire.
 	hotMinSamples = 8
+	// hotZ is the hot-router onset threshold in cross-sectional std devs;
+	// a hot router clears below hotZ/2 (1.5: hotZ is a float constant).
+	hotZ = 3.0
+	// stallOnset and stallClear are the group congestion hysteresis
+	// thresholds on the smoothed stall ratio.
+	stallOnset = 0.25
+	stallClear = stallOnset / 2
 )
 
 // The per-router series layout of every feed: counters.NumLDMS series,
@@ -127,9 +130,8 @@ type Monitor struct {
 
 	mu sync.Mutex
 
-	// Per-series Welford accumulators over rates (router-major layout, same
-	// as the sample rows: series s of router r is index r*seriesPerRouter+s).
-	series []stats.Welford
+	// Per-router Welford accumulators over the flit rate (TopRouters).
+	flitStats []stats.Welford
 
 	// Hot-router detection state.
 	flitEWMA []float64 // smoothed flits/s per router
@@ -162,15 +164,6 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.RoutersPerGroup <= 0 {
 		cfg.RoutersPerGroup = cfg.NumRouters
 	}
-	if cfg.HotZ <= 0 {
-		cfg.HotZ = 3
-	}
-	if cfg.StallOnset <= 0 {
-		cfg.StallOnset = 0.25
-	}
-	if cfg.StallClear <= 0 {
-		cfg.StallClear = cfg.StallOnset / 2
-	}
 	if cfg.HeatmapBin <= 0 {
 		cfg.HeatmapBin = 900
 	}
@@ -178,7 +171,7 @@ func New(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		cfg:        cfg,
 		numGroups:  ng,
-		series:     make([]stats.Welford, cfg.NumRouters*seriesPerRouter),
+		flitStats:  make([]stats.Welford, cfg.NumRouters),
 		flitEWMA:   make([]float64, cfg.NumRouters),
 		seen:       make([]int, cfg.NumRouters),
 		hot:        make([]bool, cfg.NumRouters),
@@ -241,15 +234,12 @@ func (m *Monitor) observe(t, dt float64, deltas []float64, ordered bool) {
 	// A healthy sample closes any explicit-marker gap.
 	m.closeGapLocked(t)
 
-	// Pass 1: per-series stats and per-router flit-rate EWMAs, with a
-	// cross-sectional Welford over the updated EWMAs for the z-scores.
+	// Pass 1: per-router flit-rate stats and EWMAs, with a cross-sectional
+	// Welford over the updated EWMAs for the z-scores.
 	var cross stats.Welford
 	for r := 0; r < m.cfg.NumRouters; r++ {
-		base := r * seriesPerRouter
-		for s := 0; s < seriesPerRouter; s++ {
-			m.series[base+s].Add(deltas[base+s] / dt)
-		}
-		rate := deltas[base+flitSeries] / dt
+		rate := deltas[r*seriesPerRouter+flitSeries] / dt
+		m.flitStats[r].Add(rate)
 		if m.seen[r] == 0 {
 			m.flitEWMA[r] = rate
 		} else {
@@ -267,11 +257,11 @@ func (m *Monitor) observe(t, dt float64, deltas []float64, ordered bool) {
 			}
 			z := (m.flitEWMA[r] - mean) / std
 			switch {
-			case !m.hot[r] && z >= m.cfg.HotZ:
+			case !m.hot[r] && z >= hotZ:
 				m.hot[r] = true
 				m.emitLocked(Event{T: t, Type: EventHotRouter, Router: r, Group: r / m.cfg.RoutersPerGroup,
 					FlitRate: m.flitEWMA[r], Z: z})
-			case m.hot[r] && z < m.cfg.HotZ/2:
+			case m.hot[r] && z < hotZ/2:
 				m.hot[r] = false
 				m.emitLocked(Event{T: t, Type: EventHotRouterClear, Router: r, Group: r / m.cfg.RoutersPerGroup,
 					FlitRate: m.flitEWMA[r], Z: z})
@@ -309,10 +299,10 @@ func (m *Monitor) observe(t, dt float64, deltas []float64, ordered bool) {
 	for g := 0; g < m.numGroups; g++ {
 		ewma := m.groups.Ratio(g)
 		switch {
-		case !m.congested[g] && ewma >= m.cfg.StallOnset:
+		case !m.congested[g] && ewma >= stallOnset:
 			m.congested[g] = true
 			m.emitLocked(Event{T: t, Type: EventCongestionOnset, Router: -1, Group: g, StallRatio: ewma})
-		case m.congested[g] && ewma <= m.cfg.StallClear:
+		case m.congested[g] && ewma <= stallClear:
 			m.congested[g] = false
 			m.emitLocked(Event{T: t, Type: EventCongestionClear, Router: -1, Group: g, StallRatio: ewma})
 		}
@@ -453,7 +443,7 @@ func (m *Monitor) TopRouters(k int) []RouterStat {
 	defer m.mu.Unlock()
 	out := make([]RouterStat, m.cfg.NumRouters)
 	for r := range out {
-		w := &m.series[r*seriesPerRouter+flitSeries]
+		w := &m.flitStats[r]
 		out[r] = RouterStat{Router: r, MeanRate: w.Mean(), StdRate: w.Std(), Hot: m.hot[r]}
 	}
 	sort.Slice(out, func(i, j int) bool {

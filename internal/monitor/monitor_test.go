@@ -92,8 +92,8 @@ func TestHotRouterDetection(t *testing.T) {
 	if hots[0].Router != hotRouter || hots[0].Group != 0 {
 		t.Errorf("hot event at router %d group %d, want router %d group 0", hots[0].Router, hots[0].Group, hotRouter)
 	}
-	if hots[0].Z < m.cfg.HotZ {
-		t.Errorf("hot event z = %v below threshold %v", hots[0].Z, m.cfg.HotZ)
+	if hots[0].Z < hotZ {
+		t.Errorf("hot event z = %v below threshold %v", hots[0].Z, hotZ)
 	}
 	if hots[0].Source != "test" {
 		t.Errorf("event source = %q, want %q", hots[0].Source, "test")

@@ -43,8 +43,11 @@ type lruEntry struct {
 	val float64
 }
 
-func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, order: list.New(), items: make(map[uint64]*list.Element, capacity)}
+// cacheEntries is the prediction cache's capacity.
+const cacheEntries = 4096
+
+func newLRU() *lru {
+	return &lru{cap: cacheEntries, order: list.New(), items: make(map[uint64]*list.Element, cacheEntries)}
 }
 
 func (c *lru) get(key uint64) (float64, bool) {

@@ -60,7 +60,6 @@ type Config struct {
 
 	MaxInflight int // concurrent executing requests; default 64
 	MaxQueue    int // waiting requests beyond MaxInflight before 429; default 256
-	CacheSize   int // LRU prediction-cache entries; default 4096
 
 	// beforePredict, when set (tests only), runs on the batching loop
 	// before each model call with the number of requests it answers.
@@ -103,7 +102,7 @@ type modelSet struct {
 }
 
 func newModelSet(m Models, cfg Config) *modelSet {
-	ms := &modelSet{Models: m, cache: newLRU(cfg.CacheSize)}
+	ms := &modelSet{Models: m, cache: newLRU()}
 	if m.Forecaster != nil {
 		ms.m, ms.h = m.Forecaster.WindowShape()
 		// only admitted requests reach the batcher: MaxInflight bounds its queue
@@ -118,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
-	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 4096
 	}
 	return c
 }

@@ -40,7 +40,7 @@ func TestDrainKillsAndRequeues(t *testing.T) {
 		if j.Attempt > 0 {
 			requeued++
 			// resubmission waits out at least the first backoff
-			if prev := j.Start; prev < 43200+requeueBackoff(0) {
+			if prev := j.Start; prev < 43200+RequeueBackoff(0) {
 				t.Fatalf("requeued job %d starts at %v, before backoff elapsed", j.ID, prev)
 			}
 		}

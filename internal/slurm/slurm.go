@@ -33,14 +33,19 @@ const (
 	StateNodeFail  = "NODE_FAIL"
 )
 
-// requeueBackoff is the wall-clock delay before a node-failed job is
-// resubmitted: 15 min doubling per attempt, like a conservative
-// SchedulerParameters requeue policy.
-func requeueBackoff(attempt int) float64 { return 900 * math.Pow(2, float64(attempt)) }
+// RequeueBackoff is the wall-clock delay before a node-failed submission
+// is resubmitted after its attempt-th failure (attempt counts from 0): 15
+// min doubling per attempt, like a conservative SchedulerParameters
+// requeue policy. Production jobs and controlled runs share it.
+func RequeueBackoff(attempt int) float64 { return 900 * math.Pow(2, float64(attempt)) }
 
-// maxRequeues bounds how many times one submission is requeued after
+// MaxRequeues bounds how many times one submission is requeued after
 // node failures before the scheduler gives up on it.
-const maxRequeues = 3
+const MaxRequeues = 3
+
+// QueueRetryWait draws the wait before a submission that found no room
+// on the machine tries again.
+func QueueRetryWait(s *rng.Stream) float64 { return s.Uniform(1800, 7200) }
 
 // SelfUserID is the anonymized ID under which the campaign's controlled
 // jobs appear in the queue log (User 8 in Table III).
@@ -377,7 +382,7 @@ func Generate(net *netsim.Network, cfg GenerateConfig, s *rng.Stream) *Timeline 
 			// queue wait: retry later a few times, then give up
 			if a.try < 4 {
 				a.try++
-				a.t += placeStream.Uniform(1800, 7200)
+				a.t += QueueRetryWait(placeStream)
 				insert(a)
 			}
 			continue
@@ -414,8 +419,8 @@ func Generate(net *netsim.Network, cfg GenerateConfig, s *rng.Stream) *Timeline 
 			}
 			j.End = tf
 			j.State = StateNodeFail
-			if a.attempt < maxRequeues {
-				insert(arrival{t: tf + requeueBackoff(a.attempt), user: a.user, attempt: a.attempt + 1})
+			if a.attempt < MaxRequeues {
+				insert(arrival{t: tf + RequeueBackoff(a.attempt), user: a.user, attempt: a.attempt + 1})
 			}
 		}
 		tl.Jobs = append(tl.Jobs, j)

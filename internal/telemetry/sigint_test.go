@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -115,21 +116,40 @@ func TestConcurrentSpanNesting(t *testing.T) {
 		}
 		byID[sp.SpanID] = sp
 	}
+	// walking ParentSpanID from stage d passes stage d-1, …, stage 1 and
+	// ends at a named worker root after exactly d steps: the chain stays
+	// inside its own goroutine's tree
+	perRoot := map[string]int{}
 	for _, sp := range spans {
-		if sp.ParentSpanID == "" {
-			if sp.Path != sp.Name {
-				t.Errorf("root span path = %q, want %q", sp.Path, sp.Name)
+		level := 0
+		if sp.ParentSpanID != "" {
+			if _, err := fmt.Sscanf(sp.Name, "stage%d", &level); err != nil {
+				t.Fatalf("child span named %q", sp.Name)
 			}
-			continue
 		}
-		parent, ok := byID[sp.ParentSpanID]
-		if !ok {
-			t.Errorf("span %s has unknown parent %s", sp.SpanID, sp.ParentSpanID)
-			continue
+		cur := sp
+		for d := level; d > 0; d-- {
+			parent, ok := byID[cur.ParentSpanID]
+			if !ok {
+				t.Fatalf("span %s (%s) has unknown parent %s", cur.SpanID, cur.Name, cur.ParentSpanID)
+			}
+			want := fmt.Sprintf("stage%d", d-1)
+			if d == 1 {
+				want = "worker"
+			}
+			if !strings.HasPrefix(parent.Name, want) {
+				t.Fatalf("parent of %s is %q, want %s", cur.Name, parent.Name, want)
+			}
+			cur = parent
 		}
-		// the child's chain stays inside its own goroutine's worker tree
-		if want := parent.Path + "/" + sp.Name; sp.Path != want {
-			t.Errorf("span path = %q, want %q", sp.Path, want)
+		if cur.ParentSpanID != "" || !strings.HasPrefix(cur.Name, "worker") {
+			t.Fatalf("chain from %s ends at %q (parent %q), want a worker root", sp.Name, cur.Name, cur.ParentSpanID)
+		}
+		perRoot[cur.Name]++
+	}
+	for name, n := range perRoot {
+		if n != depth {
+			t.Errorf("root %s holds %d spans, want %d", name, n, depth)
 		}
 	}
 	// every goroutine contributed exactly one root and one full chain

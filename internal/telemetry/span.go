@@ -11,9 +11,7 @@ import (
 // trace is self-contained; combined with the snapshot's process identity
 // the offsets convert to absolute times for cross-process stitching.
 type SpanRecord struct {
-	Name string `json:"name"`
-	// Path is the "/"-joined chain of ancestor names ending in Name.
-	Path   string  `json:"path"`
+	Name   string  `json:"name"`
 	StartS float64 `json:"start_s"` // offset from registry start, seconds
 	DurS   float64 `json:"dur_s"`   // wall-clock duration, seconds
 
@@ -34,7 +32,6 @@ type SpanRecord struct {
 type Span struct {
 	r         *Registry
 	name      string
-	path      string
 	start     time.Time
 	sc        SpanContext
 	parentSID SpanID
@@ -71,11 +68,9 @@ func StartIn(r *Registry, ctx context.Context, name string) (context.Context, *S
 	if r == nil {
 		return ctx, nil
 	}
-	path := name
 	sc := SpanContext{Span: NewSpanID()}
 	var parentSID SpanID
 	if parent, ok := ctx.Value(spanCtxKey{}).(*Span); ok && parent != nil && parent.r == r {
-		path = parent.path + "/" + name
 		sc.Trace = parent.sc.Trace
 		parentSID = parent.sc.Span
 	} else if remote, ok := ctx.Value(remoteCtxKey{}).(SpanContext); ok && remote.Valid() {
@@ -85,7 +80,7 @@ func StartIn(r *Registry, ctx context.Context, name string) (context.Context, *S
 	if sc.Trace.IsZero() {
 		sc.Trace = NewTraceID()
 	}
-	sp := &Span{r: r, name: name, path: path, start: time.Now(), sc: sc, parentSID: parentSID}
+	sp := &Span{r: r, name: name, start: time.Now(), sc: sc, parentSID: parentSID}
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
@@ -141,7 +136,6 @@ func (s *Span) End() {
 	s.mu.Unlock()
 	rec := SpanRecord{
 		Name:    s.name,
-		Path:    s.path,
 		StartS:  s.start.Sub(s.r.start).Seconds(),
 		DurS:    now.Sub(s.start).Seconds(),
 		TraceID: s.sc.Trace.String(),

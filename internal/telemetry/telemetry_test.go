@@ -178,14 +178,14 @@ func TestSpanNesting(t *testing.T) {
 	for _, sp := range spans {
 		byName[sp.Name] = sp
 	}
-	if p := byName["campaign"]; p.ParentSpanID != "" || p.SpanID == "" || p.Path != "campaign" {
-		t.Errorf("root span: parent=%q span=%q path=%q", p.ParentSpanID, p.SpanID, p.Path)
+	if p := byName["campaign"]; p.ParentSpanID != "" || p.SpanID == "" {
+		t.Errorf("root span: parent=%q span=%q", p.ParentSpanID, p.SpanID)
 	}
-	if c := byName["round"]; c.ParentSpanID != byName["campaign"].SpanID || c.Path != "campaign/round" {
-		t.Errorf("child span: parent=%q path=%q", c.ParentSpanID, c.Path)
+	if c := byName["round"]; c.ParentSpanID != byName["campaign"].SpanID {
+		t.Errorf("child span: parent=%q, want the root's span id", c.ParentSpanID)
 	}
-	if g := byName["merge"]; g.ParentSpanID != byName["round"].SpanID || g.Path != "campaign/round/merge" {
-		t.Errorf("grandchild span: parent=%q path=%q", g.ParentSpanID, g.Path)
+	if g := byName["merge"]; g.ParentSpanID != byName["round"].SpanID {
+		t.Errorf("grandchild span: parent=%q, want the child's span id", g.ParentSpanID)
 	}
 	if s := byName["schedule"]; s.ParentSpanID != byName["campaign"].SpanID {
 		t.Errorf("sibling span: parent=%q, want root's span id", s.ParentSpanID)
@@ -214,7 +214,7 @@ func TestSpanCrossRegistry(t *testing.T) {
 	_, sp2 := StartIn(r2, ctx, "new")
 	sp2.End()
 	spans := r2.Snapshot().Spans
-	if len(spans) != 1 || spans[0].ParentSpanID != "" || spans[0].Path != "new" {
+	if len(spans) != 1 || spans[0].ParentSpanID != "" || spans[0].Name != "new" {
 		t.Fatalf("cross-registry parent leaked: %+v", spans)
 	}
 }

@@ -18,7 +18,6 @@
 // A missing sample carries only its timestamp: the monitor knew the wall
 // clock but lost the counter reads (a sampler dropout, §"Fault model" in
 // DESIGN.md). Readers surface it as a row of NaN plus the Missing flag.
-// Version-1 logs ("DFLDMS1\n", no flags byte) are still readable.
 //
 // A Writer and Reader pair round-trips any series whose values fit int64
 // after rounding; hardware counters do.
@@ -34,8 +33,7 @@ import (
 )
 
 const (
-	magic   = "DFLDMS2\n"
-	magicV1 = "DFLDMS1\n"
+	magic = "DFLDMS2\n"
 
 	// flagMissing marks a sample whose counter values were lost; all other
 	// flag bits are reserved and must be zero.
@@ -48,8 +46,7 @@ const (
 	maxSeries = 1 << 20
 )
 
-// Writer streams samples to an underlying writer, always in version-2
-// format.
+// Writer streams samples to an underlying writer.
 type Writer struct {
 	w         *bufio.Writer
 	numSeries int
@@ -144,16 +141,13 @@ func (w *Writer) WriteMissing(t float64) error {
 // Flush pushes buffered bytes to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader iterates a log produced by Writer. It reads both the current
-// version-2 format and legacy version-1 logs (which cannot contain missing
-// markers).
+// Reader iterates a log produced by Writer.
 type Reader struct {
 	r         *bufio.Reader
 	numSeries int
 	prev      []int64
 	prevMs    uint64
 	started   bool
-	v1        bool
 	missing   bool
 }
 
@@ -164,12 +158,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("traceio: reading header: %w", err)
 	}
-	var v1 bool
-	switch string(head) {
-	case magic:
-	case magicV1:
-		v1 = true
-	default:
+	if string(head) != magic {
 		return nil, errors.New("traceio: bad magic — not a DFLDMS log")
 	}
 	ns, err := binary.ReadUvarint(br)
@@ -179,7 +168,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if ns == 0 || ns > maxSeries {
 		return nil, fmt.Errorf("traceio: implausible series count %d", ns)
 	}
-	return &Reader{r: br, numSeries: int(ns), prev: make([]int64, ns), v1: v1}, nil
+	return &Reader{r: br, numSeries: int(ns), prev: make([]int64, ns)}, nil
 }
 
 // NumSeries returns the number of parallel series in the log.
@@ -207,20 +196,17 @@ func (r *Reader) Next(dst []float64) (t float64, values []float64, err error) {
 		r.prevMs = dt
 		r.started = true
 	}
-	r.missing = false
-	if !r.v1 {
-		flags, err := r.r.ReadByte()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, fmt.Errorf("traceio: truncated sample: %w", err)
+	flags, err := r.r.ReadByte()
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
 		}
-		if flags&^flagMissing != 0 {
-			return 0, nil, fmt.Errorf("traceio: unknown sample flags %#x (corrupt log?)", flags)
-		}
-		r.missing = flags&flagMissing != 0
+		return 0, nil, fmt.Errorf("traceio: truncated sample: %w", err)
 	}
+	if flags&^flagMissing != 0 {
+		return 0, nil, fmt.Errorf("traceio: unknown sample flags %#x (corrupt log?)", flags)
+	}
+	r.missing = flags&flagMissing != 0
 	if dst == nil {
 		dst = make([]float64, r.numSeries)
 	}
