@@ -65,7 +65,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  dfldms record    [-small] [-days N] [-seed S] [-hours H] [-interval SEC] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] -out FILE
+  dfldms record    [-small] [-days N] [-seed S] [-hours H] [-interval SEC] [-faults SPEC] [-telemetry FILE] [-pprof ADDR] -out FILE
   dfldms summarize -in FILE [-top K]
   dfldms analyze   -in FILE [-events FILE|-] [-heatmap FILE.svg] [-csv FILE] [-top K]`)
 }
@@ -80,7 +80,6 @@ func cmdRecord(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	interval := fs.Float64("interval", 60, "sampling interval, seconds")
 	fs.StringVar(&cfg.FaultSpec, "faults", "", `fault spec, e.g. "dropout@3600-7200" (see DESIGN.md)`)
 	out := fs.String("out", "ldms.bin", "output log file")
-	cli.Workers(fs, &cfg.Workers)
 	var tm cli.Telemetry
 	tm.Register(fs)
 	if err := cli.Parse(fs, args); err != nil {
@@ -342,7 +341,6 @@ func cmdAnalyze(args []string, stdout, stderr io.Writer) error {
 		NumRouters:      routers,
 		RoutersPerGroup: rpg,
 		Events:          events,
-		Source:          "replay",
 	})
 	if err != nil {
 		return err

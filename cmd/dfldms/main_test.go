@@ -27,6 +27,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"nosuch"}, cli.ExitUsage},
 		{[]string{"record", "-h"}, cli.ExitOK},
 		{[]string{"record", "-bogus"}, cli.ExitUsage},
+		// the recorder schedules no campaign, so it has no workers
+		{[]string{"record", "-workers", "2", "-out", filepath.Join(t.TempDir(), "l.bin")}, cli.ExitUsage},
 		{[]string{"record", "-small", "-faults", "bogus", "-out", filepath.Join(t.TempDir(), "l.bin")}, cli.ExitUsage},
 		{[]string{"summarize", "-bogus"}, cli.ExitUsage},
 		{[]string{"analyze", "-bogus"}, cli.ExitUsage},

@@ -70,7 +70,7 @@ func TestAnalyzeBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	routers := rd.NumSeries() / 4
-	m, err := monitor.New(monitor.Config{NumRouters: routers, RoutersPerGroup: inferGroupSize(routers), Source: "replay"})
+	m, err := monitor.New(monitor.Config{NumRouters: routers, RoutersPerGroup: inferGroupSize(routers)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,11 +84,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  dfvar campaign [-days N] [-seed S] [-cache FILE] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] [-monitor FILE|-]
+  dfvar campaign [-days N] [-seed S] [-cache FILE] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR]
                  [-distribute ADDR] [-dist-checkpoint FILE] [-dist-lease DUR]
   dfvar worker   -join URL [-name NAME] [-telemetry FILE] [-pprof ADDR]
-  dfvar report   [-cache FILE] [-days N] [-seed S] [-small] [-fast] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] [-monitor FILE|-] [artifact ...]
-  dfvar calib    [-cache FILE] [-days N] [-seed S] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] [-monitor FILE|-]
+  dfvar report   [-cache FILE] [-days N] [-seed S] [-small] [-fast] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR] [artifact ...]
+  dfvar calib    [-cache FILE] [-days N] [-seed S] [-small] [-faults SPEC] [-workers N] [-telemetry FILE] [-pprof ADDR]
   dfvar census   [-small]
   dfvar export   [-cache FILE] [-days N] [-seed S] [-small] -out DIR
   dfvar plot     [-cache FILE] [-days N] [-seed S] [-small] [-fast] -out DIR
@@ -113,10 +113,9 @@ fault specs: links=N routers=N drains=N dropouts=N outage=SEC droplen=SEC,
   processes via W3C traceparent, and "dfvar trace" stitches the snapshots of a
   coordinator and its workers into one cross-process timeline with a
   wait/compute/network breakdown. -pprof ADDR serves net/http/pprof plus live
-  /telemetry and /metrics (OpenMetrics) endpoints; -monitor FILE streams
-  network-weather anomaly events as JSONL while the campaign simulates ("-" =
-  stderr) and prints a weather report. All three are observation-only: output
-  bytes are identical on or off.
+  /telemetry and /metrics (OpenMetrics) endpoints. Both are observation-only:
+  output bytes are identical on or off. For network weather, record counters
+  with "dfldms record" and replay them with "dfldms analyze".
 -distribute ADDR serves a campaign to "dfvar worker" processes instead of
   simulating locally: workers lease runs, crashed or hung workers are detected
   and their work re-dispatched, and with -dist-checkpoint a killed coordinator
@@ -137,7 +136,6 @@ type commonFlags struct {
 	placement string
 	workers   int
 	tm        cli.Telemetry
-	monitor   string
 }
 
 func addCommon(fs *flag.FlagSet, c *commonFlags) {
@@ -155,8 +153,6 @@ func addCommon(fs *flag.FlagSet, c *commonFlags) {
 			" (default $"+cluster.EnvPlacement+" or firstfit)")
 	cli.Workers(fs, &c.workers)
 	c.tm.Register(fs)
-	fs.StringVar(&c.monitor, "monitor", "",
-		`attach the streaming network-weather monitor to the simulation; anomaly events go to this JSONL file ("-" = stderr)`)
 }
 
 // parse parses args into fs and validates -routing/-placement (or their
@@ -205,30 +201,9 @@ func (c commonFlags) clusterFor(cl *cluster.Cluster, stderr io.Writer) (*cluster
 }
 
 // loadCampaign loads the campaign the flags describe from the cache, or
-// simulates it, with the network-weather monitor attached when -monitor
-// was given. Like telemetry the monitor is observation-only: campaign
-// bytes are identical with it on or off. It is finished on every return
-// path, so an error or an interrupt still closes its event stream and
-// prints its report.
+// simulates it.
 func (c commonFlags) loadCampaign(ctx context.Context, stderr io.Writer) (*dataset.Campaign, *cluster.Cluster, error) {
-	ccfg := c.clusterConfig(stderr)
-	create := func(path string) (io.WriteCloser, error) { return os.Create(path) }
-	m, finish, err := cli.Monitor("dfvar", c.monitor, "campaign", c.small, create, stderr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if m != nil {
-		ccfg.Monitor = m
-		defer func() {
-			finish()
-			if s := m.Summary(); s.Samples > 0 {
-				fmt.Fprint(stderr, m.Report(5))
-			} else {
-				fmt.Fprintln(stderr, "network-weather monitor: no rounds observed (campaign loaded from cache?)")
-			}
-		}()
-	}
-	return core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: ccfg, CachePath: c.cache})
+	return core.LoadOrGenerateCtx(ctx, core.CampaignConfig{Cluster: c.clusterConfig(stderr), CachePath: c.cache})
 }
 
 func (c commonFlags) clusterConfig(stderr io.Writer) cluster.Config {
@@ -264,9 +239,6 @@ func cmdCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	}
 	role := "dfvar"
 	if *distribute != "" {
-		if c.monitor != "" {
-			return cli.Usagef("campaign: -monitor observes local simulation and cannot be combined with -distribute")
-		}
 		role = "coordinator"
 	}
 	flush, err := c.tm.Start(role, stderr)

@@ -44,7 +44,7 @@ func runCLI(ctx context.Context, args ...string) (stdout, stderr string, err err
 
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	monitor := filepath.Join(dir, "mon.jsonl")
+	cache, events := filepath.Join(dir, "c.gob"), filepath.Join(dir, "events.jsonl")
 	cases := []struct {
 		args   []string
 		want   int
@@ -60,8 +60,9 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"worker"}, cli.ExitUsage, ""},
 		{[]string{"trace"}, cli.ExitUsage, ""},
 		{[]string{"ab", "-arms", "minimal/firstfit"}, cli.ExitUsage, ""},
-		{[]string{"campaign", "-small", "-days", "2", "-faults", "bogus",
-			"-cache", filepath.Join(dir, "c.gob"), "-monitor", monitor}, cli.ExitUsage, monitor},
+		{[]string{"campaign", "-small", "-days", "2", "-faults", "bogus", "-cache", cache}, cli.ExitUsage, cache},
+		// network weather comes from "dfldms analyze", not the campaign
+		{[]string{"campaign", "-small", "-days", "1", "-cache", "", "-monitor", events}, cli.ExitUsage, events},
 	}
 	for _, c := range cases {
 		_, _, err := runCLI(context.Background(), c.args...)
@@ -92,10 +93,10 @@ func TestCalibGolden(t *testing.T) {
 	}
 }
 
-// TestMonitorFinishedOnCancel: every campaign-loading subcommand finishes
-// the network-weather monitor on the error path too, so an interrupted
-// run still closes its event stream and prints the weather report.
-func TestMonitorFinishedOnCancel(t *testing.T) {
+// TestCancelledCampaignCommandsReturnCanceled: every campaign-loading
+// subcommand returns context.Canceled when its context is cancelled before
+// the campaign is simulated.
+func TestCancelledCampaignCommandsReturnCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dir := t.TempDir()
@@ -104,13 +105,9 @@ func TestMonitorFinishedOnCancel(t *testing.T) {
 		{"export", "-out", filepath.Join(dir, "csv")},
 		{"plot", "-out", filepath.Join(dir, "plots")},
 	} {
-		args = append(args, "-small", "-days", "3", "-cache", "", "-monitor", filepath.Join(dir, args[0]+".jsonl"))
-		_, stderr, err := runCLI(ctx, args...)
-		if !errors.Is(err, context.Canceled) {
+		args = append(args, "-small", "-days", "3", "-cache", "")
+		if _, _, err := runCLI(ctx, args...); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", args[0], err)
-		}
-		if !strings.Contains(stderr, "network-weather monitor:") {
-			t.Errorf("%s: monitor was not finished; stderr:\n%s", args[0], stderr)
 		}
 	}
 }
@@ -270,13 +267,24 @@ func TestDistributedSurvivesWorkerKill(t *testing.T) {
 	victim := startChild(t, victimOut, "worker", "-join", url, "-name", "victim")
 	// freeze the worker, confirm through the (in-process) coordinator's
 	// gauge that it holds a lease, then SIGKILL it mid-unit; thaw and
-	// retry when the freeze landed between two leases
+	// retry when the freeze landed between two leases. A request the
+	// victim sent before the freeze may still be in flight, so the gauge
+	// counts only once it reads the same twice, 100 ms apart.
 	pid := victim.Process.Pid
+	leased := func() float64 { return telemetry.Active().Snapshot().Gauges[telemetry.GDistLeasedUnits] }
 	for i := 0; ; i++ {
 		if err := syscall.Kill(pid, syscall.SIGSTOP); err != nil {
 			t.Fatal(err)
 		}
-		if telemetry.Active().Snapshot().Gauges[telemetry.GDistLeasedUnits] >= 1 {
+		n := leased()
+		for {
+			time.Sleep(100 * time.Millisecond)
+			prev := n
+			if n = leased(); n == prev {
+				break
+			}
+		}
+		if n >= 1 {
 			break
 		}
 		if i == 100 {

@@ -12,7 +12,6 @@
 //	       [-window-runs N] [-window-span SECS]
 //	       [-retrain-windows N] [-drift-factor F] [-drift-windows N]
 //	       [-max-epochs N] [-dataset NAME] [-m N] [-k N] [-features LIST]
-//	       [-monitor FILE|-] [-monitor-max-bytes N] [-monitor-max-age D]
 //	       [-telemetry FILE] [-pprof ADDR] [-workers N]
 //
 // All state lives under -state: the run stream (WAL + sealed segments),
@@ -28,25 +27,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"dragonvar/internal/cli"
 	"dragonvar/internal/cluster"
 	"dragonvar/internal/counters"
 	"dragonvar/internal/daemon"
 	"dragonvar/internal/modelstore"
-	"dragonvar/internal/monitor"
 	"dragonvar/internal/topology"
 )
 
 func main() { cli.Main("dfvard", run) }
-
-// monitorFlags are the -monitor* flags.
-type monitorFlags struct {
-	path     string
-	maxBytes int64
-	maxAge   time.Duration
-}
 
 func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	fs := cli.NewFlagSet("dfvard", stderr)
@@ -77,11 +67,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	fs.IntVar(&cfg.M, "m", 5, "forecast window length (steps)")
 	fs.IntVar(&cfg.K, "k", 2, "forecast horizon (steps)")
 	features := fs.String("features", "", `extra forecast feature groups: "placement,io,sys" (app counters always included)`)
-
-	var mf monitorFlags
-	fs.StringVar(&mf.path, "monitor", "", `stream network-weather + drift events to this JSONL file ("-" = stderr), with rotation`)
-	fs.Int64Var(&mf.maxBytes, "monitor-max-bytes", 64<<20, "rotate the event stream past this size (0 = never)")
-	fs.DurationVar(&mf.maxAge, "monitor-max-age", 0, "rotate the event stream past this age (0 = never)")
 
 	var tm cli.Telemetry
 	tm.Register(fs)
@@ -116,18 +101,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if cfg.Store, err = modelstore.Open(*store); err != nil {
 		return err
 	}
-	rotating := func(path string) (io.WriteCloser, error) {
-		return monitor.NewRotatingWriter(path, mf.maxBytes, mf.maxAge)
-	}
-	// network weather plus the daemon's drift events; a file rotates by
-	// size and age, "-" streams to stderr unrotated
-	mon, finishMonitor, err := cli.Monitor("dfvard", mf.path, "dfvard", *small, rotating, stderr)
-	if err != nil {
-		return err
-	}
-	defer finishMonitor()
-	cfg.Monitor = mon
-
 	d, err := daemon.New(cfg)
 	if err != nil {
 		return err

@@ -85,38 +85,14 @@ type Config struct {
 	Workers int `json:"-"`
 	// Progress, when non-nil, receives (completed, total) after each run.
 	Progress func(done, total int) `json:"-"`
-	// Monitor, when non-nil, receives every simulated campaign round's
-	// per-router counter deltas (and dropout markers) as they are produced
-	// — the live feed of the streaming monitor (internal/monitor implements
-	// this). Strictly observation-only: the campaign result is
-	// byte-identical with or without a monitor attached. In a parallel
-	// campaign the observer is called concurrently from worker goroutines,
-	// and rounds of different runs interleave out of time order —
-	// implementations must lock, and must not infer sampler gaps from
-	// timestamp jumps. RecordLDMSCtx does not feed it: a recording reaches
-	// the monitor through monitor.Replay.
-	Monitor RoundObserver `json:"-"`
 	// OnRunMerged, when non-nil, receives every completed run during the
 	// serial merge phase, in deterministic (round, plan) order, with
 	// RunID and Requeues already final — the streaming ingest feed of the
 	// retraining daemon (internal/daemon). Called from the single merge
-	// goroutine, never concurrently. Strictly observation-only like
-	// Monitor: the campaign result is byte-identical with or without the
-	// hook, and the *Run is the campaign's own object (treat as
-	// read-only).
+	// goroutine, never concurrently. Strictly observation-only: the
+	// campaign result is byte-identical with or without the hook, and the
+	// *Run is the campaign's own object (treat as read-only).
 	OnRunMerged func(run *dataset.Run) `json:"-"`
-}
-
-// RoundObserver is the live monitoring hook of a campaign. ObserveRound
-// receives one round's per-router counter deltas over dt seconds in the
-// LDMS layout of counters.Board.DeltaInto (counters.NumLDMS series per
-// router, router-major); the slice is scratch reused between calls, so
-// implementations must copy what they keep.
-// ObserveMissing reports a round whose counter reads fell in a sampler
-// dropout window.
-type RoundObserver interface {
-	ObserveRound(t, dt float64, deltas []float64)
-	ObserveMissing(t float64)
 }
 
 func (c Config) withDefaults() Config {
@@ -158,7 +134,7 @@ func (c Config) withDefaults() Config {
 
 // Identity renders the resolved config in one fixed order: every field a
 // campaign's bytes depend on, and none of the observation-only ones
-// (Workers, Progress, Monitor, OnRunMerged). Two configs with equal
+// (Workers, Progress, OnRunMerged). Two configs with equal
 // identities generate the same campaign. The campaign cache
 // (dataset.Campaign.Identity) and the distributed plan digest both
 // compare it. Models and Users enter by name; days, rate and noise by
@@ -319,7 +295,6 @@ type simWorker struct {
 	sysRouters []topology.RouterID // scratch, reused per run
 	mineMask   []bool              // scratch: the run's own-router set
 	before     *counters.Board     // scratch snapshot, reused per step
-	monDeltas  []float64           // scratch for the Monitor feed; nil when unmonitored
 }
 
 func (c *Cluster) newSimWorker() *simWorker {
@@ -332,9 +307,6 @@ func (c *Cluster) newSimWorker() *simWorker {
 	}
 	// workers pool resolved candidate paths (identically seeded networks)
 	w.net.SharePathCache(c.pathCache)
-	if c.cfg.Monitor != nil {
-		w.monDeltas = make([]float64, c.Topo.Cfg.NumRouters()*counters.NumLDMS)
-	}
 	return w
 }
 
@@ -797,8 +769,7 @@ func (c *Cluster) queueSearch(p *plan, plans []*plan, self, tries int, lo, hi, h
 // over a window from its co-runners — the background jobs (advisor-blamed
 // users' jobs weigh double) plus our own overlapping runs' footprints —
 // with the monitor's cross-sectional hot-spot criterion flagging outlier
-// groups. Everything derives from schedule state — the live monitor feed
-// is observation-only by contract and is never read here.
+// groups. Everything derives from schedule state.
 func (c *Cluster) placementAdvice(co coRunners) *slurm.PlacementAdvice {
 	adv := &slurm.PlacementAdvice{GroupLoad: make([]float64, c.Topo.Cfg.Groups)}
 	addSet := func(set *netsim.LoadSet, w float64) {
@@ -985,17 +956,6 @@ func (w *simWorker) simulate(p *plan, plans []*plan, self int) (*dataset.Run, er
 			for i := range io {
 				io[i] = counters.Missing()
 				sys[i] = counters.Missing()
-			}
-		}
-
-		// live monitor feed: the round's raw (noise-free) per-router
-		// deltas, or the dropout marker — observation-only by contract
-		if mon := cfg.Monitor; mon != nil {
-			if missing {
-				mon.ObserveMissing(t)
-			} else {
-				w.net.Board.DeltaInto(before, w.monDeltas)
-				mon.ObserveRound(t, dur, w.monDeltas)
 			}
 		}
 

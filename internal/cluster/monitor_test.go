@@ -3,72 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"io"
 	"testing"
 
 	"dragonvar/internal/counters"
 	"dragonvar/internal/monitor"
-	"dragonvar/internal/telemetry"
 	"dragonvar/internal/traceio"
 )
-
-// tinyMonitor builds a monitor sized for the test machine's topology.
-func tinyMonitor(t *testing.T, c *Cluster, events io.Writer) *monitor.Monitor {
-	t.Helper()
-	m, err := monitor.New(monitor.Config{
-		NumRouters:      c.Topo.Cfg.NumRouters(),
-		RoutersPerGroup: c.Topo.Cfg.RoutersPerGroup(),
-		Events:          events,
-		Source:          "test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestCampaignIdenticalWithMonitor enforces the monitor's observation-only
-// contract: a faulted parallel campaign with a live streaming monitor
-// attached is byte-identical to the unmonitored serial one, while the
-// monitor actually observed the rounds.
-func TestCampaignIdenticalWithMonitor(t *testing.T) {
-	cfg := faultyConfig(t, 41)
-	telemetry.Disable()
-	baselineCamp := campaignAtWorkers(t, cfg, 1)
-	baseline := campaignHash(t, baselineCamp)
-
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := tinyMonitor(t, c, &bytes.Buffer{})
-	cfg.Monitor = m
-	monitored := campaignHash(t, campaignAtWorkers(t, cfg, 4))
-	if monitored != baseline {
-		t.Fatal("monitored parallel campaign differs from unmonitored serial campaign")
-	}
-
-	s := m.Summary()
-	if s.Samples == 0 {
-		t.Fatal("monitor observed no rounds during the campaign")
-	}
-	// The campaign's dropout window must surface as missing observations
-	// whenever any recorded run actually lost counter reads.
-	campaignHasGaps := false
-	for _, ds := range baselineCamp.Datasets {
-		for _, r := range ds.Runs {
-			if r.GapFraction() > 0 {
-				campaignHasGaps = true
-			}
-		}
-	}
-	if campaignHasGaps && s.Missing == 0 {
-		t.Error("campaign recorded dropped counter reads but the monitor saw no missing observations")
-	}
-	if campaignHasGaps && s.Events[monitor.EventSamplerGap] == 0 {
-		t.Error("monitor coalesced no sampler_gap events despite dropped reads")
-	}
-}
 
 // TestRecordLDMSFeedsMonitor checks the recording feed: a recording with
 // a dropout window, replayed into a monitor, surfaces as healthy deltas
@@ -98,7 +38,13 @@ func TestRecordLDMSFeedsMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := tinyMonitor(t, c, nil)
+	m, err := monitor.New(monitor.Config{
+		NumRouters:      c.Topo.Cfg.NumRouters(),
+		RoutersPerGroup: c.Topo.Cfg.RoutersPerGroup(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := monitor.Replay(rd, m)
 	if err != nil {
 		t.Fatal(err)

@@ -115,7 +115,7 @@ type RouterCounters [NumJob]float64
 //
 // Storage is one flat arena, router-major: router r's bank occupies
 // Data[r*NumJob : (r+1)*NumJob]. Bulk operations (Reset, SnapshotInto,
-// DeltaInto) are single passes over the arena, and At hands the simulator a
+// SampleInto) are single passes over the arena, and At hands the simulator a
 // dense *RouterCounters view without copying.
 type Board struct {
 	Data []float64
@@ -250,20 +250,6 @@ func (b *Board) SampleInto(dst []float64) {
 		rc := b.Data[r*NumJob : r*NumJob+NumJob]
 		for i, src := range ldmsSource {
 			dst[r*NumLDMS+i] = rc[src]
-		}
-	}
-}
-
-// DeltaInto fills dst with the per-router increase of each LDMS counter
-// since the snapshot, in the same router-major layout as SampleInto. dst
-// must have NumRouters()*NumLDMS elements.
-func (b *Board) DeltaInto(since *Board, dst []float64) {
-	nr := b.NumRouters()
-	for r := 0; r < nr; r++ {
-		cur := b.Data[r*NumJob : r*NumJob+NumJob]
-		old := since.Data[r*NumJob : r*NumJob+NumJob]
-		for i, src := range ldmsSource {
-			dst[r*NumLDMS+i] = cur[src] - old[src]
 		}
 	}
 }

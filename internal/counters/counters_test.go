@@ -182,7 +182,7 @@ func TestSnapshotInto(t *testing.T) {
 	}
 }
 
-func TestSampleIntoAndDeltaInto(t *testing.T) {
+func TestSampleInto(t *testing.T) {
 	b := NewBoard(3)
 	b.Add(0, RTFlitTot, 100)
 	b.Add(0, RTRBStl, 7)
@@ -202,19 +202,21 @@ func TestSampleIntoAndDeltaInto(t *testing.T) {
 		}
 	}
 
-	before := b.Snapshot()
+	// rows are cumulative: a later row minus an earlier one is the
+	// per-router increase monitor.Replay observes
 	b.Add(0, RTFlitTot, 10)
 	b.Add(1, RTRBStl, 3)
 	b.Add(2, PTPktTot, 1)
-	b.DeltaInto(before, dst)
+	later := make([]float64, 3*NumLDMS)
+	b.SampleInto(later)
 	wantDelta := []float64{
 		10, 0, 0, 0,
 		0, 3, 0, 0,
 		0, 0, 0, 1,
 	}
 	for i := range wantDelta {
-		if dst[i] != wantDelta[i] {
-			t.Fatalf("DeltaInto[%d] = %v, want %v", i, dst[i], wantDelta[i])
+		if later[i]-dst[i] != wantDelta[i] {
+			t.Fatalf("SampleInto row increase [%d] = %v, want %v", i, later[i]-dst[i], wantDelta[i])
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"dragonvar/internal/dataset"
 	"dragonvar/internal/framelog"
 	"dragonvar/internal/modelstore"
-	"dragonvar/internal/monitor"
 	"dragonvar/internal/nn"
 	"dragonvar/internal/rng"
 	"dragonvar/internal/stats"
@@ -40,8 +39,7 @@ import (
 )
 
 // Config parameterizes a Daemon. StateDir and Store are required; every
-// other field has a default. All fields except Workers, Monitor, and
-// Logf are part of the daemon's identity digest — resuming a StateDir
+// other field has a default. All fields except Workers and Logf are part of the daemon's identity digest — resuming a StateDir
 // with a different identity is refused rather than silently diverging.
 type Config struct {
 	// StateDir holds the run stream (stream/), the progress checkpoint
@@ -92,9 +90,6 @@ type Config struct {
 	// Not part of the identity digest: every worker count produces
 	// byte-identical output.
 	Workers int
-	// Monitor, when non-nil, receives the live counter feed of every
-	// epoch (and the daemon's own drift events).
-	Monitor *monitor.Monitor
 	// Logf, when non-nil, receives human-readable progress lines.
 	Logf func(format string, args ...any)
 
@@ -140,9 +135,6 @@ func (c Config) epochConfig(seed int64) cluster.Config {
 	cfg := cluster.Config{Machine: c.Machine, Days: c.EpochDays, Seed: seed,
 		FaultSpec: c.FaultSpec, Placement: c.Placement, Workers: c.Workers}
 	cfg.Net.Routing = c.Routing
-	if c.Monitor != nil {
-		cfg.Monitor = c.Monitor
-	}
 	return cfg
 }
 
@@ -415,16 +407,6 @@ func (d *Daemon) onSeal(ctx context.Context, seg *dataset.Segment) error {
 				d.p.DriftPending = true
 				d.cfg.Logf("daemon: drift detected at segment %d: live MAPE %.4f > %.2f x train MAPE %.4f",
 					seg.Index, live, d.cfg.DriftFactor, d.p.TrainMAPE)
-				if d.cfg.Monitor != nil {
-					t := 0.0
-					if n := len(seg.Runs); n > 0 {
-						t = seg.Runs[n-1].Start
-					}
-					d.cfg.Monitor.Emit(monitor.Event{
-						T: t, Type: monitor.EventModelDrift, Router: -1, Group: -1,
-						LiveMAPE: live, TrainMAPE: d.p.TrainMAPE,
-					})
-				}
 			}
 		}
 	}

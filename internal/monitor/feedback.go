@@ -8,10 +8,11 @@ import "dragonvar/internal/stats"
 // reads another, owned by one netsim.Network and fed by that simulator
 // from its own counter deltas. That ownership is what lets the policy read
 // it mid-simulation without breaking the serial ≡ parallel byte-identity
-// contract: a live shared Monitor sees rounds of different runs in a
-// worker-dependent order, while a StallFeedback owned by one network (and
-// reset per run, next to its counter board) evolves identically no matter
-// which worker simulates the run or what that worker simulated before.
+// contract: one tracker shared by a campaign's runs would see their
+// rounds in a worker-dependent order, while a StallFeedback owned by one
+// network (and reset per run, next to its counter board) evolves
+// identically no matter which worker simulates the run or what that
+// worker simulated before.
 //
 // Usage per simulation round: Accumulate per-group stall and flit deltas
 // while the round's counters are written, then Commit once at the end of
@@ -76,7 +77,7 @@ func (f *StallFeedback) Reset() {
 
 // CrossSectionHot flags the indices whose value is a cross-sectional
 // outlier: z = (v − mean) / std ≥ minZ over the population, the same
-// detector ObserveRound applies to per-router flit-rate EWMAs when it
+// detector the monitor applies to per-router flit-rate EWMAs when it
 // flags hot routers. It is exported so the interference-aware placement
 // policy (internal/cluster) can apply the monitor's hot-spot criterion to
 // its deterministic expected-load view of the groups; like every

@@ -1,7 +1,6 @@
 // Package monitor is the streaming network-weather analytics engine: it
-// consumes per-router counter samples — live from the campaign driver's
-// per-round deltas, or offline by replaying a DFLDMS log — in the LDMS
-// layout of internal/counters (counters.NumLDMS series per router, flits at
+// replays a DFLDMS log of per-router counter samples, in the LDMS layout of
+// internal/counters (counters.NumLDMS series per router, flits at
 // counters.LDMSRTFlitTot, stalls at counters.LDMSRTRBStl), and maintains
 // single-pass windowed state over them: Welford online mean/variance of
 // each router's flit rate, per-group congestion rollups (stall-ratio from
@@ -12,17 +11,9 @@
 // This is the monitoring half of the paper's measurement stack: LDMS gave
 // Cori a 1 Hz system-wide counter feed (§III-C), and the follow-up
 // longitudinal-analytics work turns such feeds into queryable aggregates.
-// cluster.RecordLDMSCtx records the feed; Replay and the campaign's
-// per-round hook (cluster.Config.Monitor) bring it here.
-//
-// # Observation-only contract
-//
-// Like internal/telemetry, the monitor NEVER feeds back into simulation:
-// it only reads counter deltas the simulation already produced, so a
-// monitored campaign is byte-identical to an unmonitored one (enforced by
-// TestCampaignIdenticalWithMonitor in internal/cluster). All exported
-// methods are safe for concurrent use: a parallel campaign calls
-// ObserveRound from its worker goroutines as they simulate.
+// cluster.RecordLDMSCtx records the feed as one time-ordered series, and
+// Replay is the monitor's only input. All exported methods are safe for
+// concurrent use.
 package monitor
 
 import (
@@ -44,8 +35,7 @@ const (
 	EventHotRouterClear  = "hot_router_clear" // a hot router dropped back below hotZ/2
 	EventCongestionOnset = "congestion_onset" // a group's smoothed stall ratio crossed stallOnset
 	EventCongestionClear = "congestion_clear" // a congested group dropped back below stallClear
-	EventSamplerGap      = "sampler_gap"      // a run of missing samples (or a replayed timestamp jump) closed
-	EventModelDrift      = "model_drift"      // rolling live forecast MAPE breached the drift threshold (emitted by the daemon via Emit)
+	EventSamplerGap      = "sampler_gap"      // a run of missing samples (or a timestamp jump) closed
 )
 
 // Event is one structured anomaly record. Router and Group are -1 when not
@@ -62,28 +52,27 @@ type Event struct {
 	GapStart   float64 `json:"gap_start,omitempty"`   // first missing timestamp (gap events)
 	GapEnd     float64 `json:"gap_end,omitempty"`     // last missing timestamp (gap events)
 	Missed     int     `json:"missed,omitempty"`      // samples lost in the gap
-	LiveMAPE   float64 `json:"live_mape,omitempty"`   // rolling forecast MAPE on live windows (drift events)
-	TrainMAPE  float64 `json:"train_mape,omitempty"`  // training-time MAPE of the serving model (drift events)
-	Source     string  `json:"source,omitempty"`      // Config.Source tag ("campaign", "replay", …)
+	Source     string  `json:"source,omitempty"`      // always "replay", the monitor's one input
 }
 
 // Config parameterizes a Monitor. The zero value is not usable: NumRouters
 // is required; every other field has a sensible default applied by New.
 type Config struct {
-	NumRouters      int     // required: routers in the machine
-	RoutersPerGroup int     // dragonfly group size for rollups (default: all routers in one group)
-	HeatmapBin      float64 // heatmap time-bin width in seconds (default 900)
+	NumRouters      int // required: routers in the machine
+	RoutersPerGroup int // dragonfly group size for rollups (default: all routers in one group)
 
 	// Events receives one JSON object per line as anomalies are detected;
 	// nil discards them (aggregates are still maintained).
 	Events io.Writer
-	// Source tags every emitted event (e.g. "campaign", "replay").
-	Source string
 }
 
 const (
-	// gapFactor: on a replayed (time-ordered) feed, a forward timestamp
-	// jump beyond gapFactor sampling intervals is a sampler gap.
+	// source tags every event and the report.
+	source = "replay"
+	// heatmapBin is the heatmap time-bin width in seconds.
+	heatmapBin = 900.0
+	// gapFactor: a forward timestamp jump beyond gapFactor sampling
+	// intervals is a sampler gap.
 	gapFactor = 2.5
 	// ewmaAlpha smooths the per-router flit rates and the per-group stall
 	// ratios (StallFeedback).
@@ -123,7 +112,7 @@ type gapState struct {
 }
 
 // Monitor is the streaming analytics engine. Create with New; feed with
-// ObserveRound/ObserveMissing; close with Finish.
+// Replay.
 type Monitor struct {
 	cfg       Config
 	numGroups int
@@ -164,9 +153,6 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.RoutersPerGroup <= 0 {
 		cfg.RoutersPerGroup = cfg.NumRouters
 	}
-	if cfg.HeatmapBin <= 0 {
-		cfg.HeatmapBin = 900
-	}
 	ng := (cfg.NumRouters + cfg.RoutersPerGroup - 1) / cfg.RoutersPerGroup
 	m := &Monitor{
 		cfg:        cfg,
@@ -188,25 +174,17 @@ func New(cfg Config) (*Monitor, error) {
 // NumGroups returns the number of rollup groups.
 func (m *Monitor) NumGroups() int { return m.numGroups }
 
-// ObserveRound feeds one healthy observation: deltas holds the per-router
-// counter increases over the last dt seconds in the LDMS layout
-// counters.Board.DeltaInto produces (series s of router r at index
-// r*counters.NumLDMS+s). len(deltas) must be NumRouters×counters.NumLDMS
-// and dt positive; violations are programmer errors and panic. Campaign
-// rounds arrive out of time order, so ObserveRound never infers a sampler
-// gap from a timestamp jump; only Replay's time-ordered feed does.
-func (m *Monitor) ObserveRound(t, dt float64, deltas []float64) {
-	m.observe(t, dt, deltas, false)
-}
-
-// observe is ObserveRound; ordered marks Replay's time-ordered feed, on
-// which a timestamp jump is a sampler gap.
-func (m *Monitor) observe(t, dt float64, deltas []float64, ordered bool) {
+// observe feeds one healthy observation: deltas holds the per-router
+// counter increases over the last dt seconds in the LDMS layout (series s
+// of router r at index r*counters.NumLDMS+s). len(deltas) must be
+// NumRouters×counters.NumLDMS and dt positive; violations are programmer
+// errors and panic.
+func (m *Monitor) observe(t, dt float64, deltas []float64) {
 	if len(deltas) != m.cfg.NumRouters*seriesPerRouter {
-		panic(fmt.Sprintf("monitor: ObserveRound with %d deltas, want %d", len(deltas), m.cfg.NumRouters*seriesPerRouter))
+		panic(fmt.Sprintf("monitor: observe with %d deltas, want %d", len(deltas), m.cfg.NumRouters*seriesPerRouter))
 	}
 	if dt <= 0 {
-		panic(fmt.Sprintf("monitor: ObserveRound with non-positive dt %v", dt))
+		panic(fmt.Sprintf("monitor: observe with non-positive dt %v", dt))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -218,7 +196,7 @@ func (m *Monitor) observe(t, dt float64, deltas []float64, ordered bool) {
 	// sampling interval means samples were never written. A gap already
 	// opened by explicit missing markers covers the same span, so skip
 	// inference then — closeGapLocked below reports it once.
-	if ordered && !m.gap.open && m.samples > 0 {
+	if !m.gap.open && m.samples > 0 {
 		jump := t - m.lastT
 		if jump > gapFactor*m.interval {
 			missed := int(jump/m.interval) - 1
@@ -270,7 +248,7 @@ func (m *Monitor) observe(t, dt float64, deltas []float64, ordered bool) {
 	}
 	// Pass 3: group stall-ratio rollups and heatmap, then the round's
 	// stall-ratio EWMA update and congestion hysteresis.
-	bin := int64(math.Floor(t / m.cfg.HeatmapBin))
+	bin := int64(math.Floor(t / heatmapBin))
 	cells, ok := m.heat[bin]
 	if !ok {
 		cells = make([]heatCell, m.numGroups)
@@ -312,11 +290,11 @@ func (m *Monitor) observe(t, dt float64, deltas []float64, ordered bool) {
 	m.lastT = t
 }
 
-// ObserveMissing feeds one explicit missing-sample marker at time t (the
+// observeMissing feeds one explicit missing-sample marker at time t (the
 // samplers were in a dropout window). Consecutive markers coalesce into a
 // single sampler_gap event, emitted when a healthy sample arrives or at
-// Finish.
-func (m *Monitor) ObserveMissing(t float64) {
+// finish.
+func (m *Monitor) observeMissing(t float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.gap.open {
@@ -342,7 +320,7 @@ func (m *Monitor) closeGapLocked(t float64) {
 
 // emitLocked counts and writes one event. Callers hold mu.
 func (m *Monitor) emitLocked(ev Event) {
-	ev.Source = m.cfg.Source
+	ev.Source = source
 	m.eventCount[ev.Type]++
 	if m.cfg.Events == nil || m.encodeErr != nil {
 		return
@@ -356,17 +334,6 @@ func (m *Monitor) emitLocked(ev Event) {
 	}
 }
 
-// Emit writes an externally-detected event into the monitor's stream,
-// counting it like any detector event. Callers outside this package (the
-// retraining daemon's drift detector) use it so operator tooling sees one
-// merged JSONL stream instead of a second file to tail. Router/Group
-// should carry the -1 sentinel when not applicable.
-func (m *Monitor) Emit(ev Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.emitLocked(ev)
-}
-
 // gapFractionLocked returns missing/(missing+healthy). Callers hold mu.
 func (m *Monitor) gapFractionLocked() float64 {
 	total := m.samples + m.missing
@@ -376,10 +343,9 @@ func (m *Monitor) gapFractionLocked() float64 {
 	return float64(m.missing) / float64(total)
 }
 
-// Finish closes any open sampler gap and returns the first event-writer
-// error, if any. The monitor remains usable afterwards (more observations
-// simply reopen state), so live consumers may call it at checkpoints.
-func (m *Monitor) Finish() error {
+// finish closes any open sampler gap and returns the first event-writer
+// error, if any.
+func (m *Monitor) finish() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.gap.open {
@@ -503,7 +469,7 @@ func (m *Monitor) HeatmapData() (rows []string, xs []float64, vals [][]float64) 
 	nb := int(hi - lo + 1)
 	xs = make([]float64, nb)
 	for i := range xs {
-		xs[i] = float64(lo+int64(i)) * m.cfg.HeatmapBin
+		xs[i] = float64(lo+int64(i)) * heatmapBin
 	}
 	rows = make([]string, m.numGroups)
 	vals = make([][]float64, m.numGroups)
@@ -530,12 +496,8 @@ func (m *Monitor) HeatmapData() (rows []string, xs []float64, vals [][]float64) 
 func (m *Monitor) Report(k int) string {
 	s := m.Summary()
 	var b strings.Builder
-	fmt.Fprintf(&b, "network-weather monitor")
-	if m.cfg.Source != "" {
-		fmt.Fprintf(&b, " (%s)", m.cfg.Source)
-	}
-	fmt.Fprintf(&b, "\n  samples: %d healthy, %d missing (gap fraction %.4f)\n",
-		s.Samples, s.Missing, s.GapFraction)
+	fmt.Fprintf(&b, "network-weather monitor (%s)\n  samples: %d healthy, %d missing (gap fraction %.4f)\n",
+		source, s.Samples, s.Missing, s.GapFraction)
 	if len(s.Events) > 0 {
 		types := make([]string, 0, len(s.Events))
 		for t := range s.Events {

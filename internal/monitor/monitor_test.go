@@ -52,7 +52,7 @@ func TestNewValidatesConfig(t *testing.T) {
 
 func TestHotRouterDetection(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{NumRouters: 64, RoutersPerGroup: 16, Events: &buf, Source: "test"}
+	cfg := Config{NumRouters: 64, RoutersPerGroup: 16, Events: &buf}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestHotRouterDetection(t *testing.T) {
 				}
 				deltas[r*seriesPerRouter+flitSeries] = rate
 			}
-			m.ObserveRound(tt, 1, deltas)
+			m.observe(tt, 1, deltas)
 			tt++
 		}
 		return tt
@@ -81,7 +81,7 @@ func TestHotRouterDetection(t *testing.T) {
 	tt := feed(0, 10, 0)     // warm-up: spread alone keeps every z below threshold
 	tt = feed(tt, 10, 10000) // router 5 runs ~100× hotter
 	_ = feed(tt, 40, 0)      // back to baseline: EWMA decays, clears
-	if err := m.Finish(); err != nil {
+	if err := m.finish(); err != nil {
 		t.Fatal(err)
 	}
 	evs := decodeEvents(t, &buf)
@@ -95,8 +95,8 @@ func TestHotRouterDetection(t *testing.T) {
 	if hots[0].Z < hotZ {
 		t.Errorf("hot event z = %v below threshold %v", hots[0].Z, hotZ)
 	}
-	if hots[0].Source != "test" {
-		t.Errorf("event source = %q, want %q", hots[0].Source, "test")
+	if hots[0].Source != "replay" {
+		t.Errorf("event source = %q, want %q", hots[0].Source, "replay")
 	}
 	clears := ofType(evs, EventHotRouterClear)
 	if len(clears) != 1 || clears[0].Router != hotRouter {
@@ -128,7 +128,7 @@ func TestCongestionOnsetAndClear(t *testing.T) {
 				}
 				deltas[base+stallSeries] = 1000 * ratio
 			}
-			m.ObserveRound(tt, 1, deltas)
+			m.observe(tt, 1, deltas)
 			tt++
 		}
 	}
@@ -162,11 +162,11 @@ func TestGapCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	deltas := make([]float64, 2*seriesPerRouter)
-	m.ObserveRound(1, 1, deltas)
-	m.ObserveMissing(2)
-	m.ObserveMissing(3)
-	m.ObserveMissing(4)
-	m.ObserveRound(5, 1, deltas) // closes the gap
+	m.observe(1, 1, deltas)
+	m.observeMissing(2)
+	m.observeMissing(3)
+	m.observeMissing(4)
+	m.observe(5, 1, deltas) // closes the gap
 	evs := ofType(decodeEvents(t, &buf), EventSamplerGap)
 	if len(evs) != 1 {
 		t.Fatalf("got %d sampler_gap events, want 1", len(evs))
@@ -183,15 +183,15 @@ func TestGapCoalescing(t *testing.T) {
 		t.Errorf("gap fraction = %v, want %v", s.GapFraction, want)
 	}
 
-	// A gap still open at Finish is emitted then.
+	// A gap still open at finish is emitted then.
 	buf.Reset()
-	m.ObserveMissing(6)
-	if err := m.Finish(); err != nil {
+	m.observeMissing(6)
+	if err := m.finish(); err != nil {
 		t.Fatal(err)
 	}
 	evs = ofType(decodeEvents(t, &buf), EventSamplerGap)
 	if len(evs) != 1 || evs[0].Missed != 1 {
-		t.Fatalf("open gap at Finish: events = %+v, want one with missed=1", evs)
+		t.Fatalf("open gap at finish: events = %+v, want one with missed=1", evs)
 	}
 }
 
@@ -245,23 +245,10 @@ func TestTimestampJumpGapDetection(t *testing.T) {
 	if evs[0].Missed != 7 {
 		t.Errorf("inferred gap missed = %d, want 7", evs[0].Missed)
 	}
-
-	// Campaign rounds arrive out of time order: ObserveRound infers nothing.
-	var buf2 bytes.Buffer
-	m2, err := New(Config{NumRouters: 2, Events: &buf2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas := make([]float64, 2*seriesPerRouter)
-	m2.ObserveRound(1, 1, deltas)
-	m2.ObserveRound(10, 1, deltas)
-	if buf2.Len() != 0 {
-		t.Errorf("ObserveRound inferred a gap from a timestamp jump: %s", buf2.String())
-	}
 }
 
-// TestExplicitGapNotDoubleCounted guards against a gap being reported twice
-// on ordered streams: explicit missing markers AND the timestamp jump they
+// TestExplicitGapNotDoubleCounted guards against a gap being reported twice:
+// explicit missing markers AND the timestamp jump they
 // cause both describe the same outage, which must yield ONE event.
 func TestExplicitGapNotDoubleCounted(t *testing.T) {
 	var buf bytes.Buffer
@@ -287,7 +274,7 @@ func TestSeriesStatsAndTopRouters(t *testing.T) {
 		for r := 0; r < 4; r++ {
 			deltas[r*seriesPerRouter+flitSeries] = 100 * float64(r+1)
 		}
-		m.ObserveRound(float64(i)*2, 2, deltas)
+		m.observe(float64(i)*2, 2, deltas)
 	}
 	top := m.TopRouters(2)
 	if len(top) != 2 {
@@ -305,21 +292,22 @@ func TestSeriesStatsAndTopRouters(t *testing.T) {
 }
 
 func TestHeatmapData(t *testing.T) {
-	m, err := New(Config{NumRouters: 2, RoutersPerGroup: 1, HeatmapBin: 10})
+	m, err := New(Config{NumRouters: 2, RoutersPerGroup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Router 0 ratio 0.5, router 1 ratio 0.1, samples at t = 0..29.
+	// Router 0 ratio 0.5, router 1 ratio 0.1, samples every 90 s at
+	// t = 0..2610: ten per 900 s bin.
 	deltas := []float64{1000, 500, 0, 0, 1000, 100, 0, 0}
 	for i := 0; i < 30; i++ {
-		m.ObserveRound(float64(i), 1, deltas)
+		m.observe(float64(i)*90, 90, deltas)
 	}
 	rows, xs, vals := m.HeatmapData()
 	if len(rows) != 2 || len(xs) != 3 {
 		t.Fatalf("heatmap %d rows × %d bins, want 2 × 3", len(rows), len(xs))
 	}
-	if xs[0] != 0 || xs[1] != 10 || xs[2] != 20 {
-		t.Errorf("bin starts = %v, want [0 10 20]", xs)
+	if xs[0] != 0 || xs[1] != 900 || xs[2] != 1800 {
+		t.Errorf("bin starts = %v, want [0 900 1800]", xs)
 	}
 	for _, v := range vals[0] {
 		if math.Abs(v-0.5) > 1e-9 {
@@ -379,7 +367,7 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events bytes.Buffer
-	m, err := New(Config{NumRouters: nr, Events: &events, Source: "replay"})
+	m, err := New(Config{NumRouters: nr, Events: &events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,16 +423,16 @@ func TestReplaySeriesMismatch(t *testing.T) {
 }
 
 func TestReportRendering(t *testing.T) {
-	m, err := New(Config{NumRouters: 4, RoutersPerGroup: 2, Source: "unit"})
+	m, err := New(Config{NumRouters: 4, RoutersPerGroup: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deltas := []float64{100, 50, 0, 0, 100, 5, 0, 0, 100, 5, 0, 0, 100, 5, 0, 0}
 	for i := 0; i < 4; i++ {
-		m.ObserveRound(float64(i), 1, deltas)
+		m.observe(float64(i), 1, deltas)
 	}
 	rep := m.Report(2)
-	for _, want := range []string{"network-weather monitor (unit)", "4 healthy", "top 2 routers", "group congestion"} {
+	for _, want := range []string{"network-weather monitor (replay)", "4 healthy", "top 2 routers", "group congestion"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}

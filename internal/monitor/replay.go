@@ -20,8 +20,8 @@ type ReplayStats struct {
 // become deltas against the previous healthy sample (gaps of explicit
 // missing markers are naturally bridged — the hardware kept counting, only
 // the reads were lost, so the post-gap delta spread over the elapsed time
-// is the best available rate estimate), and missing markers are forwarded
-// as ObserveMissing. The log is time-ordered, so a forward timestamp jump
+// is the best available rate estimate), and each missing marker opens or
+// extends a sampler gap. The log is time-ordered, so a forward timestamp jump
 // beyond gapFactor sampling intervals (the first dt) with no missing
 // markers is reported as a sampler gap too. The log's series count must
 // equal the monitor's NumRouters×counters.NumLDMS.
@@ -41,7 +41,7 @@ func Replay(rd *traceio.Reader, m *Monitor) (ReplayStats, error) {
 	for {
 		t, row, err := rd.Next(cur)
 		if errors.Is(err, io.EOF) {
-			return st, m.Finish()
+			return st, m.finish()
 		}
 		if err != nil {
 			return st, err
@@ -53,7 +53,7 @@ func Replay(rd *traceio.Reader, m *Monitor) (ReplayStats, error) {
 		st.LastT = t
 		if rd.Missing() {
 			st.Missing++
-			m.ObserveMissing(t)
+			m.observeMissing(t)
 			continue
 		}
 		if havePrev {
@@ -62,7 +62,7 @@ func Replay(rd *traceio.Reader, m *Monitor) (ReplayStats, error) {
 				for i := range deltas {
 					deltas[i] = row[i] - prev[i]
 				}
-				m.observe(t, dt, deltas, true)
+				m.observe(t, dt, deltas)
 				st.Samples++
 			}
 		}

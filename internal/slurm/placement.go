@@ -13,8 +13,8 @@ import (
 // job's window (from the background timeline and any advisor-blamed
 // users' jobs, weighted up), and the groups the monitor's hot-spot
 // criterion flags as outliers of that view. It is computed by the caller
-// (internal/cluster) from schedule state only — never from the live
-// monitor, which observes worker-interleaved rounds and would break the
+// (internal/cluster) from schedule state only — never from simulated
+// counters, whose rounds interleave by worker and would break the
 // serial ≡ parallel byte-identity contract.
 type PlacementAdvice struct {
 	// GroupLoad[g] is the expected flits/s entering group g during the

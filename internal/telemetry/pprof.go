@@ -12,10 +12,10 @@ import (
 // heap, goroutine, block profiles) plus /telemetry, which serves the live
 // registry snapshot as JSON, and /metrics, the same snapshot in the
 // Prometheus/OpenMetrics text exposition format (any Prometheus-compatible
-// scraper can watch a running campaign, including the monitor's live
-// gauges). It returns after the listener is bound, so a bad address fails
-// fast instead of racing the workload; the server itself runs until the
-// process exits. Intended for the CLIs' -pprof flag.
+// scraper can watch a running campaign). It returns after the listener is
+// bound, so a bad address fails fast instead of racing the workload; the
+// server itself runs until the process exits. Intended for the CLIs'
+// -pprof flag.
 func ServePprof(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
